@@ -16,14 +16,11 @@ from functools import lru_cache
 from typing import Iterator, Mapping, Sequence
 
 from .graphs import (
-    DEFAULT_CYCLE_CAP,
     NEGATIVE,
     POSITIVE,
     Arc,
     SignedDigraph,
     as_arc,
-    enumerate_cycles,
-    is_strong,
     tarjan_components,
 )
 
@@ -243,18 +240,6 @@ class BooleanNetwork:
             locals_[v - 1] = constant(int(bit))
         return BooleanNetwork(locals_)
 
-    def asynchronous_successors(self, x: Sequence[int]) -> list[tuple[int, ...]]:
-        """States reachable by flipping one disagreeing coordinate toward f."""
-        self._check_state(x)
-        fx = self.evaluate(x)
-        out = []
-        for v in range(1, self.n + 1):
-            if fx[v - 1] != x[v - 1]:
-                y = list(x)
-                y[v - 1] = fx[v - 1]
-                out.append(tuple(y))
-        return out
-
     def attractors(self) -> list[frozenset[tuple[int, ...]]]:
         """Terminal strong components of the asynchronous state graph.
 
@@ -459,65 +444,3 @@ def max_fixed_points(G: SignedDigraph, max_indegree: int = DEFAULT_MAX_INDEGREE)
 def _check_network_shaped(G: SignedDigraph):
     if G.vertex_set != frozenset(range(1, G.n + 1)):
         raise ValueError("graph vertices must be exactly 1..n for network operations")
-
-
-# -- instance-level theorem verdicts -----------------------------------------
-
-NOT_APPLICABLE = "not-applicable"
-HOLDS = "conclusion-holds"
-COUNTEREXAMPLE = "counterexample"
-
-
-def verify_antipodal_fixed_points(G: SignedDigraph, f: BooleanNetwork, cap=None):
-    """Check the antipodal-pair conclusion on one (G, f) instance.
-
-    Premises: G strong with exactly one negative cycle and at least one
-    positive cycle, and f canalizes no arc of the negative cycle.  Under
-    them the network must have two fixed points at Hamming distance n.
-    Returns (verdict, witness_pair_or_None).
-    """
-    if f.interaction_graph() != G:
-        raise ValueError("network's interaction graph differs from G")
-    cap = DEFAULT_CYCLE_CAP if cap is None else cap
-    if not is_strong(G):
-        return NOT_APPLICABLE, None
-    cycles = enumerate_cycles(G, cap)
-    negatives = [c for c in cycles if c.sign == NEGATIVE]
-    if len(negatives) != 1 or not any(c.sign == POSITIVE for c in cycles):
-        return NOT_APPLICABLE, None
-    if any(f.is_canalized(a) for a in negatives[0].arcs):
-        return NOT_APPLICABLE, None
-    fixed = set(f.fixed_points())
-    for x in sorted(fixed):
-        y = tuple(1 - b for b in x)
-        if y in fixed:
-            return HOLDS, (x, y)
-    return COUNTEREXAMPLE, None
-
-
-def disagreement_cycles(f: BooleanNetwork, special_arc_free: bool = False, cap=None):
-    """Positive disagreement cycles for every pair of distinct fixed points.
-
-    For each pair the witness is a positive cycle on whose vertices the two
-    fixed points all differ; with ``special_arc_free`` the cycle must also
-    have no special arc.  Returns (verdict, {(x, y): cycle}); the verdict is
-    a counterexample when some pair has no witness.
-    """
-    from .structure import find_special_arc
-
-    cap = DEFAULT_CYCLE_CAP if cap is None else cap
-    G = f.interaction_graph()
-    cycles = [c for c in enumerate_cycles(G, cap) if c.sign == POSITIVE]
-    if special_arc_free:
-        cycles = [c for c in cycles if find_special_arc(G, c, cap) is None]
-    fixed = f.fixed_points()
-    witnesses = {}
-    for x, y in itertools.combinations(fixed, 2):
-        disagree = {v + 1 for v in range(f.n) if x[v] != y[v]}
-        for c in cycles:
-            if c.vertex_set <= disagree:
-                witnesses[(x, y)] = c
-                break
-        else:
-            return COUNTEREXAMPLE, {"pair": (x, y)}
-    return HOLDS, witnesses

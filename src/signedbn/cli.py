@@ -2,8 +2,9 @@
 
 Exit codes: 0 when the run succeeds and any checked condition holds, 1
 when a condition fails or a counterexample is found, 2 on usage or parse
-errors.  ``--format structured`` emits stable versioned JSON; the human
-output may change freely between versions.
+errors and when a cycle enumeration exceeds its cap.  ``--format
+structured`` emits stable versioned JSON; the human output may change
+freely between versions.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import json
 import sys
 
 from . import boolnet, codes, falsify, formats, generators, structure
-from .graphs import DEFAULT_CYCLE_CAP, INF
+from .graphs import DEFAULT_CYCLE_CAP, INF, CycleCapExceeded
 from .kernels import kernels as all_kernels
 
 SCHEMA_VERSION = 1
@@ -51,10 +52,7 @@ def _load(parser, loader, path):
 def _cmd_analyze(parser, args) -> int:
     G = _load(parser, formats.load_signed_digraph, args.graph)
     report = structure.analyze(G, cap=args.cycle_cap)
-    if args.format == "structured":
-        print(json.dumps({"schema_version": SCHEMA_VERSION, **report.to_dict()}, sort_keys=True))
-    else:
-        print(report.to_text(), end="")
+    _emit(args, report.to_dict(), report.to_text().splitlines())
     return EXIT_OK
 
 
@@ -139,73 +137,50 @@ def _cmd_generate(parser, args) -> int:
     return EXIT_OK
 
 
-_GRAPH_CHECKS = {
-    "thm3": lambda G, cap: structure.uniqueness_arc_rule(G, cap).holds,
-    "thm4": lambda G, cap: structure.uniqueness_vertex_rule(G, cap).holds,
-    "thm5": lambda G, cap: structure.existence_arc_rule(G, cap).holds,
-    "harary": lambda G, cap: falsify._check_harary(G) is None,
-    "lemma9": lambda G, cap: falsify._check_lemma9(G) is None,
-}
-
-_PAIR_CHECKS = {
-    "thm1": falsify._check_thm1,
-    "thm2": falsify._check_thm2,
-    "thm6": falsify._check_thm6,
-    "thm7": falsify._check_thm7,
-    "cor8": falsify._check_cor8,
-}
-
-_DIGRAPH_CHECKS = {
-    "richardson": falsify._check_richardson,
-    "richardson-gen": falsify._check_richardson_gen,
-    "kernel-corr": falsify._check_kernel_corr,
-}
+def _load_instance(parser, prop, args) -> tuple:
+    """The input files as the parts ``prop.check`` takes, by instance kind."""
+    if prop.kind == falsify.DIGRAPH:
+        return (_load(parser, formats.load_digraph, args.input),)
+    if prop.kind == falsify.GRAPH:
+        return (_load(parser, formats.load_signed_digraph, args.input),)
+    if not args.network:
+        parser.exit(EXIT_USAGE, f"error: --theorem {prop.id} needs a network file\n")
+    G = _load(parser, formats.load_signed_digraph, args.input)
+    f = _load(parser, formats.load_boolean_network, args.network)
+    if f.interaction_graph() != G:
+        parser.exit(EXIT_USAGE, "error: network's interaction graph differs from the graph\n")
+    return G, f
 
 
 def _cmd_check(parser, args) -> int:
-    theorem = args.theorem
-    if theorem in _DIGRAPH_CHECKS:
-        D = _load(parser, formats.load_digraph, args.input)
-        result = _DIGRAPH_CHECKS[theorem](D)
-        holds = result is None
-        detail = "" if holds else result.detail
-    elif theorem in _GRAPH_CHECKS:
+    prop = falsify.REGISTRY.get(args.theorem)
+    if prop is None:
+        parser.exit(EXIT_USAGE, f"error: unknown theorem id {args.theorem!r}\n")
+    if prop.condition is not None:
+        # A rule theorem: report whether its condition holds on the graph.
         G = _load(parser, formats.load_signed_digraph, args.input)
-        holds = _GRAPH_CHECKS[theorem](G, args.cycle_cap)
-        detail = ""
-    elif theorem in _PAIR_CHECKS:
-        if not args.network:
-            parser.exit(EXIT_USAGE, f"error: --theorem {theorem} needs a network file\n")
-        G = _load(parser, formats.load_signed_digraph, args.input)
-        f = _load(parser, formats.load_boolean_network, args.network)
-        if f.interaction_graph() != G:
-            parser.exit(EXIT_USAGE, "error: network's interaction graph differs from the graph\n")
-        result = _PAIR_CHECKS[theorem](G, f)
-        holds = result is None
-        detail = "" if holds else result.detail
+        holds, detail = prop.condition(G, args.cycle_cap).holds, ""
     else:
-        parser.exit(EXIT_USAGE, f"error: unknown theorem id {theorem!r}\n")
+        violation = prop.check(*_load_instance(parser, prop, args))
+        holds, detail = violation is None, violation or ""
     verdict = "holds" if holds else "violated"
     _emit(
         args,
-        {"theorem": theorem, "verdict": verdict, "detail": detail},
-        [f"{theorem}: {verdict}" + (f" ({detail})" if detail else "")],
+        {"theorem": prop.id, "verdict": verdict, "detail": detail},
+        [f"{prop.id}: {verdict}" + (f" ({detail})" if detail else "")],
     )
     return EXIT_OK if holds else EXIT_CONDITION_FAILED
 
 
 def _cmd_falsify(parser, args) -> int:
-    try:
-        report = falsify.falsify(
-            args.theorem,
-            trials=args.trials,
-            seed=args.seed,
-            max_n=args.max_n,
-            exhaustive_n=args.exhaustive_n,
-            max_indegree=args.max_indegree,
-        )
-    except ValueError as exc:
-        parser.exit(EXIT_USAGE, f"error: {exc}\n")
+    report = falsify.falsify(
+        args.theorem,
+        trials=args.trials,
+        seed=args.seed,
+        max_n=args.max_n,
+        exhaustive_n=args.exhaustive_n,
+        max_indegree=args.max_indegree,
+    )
     lines = [
         f"theorem {report.theorem}: {report.trials} trials, "
         f"{len(report.counterexamples)} counterexamples in {report.seconds:.2f}s"
@@ -290,10 +265,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.run(parser, args)
-    except boolnet.UnrealizableGraphError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as exc:
+    except (boolnet.UnrealizableGraphError, CycleCapExceeded, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

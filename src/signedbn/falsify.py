@@ -1,15 +1,17 @@
-"""Randomized falsification harness for the fixed-point statements.
+"""The fixed-point statements as falsifiable properties, and their harness.
 
-Each registered property draws instances (a signed digraph, possibly with
-a consistent network on top, or an unsigned digraph), evaluates the
-statement's hypothesis and conclusion, and reports violations with the
-serialized instance so counterexamples re-verify after a round trip.
-Per-trial RNGs are derived from (seed, trial index), so reports do not
-depend on execution order.
+Each registered property names the kind of instance it takes (a signed
+digraph with a consistent network, a signed digraph, or an unsigned
+digraph) and one per-instance check.  Random trials, the exhaustive sweep
+and the CLI ``check`` command all derive from that one entry.  Reports
+carry the serialized instance, so counterexamples re-verify after a round
+trip.  Per-trial RNGs are derived from (seed, trial index), so reports do
+not depend on execution order.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 import time
 from dataclasses import dataclass, field
@@ -17,14 +19,7 @@ from functools import lru_cache
 from typing import Callable, Optional
 
 from . import formats, structure
-from .boolnet import (
-    COUNTEREXAMPLE,
-    disagreement_cycles,
-    enumerate_consistent,
-    is_realizable,
-    sample_consistent,
-    verify_antipodal_fixed_points,
-)
+from .boolnet import BooleanNetwork, enumerate_consistent, is_realizable, sample_consistent
 from .codes import fixed_point_bound
 from .generators import (
     iter_simple_signed_digraphs,
@@ -32,17 +27,96 @@ from .generators import (
     random_signed_digraph,
 )
 from .graphs import (
+    DEFAULT_CYCLE_CAP,
     NEGATIVE,
+    POSITIVE,
     CycleCapExceeded,
+    SignedDigraph,
     enumerate_cycles,
     has_negative_cycle,
+    is_strong,
     iter_cycles,
 )
 from .kernels import generalized_condition, kernel_indicators, kernels, richardson_condition
-from .structure import existence_arc_rule, uniqueness_arc_rule, uniqueness_vertex_rule
+from .structure import (
+    RuleVerdict,
+    existence_arc_rule,
+    find_special_arc,
+    uniqueness_arc_rule,
+    uniqueness_vertex_rule,
+)
 
 FALSIFY_CYCLE_CAP = 10_000
 SEARCH_TAU_LIMIT = 12
+
+# Instance kinds: a signed digraph with a consistent network, a signed
+# digraph alone, an unsigned digraph.
+PAIR = "pair"
+GRAPH = "graph"
+DIGRAPH = "digraph"
+
+
+# -- instance-level theorem verdicts -------------------------------------------
+
+NOT_APPLICABLE = "not-applicable"
+HOLDS = "conclusion-holds"
+COUNTEREXAMPLE = "counterexample"
+
+
+def verify_antipodal_fixed_points(G: SignedDigraph, f: BooleanNetwork, cap=None):
+    """Check the antipodal-pair conclusion on one (G, f) instance.
+
+    Premises: G strong with exactly one negative cycle and at least one
+    positive cycle, and f canalizes no arc of the negative cycle.  Under
+    them the network must have two fixed points at Hamming distance n.
+    Returns (verdict, witness_pair_or_None).
+    """
+    if f.interaction_graph() != G:
+        raise ValueError("network's interaction graph differs from G")
+    cap = DEFAULT_CYCLE_CAP if cap is None else cap
+    if not is_strong(G):
+        return NOT_APPLICABLE, None
+    cycles = enumerate_cycles(G, cap)
+    negatives = [c for c in cycles if c.sign == NEGATIVE]
+    if len(negatives) != 1 or not any(c.sign == POSITIVE for c in cycles):
+        return NOT_APPLICABLE, None
+    if any(f.is_canalized(a) for a in negatives[0].arcs):
+        return NOT_APPLICABLE, None
+    fixed = set(f.fixed_points())
+    for x in sorted(fixed):
+        y = tuple(1 - b for b in x)
+        if y in fixed:
+            return HOLDS, (x, y)
+    return COUNTEREXAMPLE, None
+
+
+def disagreement_cycles(f: BooleanNetwork, special_arc_free: bool = False, cap=None):
+    """Positive disagreement cycles for every pair of distinct fixed points.
+
+    For each pair the witness is a positive cycle on whose vertices the two
+    fixed points all differ; with ``special_arc_free`` the cycle must also
+    have no special arc.  Returns (verdict, {(x, y): cycle}); the verdict is
+    a counterexample when some pair has no witness.
+    """
+    cap = DEFAULT_CYCLE_CAP if cap is None else cap
+    G = f.interaction_graph()
+    cycles = [c for c in enumerate_cycles(G, cap) if c.sign == POSITIVE]
+    if special_arc_free:
+        cycles = [c for c in cycles if find_special_arc(G, c, cap) is None]
+    fixed = f.fixed_points()
+    witnesses = {}
+    for x, y in itertools.combinations(fixed, 2):
+        disagree = {v + 1 for v in range(f.n) if x[v] != y[v]}
+        for c in cycles:
+            if c.vertex_set <= disagree:
+                witnesses[(x, y)] = c
+                break
+        else:
+            return COUNTEREXAMPLE, {"pair": (x, y)}
+    return HOLDS, witnesses
+
+
+# -- reports --------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -74,32 +148,7 @@ class FalsifyReport:
         }
 
 
-@dataclass(frozen=True)
-class TheoremProperty:
-    """One falsifiable statement: a generator plus a per-instance check.
-
-    ``check`` returns None when the instance satisfies the statement
-    (vacuously or not) and a Counterexample otherwise.
-    """
-
-    id: str
-    description: str
-    trial: Callable[[random.Random, int, int], Optional[Counterexample]]
-
-
-def _graph_artifact(G) -> dict[str, str]:
-    return {"graph": formats.format_signed_digraph(G)}
-
-
-def _pair_artifact(G, f) -> dict[str, str]:
-    return {
-        "graph": formats.format_signed_digraph(G),
-        "network": formats.format_boolean_network(f),
-    }
-
-
-def _digraph_artifact(D) -> dict[str, str]:
-    return {"digraph": formats.format_digraph(D)}
+# -- drawing instances ------------------------------------------------------------
 
 
 def _random_realizable(rng: random.Random, max_n: int, max_indegree: int):
@@ -117,63 +166,115 @@ def _random_realizable(rng: random.Random, max_n: int, max_indegree: int):
             return G
 
 
-def _random_pair(rng: random.Random, max_n: int, max_indegree: int):
+def _draw_pair(rng: random.Random, max_n: int, max_indegree: int):
     G = _random_realizable(rng, max_n, max_indegree)
-    f = sample_consistent(G, rng=rng, max_indegree=max_indegree)
-    return G, f
+    return G, sample_consistent(G, rng=rng, max_indegree=max_indegree)
 
 
-# -- per-theorem instance checks ----------------------------------------------
-
-
-def _check_thm1(G, f) -> Optional[Counterexample]:
-    verdict, info = disagreement_cycles(f, special_arc_free=False, cap=FALSIFY_CYCLE_CAP)
-    if verdict == COUNTEREXAMPLE:
-        return Counterexample(
-            f"fixed points {info['pair']} share no positive disagreement cycle",
-            _pair_artifact(G, f),
-        )
-    return None
-
-
-def _check_thm2(G, f) -> Optional[Counterexample]:
-    if has_negative_cycle(G):
+def _draw_graph(rng: random.Random, max_n: int, max_indegree: int):
+    """A random signed digraph, or None (a vacuous trial) past the cycle cap."""
+    G = random_signed_digraph(rng.randint(1, max_n), rng=rng)
+    try:
+        enumerate_cycles(G, FALSIFY_CYCLE_CAP)
+    except CycleCapExceeded:
         return None
-    if not f.fixed_points():
+    return (G,)
+
+
+def _draw_digraph(rng: random.Random, max_n: int, max_indegree: int):
+    return (random_digraph(rng.randint(1, max_n), rng=rng),)
+
+
+# Per kind: how a trial draws an instance, and the artifact name and
+# serializer of each part, in the order ``check`` takes the parts.
+_DRAW = {PAIR: _draw_pair, GRAPH: _draw_graph, DIGRAPH: _draw_digraph}
+_PARTS = {
+    PAIR: (("graph", formats.format_signed_digraph), ("network", formats.format_boolean_network)),
+    GRAPH: (("graph", formats.format_signed_digraph),),
+    DIGRAPH: (("digraph", formats.format_digraph),),
+}
+
+
+# -- the properties -----------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class TheoremProperty:
+    """One falsifiable statement: its instance kind plus a per-instance check.
+
+    ``check`` takes the instance's parts (G and f for PAIR, G for GRAPH, D
+    for DIGRAPH) and returns None when the instance satisfies the
+    statement (vacuously or not) and a one-line violation detail
+    otherwise.  The rule theorems also carry their graph ``condition``,
+    called as ``condition(G, cap)`` and returning a RuleVerdict.
+    """
+
+    id: str
+    description: str
+    kind: str
+    check: Callable[..., Optional[str]]
+    condition: Optional[Callable[[SignedDigraph, int], RuleVerdict]] = None
+
+    def counterexample(self, instance: tuple) -> Optional[Counterexample]:
+        detail = self.check(*instance)
+        if detail is None:
+            return None
         return Counterexample(
-            "negative-cycle-free graph with a fixed-point-free network",
-            _pair_artifact(G, f),
+            detail, {name: fmt(part) for (name, fmt), part in zip(_PARTS[self.kind], instance)}
         )
-    return None
+
+    def trial(self, rng: random.Random, max_n: int, max_indegree: int) -> Optional[Counterexample]:
+        instance = _DRAW[self.kind](rng, max_n, max_indegree)
+        return None if instance is None else self.counterexample(instance)
 
 
-def _condition_check(checker, conclusion, detail):
-    def check(G, f) -> Optional[Counterexample]:
-        if not checker(G):
-            return None
-        if conclusion(f):
-            return None
-        return Counterexample(detail, _pair_artifact(G, f))
+def _rule_property(theorem_id, description, condition, conclusion, detail) -> TheoremProperty:
+    """A rule theorem: when ``condition`` holds on G, ``conclusion(f)`` must."""
+
+    def check(G, f) -> Optional[str]:
+        if condition(G, FALSIFY_CYCLE_CAP).holds and not conclusion(f):
+            return detail
+        return None
+
+    return TheoremProperty(theorem_id, description, PAIR, check, condition)
+
+
+def make_existence_rule_property(checker=existence_arc_rule) -> TheoremProperty:
+    """The at-least-one-fixed-point arc rule, with an injectable checker.
+
+    The checker is called as ``checker(G, cap)`` and returns a
+    RuleVerdict.  Tests inject a broken checker here to confirm the
+    harness actually catches false statements.
+    """
+    return _rule_property(
+        "thm5",
+        "existence arc rule implies a fixed point",
+        checker,
+        lambda f: bool(f.fixed_points()),
+        "arc rule holds but the network has no fixed point",
+    )
+
+
+def _disagreement_check(special_arc_free: bool, cycle: str):
+    def check(G, f) -> Optional[str]:
+        verdict, info = disagreement_cycles(f, special_arc_free, FALSIFY_CYCLE_CAP)
+        if verdict == COUNTEREXAMPLE:
+            return f"fixed points {info['pair']} share no {cycle}"
+        return None
 
     return check
 
 
-def _check_thm6(G, f) -> Optional[Counterexample]:
-    verdict, _ = verify_antipodal_fixed_points(G, f, cap=FALSIFY_CYCLE_CAP)
-    if verdict == COUNTEREXAMPLE:
-        return Counterexample(
-            "premises hold but no antipodal fixed-point pair", _pair_artifact(G, f)
-        )
+def _check_thm2(G, f) -> Optional[str]:
+    if not has_negative_cycle(G) and not f.fixed_points():
+        return "negative-cycle-free graph with a fixed-point-free network"
     return None
 
 
-def _check_thm7(G, f) -> Optional[Counterexample]:
-    verdict, info = disagreement_cycles(f, special_arc_free=True, cap=FALSIFY_CYCLE_CAP)
+def _check_thm6(G, f) -> Optional[str]:
+    verdict, _ = verify_antipodal_fixed_points(G, f, cap=FALSIFY_CYCLE_CAP)
     if verdict == COUNTEREXAMPLE:
-        return Counterexample(
-            f"fixed points {info['pair']} share no special-arc-free positive cycle",
-            _pair_artifact(G, f),
-        )
+        return "premises hold but no antipodal fixed-point pair"
     return None
 
 
@@ -186,146 +287,102 @@ def _graph_fp_bound(G) -> int:
     )
 
 
-def _check_cor8(G, f) -> Optional[Counterexample]:
+def _check_cor8(G, f) -> Optional[str]:
     if G.n > SEARCH_TAU_LIMIT:
         return None
     bound = _graph_fp_bound(G)
     count = len(f.fixed_points())
     if count > bound:
-        return Counterexample(
-            f"{count} fixed points exceed the bound {bound}", _pair_artifact(G, f)
-        )
+        return f"{count} fixed points exceed the bound {bound}"
     return None
 
 
-def _check_lemma9(G) -> Optional[Counterexample]:
+def _check_lemma9(G) -> Optional[str]:
     cycles = enumerate_cycles(G, FALSIFY_CYCLE_CAP)
     if sum(1 for c in cycles if c.sign == NEGATIVE) != 1:
         return None
     if structure.unique_negative_cycle_arc(G, FALSIFY_CYCLE_CAP) is None:
-        return Counterexample(
-            "unique negative cycle but every arc of it lies on a positive cycle",
-            _graph_artifact(G),
-        )
+        return "unique negative cycle but every arc of it lies on a positive cycle"
     return None
 
 
-def _check_harary(G) -> Optional[Counterexample]:
+def _check_harary(G) -> Optional[str]:
     colors = structure.two_coloring(G)
     H = G.symmetrize()
     negative = any(c.sign == NEGATIVE for c in iter_cycles(H))
     if (colors is None) != negative:
-        return Counterexample(
-            "two-coloring existence disagrees with symmetrized negative cycles",
-            _graph_artifact(G),
-        )
+        return "two-coloring existence disagrees with symmetrized negative cycles"
     if colors is not None and G.consistent_subgraph(colors) != G:
-        return Counterexample("returned coloring is not consistent", _graph_artifact(G))
+        return "returned coloring is not consistent"
     return None
 
 
-def _check_richardson(D) -> Optional[Counterexample]:
+def _check_richardson(D) -> Optional[str]:
     if richardson_condition(D) and not kernels(D):
-        return Counterexample("no odd cycle but no kernel", _digraph_artifact(D))
+        return "no odd cycle but no kernel"
     return None
 
 
-def _check_richardson_gen(D) -> Optional[Counterexample]:
+def _check_richardson_gen(D) -> Optional[str]:
     if generalized_condition(D) and not kernels(D):
-        return Counterexample("cut condition holds but no kernel", _digraph_artifact(D))
+        return "cut condition holds but no kernel"
     return None
 
 
-def _check_kernel_corr(D) -> Optional[Counterexample]:
+def _check_kernel_corr(D) -> Optional[str]:
     if set(kernels(D)) != kernel_indicators(D):
-        return Counterexample(
-            "kernels differ from decoded network fixed points", _digraph_artifact(D)
-        )
+        return "kernels differ from decoded network fixed points"
     return None
 
 
-# -- property construction -----------------------------------------------------
+def _at_most_one_fixed_point(f) -> bool:
+    return len(f.fixed_points()) <= 1
 
 
-def _pair_property(theorem_id: str, description: str, check) -> TheoremProperty:
-    def trial(rng: random.Random, max_n: int, max_indegree: int):
-        G, f = _random_pair(rng, max_n, max_indegree)
-        return check(G, f)
-
-    return TheoremProperty(theorem_id, description, trial)
-
-
-def _graph_property(theorem_id: str, description: str, check) -> TheoremProperty:
-    def trial(rng: random.Random, max_n: int, max_indegree: int):
-        G = random_signed_digraph(rng.randint(1, max_n), rng=rng)
-        try:
-            enumerate_cycles(G, FALSIFY_CYCLE_CAP)
-        except CycleCapExceeded:
-            return None
-        return check(G)
-
-    return TheoremProperty(theorem_id, description, trial)
-
-
-def _digraph_property(theorem_id: str, description: str, check) -> TheoremProperty:
-    def trial(rng: random.Random, max_n: int, max_indegree: int):
-        D = random_digraph(rng.randint(1, max_n), rng=rng)
-        return check(D)
-
-    return TheoremProperty(theorem_id, description, trial)
-
-
-def make_existence_rule_property(checker=existence_arc_rule) -> TheoremProperty:
-    """The at-least-one-fixed-point arc rule, with an injectable checker.
-
-    Tests inject a broken checker here to confirm the harness actually
-    catches false statements.
-    """
-    check = _condition_check(
-        lambda G: checker(G).holds,
-        lambda f: bool(f.fixed_points()),
-        "arc rule holds but the network has no fixed point",
-    )
-    return _pair_property("thm5", "existence arc rule implies a fixed point", check)
-
-
-def _registry() -> dict[str, TheoremProperty]:
-    thm3 = _condition_check(
-        lambda G: uniqueness_arc_rule(G, FALSIFY_CYCLE_CAP).holds,
-        lambda f: len(f.fixed_points()) <= 1,
-        "uniqueness arc rule holds but the network has two fixed points",
-    )
-    thm4 = _condition_check(
-        lambda G: uniqueness_vertex_rule(G, FALSIFY_CYCLE_CAP).holds,
-        lambda f: len(f.fixed_points()) <= 1,
-        "uniqueness vertex rule holds but the network has two fixed points",
-    )
-    props = [
-        _pair_property("thm1", "distinct fixed points disagree on a positive cycle", _check_thm1),
-        _pair_property("thm2", "no negative cycle implies a fixed point", _check_thm2),
-        _pair_property("thm3", "uniqueness arc rule bounds fixed points by one", thm3),
-        _pair_property("thm4", "uniqueness vertex rule bounds fixed points by one", thm4),
+REGISTRY: dict[str, TheoremProperty] = {
+    p.id: p
+    for p in [
+        TheoremProperty(
+            "thm1", "distinct fixed points disagree on a positive cycle", PAIR,
+            _disagreement_check(False, "positive disagreement cycle"),
+        ),
+        TheoremProperty("thm2", "no negative cycle implies a fixed point", PAIR, _check_thm2),
+        _rule_property(
+            "thm3", "uniqueness arc rule bounds fixed points by one",
+            uniqueness_arc_rule, _at_most_one_fixed_point,
+            "uniqueness arc rule holds but the network has two fixed points",
+        ),
+        _rule_property(
+            "thm4", "uniqueness vertex rule bounds fixed points by one",
+            uniqueness_vertex_rule, _at_most_one_fixed_point,
+            "uniqueness vertex rule holds but the network has two fixed points",
+        ),
         make_existence_rule_property(),
-        _pair_property("thm6", "antipodal pair under the unique-negative-cycle premises", _check_thm6),
-        _pair_property("thm7", "disagreement cycle without special arc", _check_thm7),
-        _pair_property("cor8", "fixed points within min(2^tau~+, A(n, g~+))", _check_cor8),
-        _graph_property("lemma9", "unique negative cycle owns a positive-cycle-free arc", _check_lemma9),
-        _graph_property("harary", "two-coloring iff balanced symmetrization", _check_harary),
-        _digraph_property("richardson", "no odd cycle implies a kernel", _check_richardson),
-        _digraph_property("richardson-gen", "odd-cycle cut condition implies a kernel", _check_richardson_gen),
-        _digraph_property("kernel-corr", "kernels are the network's fixed points", _check_kernel_corr),
+        TheoremProperty(
+            "thm6", "antipodal pair under the unique-negative-cycle premises", PAIR, _check_thm6
+        ),
+        TheoremProperty(
+            "thm7", "disagreement cycle without special arc", PAIR,
+            _disagreement_check(True, "special-arc-free positive cycle"),
+        ),
+        TheoremProperty("cor8", "fixed points within min(2^tau~+, A(n, g~+))", PAIR, _check_cor8),
+        TheoremProperty(
+            "lemma9", "unique negative cycle owns a positive-cycle-free arc", GRAPH, _check_lemma9
+        ),
+        TheoremProperty("harary", "two-coloring iff balanced symmetrization", GRAPH, _check_harary),
+        TheoremProperty("richardson", "no odd cycle implies a kernel", DIGRAPH, _check_richardson),
+        TheoremProperty(
+            "richardson-gen", "odd-cycle cut condition implies a kernel", DIGRAPH,
+            _check_richardson_gen,
+        ),
+        TheoremProperty(
+            "kernel-corr", "kernels are the network's fixed points", DIGRAPH, _check_kernel_corr
+        ),
     ]
-    return {p.id: p for p in props}
-
-
-REGISTRY = _registry()
-
-_EXHAUSTIVE_CHECKS = {
-    "thm1": _check_thm1,
-    "thm2": _check_thm2,
-    "thm7": _check_thm7,
-    "cor8": _check_cor8,
 }
+
+
+# -- the harness ---------------------------------------------------------------------
 
 
 def run_falsification(
@@ -339,31 +396,32 @@ def run_falsification(
 ) -> FalsifyReport:
     """Drive one property for a number of independently seeded trials.
 
-    With ``exhaustive_n`` (supported for instance-level statements) the
-    harness sweeps every simple signed digraph up to that size and every
+    With ``exhaustive_n`` (supported for PAIR properties) the harness
+    sweeps every simple signed digraph up to that size and every
     consistent network instead of sampling.
     """
+    if max_n < 1:
+        raise ValueError(f"max_n must be at least 1, got {max_n}")
+    if max_indegree < 0:
+        raise ValueError(f"max_indegree must be at least 0, got {max_indegree}")
+    if exhaustive_n is None:
+        results = (
+            prop.trial(random.Random(f"{seed}:{i}"), max_n, max_indegree) for i in range(trials)
+        )
+    elif prop.kind == PAIR:
+        results = (
+            prop.counterexample((G, f))
+            for n in range(1, exhaustive_n + 1)
+            for G in iter_simple_signed_digraphs(n)
+            for f in enumerate_consistent(G, max_indegree)
+        )
+    else:
+        raise ValueError(f"theorem {prop.id!r} has no exhaustive mode")
     start = time.perf_counter()
     found: list[Counterexample] = []
     ran = 0
-    if exhaustive_n is not None:
-        check = _EXHAUSTIVE_CHECKS.get(prop.id)
-        if check is None:
-            raise ValueError(f"theorem {prop.id!r} has no exhaustive mode")
-        for n in range(1, exhaustive_n + 1):
-            for G in iter_simple_signed_digraphs(n):
-                for f in enumerate_consistent(G, max_indegree):
-                    ran += 1
-                    result = check(G, f)
-                    if result is not None:
-                        found.append(result)
-                        if stop_after and len(found) >= stop_after:
-                            return FalsifyReport(prop.id, ran, found, time.perf_counter() - start)
-        return FalsifyReport(prop.id, ran, found, time.perf_counter() - start)
-    for i in range(trials):
-        rng = random.Random(f"{seed}:{i}")
+    for result in results:
         ran += 1
-        result = prop.trial(rng, max_n, max_indegree)
         if result is not None:
             found.append(result)
             if stop_after and len(found) >= stop_after:

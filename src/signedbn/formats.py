@@ -9,8 +9,7 @@ parse/serialize round-trips are bit exact modulo comments and whitespace.
 from __future__ import annotations
 
 from .boolnet import BooleanNetwork, LocalFunction
-from .graphs import Arc, SignedDigraph, sign_char
-from .kernels import Digraph
+from .graphs import Arc, Digraph, SignedDigraph, sign_char
 
 
 class FormatError(Exception):

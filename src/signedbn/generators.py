@@ -6,8 +6,7 @@ import itertools
 import random
 from typing import Iterator
 
-from .graphs import NEGATIVE, POSITIVE, SignedDigraph
-from .kernels import Digraph
+from .graphs import NEGATIVE, POSITIVE, Digraph, SignedDigraph
 
 
 def figure1(n: int) -> SignedDigraph:

@@ -1,5 +1,9 @@
 """Signed directed graphs: data model, subgraph calculus and cycle structure.
 
+Unsigned digraphs (``Digraph``), the input of the kernel results, live
+here too, so that parsers and generators need not import the kernel
+layer.
+
 Vertices are positive integers.  A freshly built graph normally uses 1..n,
 but subgraph operations (``induced``, ``delete``) keep the original vertex
 ids, so a graph may live on any finite set of positive integers.
@@ -120,9 +124,6 @@ class SignedDigraph:
     def arc_set(self) -> frozenset[Arc]:
         return self._arcs
 
-    def has_vertex(self, v: int) -> bool:
-        return v in self._vertices
-
     def has_arc(self, u: int, v: int, sign: int | None = None) -> bool:
         if sign is None:
             return Arc(u, v, POSITIVE) in self._arcs or Arc(u, v, NEGATIVE) in self._arcs
@@ -224,6 +225,53 @@ class SignedDigraph:
                 f"state of length {len(x)} does not cover vertex ids up to "
                 f"{max(self._vertices)}"
             )
+
+
+class Digraph:
+    """Immutable unsigned digraph on vertices 1..n; loops allowed."""
+
+    __slots__ = ("n", "_arcs", "_out")
+
+    def __init__(self, n: int, arcs: Iterable = ()):
+        if n < 0:
+            raise ValueError("vertex count must be non-negative")
+        self.n = n
+        arc_set = frozenset((int(u), int(v)) for u, v in arcs)
+        for u, v in arc_set:
+            if not (1 <= u <= n and 1 <= v <= n):
+                raise ValueError(f"arc ({u},{v}) has an endpoint outside 1..{n}")
+        self._arcs = arc_set
+        outs: dict[int, set[int]] = {v: set() for v in range(1, n + 1)}
+        for u, v in arc_set:
+            outs[u].add(v)
+        self._out = {v: tuple(sorted(ts)) for v, ts in outs.items()}
+
+    @property
+    def arcs(self) -> tuple[tuple[int, int], ...]:
+        return tuple(sorted(self._arcs))
+
+    @property
+    def arc_set(self) -> frozenset[tuple[int, int]]:
+        return self._arcs
+
+    def out_neighbors(self, v: int) -> tuple[int, ...]:
+        if not 1 <= v <= self.n:
+            raise ValueError(f"vertex {v} outside 1..{self.n}")
+        return self._out[v]
+
+    def reverse(self) -> "Digraph":
+        return Digraph(self.n, ((v, u) for u, v in self._arcs))
+
+    def __eq__(self, other):
+        if not isinstance(other, Digraph):
+            return NotImplemented
+        return self.n == other.n and self._arcs == other._arcs
+
+    def __hash__(self):
+        return hash((self.n, self._arcs))
+
+    def __repr__(self):
+        return f"Digraph(n={self.n}, arcs={len(self._arcs)})"
 
 
 # -- states ---------------------------------------------------------------
@@ -419,23 +467,11 @@ class ComponentDecomposition:
     terminal: tuple[bool, ...]
     nontrivial: tuple[bool, ...]
 
-    def component_of(self, v: int) -> frozenset[int]:
-        for comp in self.components:
-            if v in comp:
-                return comp
-        raise ValueError(f"vertex {v} is not in any component")
-
     def index_of(self, v: int) -> int:
         for i, comp in enumerate(self.components):
             if v in comp:
                 return i
         raise ValueError(f"vertex {v} is not in any component")
-
-    def initial_components(self) -> tuple[frozenset[int], ...]:
-        return tuple(c for c, f in zip(self.components, self.initial) if f)
-
-    def terminal_components(self) -> tuple[frozenset[int], ...]:
-        return tuple(c for c, f in zip(self.components, self.terminal) if f)
 
     def __len__(self):
         return len(self.components)
@@ -617,7 +653,9 @@ def _directed_path_arcs(G: SignedDigraph, comp: frozenset[int], start: int, goal
     return arcs
 
 
-def _tree_path_arcs(parent: dict[int, Arc], v: int) -> list[Arc]:
+def tree_path_arcs(parent: dict[int, Arc], v: int) -> list[Arc]:
+    """Arcs from the root of a search tree down to v, given each reached
+    vertex's tree arc in ``parent``."""
     arcs = []
     while v in parent:
         a = parent[v]
@@ -663,9 +701,9 @@ def find_negative_cycle(G: SignedDigraph) -> SignedCycle | None:
         back = _directed_path_arcs(G, comp, bad.target, root)
         # One of the two closed walks below is negative: their signs
         # multiply to the parity defect of the bad arc.
-        walk = _tree_path_arcs(parent, bad.source) + [bad] + back
+        walk = tree_path_arcs(parent, bad.source) + [bad] + back
         if _sign_product(walk) != NEGATIVE:
-            walk = _tree_path_arcs(parent, bad.target) + back
+            walk = tree_path_arcs(parent, bad.target) + back
         return extract_negative_cycle(walk)
     return None
 

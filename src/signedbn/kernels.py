@@ -8,60 +8,11 @@ reuse the signed-graph machinery.
 
 from __future__ import annotations
 
-from typing import Iterable
-
 from .boolnet import BooleanNetwork, LocalFunction
-from .graphs import NEGATIVE, SignedDigraph, has_negative_cycle
+from .graphs import NEGATIVE, Digraph, SignedDigraph, has_negative_cycle
 from .structure import existence_arc_rule
 
 KERNEL_SCAN_LIMIT = 24
-
-
-class Digraph:
-    """Immutable unsigned digraph on vertices 1..n; loops allowed."""
-
-    __slots__ = ("n", "_arcs", "_out")
-
-    def __init__(self, n: int, arcs: Iterable = ()):
-        if n < 0:
-            raise ValueError("vertex count must be non-negative")
-        self.n = n
-        arc_set = frozenset((int(u), int(v)) for u, v in arcs)
-        for u, v in arc_set:
-            if not (1 <= u <= n and 1 <= v <= n):
-                raise ValueError(f"arc ({u},{v}) has an endpoint outside 1..{n}")
-        self._arcs = arc_set
-        outs: dict[int, set[int]] = {v: set() for v in range(1, n + 1)}
-        for u, v in arc_set:
-            outs[u].add(v)
-        self._out = {v: tuple(sorted(ts)) for v, ts in outs.items()}
-
-    @property
-    def arcs(self) -> tuple[tuple[int, int], ...]:
-        return tuple(sorted(self._arcs))
-
-    @property
-    def arc_set(self) -> frozenset[tuple[int, int]]:
-        return self._arcs
-
-    def out_neighbors(self, v: int) -> tuple[int, ...]:
-        if not 1 <= v <= self.n:
-            raise ValueError(f"vertex {v} outside 1..{self.n}")
-        return self._out[v]
-
-    def reverse(self) -> "Digraph":
-        return Digraph(self.n, ((v, u) for u, v in self._arcs))
-
-    def __eq__(self, other):
-        if not isinstance(other, Digraph):
-            return NotImplemented
-        return self.n == other.n and self._arcs == other._arcs
-
-    def __hash__(self):
-        return hash((self.n, self._arcs))
-
-    def __repr__(self):
-        return f"Digraph(n={self.n}, arcs={len(self._arcs)})"
 
 
 def as_all_negative(D: Digraph) -> SignedDigraph:

@@ -30,6 +30,7 @@ from .graphs import (
     is_strong,
     reachable,
     scc,
+    tree_path_arcs,
     vertices_on_positive_cycles,
 )
 
@@ -315,26 +316,16 @@ def _propagate_coloring(G: SignedDigraph):
                     parent[t] = a
                     queue.append(t)
                 elif assigned[t] != want:
-                    up = _tree_arcs(parent, a.source)
+                    up = tree_path_arcs(parent, a.source)
                     down = [
                         Arc(b.target, b.source, b.sign)
-                        for b in reversed(_tree_arcs(parent, a.target))
+                        for b in reversed(tree_path_arcs(parent, a.target))
                     ]
                     walk = up + [a] + down
                     return None, extract_negative_cycle(walk)
     for v, c in assigned.items():
         colors[v - 1] = c
     return tuple(colors), None
-
-
-def _tree_arcs(parent: dict[int, Arc], v: int) -> list[Arc]:
-    arcs = []
-    while v in parent:
-        a = parent[v]
-        arcs.append(a)
-        v = a.source
-    arcs.reverse()
-    return arcs
 
 
 # -- graph-only fixed-point conditions ----------------------------------------
@@ -404,19 +395,6 @@ class AnalysisReport:
     strong_unique_positive_cycle: bool = field(default=False)
     strong_unique_negative_cycle: bool = field(default=False)
 
-    _KEYS = (
-        "tau_plus",
-        "tau_tilde_plus",
-        "g_plus",
-        "g_tilde_plus",
-        "thm3",
-        "thm4",
-        "thm5",
-        "nofp_condition",
-        "twofp_condition",
-        "fp_upper_bound",
-    )
-
     def to_dict(self) -> dict:
         def length(value):
             return "inf" if value == INF else int(value)
@@ -435,10 +413,8 @@ class AnalysisReport:
         }
 
     def to_text(self) -> str:
-        values = self.to_dict()
         lines = []
-        for key in self._KEYS:
-            value = values[key]
+        for key, value in self.to_dict().items():
             if isinstance(value, bool):
                 value = "true" if value else "false"
             lines.append(f"{key} = {value}")

@@ -22,9 +22,8 @@ from signedbn.boolnet import (
     max_fixed_points,
     sample_consistent,
     state_to_int,
-    verify_antipodal_fixed_points,
-    disagreement_cycles,
 )
+from signedbn.falsify import disagreement_cycles, verify_antipodal_fixed_points
 from signedbn.generators import figure1
 from signedbn.graphs import SignedDigraph
 

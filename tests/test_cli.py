@@ -5,6 +5,7 @@ import json
 import pytest
 
 from signedbn.cli import main
+from signedbn.falsify import DIGRAPH, GRAPH, REGISTRY
 from signedbn.formats import format_boolean_network, format_signed_digraph, format_digraph
 from signedbn.boolnet import BooleanNetwork, LocalFunction
 from signedbn.generators import figure1
@@ -66,6 +67,15 @@ class TestAnalyze:
         with pytest.raises(SystemExit) as err:
             main(["analyze", "/nonexistent.sd"])
         assert err.value.code == 2
+
+    @pytest.mark.parametrize(
+        "command", [["analyze"], ["bounds"], ["check", "--theorem", "thm3"]]
+    )
+    def test_cycle_cap_exceeded_exits_2(self, fig5, capsys, command):
+        assert main(command + ["--cycle-cap", "1", fig5]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: more than 1 cycles\n"
 
 
 class TestNetworkCommands:
@@ -133,6 +143,26 @@ class TestCheckCommand:
             main(["check", "--theorem", "nope", fig5])
         assert err.value.code == 2
 
+    @pytest.mark.parametrize("theorem", sorted(REGISTRY))
+    def test_every_registered_theorem_holds(
+        self, tmp_path, swap_net, two_cycle_digraph, capsys, theorem
+    ):
+        prop = REGISTRY[theorem]
+        if prop.kind == DIGRAPH:
+            files = [two_cycle_digraph]
+        elif prop.kind == GRAPH or prop.condition is not None:
+            graph = tmp_path / "fig3.sd"
+            graph.write_text(format_signed_digraph(figure1(3)))
+            files = [str(graph)]
+        else:
+            graph = tmp_path / "pos2.sd"
+            graph.write_text("sdigraph 2\n1 2 +\n2 1 +\n")
+            files = [str(graph), swap_net]
+        assert main(["--format", "structured", "check", "--theorem", theorem] + files) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["theorem"] == theorem
+        assert payload["verdict"] == "holds"
+
 
 class TestGenerate:
     def test_figure1_to_file(self, tmp_path, capsys):
@@ -176,3 +206,13 @@ class TestFalsifyCommand:
         assert capsys.readouterr().out == first
         payload = json.loads(first)
         assert payload["trials"] == 40
+
+    @pytest.mark.parametrize(
+        "flag, value, name", [("--max-n", "0", "max_n"), ("--max-indegree", "-1", "max_indegree")]
+    )
+    def test_out_of_range_parameter_exits_2(self, capsys, flag, value, name):
+        assert main(["falsify", "--theorem", "thm2", "--trials", "5", flag, value]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {name} must be at least")
+        assert captured.err.count("\n") == 1

@@ -3,6 +3,7 @@
 import pytest
 
 from signedbn.falsify import (
+    PAIR,
     REGISTRY,
     falsify,
     make_existence_rule_property,
@@ -45,6 +46,14 @@ class TestProvenStatements:
         report = falsify("cor8", trials=0, seed=0, exhaustive_n=2)
         assert not report.falsified and report.trials == 200
 
+    @pytest.mark.parametrize(
+        "theorem", sorted(t for t, p in REGISTRY.items() if p.kind == PAIR)
+    )
+    def test_exhaustive_mode_for_every_pair_property(self, theorem):
+        report = falsify(theorem, trials=0, exhaustive_n=2)
+        assert report.counterexamples == []
+        assert report.trials == 200
+
     def test_exhaustive_mode_only_for_instance_checks(self):
         with pytest.raises(ValueError, match="exhaustive"):
             falsify("harary", trials=0, exhaustive_n=2)
@@ -67,6 +76,27 @@ class TestSensitivity:
         report = run_falsification(mutant, trials=10_000, seed=7, max_n=5, stop_after=1)
         assert report.falsified
         assert report.trials < 10_000
+
+    def test_mutant_report_is_pinned(self):
+        # Pins the RNG draw order: trial i draws from Random(f"{seed}:{i}")
+        # the vertex count, the graph (redrawn until realizable within the
+        # in-degree and cycle caps), then one table per vertex.
+        mutant = make_existence_rule_property(checker=uniqueness_arc_rule)
+        report = run_falsification(mutant, trials=10_000, seed=7, max_n=5, stop_after=1)
+        assert report.to_dict() == {
+            "theorem": "thm5",
+            "trials": 14,
+            "counterexamples": [
+                {
+                    "detail": "arc rule holds but the network has no fixed point",
+                    "artifacts": {
+                        "graph": "sdigraph 5\n2 2 -\n2 5 -\n4 1 -\n5 2 +\n",
+                        "network": "boolnet 5\n1 : 4 | 10\n2 : 2 5 | 1101\n"
+                        "3 : | 1\n4 : | 0\n5 : 2 | 10\n",
+                    },
+                }
+            ],
+        }
 
     def test_counterexamples_reload_and_reverify(self):
         mutant = make_existence_rule_property(checker=uniqueness_arc_rule)
