@@ -99,7 +99,7 @@ def _cmd_bounds(parser, args) -> int:
         [
             f"tau_tilde_plus = {tau}",
             f"g_tilde_plus = {girth_text}",
-            f"fp_upper_bound = min(2^{tau}, A({G.n}, {girth_text})) = {bound}",
+            f"fp_upper_bound = {bound} >= min(2^{tau}, A({G.n}, {girth_text}))",
         ],
     )
     return EXIT_OK
@@ -161,7 +161,7 @@ def _cmd_check(parser, args) -> int:
         G = _load(parser, formats.load_signed_digraph, args.input)
         holds, detail = prop.condition(G, args.cycle_cap).holds, ""
     else:
-        violation = prop.check(*_load_instance(parser, prop, args))
+        violation = prop.check(*_load_instance(parser, prop, args), cap=args.cycle_cap)
         holds, detail = violation is None, violation or ""
     verdict = "holds" if holds else "violated"
     _emit(

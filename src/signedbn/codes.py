@@ -7,7 +7,6 @@ can be that far apart, so the code size is 1.
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, inf
@@ -91,22 +90,40 @@ def _johnson_constant_weight(N: int, D: int, w: int) -> int:
     return min(by_one, by_zero)
 
 
-def _solve_square(rows: list[list[Fraction]], rhs: list[Fraction]):
-    """Exact Gaussian elimination; None when the system is singular."""
-    m = len(rows)
-    a = [row[:] + [rhs[i]] for i, row in enumerate(rows)]
-    for col in range(m):
-        pivot = next((r for r in range(col, m) if a[r][col] != 0), None)
-        if pivot is None:
-            return None
-        a[col], a[pivot] = a[pivot], a[col]
-        inv = a[col][col]
-        a[col] = [x / inv for x in a[col]]
-        for r in range(m):
-            if r != col and a[r][col] != 0:
-                factor = a[r][col]
-                a[r] = [x - factor * y for x, y in zip(a[r], a[col])]
-    return [a[r][m] for r in range(m)]
+def _simplex_max(rows: list[list[int]], rhs: list[int], objective: list[int]) -> Fraction:
+    """max objective.x subject to rows.x <= rhs and x >= 0, exactly.
+
+    Every right-hand side is non-negative, so the slack basis (x = 0) is a
+    feasible start and no first phase is needed.  The tableau holds
+    Fractions and pivots by Bland's rule (lowest-index entering column,
+    ties in the ratio test to the lowest-index basic variable), which
+    cannot cycle.  The caller guarantees the LP is bounded.
+    """
+    m, r = len(objective), len(rows)
+    width = m + r
+    tableau = [
+        [Fraction(a) for a in row] + [Fraction(int(i == k)) for k in range(r)] + [Fraction(b)]
+        for i, (row, b) in enumerate(zip(rows, rhs))
+    ]
+    # reduced costs; the last entry is the current objective value
+    cost = [Fraction(-c) for c in objective] + [Fraction(0)] * (r + 1)
+    basis = list(range(m, width))
+    while True:
+        enter = next((j for j in range(width) if cost[j] < 0), None)
+        if enter is None:
+            return cost[width]
+        leave = min(
+            (i for i in range(r) if tableau[i][enter] > 0),
+            key=lambda i: (tableau[i][width] / tableau[i][enter], basis[i]),
+        )
+        pivot_row = tableau[leave]
+        pivot = pivot_row[enter]
+        pivot_row[:] = [x / pivot for x in pivot_row]
+        for row in tableau + [cost]:
+            factor = row[enter]
+            if row is not pivot_row and factor:
+                row[:] = [x - factor * y for x, y in zip(row, pivot_row)]
+        basis[leave] = enter
 
 
 @lru_cache(maxsize=None)
@@ -117,8 +134,8 @@ def delsarte_upper(n: int, d) -> int:
     code for even minimum distance exists with all distances even, and
     for odd d, A(n, d) = A(n+1, d+1).  The LP over the distance
     distribution (MacWilliams-transform non-negativity per Krawtchouk
-    polynomial) is solved by exact rational vertex enumeration, so the
-    result is a sound integer bound, never a float estimate.
+    polynomial) is solved by an exact rational simplex, so the result is
+    a sound integer bound, never a float estimate.
     """
     if _check(n, d):
         return 1
@@ -126,38 +143,18 @@ def delsarte_upper(n: int, d) -> int:
         N, D = n + 1, d + 1
     else:
         N, D = n, d
-    distances = list(range(D, N + 1, 2))
-    m = len(distances)
-    # Constraints in a.x <= b form.
-    constraints: list[tuple[list[Fraction], Fraction]] = []
-    for k in range(1, N + 1):
-        row = [Fraction(-_krawtchouk(N, k, i)) for i in distances]
-        constraints.append((row, Fraction(comb(N, k))))
-    for j in range(m):
-        row = [Fraction(0)] * m
-        row[j] = Fraction(-1)
-        constraints.append((row, Fraction(0)))
+    distances = range(D, N + 1, 2)
+    # Constraints in a.x <= b form over the distribution coefficients.
+    rows = [[-_krawtchouk(N, k, i) for i in distances] for k in range(1, N + 1)]
+    rhs = [comb(N, k) for k in range(1, N + 1)]
     # Around any codeword, the others at distance i form a constant-weight
     # distance-D code, so each distribution coefficient is capped.
     for j, i in enumerate(distances):
-        row = [Fraction(0)] * m
-        row[j] = Fraction(1)
-        constraints.append((row, Fraction(_johnson_constant_weight(N, D, i))))
-    constraints.append(([Fraction(1)] * m, Fraction(1 << N)))
-    best = Fraction(0)
-    for subset in itertools.combinations(range(len(constraints)), m):
-        rows = [constraints[i][0] for i in subset]
-        rhs = [constraints[i][1] for i in subset]
-        point = _solve_square(rows, rhs)
-        if point is None:
-            continue
-        if all(
-            sum(a * x for a, x in zip(row, point)) <= b
-            for row, b in constraints
-        ):
-            value = sum(point)
-            if value > best:
-                best = value
+        rows.append([int(j == k) for k in range(len(distances))])
+        rhs.append(_johnson_constant_weight(N, D, i))
+    rows.append([1] * len(distances))
+    rhs.append(1 << N)
+    best = _simplex_max(rows, rhs, [1] * len(distances))
     # the LP optimum bounds the real code size, so an integer size is at
     # most its floor
     return int(1 + best)
@@ -307,18 +304,26 @@ def _max_clique(points: list[int], d: int, at_least: int = 0, stop_at=None) -> i
 
 
 def fixed_point_bound(n: int, tau_tilde: int, g_tilde) -> int:
-    """min(2^tau~+, best available upper bound for A(n, g~+)).
+    """min(2^tau~+, an upper bound on A(n, g~+)), at bounded cost.
 
-    Uses the exact code size when the length is searchable and the
-    sphere-packing bound beyond; an infinite g~+ makes the code term 1.
+    The code term is exact where a closed form exists (distance 1 or 2,
+    or g~+ beyond n or infinite, which gives 1) and otherwise the smaller
+    of the sphere-packing and Delsarte LP bounds, for every length.  Any
+    upper bound on A keeps the result an upper bound on fixed points; the
+    LP can be loose, e.g. it gives 21 where A(8, 3) = 20.  When 2^tau~+ is
+    at most the Gilbert lower bound on A, it is the minimum whatever the
+    code term, and no LP is solved.  The exact search ``exact_max_code``
+    is never called here: it is the oracle the bounds are tested against.
     """
     if tau_tilde < 0:
         raise ValueError("tau~+ must be non-negative")
     two_term = 1 << tau_tilde
     if g_tilde == inf or (isinstance(g_tilde, int) and g_tilde > n):
         code_term = 1
-    elif n <= EXACT_SEARCH_LIMIT:
-        code_term = exact_max_code(n, g_tilde)
+    elif g_tilde in (1, 2):
+        code_term = 1 << (n + 1 - g_tilde)  # A(n, 1) = 2^n, A(n, 2) = 2^(n-1)
+    elif two_term <= gilbert_lower(n, g_tilde):  # also rejects a bad distance
+        return two_term  # every upper bound on A is at least 2^tau~+
     else:
-        code_term = sphere_packing_upper(n, g_tilde)
+        code_term = min(sphere_packing_upper(n, g_tilde), delsarte_upper(n, g_tilde))
     return min(two_term, code_term)

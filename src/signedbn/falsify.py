@@ -203,10 +203,12 @@ class TheoremProperty:
     """One falsifiable statement: its instance kind plus a per-instance check.
 
     ``check`` takes the instance's parts (G and f for PAIR, G for GRAPH, D
-    for DIGRAPH) and returns None when the instance satisfies the
-    statement (vacuously or not) and a one-line violation detail
-    otherwise.  The rule theorems also carry their graph ``condition``,
-    called as ``condition(G, cap)`` and returning a RuleVerdict.
+    for DIGRAPH) and a keyword ``cap`` on enumerated cycles (default
+    FALSIFY_CYCLE_CAP; checks that enumerate nothing under a cap ignore
+    it).  It returns None when the instance satisfies the statement
+    (vacuously or not) and a one-line violation detail otherwise.  The
+    rule theorems also carry their graph ``condition``, called as
+    ``condition(G, cap)`` and returning a RuleVerdict.
     """
 
     id: str
@@ -231,8 +233,8 @@ class TheoremProperty:
 def _rule_property(theorem_id, description, condition, conclusion, detail) -> TheoremProperty:
     """A rule theorem: when ``condition`` holds on G, ``conclusion(f)`` must."""
 
-    def check(G, f) -> Optional[str]:
-        if condition(G, FALSIFY_CYCLE_CAP).holds and not conclusion(f):
+    def check(G, f, cap=FALSIFY_CYCLE_CAP) -> Optional[str]:
+        if condition(G, cap).holds and not conclusion(f):
             return detail
         return None
 
@@ -256,8 +258,8 @@ def make_existence_rule_property(checker=existence_arc_rule) -> TheoremProperty:
 
 
 def _disagreement_check(special_arc_free: bool, cycle: str):
-    def check(G, f) -> Optional[str]:
-        verdict, info = disagreement_cycles(f, special_arc_free, FALSIFY_CYCLE_CAP)
+    def check(G, f, cap=FALSIFY_CYCLE_CAP) -> Optional[str]:
+        verdict, info = disagreement_cycles(f, special_arc_free, cap)
         if verdict == COUNTEREXAMPLE:
             return f"fixed points {info['pair']} share no {cycle}"
         return None
@@ -265,48 +267,48 @@ def _disagreement_check(special_arc_free: bool, cycle: str):
     return check
 
 
-def _check_thm2(G, f) -> Optional[str]:
+def _check_thm2(G, f, cap=FALSIFY_CYCLE_CAP) -> Optional[str]:
     if not has_negative_cycle(G) and not f.fixed_points():
         return "negative-cycle-free graph with a fixed-point-free network"
     return None
 
 
-def _check_thm6(G, f) -> Optional[str]:
-    verdict, _ = verify_antipodal_fixed_points(G, f, cap=FALSIFY_CYCLE_CAP)
+def _check_thm6(G, f, cap=FALSIFY_CYCLE_CAP) -> Optional[str]:
+    verdict, _ = verify_antipodal_fixed_points(G, f, cap=cap)
     if verdict == COUNTEREXAMPLE:
         return "premises hold but no antipodal fixed-point pair"
     return None
 
 
 @lru_cache(maxsize=65536)
-def _graph_fp_bound(G) -> int:
+def _graph_fp_bound(G, cap: int) -> int:
     return fixed_point_bound(
         G.n,
-        structure.tau_tilde_plus(G, SEARCH_TAU_LIMIT, FALSIFY_CYCLE_CAP),
-        structure.g_tilde_plus(G, FALSIFY_CYCLE_CAP),
+        structure.tau_tilde_plus(G, SEARCH_TAU_LIMIT, cap),
+        structure.g_tilde_plus(G, cap),
     )
 
 
-def _check_cor8(G, f) -> Optional[str]:
+def _check_cor8(G, f, cap=FALSIFY_CYCLE_CAP) -> Optional[str]:
     if G.n > SEARCH_TAU_LIMIT:
         return None
-    bound = _graph_fp_bound(G)
+    bound = _graph_fp_bound(G, cap)
     count = len(f.fixed_points())
     if count > bound:
         return f"{count} fixed points exceed the bound {bound}"
     return None
 
 
-def _check_lemma9(G) -> Optional[str]:
-    cycles = enumerate_cycles(G, FALSIFY_CYCLE_CAP)
+def _check_lemma9(G, cap=FALSIFY_CYCLE_CAP) -> Optional[str]:
+    cycles = enumerate_cycles(G, cap)
     if sum(1 for c in cycles if c.sign == NEGATIVE) != 1:
         return None
-    if structure.unique_negative_cycle_arc(G, FALSIFY_CYCLE_CAP) is None:
+    if structure.unique_negative_cycle_arc(G, cap) is None:
         return "unique negative cycle but every arc of it lies on a positive cycle"
     return None
 
 
-def _check_harary(G) -> Optional[str]:
+def _check_harary(G, cap=FALSIFY_CYCLE_CAP) -> Optional[str]:
     colors = structure.two_coloring(G)
     H = G.symmetrize()
     negative = any(c.sign == NEGATIVE for c in iter_cycles(H))
@@ -317,19 +319,19 @@ def _check_harary(G) -> Optional[str]:
     return None
 
 
-def _check_richardson(D) -> Optional[str]:
+def _check_richardson(D, cap=FALSIFY_CYCLE_CAP) -> Optional[str]:
     if richardson_condition(D) and not kernels(D):
         return "no odd cycle but no kernel"
     return None
 
 
-def _check_richardson_gen(D) -> Optional[str]:
+def _check_richardson_gen(D, cap=FALSIFY_CYCLE_CAP) -> Optional[str]:
     if generalized_condition(D) and not kernels(D):
         return "cut condition holds but no kernel"
     return None
 
 
-def _check_kernel_corr(D) -> Optional[str]:
+def _check_kernel_corr(D, cap=FALSIFY_CYCLE_CAP) -> Optional[str]:
     if set(kernels(D)) != kernel_indicators(D):
         return "kernels differ from decoded network fixed points"
     return None
@@ -404,6 +406,10 @@ def run_falsification(
         raise ValueError(f"max_n must be at least 1, got {max_n}")
     if max_indegree < 0:
         raise ValueError(f"max_indegree must be at least 0, got {max_indegree}")
+    if trials < 0:
+        raise ValueError(f"trials must be at least 0, got {trials}")
+    if exhaustive_n is not None and exhaustive_n < 1:
+        raise ValueError(f"exhaustive_n must be at least 1, got {exhaustive_n}")
     if exhaustive_n is None:
         results = (
             prop.trial(random.Random(f"{seed}:{i}"), max_n, max_indegree) for i in range(trials)

@@ -428,9 +428,11 @@ def analyze(
 ) -> AnalysisReport:
     """Full structural report with the fixed-point upper bound.
 
-    The bound is min(2^tau~+, A(n, g~+)) using the exact code size when
-    n is small enough to search and the sphere-packing bound otherwise;
-    an infinite g~+ contributes 1.
+    The bound is min(2^tau~+, an upper bound on A(n, g~+)) from
+    ``codes.fixed_point_bound``: the code term is exact at distance 1 or
+    2, 1 for an infinite g~+, and otherwise the smaller of the
+    sphere-packing and Delsarte LP bounds (21 where A(8, 3) = 20).  The
+    exact code search is only the tests' oracle.
     """
     cycles = enumerate_cycles(G, cap)
     positives = sum(1 for c in cycles if c.sign == POSITIVE)

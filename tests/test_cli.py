@@ -1,6 +1,7 @@
 """The command-line surface: subcommands, output modes, exit codes."""
 
 import json
+import time
 
 import pytest
 
@@ -95,11 +96,30 @@ class TestNetworkCommands:
         assert "count = 2" in out
 
 
+@pytest.fixture
+def triangle9(tmp_path):
+    """Nine vertices holding one positive triangle: tau~+ = 1, g~+ = 3."""
+    path = tmp_path / "tri9.sd"
+    path.write_text("sdigraph 9\n1 2 +\n2 3 +\n3 1 +\n")
+    return str(path)
+
+
 class TestBoundsCommand:
     def test_bounds(self, fig5, capsys):
         assert main(["bounds", fig5]) == 0
         out = capsys.readouterr().out
-        assert "fp_upper_bound" in out and "= 1" in out
+        assert "fp_upper_bound = 1 >= min(2^0, A(5, inf))" in out
+
+    @pytest.mark.parametrize("command", ["bounds", "analyze"])
+    def test_nine_vertex_triangle_is_fast(self, triangle9, capsys, command):
+        # The exact search for A(9, 3) used to run here and did not finish.
+        start = time.perf_counter()
+        assert main(["--format", "structured", command, triangle9]) == 0
+        assert time.perf_counter() - start < 10
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["tau_tilde_plus"] == 1
+        assert payload["g_tilde_plus"] == 3
+        assert payload["fp_upper_bound"] == 2
 
 
 class TestKernelsCommand:
@@ -163,6 +183,20 @@ class TestCheckCommand:
         assert payload["theorem"] == theorem
         assert payload["verdict"] == "holds"
 
+    def test_every_check_honours_cycle_cap(self, tmp_path, capsys):
+        # The complete 8-vertex digraph has 16,064 cycles, past the
+        # falsifier's own cap of 10,000.
+        path = tmp_path / "k8.sd"
+        arcs = "".join(
+            f"{u} {v} +\n" for u in range(1, 9) for v in range(1, 9) if u != v
+        )
+        path.write_text(f"sdigraph 8\n{arcs}")
+        argv = ["check", "--theorem", "lemma9", str(path)]
+        assert main(argv + ["--cycle-cap", "100000"]) == 0
+        assert "lemma9: holds" in capsys.readouterr().out
+        assert main(argv + ["--cycle-cap", "16000"]) == 2
+        assert capsys.readouterr().err == "error: more than 16000 cycles\n"
+
 
 class TestGenerate:
     def test_figure1_to_file(self, tmp_path, capsys):
@@ -208,7 +242,13 @@ class TestFalsifyCommand:
         assert payload["trials"] == 40
 
     @pytest.mark.parametrize(
-        "flag, value, name", [("--max-n", "0", "max_n"), ("--max-indegree", "-1", "max_indegree")]
+        "flag, value, name",
+        [
+            ("--max-n", "0", "max_n"),
+            ("--max-indegree", "-1", "max_indegree"),
+            ("--trials", "-3", "trials"),
+            ("--exhaustive-n", "0", "exhaustive_n"),
+        ],
     )
     def test_out_of_range_parameter_exits_2(self, capsys, flag, value, name):
         assert main(["falsify", "--theorem", "thm2", "--trials", "5", flag, value]) == 2

@@ -1,10 +1,13 @@
 """Code-size bounds: Gilbert, sphere packing, Delsarte and the exact search."""
 
 import itertools
+import time
 from math import inf
 
 import pytest
 
+from conftest import vertex_enumeration_delsarte
+from signedbn import codes
 from signedbn.codes import (
     delsarte_upper,
     exact_max_code,
@@ -98,6 +101,37 @@ class TestExactSearch:
                 assert value <= delsarte_upper(n, d)
 
 
+class TestDelsarteSimplex:
+    def test_matches_vertex_enumeration(self):
+        # Distances 1 and 2 at lengths 9 and 10 are left out: the oracle
+        # takes 9-15 s each there on a 2-core VM, and fixed_point_bound
+        # uses closed forms at those distances.
+        for n in range(1, 11):
+            for d in range(1 if n <= 8 else 3, n + 2):
+                assert delsarte_upper(n, d) == vertex_enumeration_delsarte(n, d), (n, d)
+
+    def test_lp_matches_exact_search_below_length_9(self):
+        # The one gap at these lengths: the LP gives 21 where A(8, 3) = 20
+        # (a minutes-long search, proved by acceptance criterion 9).
+        for n in range(1, 9):
+            for d in range(1, n + 2):
+                if (n, d) == (8, 3):
+                    continue
+                lp = min(sphere_packing_upper(n, d), delsarte_upper(n, d))
+                assert lp == exact_max_code(n, d), (n, d)
+        assert delsarte_upper(8, 3) == 21
+
+    def test_cold_calls_take_milliseconds(self):
+        # Vertex enumeration took 13.7 s at (11, 3) and 21 s at (12, 3) on
+        # a 2-core VM; the simplex takes about 10 ms there.
+        for n in (11, 12):
+            codes.delsarte_upper.cache_clear()
+            codes._johnson_constant_weight.cache_clear()
+            start = time.perf_counter()
+            delsarte_upper(n, 3)
+            assert time.perf_counter() - start < 1.0
+
+
 class TestFixedPointBound:
     def test_zero_deletions_means_one(self):
         assert fixed_point_bound(9, 0, inf) == 1
@@ -114,3 +148,36 @@ class TestFixedPointBound:
 
     def test_girth_beyond_length(self):
         assert fixed_point_bound(4, 3, 5) == 1
+
+    def test_lp_code_term(self):
+        assert fixed_point_bound(8, 5, 3) == 21  # A(8, 3) = 20; the LP gives 21
+        assert fixed_point_bound(12, 3, 7) == 5  # A(12, 7) = 4; the LP gives 5
+
+    def test_closed_forms_past_length_12(self):
+        assert fixed_point_bound(13, 13, 1) == 1 << 13
+        assert fixed_point_bound(13, 13, 2) == 1 << 12
+
+    def test_bad_distance(self):
+        for d in (0, -1, 2.5):
+            with pytest.raises(ValueError):
+                fixed_point_bound(5, 2, d)
+
+    def test_sweep_is_fast_and_never_searches(self, monkeypatch):
+        # Also checks the Gilbert short-circuit against the full minimum.
+        def no_search(n, d):
+            raise AssertionError(f"exact search called for ({n}, {d})")
+
+        monkeypatch.setattr(codes, "exact_max_code", no_search)
+        codes.delsarte_upper.cache_clear()
+        start = time.perf_counter()
+        for n in range(1, 16):
+            for d in list(range(1, n + 2)) + [inf]:
+                if d == inf or d > n:
+                    code_term = 1
+                elif d <= 2:
+                    code_term = 1 << (n + 1 - d)
+                else:
+                    code_term = min(sphere_packing_upper(n, d), delsarte_upper(n, d))
+                for t in range(n + 1):
+                    assert fixed_point_bound(n, t, d) == min(1 << t, code_term), (n, t, d)
+        assert time.perf_counter() - start < 30
