@@ -11,8 +11,11 @@ x_1 as the most significant bit.
 from __future__ import annotations
 
 import itertools
+import operator
 import random
-from functools import lru_cache
+import sys
+from array import array
+from functools import lru_cache, reduce
 from typing import Iterator, Mapping, Sequence
 
 from .graphs import (
@@ -202,18 +205,13 @@ class BooleanNetwork:
         """All states x with f(x) = x, in increasing binary order."""
         if self.n > MAX_FIXED_POINT_SCAN:
             raise ValueError(f"n={self.n} exceeds the fixed-point scan limit")
-        out = []
-        locals_ = self.locals
-        for x in itertools.product((0, 1), repeat=self.n):
-            for i, lf in enumerate(locals_):
-                idx = 0
-                for u in lf.inputs:
-                    idx = (idx << 1) | x[u - 1]
-                if lf.table[idx] != x[i]:
-                    break
-            else:
-                out.append(x)
-        return out
+        masks = _state_masks(self.n)
+        fixed = masks[0]
+        for v, lf in enumerate(self.locals, start=1):
+            fixed &= ~_disagreement_mask(lf.inputs, lf.table, v, masks)
+            if not fixed:
+                break
+        return [int_to_state(s, self.n) for s in _set_bits(fixed)]
 
     def is_canalized(self, arc) -> bool:
         """Whether the given interaction-graph arc is canalized.
@@ -249,26 +247,34 @@ class BooleanNetwork:
         if self.n > MAX_ATTRACTOR_SCAN:
             raise ValueError(f"n={self.n} exceeds the attractor scan limit")
         n = self.n
-        size = 1 << n
-        locals_ = self.locals
+        masks = _state_masks(n)
+        flips = _flip_table(
+            n,
+            [
+                _disagreement_mask(lf.inputs, lf.table, v, masks)
+                for v, lf in enumerate(self.locals, start=1)
+            ],
+        )
 
         def succ(s: int) -> list[int]:
+            # moves in vertex order, as the state tuple lists them
             out = []
-            for i, lf in enumerate(locals_):
-                idx = 0
-                for u in lf.inputs:
-                    idx = (idx << 1) | ((s >> (n - u)) & 1)
-                if lf.table[idx] != (s >> (n - 1 - i)) & 1:
-                    out.append(s ^ (1 << (n - 1 - i)))
+            m = flips[s]
+            while m:
+                top = 1 << (m.bit_length() - 1)
+                out.append(s ^ top)
+                m ^= top
             return out
 
-        comps = tarjan_components(range(size), succ)
         attractors = []
-        for comp in comps:
-            members = set(comp)
-            if all(t in members for s in comp for t in succ(s)):
-                states = frozenset(int_to_state(s, n) for s in comp)
-                attractors.append(states)
+        for comp in tarjan_components(range(1 << n), succ):
+            if len(comp) == 1:
+                terminal = not flips[comp[0]]
+            else:
+                members = set(comp)
+                terminal = all(t in members for s in comp for t in succ(s))
+            if terminal:
+                attractors.append(frozenset(int_to_state(s, n) for s in comp))
         attractors.sort(key=lambda states: min(state_to_int(x) for x in states))
         return attractors
 
@@ -290,6 +296,100 @@ def int_to_state(s: int, n: int) -> tuple[int, ...]:
 
 def all_states(n: int) -> Iterator[tuple[int, ...]]:
     return itertools.product((0, 1), repeat=n)
+
+
+# -- word-parallel state scans -----------------------------------------------
+#
+# A set of states is a 2^n-bit int whose bit s stands for the state with
+# binary value s (x_1 most significant).  Every scan over all 2^n states is
+# a few big-int operations per vertex on such sets.
+
+# Vertex masks are kept for n up to here (about 140 KB at 16); larger
+# ones are rebuilt per call, which costs little next to the scan itself.
+_CACHED_MASKS_N = 16
+
+
+def _build_state_masks(n: int) -> tuple[int, ...]:
+    size = 1 << n
+    masks = [(1 << size) - 1]
+    for u in range(1, n + 1):
+        run = 1 << (n - u)  # x_u is constant on runs of this many states
+        m = ((1 << run) - 1) << run
+        width = run << 1
+        while width < size:
+            m |= m << width
+            width <<= 1
+        masks.append(m)
+    return tuple(masks)
+
+
+_cached_state_masks = lru_cache(maxsize=None)(_build_state_masks)
+
+
+def _state_masks(n: int) -> tuple[int, ...]:
+    """(all states, X_1, ..., X_n): X_u is the set of states with x_u = 1."""
+    if n <= _CACHED_MASKS_N:
+        return _cached_state_masks(n)
+    return _build_state_masks(n)
+
+
+def _value_mask(inputs: Sequence[int], table: Sequence[int], masks) -> int:
+    """The set of states where the table's function is 1.
+
+    Folds the table one input at a time, last input first: each pair of
+    rows that differ only in x_u becomes one multiplexer on X_u.
+    """
+    full = masks[0]
+    level = [full if b else 0 for b in table]
+    for u in reversed(inputs):
+        x = masks[u]
+        level = [
+            lo if lo == hi else lo ^ ((lo ^ hi) & x)
+            for lo, hi in zip(level[::2], level[1::2])
+        ]
+    return level[0]
+
+
+def _disagreement_mask(inputs, table, v: int, masks) -> int:
+    """The set of states where f_v(x) != x_v."""
+    return _value_mask(inputs, table, masks) ^ masks[v]
+
+
+def _set_bits(mask: int) -> Iterator[int]:
+    """Positions of the 1 bits of mask, increasing, in one linear pass."""
+    bits = bin(mask)[:1:-1]
+    pos = bits.find("1")
+    while pos >= 0:
+        yield pos
+        pos = bits.find("1", pos + 1)
+
+
+# Byte translations sending the characters "0"/"1" to 0 / 2^i.
+_TO_LANE_BIT = [bytes.maketrans(b"01", bytes((0, 1 << i))) for i in range(8)]
+
+
+def _flip_table(n: int, disagreements: Sequence[int]) -> array:
+    """Per state s, the XOR mask of its asynchronous moves.
+
+    Vertex v moves in state s iff bit s of ``disagreements[v-1]`` is set;
+    its move flips state bit n-v.  Each set is spread to one byte per
+    state by string and bytes operations, and eight state bits share one
+    byte lane of the array entries.
+    """
+    size = 1 << n
+    table = array("I")
+    width = table.itemsize
+    lanes = bytearray(width * size)
+    for lane in range(0, n, 8):
+        acc = 0
+        for bit in range(lane, min(lane + 8, n)):
+            spread = format(disagreements[n - 1 - bit], f"0{size}b").encode()
+            acc |= int.from_bytes(spread.translate(_TO_LANE_BIT[bit - lane]), "big")
+        lanes[lane // 8 :: width] = acc.to_bytes(size, "little")
+    table.frombytes(lanes)
+    if sys.byteorder == "big":
+        table.byteswap()
+    return table
 
 
 # -- the partial order behind monotonicity ----------------------------------
@@ -358,6 +458,17 @@ def _required_signature(G: SignedDigraph, v: int) -> tuple[tuple[int, ...], tupl
     return inputs, tuple(sig)
 
 
+def _consistent_tables(
+    G: SignedDigraph, v: int, max_indegree: int
+) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    """v's inputs and the truth tables realizing G's signed in-arcs of v."""
+    inputs, sig = _required_signature(G, v)
+    k = len(inputs)
+    if k > max_indegree:
+        raise ValueError(f"vertex {v} has {k} inputs, cap is {max_indegree}")
+    return inputs, _signature_index(k).get(sig, ())
+
+
 def consistent_local_functions(
     G: SignedDigraph, v: int, max_indegree: int = DEFAULT_MAX_INDEGREE
 ) -> list[LocalFunction]:
@@ -367,11 +478,7 @@ def consistent_local_functions(
     driver).  The list may be empty: some sign patterns, such as a single
     in-neighbor carrying both signs, are unrealizable.
     """
-    inputs, sig = _required_signature(G, v)
-    k = len(inputs)
-    if k > max_indegree:
-        raise ValueError(f"vertex {v} has {k} inputs, cap is {max_indegree}")
-    tables = _signature_index(k).get(sig, ())
+    inputs, tables = _consistent_tables(G, v, max_indegree)
     return [LocalFunction(inputs, t) for t in tables]
 
 
@@ -397,7 +504,7 @@ def count_consistent(G: SignedDigraph, max_indegree: int = DEFAULT_MAX_INDEGREE)
     _check_network_shaped(G)
     total = 1
     for v in G.vertices:
-        total *= len(consistent_local_functions(G, v, max_indegree))
+        total *= len(_consistent_tables(G, v, max_indegree)[1])
     return total
 
 
@@ -413,32 +520,43 @@ def sample_consistent(
         rng = random.Random(seed)
     chosen = []
     for v in G.vertices:
-        options = consistent_local_functions(G, v, max_indegree)
-        if not options:
+        inputs, tables = _consistent_tables(G, v, max_indegree)
+        if not tables:
             raise UnrealizableGraphError(
                 f"no local function realizes the signed in-arcs of vertex {v}"
             )
-        chosen.append(options[rng.randrange(len(options))])
+        chosen.append(LocalFunction(inputs, tables[rng.randrange(len(tables))]))
     return BooleanNetwork(chosen)
 
 
 def is_realizable(G: SignedDigraph, max_indegree: int = DEFAULT_MAX_INDEGREE) -> bool:
     _check_network_shaped(G)
-    return all(
-        consistent_local_functions(G, v, max_indegree) for v in G.vertices
-    )
+    return all(_consistent_tables(G, v, max_indegree)[1] for v in G.vertices)
 
 
 def max_fixed_points(G: SignedDigraph, max_indegree: int = DEFAULT_MAX_INDEGREE) -> int:
-    """Largest fixed-point count over all networks consistent with G."""
-    best = None
-    for f in enumerate_consistent(G, max_indegree):
-        count = len(f.fixed_points())
-        if best is None or count > best:
-            best = count
-    if best is None:
+    """Largest fixed-point count over all networks consistent with G.
+
+    Each candidate table's agreement set (the states where f_v(x) = x_v)
+    is built once; a network's fixed points are the AND of its tables'
+    sets, one per vertex.
+    """
+    _check_network_shaped(G)
+    candidates = [_consistent_tables(G, v, max_indegree) for v in G.vertices]
+    if any(not tables for _, tables in candidates):
         raise UnrealizableGraphError("no Boolean network has this interaction graph")
-    return best
+    if G.n > MAX_FIXED_POINT_SCAN:
+        raise ValueError(f"n={G.n} exceeds the fixed-point scan limit")
+    masks = _state_masks(G.n)
+    full = masks[0]
+    agreements = [
+        [full ^ _disagreement_mask(inputs, table, v, masks) for table in tables]
+        for v, (inputs, tables) in enumerate(candidates, start=1)
+    ]
+    return max(
+        reduce(operator.and_, combo, full).bit_count()
+        for combo in itertools.product(*agreements)
+    )
 
 
 def _check_network_shaped(G: SignedDigraph):

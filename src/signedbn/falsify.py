@@ -310,8 +310,13 @@ def _check_lemma9(G, cap=FALSIFY_CYCLE_CAP) -> Optional[str]:
 
 def _check_harary(G, cap=FALSIFY_CYCLE_CAP) -> Optional[str]:
     colors = structure.two_coloring(G)
-    H = G.symmetrize()
-    negative = any(c.sign == NEGATIVE for c in iter_cycles(H))
+    negative = False
+    for count, c in enumerate(iter_cycles(G.symmetrize()), start=1):
+        if count > cap:
+            raise CycleCapExceeded(f"more than {cap} cycles")
+        if c.sign == NEGATIVE:
+            negative = True
+            break
     if (colors is None) != negative:
         return "two-coloring existence disagrees with symmetrized negative cycles"
     if colors is not None and G.consistent_subgraph(colors) != G:

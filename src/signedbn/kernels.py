@@ -8,7 +8,7 @@ reuse the signed-graph machinery.
 
 from __future__ import annotations
 
-from .boolnet import BooleanNetwork, LocalFunction
+from .boolnet import BooleanNetwork, LocalFunction, _set_bits, _state_masks
 from .graphs import NEGATIVE, Digraph, SignedDigraph, has_negative_cycle
 from .structure import existence_arc_rule
 
@@ -23,29 +23,28 @@ def as_all_negative(D: Digraph) -> SignedDigraph:
 def kernels(D: Digraph) -> list[frozenset[int]]:
     """All kernels of D by subset scan, in increasing bitmask order.
 
-    This scan doubles as the brute-force oracle for the existence results.
+    Subset bit v-1 stands for vertex v.  The scan is word-parallel: with
+    Y_v the set of subsets holding v, the kernels are the AND over v of
+    Y_v XOR (OR of Y_w over the out-neighbors w of v).
     """
     if D.n > KERNEL_SCAN_LIMIT:
         raise ValueError(f"n={D.n} exceeds the subset scan limit {KERNEL_SCAN_LIMIT}")
     n = D.n
-    out_mask = [0] * (n + 1)
+    masks = _state_masks(n)
+    # Subset bit v-1 is state bit n-v, which the mask of vertex n+1-v reads.
+    member = [0] + [masks[n + 1 - v] for v in range(1, n + 1)]
+    hits = [0] * (n + 1)
     for u, v in D.arc_set:
-        out_mask[u] |= 1 << (v - 1)
-    found = []
-    for mask in range(1 << n):
-        ok = True
-        for v in range(1, n + 1):
-            inside = (mask >> (v - 1)) & 1
-            hits = out_mask[v] & mask
-            if inside and hits:
-                ok = False
-                break
-            if not inside and not hits:
-                ok = False
-                break
-        if ok:
-            found.append(frozenset(v for v in range(1, n + 1) if (mask >> (v - 1)) & 1))
-    return found
+        hits[u] |= member[v]
+    found = masks[0]
+    for v in range(1, n + 1):
+        found &= member[v] ^ hits[v]
+        if not found:
+            break
+    return [
+        frozenset(v for v in range(1, n + 1) if (mask >> (v - 1)) & 1)
+        for mask in _set_bits(found)
+    ]
 
 
 def richardson_condition(D: Digraph) -> bool:

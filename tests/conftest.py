@@ -2,7 +2,8 @@
 
 The oracles here deliberately avoid the library's algorithms: cycles are
 found by trying every vertex permutation, colorings by trying every state,
-and the Delsarte LP optimum by trying every vertex of its polytope.
+the Delsarte LP optimum by trying every vertex of its polytope, and fixed
+points, kernels and attractors by visiting states one at a time.
 """
 
 import itertools
@@ -139,3 +140,68 @@ def vertex_enumeration_delsarte(n, d):
         ):
             best = max(best, sum(point))
     return int(1 + best)
+
+
+def brute_fixed_points(f):
+    """Every fixed point of f, by evaluating each state vertex by vertex."""
+    out = []
+    for x in itertools.product((0, 1), repeat=f.n):
+        if all(lf.table[_row(lf, x)] == x[v] for v, lf in enumerate(f.locals)):
+            out.append(x)
+    return out
+
+
+def _row(lf, x):
+    idx = 0
+    for u in lf.inputs:
+        idx = (idx << 1) | x[u - 1]
+    return idx
+
+
+def brute_kernels(D):
+    """Every kernel of D, by testing each subset in increasing bitmask order
+    (vertex v is bit v-1)."""
+    found = []
+    for mask in range(1 << D.n):
+        K = frozenset(v for v in range(1, D.n + 1) if (mask >> (v - 1)) & 1)
+        independent = not any(u in K and v in K for u, v in D.arc_set)
+        absorbing = all(
+            any(u == v and w in K for u, w in D.arc_set)
+            for v in range(1, D.n + 1)
+            if v not in K
+        )
+        if independent and absorbing:
+            found.append(K)
+    return found
+
+
+def brute_attractors(f):
+    """Terminal strong components of the asynchronous state graph.
+
+    A state lies in an attractor iff it can be reached back from every
+    state it reaches; the attractor is then its reachable set.  Ordered by
+    the smallest state, as the library orders them.
+    """
+
+    def successors(x):
+        out = []
+        for v, lf in enumerate(f.locals):
+            value = lf.table[_row(lf, x)]
+            if value != x[v]:
+                out.append(x[:v] + (value,) + x[v + 1:])
+        return out
+
+    reach = {}
+    for x in itertools.product((0, 1), repeat=f.n):
+        seen = {x}
+        frontier = [x]
+        while frontier:
+            for y in successors(frontier.pop()):
+                if y not in seen:
+                    seen.add(y)
+                    frontier.append(y)
+        reach[x] = frozenset(seen)
+    attractors = {
+        states for x, states in reach.items() if all(x in reach[y] for y in states)
+    }
+    return sorted(attractors, key=min)

@@ -1,12 +1,14 @@
 """Boolean networks: evaluation, interaction graphs, dynamics, consistency."""
 
 import itertools
+import random
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import g
+from conftest import all_signed_digraphs, brute_attractors, brute_fixed_points, g
 from signedbn.boolnet import (
     BooleanNetwork,
     LocalFunction,
@@ -24,7 +26,7 @@ from signedbn.boolnet import (
     state_to_int,
 )
 from signedbn.falsify import disagreement_cycles, verify_antipodal_fixed_points
-from signedbn.generators import figure1
+from signedbn.generators import figure1, random_signed_digraph
 from signedbn.graphs import SignedDigraph
 
 
@@ -35,6 +37,16 @@ def net(*locals_):
 IDENTITY2 = net(((1,), (0, 1)), ((2,), (0, 1)))
 SWAP2 = net(((2,), (0, 1)), ((1,), (0, 1)))  # f1=x2, f2=x1
 NEGATION1 = net(((1,), (1, 0)))
+
+
+def random_network(rng, n, max_k=4):
+    """Random inputs (v itself allowed) and a random table per vertex."""
+    locals_ = []
+    for _ in range(n):
+        k = rng.randint(0, min(max_k, n))
+        inputs = rng.sample(range(1, n + 1), k)
+        locals_.append(LocalFunction(inputs, [rng.randrange(2) for _ in range(1 << k)]))
+    return BooleanNetwork(locals_)
 
 
 def networks_strategy(max_n=3):
@@ -143,6 +155,78 @@ class TestFixedPoints:
     def test_order_is_increasing_binary(self):
         points = IDENTITY2.fixed_points()
         assert points == sorted(points, key=state_to_int)
+
+
+class TestScansAgainstOracles:
+    """The word-parallel scans against the state-by-state oracles."""
+
+    def test_fixed_points(self):
+        rng = random.Random(11)
+        for n in range(0, 11):
+            for _ in range(12):
+                f = random_network(rng, n)
+                assert f.fixed_points() == brute_fixed_points(f)
+
+    def test_attractors(self):
+        rng = random.Random(12)
+        for n in range(0, 9):
+            for _ in range(8 if n < 7 else 3):
+                f = random_network(rng, n)
+                assert f.attractors() == brute_attractors(f)
+
+    def test_max_fixed_points_every_graph_up_to_two_vertices(self):
+        for n in (0, 1, 2):
+            for G in all_signed_digraphs(n):
+                family = list(enumerate_consistent(G))
+                if not family:
+                    with pytest.raises(UnrealizableGraphError):
+                        max_fixed_points(G)
+                    continue
+                assert max_fixed_points(G) == max(
+                    len(brute_fixed_points(f)) for f in family
+                )
+
+    def test_max_fixed_points_random_graphs(self):
+        rng = random.Random(13)
+        checked = 0
+        while checked < 40:
+            G = random_signed_digraph(rng.choice((3, 4)), rng=rng)
+            if any(len(G.in_neighbors(v)) > 3 for v in G.vertices):
+                continue
+            if not is_realizable(G, max_indegree=3) or count_consistent(G, 3) > 2000:
+                continue
+            family = enumerate_consistent(G, max_indegree=3)
+            expected = max(len(brute_fixed_points(f)) for f in family)
+            assert max_fixed_points(G, max_indegree=3) == expected
+            checked += 1
+
+
+class TestScanEdgesAndCost:
+    def test_no_vertices(self):
+        f = BooleanNetwork([])
+        assert f.fixed_points() == [()]
+        assert f.attractors() == [frozenset({()})]
+
+    def test_identity_fixes_every_state_in_order(self):
+        f = BooleanNetwork([LocalFunction((v,), (0, 1)) for v in range(1, 17)])
+        assert f.fixed_points() == list(all_states(16))
+
+    def test_fixed_points_at_22_vertices_is_fast(self):
+        rng = random.Random(22)
+        f = BooleanNetwork([
+            LocalFunction(rng.sample(range(1, 23), 4), [rng.randrange(2) for _ in range(16)])
+            for _ in range(22)
+        ])
+        start = time.perf_counter()
+        points = f.fixed_points()
+        assert time.perf_counter() - start < 2.0
+        assert all(f.evaluate(x) == x for x in points)
+
+    def test_scan_limits(self):
+        with pytest.raises(ValueError):
+            BooleanNetwork([constant(0)] * 25).fixed_points()
+        with pytest.raises(ValueError):
+            BooleanNetwork([constant(0)] * 21).attractors()
 
 
 class TestLeq:

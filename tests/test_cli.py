@@ -197,6 +197,19 @@ class TestCheckCommand:
         assert main(argv + ["--cycle-cap", "16000"]) == 2
         assert capsys.readouterr().err == "error: more than 16000 cycles\n"
 
+    def test_harary_honours_cycle_cap(self, tmp_path, capsys):
+        # The symmetrization of the complete all-positive 9-vertex digraph
+        # has no negative cycle, so only the cap can stop its enumeration.
+        path = tmp_path / "k9.sd"
+        arcs = "".join(
+            f"{u} {v} +\n" for u in range(1, 10) for v in range(1, 10) if u != v
+        )
+        path.write_text(f"sdigraph 9\n{arcs}")
+        start = time.perf_counter()
+        assert main(["check", "--theorem", "harary", "--cycle-cap", "100", str(path)]) == 2
+        assert time.perf_counter() - start < 1.0
+        assert capsys.readouterr().err == "error: more than 100 cycles\n"
+
 
 class TestGenerate:
     def test_figure1_to_file(self, tmp_path, capsys):

@@ -1,6 +1,10 @@
 """Kernels, the parity conditions and the fixed-point correspondence."""
 
+import random
+
 import pytest
+
+from conftest import brute_kernels
 
 from signedbn.generators import iter_digraphs, random_digraph
 from signedbn.kernels import (
@@ -51,6 +55,17 @@ class TestKernels:
     def test_scan_limit(self):
         with pytest.raises(ValueError):
             kernels(Digraph(25))
+
+    def test_no_vertices(self):
+        assert kernels(Digraph(0)) == [frozenset()]
+
+    def test_against_subset_oracle(self):
+        rng = random.Random(14)
+        for n in range(0, 11):
+            for _ in range(15):
+                # loops included: each of the n^2 arcs drawn alike
+                D = random_digraph(n, arc_prob=rng.choice((0.1, 0.2, 0.35)), rng=rng)
+                assert kernels(D) == brute_kernels(D)
 
 
 class TestConditions:
@@ -103,6 +118,7 @@ class TestNetworkCorrespondence:
 
     def test_exhaustive_correspondence_n3(self):
         for D in iter_digraphs(3):
+            assert kernels(D) == brute_kernels(D)
             assert set(kernels(D)) == kernel_indicators(D)
             if richardson_condition(D):
                 assert kernels(D)
