@@ -67,12 +67,12 @@ def random_signed_digraph(
 
     A positive arc appears with probability arc_prob * (1 - neg_prob) and a
     negative one with arc_prob * neg_prob, so arc_prob is the expected arc
-    density per ordered vertex pair; it defaults to 2/n.
+    density per ordered vertex pair; it defaults to 2/n.  A probability
+    given outside [0, 1] raises ValueError.
     """
+    arc_prob = _arc_prob(n, arc_prob, neg_prob)
     if rng is None:
         rng = random.Random(seed)
-    if arc_prob is None:
-        arc_prob = 2.0 / n
     arcs = []
     for u in range(1, n + 1):
         for v in range(1, n + 1):
@@ -90,10 +90,9 @@ def random_digraph(
     rng: random.Random | None = None,
 ) -> Digraph:
     """Unsigned random digraph; each of the n^2 arcs drawn independently."""
+    arc_prob = _arc_prob(n, arc_prob)
     if rng is None:
         rng = random.Random(seed)
-    if arc_prob is None:
-        arc_prob = 2.0 / n
     arcs = [
         (u, v)
         for u in range(1, n + 1)
@@ -101,6 +100,15 @@ def random_digraph(
         if rng.random() < arc_prob
     ]
     return Digraph(n, arcs)
+
+
+def _arc_prob(n: int, arc_prob: float | None, neg_prob: float = 0.0) -> float:
+    """The arc probability, by default 2/n (past 1 at n = 1, 0 at n = 0);
+    a probability given outside [0, 1] raises ValueError."""
+    for name, p in (("arc_prob", arc_prob), ("neg_prob", neg_prob)):
+        if p is not None and not 0.0 <= p <= 1.0:
+            raise ValueError(f"{name}={p} is outside [0, 1]")
+    return (2.0 / n if n else 0.0) if arc_prob is None else arc_prob
 
 
 def iter_simple_signed_digraphs(n: int) -> Iterator[SignedDigraph]:

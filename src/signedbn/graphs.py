@@ -354,7 +354,7 @@ class SignedCycle:
     cycle of length one.
     """
 
-    __slots__ = ("arcs",)
+    __slots__ = ("arcs", "sign", "vertex_set")
 
     def __init__(self, arcs: Iterable):
         arcs = tuple(as_arc(a) for a in arcs)
@@ -364,22 +364,17 @@ class SignedCycle:
         if arcs[-1].target != arcs[0].source:
             raise ValueError("arc sequence does not close")
         sources = [a.source for a in arcs]
-        if len(set(sources)) != len(sources):
+        vertex_set = frozenset(sources)
+        if len(vertex_set) != len(sources):
             raise ValueError("cycle repeats a vertex")
         i = sources.index(min(sources))
         self.arcs = arcs[i:] + arcs[:i]
-
-    @property
-    def sign(self) -> int:
-        return _sign_product(self.arcs)
+        self.sign = _sign_product(arcs)
+        self.vertex_set = vertex_set
 
     @property
     def vertices(self) -> tuple[int, ...]:
         return tuple(a.source for a in self.arcs)
-
-    @property
-    def vertex_set(self) -> frozenset[int]:
-        return frozenset(self.vertices)
 
     def __len__(self):
         return len(self.arcs)
@@ -564,18 +559,6 @@ def enumerate_cycles(G: SignedDigraph, cap: int = DEFAULT_CYCLE_CAP) -> list[Sig
     if len(cached) > cap:
         raise CycleCapExceeded(f"more than {cap} cycles")
     return list(cached)
-
-
-def has_positive_cycle(G: SignedDigraph, cap: int = DEFAULT_CYCLE_CAP) -> bool:
-    return any(c.sign == POSITIVE for c in enumerate_cycles(G, cap))
-
-
-def vertices_on_positive_cycles(G: SignedDigraph, cap: int = DEFAULT_CYCLE_CAP) -> frozenset[int]:
-    verts: set[int] = set()
-    for c in enumerate_cycles(G, cap):
-        if c.sign == POSITIVE:
-            verts.update(c.vertices)
-    return frozenset(verts)
 
 
 # -- negative-cycle detection (polynomial) ---------------------------------

@@ -26,12 +26,10 @@ from .graphs import (
     enumerate_cycles,
     extract_negative_cycle,
     has_negative_cycle,
-    has_positive_cycle,
     is_strong,
     reachable,
     scc,
     tree_path_arcs,
-    vertices_on_positive_cycles,
 )
 
 DEFAULT_SEARCH_LIMIT = 15
@@ -59,7 +57,7 @@ def is_special_arc(
     the arc: (i) v still has an in-coming arc, (ii) v lies on no positive
     cycle, (iii) no path from a source or a positive cycle reaches v while
     avoiding the other vertices of the cycle.  Conditions are checked in
-    order and the first failure is reported.
+    order and the first failure is reported; ``cap`` bounds G's cycles.
     """
     arc = as_arc(arc)
     if cycle.sign != POSITIVE:
@@ -68,28 +66,45 @@ def is_special_arc(
         raise ValueError("cycle is not a cycle of the graph")
     if arc not in cycle.arcs:
         raise ValueError(f"{arc!r} is not an arc of the cycle")
-    H = G.delete(arc)
+    positives = [c for c in enumerate_cycles(G, cap) if c.sign == POSITIVE]
+    failed = _special_failure(G, positives, frozenset(), cycle, arc)
+    return SpecialArcVerdict(arc, failed is None, failed)
+
+
+def _special_failure(G, positives, gone, cycle, arc) -> Optional[str]:
+    """The special-arc condition that ``arc`` of ``cycle`` fails first in G
+    minus the arcs ``gone`` and ``arc``, or None when it fails none.
+
+    ``gone`` holds every in-arc of each vertex it enters, and ``cycle``
+    avoids it.  The cycles of the subgraph are the cycles of G that use no
+    removed arc, so (ii) filters ``positives``: the positive cycles of G,
+    or those of them that avoid ``gone``.
+    """
+    removed = gone | {arc}
     v = arc.target
-    if H.indegree(v) == 0:
-        return SpecialArcVerdict(arc, False, "i")
-    on_positive = vertices_on_positive_cycles(H, cap)
+    if removed.issuperset(G.in_arcs(v)):
+        return "i"
+    on_positive = set()
+    for c in positives:
+        if removed.isdisjoint(c.arcs):
+            on_positive |= c.vertex_set
     if v in on_positive:
-        return SpecialArcVerdict(arc, False, "ii")
-    starts = set(H.sources()) | set(on_positive)
-    blocked = cycle.vertex_set - {v}
-    if reachable(H, starts, blocked, v):
-        return SpecialArcVerdict(arc, False, "iii")
-    return SpecialArcVerdict(arc, True, None)
+        return "ii"
+    # The search may run in G itself.  Every removed arc but ``arc`` enters
+    # a vertex with no in-arc left, which is a start itself, and ``arc``
+    # leaves a blocked vertex or is a loop; so no shortest path from a
+    # start needs a removed arc.
+    starts = on_positive.union(u for u in G.vertices if removed.issuperset(G.in_arcs(u)))
+    if reachable(G, starts, cycle.vertex_set - {v}, v):
+        return "iii"
+    return None
 
 
 def find_special_arc(
     G: SignedDigraph, cycle: SignedCycle, cap: int = DEFAULT_CYCLE_CAP
 ) -> Optional[Arc]:
     """First special arc of the cycle in rotation order, or None."""
-    for a in cycle.arcs:
-        if is_special_arc(G, cycle, a, cap).holds:
-            return a
-    return None
+    return next((a for a in cycle.arcs if is_special_arc(G, cycle, a, cap).holds), None)
 
 
 # -- theorem-condition checkers ----------------------------------------------
@@ -116,29 +131,23 @@ def _isolation_rule(G: SignedDigraph, cycle_sign: int, cap: int) -> RuleVerdict:
 
     Each cycle of the given sign needs an arc a = (u -> v) such that after
     deleting a the strong component of v is initial, non-trivial, and free
-    of cycles of that same sign.
+    of cycles of that same sign.  The cycles of that component are the
+    cycles of G that avoid a and lie inside it.
     """
-    targets = [c for c in enumerate_cycles(G, cap) if c.sign == cycle_sign]
+    cycles = enumerate_cycles(G, cap)
     witnesses = []
-    for cycle in targets:
-        chosen = None
+    for cycle in (c for c in cycles if c.sign == cycle_sign):
         for a in cycle.arcs:
-            H = G.delete(a)
-            decomposition = scc(H)
+            decomposition = scc(G.delete(a))
             i = decomposition.index_of(a.target)
-            if not (decomposition.initial[i] and decomposition.nontrivial[i]):
-                continue
-            inside = H.induced(decomposition.components[i])
-            if cycle_sign == POSITIVE:
-                if has_positive_cycle(inside, cap):
-                    continue
-            elif has_negative_cycle(inside):
-                continue
-            chosen = a
-            break
-        if chosen is None:
+            comp = decomposition.components[i]
+            if decomposition.initial[i] and decomposition.nontrivial[i] and not any(
+                c.sign == cycle_sign and a not in c.arcs and c.vertex_set <= comp for c in cycles
+            ):
+                witnesses.append((cycle, a))
+                break
+        else:
             return RuleVerdict(False, tuple(witnesses), cycle)
-        witnesses.append((cycle, chosen))
     return RuleVerdict(True, tuple(witnesses))
 
 
@@ -225,21 +234,6 @@ def g_plus(G: SignedDigraph, cap: int = DEFAULT_CYCLE_CAP):
     return min(lengths) if lengths else INF
 
 
-def _all_positive_cycles_special(G: SignedDigraph, cap: int, memo=None) -> bool:
-    for c in enumerate_cycles(G, cap):
-        if c.sign != POSITIVE:
-            continue
-        if memo is not None:
-            key = (G, c)
-            if key not in memo:
-                memo[key] = find_special_arc(G, c, cap) is not None
-            if not memo[key]:
-                return False
-        elif find_special_arc(G, c, cap) is None:
-            return False
-    return True
-
-
 def tau_tilde_plus(
     G: SignedDigraph,
     limit: int = DEFAULT_SEARCH_LIMIT,
@@ -249,16 +243,20 @@ def tau_tilde_plus(
     removed, each remaining positive cycle has a special arc.
 
     Never larger than tau_plus: deleting in-arcs of a hitting set leaves
-    no positive cycle at all.
+    no positive cycle at all.  The positive cycles left are those of G
+    that avoid the removed arcs.
     """
     if G.n > limit:
         raise ValueError(f"n={G.n} exceeds the search limit {limit}")
-    memo: dict = {}
-    vertices = G.vertices
+    positives = [c for c in enumerate_cycles(G, cap) if c.sign == POSITIVE]
     for k in range(0, G.n + 1):
-        for combo in itertools.combinations(vertices, k):
-            H = G.remove_incoming(combo)
-            if _all_positive_cycles_special(H, cap, memo):
+        for combo in itertools.combinations(G.vertices, k):
+            gone = frozenset(a for v in combo for a in G.in_arcs(v))
+            left = [c for c in positives if gone.isdisjoint(c.arcs)]
+            if all(
+                any(_special_failure(G, left, gone, c, a) is None for a in c.arcs)
+                for c in left
+            ):
                 return k
     raise AssertionError("removing all in-arcs leaves no cycle")
 
@@ -266,10 +264,11 @@ def tau_tilde_plus(
 def g_tilde_plus(G: SignedDigraph, cap: int = DEFAULT_CYCLE_CAP):
     """Length of a shortest positive cycle with no special arc; INF if every
     positive cycle has one."""
+    positives = [c for c in enumerate_cycles(G, cap) if c.sign == POSITIVE]
     lengths = [
         len(c)
-        for c in enumerate_cycles(G, cap)
-        if c.sign == POSITIVE and find_special_arc(G, c, cap) is None
+        for c in positives
+        if all(_special_failure(G, positives, frozenset(), c, a) is not None for a in c.arcs)
     ]
     return min(lengths) if lengths else INF
 
@@ -333,14 +332,18 @@ def _propagate_coloring(G: SignedDigraph):
 
 def no_fixed_point_condition(G: SignedDigraph, cap: int = DEFAULT_CYCLE_CAP) -> bool:
     """A non-trivial initial strong component whose induced subgraph has no
-    positive cycle; every consistent network then has no fixed point."""
+    positive cycle; every consistent network then has no fixed point.
+
+    The cycles of that subgraph are the cycles of G inside the component,
+    so ``cap`` bounds the cycles of G, as elsewhere in this module.
+    """
+    cycles = enumerate_cycles(G, cap)
     decomposition = scc(G)
-    for i, comp in enumerate(decomposition.components):
-        if not (decomposition.initial[i] and decomposition.nontrivial[i]):
-            continue
-        if not has_positive_cycle(G.induced(comp), cap):
-            return True
-    return False
+    flags = zip(decomposition.components, decomposition.initial, decomposition.nontrivial)
+    return any(
+        ini and nt and not any(c.sign == POSITIVE and c.vertex_set <= comp for c in cycles)
+        for comp, ini, nt in flags
+    )
 
 
 def two_fixed_points_condition(G: SignedDigraph) -> bool:

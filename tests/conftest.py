@@ -2,8 +2,10 @@
 
 The oracles here deliberately avoid the library's algorithms: cycles are
 found by trying every vertex permutation, colorings by trying every state,
-the Delsarte LP optimum by trying every vertex of its polytope, and fixed
-points, kernels and attractors by visiting states one at a time.
+the Delsarte LP optimum by trying every vertex of its polytope, fixed
+points, kernels and attractors by visiting states one at a time, and
+special arcs, tau~+, g~+ and the arc rules by building each subgraph and
+searching its cycles anew.
 """
 
 import itertools
@@ -11,7 +13,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
-from signedbn.graphs import SignedDigraph
+from signedbn.graphs import SignedCycle, SignedDigraph, scc
 
 
 def g(n, *arcs):
@@ -205,3 +207,113 @@ def brute_attractors(f):
         states for x, states in reach.items() if all(x in reach[y] for y in states)
     }
     return sorted(attractors, key=min)
+
+
+# -- subgraph-rebuilding structure oracles ------------------------------------
+#
+# Each subgraph below is built as a graph of its own and its cycles are
+# found again by ``brute_cycles``; the library instead filters the cycles
+# of the whole graph.
+
+
+@lru_cache(maxsize=4096)
+def _brute_signed_cycles(H):
+    """Every simple cycle of H as a SignedCycle, by ``brute_cycles``."""
+    return tuple(SignedCycle(arcs) for arcs in brute_cycles(H))
+
+
+def _bfs_reaches(H, starts, blocked, target):
+    seen = {v for v in starts if v not in blocked}
+    frontier = list(seen)
+    while frontier:
+        v = frontier.pop()
+        if v == target:
+            return True
+        for a in H.out_arcs(v):
+            if a.target not in blocked and a.target not in seen:
+                seen.add(a.target)
+                frontier.append(a.target)
+    return False
+
+
+def rebuilt_special_failure(G, cycle, arc):
+    """The special-arc condition ``arc`` of ``cycle`` fails first, or None,
+    evaluated in the rebuilt graph G minus the arc."""
+    H = G.delete(arc)
+    v = arc.target
+    if not H.in_arcs(v):
+        return "i"
+    on_positive = set()
+    for c in _brute_signed_cycles(H):
+        if c.sign == 1:
+            on_positive |= c.vertex_set
+    if v in on_positive:
+        return "ii"
+    starts = on_positive | {u for u in H.vertices if not H.in_arcs(u)}
+    if _bfs_reaches(H, starts, cycle.vertex_set - {v}, v):
+        return "iii"
+    return None
+
+
+def rebuilt_find_special_arc(G, cycle):
+    for a in cycle.arcs:
+        if rebuilt_special_failure(G, cycle, a) is None:
+            return a
+    return None
+
+
+def _rebuilt_positive_cycles(H):
+    return [c for c in _brute_signed_cycles(H) if c.sign == 1]
+
+
+def rebuilt_tau_tilde_plus(G):
+    """tau~+ with every ``remove_incoming(I)`` built and searched anew."""
+    for k in range(G.n + 1):
+        for I in itertools.combinations(G.vertices, k):
+            H = G.remove_incoming(I)
+            if all(
+                rebuilt_find_special_arc(H, c) is not None
+                for c in _rebuilt_positive_cycles(H)
+            ):
+                return k
+    raise AssertionError("removing all in-arcs leaves no cycle")
+
+
+def rebuilt_g_tilde_plus(G):
+    lengths = [
+        len(c) for c in _rebuilt_positive_cycles(G) if rebuilt_find_special_arc(G, c) is None
+    ]
+    return min(lengths) if lengths else float("inf")
+
+
+def rebuilt_isolation_rule(G, cycles, sign):
+    """(holds, witnesses, failed cycle) of the arc rule for cycles of
+    ``sign``, quantified over ``cycles`` in their order; each component is
+    checked in ``induced`` of G minus the arc."""
+    witnesses = []
+    for cycle in cycles:
+        if cycle.sign != sign:
+            continue
+        for a in cycle.arcs:
+            H = G.delete(a)
+            decomposition = scc(H)
+            i = decomposition.index_of(a.target)
+            if not (decomposition.initial[i] and decomposition.nontrivial[i]):
+                continue
+            inside = H.induced(decomposition.components[i])
+            if all(c.sign != sign for c in _brute_signed_cycles(inside)):
+                witnesses.append((cycle, a))
+                break
+        else:
+            return False, tuple(witnesses), cycle
+    return True, tuple(witnesses), None
+
+
+def rebuilt_no_fixed_point_condition(G):
+    decomposition = scc(G)
+    return any(
+        ini and nt and all(c.sign != 1 for c in _brute_signed_cycles(G.induced(comp)))
+        for comp, ini, nt in zip(
+            decomposition.components, decomposition.initial, decomposition.nontrivial
+        )
+    )

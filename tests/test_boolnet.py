@@ -228,6 +228,14 @@ class TestScanEdgesAndCost:
         with pytest.raises(ValueError):
             BooleanNetwork([constant(0)] * 21).attractors()
 
+    def test_family_scan_limit_refuses_at_once(self):
+        # 19,254,145,824 consistent networks: hours of scanning.
+        G = SignedDigraph(5, [(u, v, 1) for u in range(1, 6) for v in range(1, 6) if u != v])
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="family scan limit"):
+            max_fixed_points(G)
+        assert time.perf_counter() - start < 1.0
+
 
 class TestLeq:
     def test_reflexive(self):

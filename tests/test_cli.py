@@ -237,6 +237,22 @@ class TestGenerate:
             main(["generate", "figure1", "--n", "4"])
         assert err.value.code == 2
 
+    def test_random_with_no_vertices(self, capsys):
+        assert main(["generate", "random", "--n", "0"]) == 0
+        assert capsys.readouterr().out.startswith("sdigraph 0")
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--arc-prob", "2"], ["--neg-prob", "-1"], ["--arc-prob", "2", "--neg-prob", "-1"]],
+    )
+    def test_random_probability_out_of_range_exits_2(self, capsys, flags):
+        with pytest.raises(SystemExit) as err:
+            main(["generate", "random", "--n", "4", *flags])
+        assert err.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
 
 class TestFalsifyCommand:
     def test_clean_run_exits_0(self, capsys):

@@ -6,6 +6,7 @@ from signedbn.generators import (
     double_cycle,
     figure1,
     iter_simple_signed_digraphs,
+    random_digraph,
     random_signed_digraph,
 )
 from signedbn.graphs import NEGATIVE, POSITIVE, Arc, enumerate_cycles, is_strong
@@ -73,6 +74,18 @@ class TestRandom:
         assert all(a.sign == NEGATIVE for a in all_neg.arcs)
         all_pos = random_signed_digraph(6, arc_prob=0.9, neg_prob=0.0, seed=1)
         assert all(a.sign == POSITIVE for a in all_pos.arcs)
+
+    def test_no_vertices(self):
+        assert random_signed_digraph(0, seed=1).n == 0
+        assert random_digraph(0, seed=1).n == 0
+
+    @pytest.mark.parametrize("arc_prob,neg_prob", [(1.5, 0.5), (-0.1, 0.5), (0.5, 2.0)])
+    def test_probability_out_of_range(self, arc_prob, neg_prob):
+        with pytest.raises(ValueError):
+            random_signed_digraph(4, arc_prob=arc_prob, neg_prob=neg_prob, seed=1)
+        if neg_prob == 0.5:
+            with pytest.raises(ValueError):
+                random_digraph(4, arc_prob=arc_prob, seed=1)
 
 
 class TestExhaustiveIterators:

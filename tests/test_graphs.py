@@ -20,11 +20,9 @@ from signedbn.graphs import (
     flip,
     hamming,
     has_negative_cycle,
-    has_positive_cycle,
     is_strong,
     reachable,
     scc,
-    vertices_on_positive_cycles,
 )
 
 
@@ -304,15 +302,6 @@ class TestNegativeCycleDetection:
     def test_strong_graph_matches_symmetrization(self, G):
         if is_strong(G):
             assert has_negative_cycle(G) == has_negative_cycle(G.symmetrize())
-
-
-class TestPositiveCycles:
-    def test_examples(self):
-        assert has_positive_cycle(figure1(5))
-        assert vertices_on_positive_cycles(figure1(5)) == {1, 2, 3, 4, 5}
-        assert not has_positive_cycle(g(1, (1, 1, "-")))
-        assert vertices_on_positive_cycles(g(1, (1, 1, "-"))) == frozenset()
-        assert vertices_on_positive_cycles(g(1, (1, 1, "+"))) == {1}
 
 
 class TestReachable:

@@ -1,10 +1,22 @@
 """Special arcs, theorem conditions, deletion parameters, two-colorings."""
 
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import all_simple_signed_digraphs, g
+from conftest import (
+    all_signed_digraphs,
+    all_simple_signed_digraphs,
+    g,
+    rebuilt_find_special_arc,
+    rebuilt_g_tilde_plus,
+    rebuilt_isolation_rule,
+    rebuilt_no_fixed_point_condition,
+    rebuilt_special_failure,
+    rebuilt_tau_tilde_plus,
+)
 from signedbn.generators import double_cycle, figure1, random_signed_digraph
 from signedbn.graphs import (
     INF,
@@ -187,6 +199,49 @@ class TestParameters:
         assert (g_plus(G) == INF) == (not positives)
         all_special = all(find_special_arc(G, c) is not None for c in positives)
         assert (g_tilde_plus(G) == INF) == all_special
+
+
+def assert_matches_rebuilt_subgraphs(G):
+    """Every subgraph question answered by filtering G's cycles agrees with
+    the oracle that builds the subgraph and searches it anew."""
+    cycles = enumerate_cycles(G)
+    for c in cycles:
+        if c.sign != POSITIVE:
+            continue
+        for a in c.arcs:
+            assert is_special_arc(G, c, a).failed_condition == rebuilt_special_failure(G, c, a)
+        assert find_special_arc(G, c) == rebuilt_find_special_arc(G, c)
+    assert tau_tilde_plus(G) == rebuilt_tau_tilde_plus(G)
+    assert g_tilde_plus(G) == rebuilt_g_tilde_plus(G)
+    for rule, sign in ((uniqueness_arc_rule, POSITIVE), (existence_arc_rule, NEGATIVE)):
+        verdict = rule(G)
+        expected = rebuilt_isolation_rule(G, cycles, sign)
+        assert (verdict.holds, verdict.witnesses, verdict.failed_cycle) == expected
+    assert no_fixed_point_condition(G) == rebuilt_no_fixed_point_condition(G)
+
+
+class TestFilteredSubgraphCycles:
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_every_graph_with_parallel_arcs(self, n):
+        for G in all_signed_digraphs(n):
+            assert_matches_rebuilt_subgraphs(G)
+
+    def test_every_simple_graph_n3(self):
+        for G in all_simple_signed_digraphs(3):
+            assert_matches_rebuilt_subgraphs(G)
+
+    @pytest.mark.parametrize("n", [4, 5, 6, 7])
+    def test_random_graphs(self, n):
+        for seed in range(25):
+            assert_matches_rebuilt_subgraphs(random_signed_digraph(n, seed=seed))
+
+    def test_tau_tilde_plus_disjoint_two_cycles_is_fast(self):
+        arcs = [(v, v + 1, "+") for v in range(1, 14, 2)]
+        arcs += [(v + 1, v, "+") for v in range(1, 14, 2)]
+        G = g(15, *arcs)
+        start = time.perf_counter()
+        assert tau_tilde_plus(G) == 7
+        assert time.perf_counter() - start < 0.5
 
 
 class TestTwoColoring:
