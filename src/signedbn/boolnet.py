@@ -24,6 +24,7 @@ from .graphs import (
     POSITIVE,
     Arc,
     SignedDigraph,
+    _set_bits,
     as_arc,
     tarjan_components,
 )
@@ -357,15 +358,6 @@ def _value_mask(inputs: Sequence[int], table: Sequence[int], masks) -> int:
 def _disagreement_mask(inputs, table, v: int, masks) -> int:
     """The set of states where f_v(x) != x_v."""
     return _value_mask(inputs, table, masks) ^ masks[v]
-
-
-def _set_bits(mask: int) -> Iterator[int]:
-    """Positions of the 1 bits of mask, increasing, in one linear pass."""
-    bits = bin(mask)[:1:-1]
-    pos = bits.find("1")
-    while pos >= 0:
-        yield pos
-        pos = bits.find("1", pos + 1)
 
 
 # Byte translations sending the characters "0"/"1" to 0 / 2^i.

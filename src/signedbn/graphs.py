@@ -372,6 +372,17 @@ class SignedCycle:
         self.sign = _sign_product(arcs)
         self.vertex_set = vertex_set
 
+    @classmethod
+    def _found(cls, arcs: tuple[Arc, ...]) -> "SignedCycle":
+        """A cycle that ``iter_cycles`` found: its arcs are G's, chained,
+        closed, simple and start at the minimal vertex, so they need no
+        check and no rotation."""
+        cycle = object.__new__(cls)
+        cycle.arcs = arcs
+        cycle.sign = _sign_product(arcs)
+        cycle.vertex_set = frozenset(a.source for a in arcs)
+        return cycle
+
     @property
     def vertices(self) -> tuple[int, ...]:
         return tuple(a.source for a in self.arcs)
@@ -524,7 +535,7 @@ def iter_cycles(G: SignedDigraph) -> Iterator[SignedCycle]:
             for arc in iters[-1]:
                 t = arc.target
                 if t == s:
-                    yield SignedCycle(path + [arc])
+                    yield SignedCycle._found((*path, arc))
                 elif t > s and t not in on_path:
                     path.append(arc)
                     on_path.add(t)
@@ -541,24 +552,184 @@ def enumerate_cycles(G: SignedDigraph, cap: int = DEFAULT_CYCLE_CAP) -> list[Sig
     """All simple cycles of G in deterministic order.
 
     Raises CycleCapExceeded when the graph has more than ``cap`` cycles;
-    truncation is never silent.  The complete list is cached on the graph.
+    truncation is never silent.  The complete list is cached on the graph,
+    inside its cycle index.
     """
-    cached = G._cycle_cache
-    if cached is None:
+    index = G._cycle_cache
+    if index is None:
         out = []
-        over = False
         for c in iter_cycles(G):
             out.append(c)
             if len(out) > cap:
-                over = True
-                break
-        if over:
-            raise CycleCapExceeded(f"more than {cap} cycles")
-        G._cycle_cache = out
-        cached = out
-    if len(cached) > cap:
+                raise CycleCapExceeded(f"more than {cap} cycles")
+        index = G._cycle_cache = _CycleIndex(out)
+    if len(index.cycles) > cap:
         raise CycleCapExceeded(f"more than {cap} cycles")
-    return list(cached)
+    return list(index.cycles)
+
+
+def _cycle_index(G: SignedDigraph, cap: int = DEFAULT_CYCLE_CAP) -> "_CycleIndex":
+    """G's cycle index, from ``enumerate_cycles`` on first use, with its
+    incidence built.
+
+    Raises CycleCapExceeded when the graph has more than ``cap`` cycles,
+    on every call, as ``enumerate_cycles`` does.
+    """
+    if G._cycle_cache is None:
+        enumerate_cycles(G, cap)
+    index = G._cycle_cache
+    if len(index.cycles) > cap:
+        raise CycleCapExceeded(f"more than {cap} cycles")
+    if index.arcs is None:
+        index.build(G)
+    return index
+
+
+def _set_bits(mask: int) -> Iterator[int]:
+    """Positions of the 1 bits of mask, increasing, in one linear pass."""
+    bits = bin(mask)[:1:-1]
+    pos = bits.find("1")
+    while pos >= 0:
+        yield pos
+        pos = bits.find("1", pos + 1)
+
+
+def _closure(seed: int, step: Sequence[int], allowed: int = -1) -> int:
+    """Positions reachable from the mask ``seed`` inside the mask
+    ``allowed``, seed included, where ``step[p]`` is the mask of the
+    neighbours of position p."""
+    seen = frontier = seed & allowed
+    while frontier:
+        reached = 0
+        while frontier:
+            low = frontier & -frontier
+            reached |= step[low.bit_length() - 1]
+            frontier ^= low
+        frontier = reached & allowed & ~seen
+        seen |= frontier
+    return seen
+
+
+_CHUNK = 1 << 12
+
+
+class _CycleIndex:
+    """G's simple cycles and their incidence with G's arcs and vertices.
+
+    Vertex position p is the p-th of ``G.vertices``, arc k the k-th of
+    ``G.arcs`` and cycle j the j-th of ``cycles``; a set of any of them is
+    an int bitmask over those numbers.  The cycles of a subgraph that lacks
+    some arcs of G are the cycles of G through none of them, so they are
+    ``cycles & ~OR(arc_cycles[k])``: a subgraph question costs a few
+    big-int operations per vertex or arc, whatever the cycle count.
+
+    Per arc k: ``heads[k]``, the position it enters, and ``arc_cycles[k]``,
+    the cycles through it.  Per position p: ``in_arcs[p]`` (arcs),
+    ``in_neighbors[p]`` and ``out_neighbors[p]`` (positions), and
+    ``vertex_cycles[p]``.  Per cycle j: ``cycle_arcs[j]``, its arc numbers
+    in rotation order, and ``cycle_vertices[j]``.  ``positives`` and
+    ``negatives`` split the cycles by sign; ``sources`` are the positions
+    with no in-arc.  ``position`` and ``arc_number`` map vertices and arcs
+    to their numbers.  The incidence is filled in by ``build``.
+    """
+
+    __slots__ = (
+        "cycles", "vertices", "arcs", "arc_number", "position", "heads",
+        "in_arcs", "in_neighbors", "out_neighbors", "sources", "cycle_arcs",
+        "cycle_vertices", "positives", "negatives", "arc_cycles", "vertex_cycles",
+    )
+
+    def __init__(self, cycles: list[SignedCycle]):
+        self.cycles = tuple(cycles)
+        self.arcs = None
+
+    def build(self, G: SignedDigraph):
+        """Fill in the incidence; ``structure`` asks for it, a caller of
+        ``enumerate_cycles`` alone does not pay for it."""
+        vertices = self.vertices = G.vertices
+        arcs = self.arcs = G.arcs
+        n, m = len(vertices), len(arcs)
+        position = self.position = dict(zip(vertices, range(n)))
+        arc_number = self.arc_number = dict(zip(arcs, range(m)))
+        heads = self.heads = []
+        in_arcs = self.in_arcs = [0] * n
+        in_neighbors = self.in_neighbors = [0] * n
+        out_neighbors = self.out_neighbors = [0] * n
+        for k, a in enumerate(arcs):
+            s, t = position[a.source], position[a.target]
+            heads.append(t)
+            in_arcs[t] |= 1 << k
+            in_neighbors[t] |= 1 << s
+            out_neighbors[s] |= 1 << t
+        self.sources = sum(1 << p for p in range(n) if not in_arcs[p])
+        # Cycle bits are OR-ed into per-chunk ints that are shifted into
+        # place once per chunk: the build stays linear in the total cycle
+        # length, where OR-ing each bit into the whole mask would copy a
+        # growing int per incidence.
+        arc_cycles = [0] * m
+        vertex_cycles = [0] * n
+        cycle_arcs = self.cycle_arcs = []
+        cycle_vertices = self.cycle_vertices = []
+        positives = 0
+        for base in range(0, len(self.cycles), _CHUNK):
+            arc_part = [0] * m
+            vertex_part = [0] * n
+            positive_part = 0
+            for j, c in enumerate(self.cycles[base:base + _CHUNK]):
+                bit = 1 << j
+                numbers = tuple(map(arc_number.__getitem__, c.arcs))
+                on = 0
+                for k in numbers:
+                    p = heads[k]
+                    arc_part[k] |= bit
+                    vertex_part[p] |= bit
+                    on |= 1 << p
+                cycle_arcs.append(numbers)
+                cycle_vertices.append(on)
+                if c.sign == POSITIVE:
+                    positive_part |= bit
+            arc_cycles = [whole | part << base for whole, part in zip(arc_cycles, arc_part)]
+            vertex_cycles = [whole | part << base for whole, part in zip(vertex_cycles, vertex_part)]
+            positives |= positive_part << base
+        self.arc_cycles, self.vertex_cycles = arc_cycles, vertex_cycles
+        self.positives = positives
+        self.negatives = ((1 << len(self.cycles)) - 1) & ~positives
+
+    def vertex_mask(self, vertices: Iterable[int]) -> int:
+        mask = 0
+        for v in vertices:
+            mask |= 1 << self.position[v]
+        return mask
+
+    def cycles_meeting(self, vertex_mask: int) -> int:
+        """The cycles through some position of ``vertex_mask``."""
+        cycles = 0
+        while vertex_mask:
+            low = vertex_mask & -vertex_mask
+            cycles |= self.vertex_cycles[low.bit_length() - 1]
+            vertex_mask ^= low
+        return cycles
+
+    def vertices_on(self, cycle_mask: int) -> int:
+        """The positions on some cycle of ``cycle_mask``."""
+        mask = 0
+        for p, through in enumerate(self.vertex_cycles):
+            if through & cycle_mask:
+                mask |= 1 << p
+        return mask
+
+    def neighbors_without(self, k: int) -> tuple[list[int], list[int]]:
+        """Out- and in-neighbour masks of G minus arc k; a parallel arc of
+        the other sign keeps its endpoints adjacent."""
+        out, into = self.out_neighbors, self.in_neighbors
+        a = self.arcs[k]
+        if Arc(a.source, a.target, -a.sign) not in self.arc_number:
+            s, t = self.position[a.source], self.heads[k]
+            out = out.copy()
+            out[s] &= ~(1 << t)
+            into = into.copy()
+            into[t] &= ~(1 << s)
+        return out, into
 
 
 # -- negative-cycle detection (polynomial) ---------------------------------

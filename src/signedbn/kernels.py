@@ -8,11 +8,15 @@ reuse the signed-graph machinery.
 
 from __future__ import annotations
 
-from .boolnet import BooleanNetwork, LocalFunction, _set_bits, _state_masks
-from .graphs import NEGATIVE, Digraph, SignedDigraph, has_negative_cycle
+from .boolnet import BooleanNetwork, LocalFunction, _state_masks
+from .graphs import NEGATIVE, Digraph, SignedDigraph, _set_bits, has_negative_cycle
 from .structure import existence_arc_rule
 
 KERNEL_SCAN_LIMIT = 24
+# Most truth-table rows ``kernel_indicators`` builds, summed over the
+# vertices: 2^outdeg(v) each.  The complete 18-vertex digraph with loops
+# needs 4,718,592 rows and takes about 1.5 s on a 2-core x86-64 VM.
+KERNEL_TABLE_ROW_LIMIT = 1 << 23
 
 
 def as_all_negative(D: Digraph) -> SignedDigraph:
@@ -83,7 +87,19 @@ def to_network(D: Digraph):
 
 
 def kernel_indicators(D: Digraph) -> set[frozenset[int]]:
-    """Kernels decoded from the fixed points of the correspondence network."""
+    """Kernels decoded from the fixed points of the correspondence network.
+
+    The network's table at v has 2^outdeg(v) rows.  Refuses at once, with
+    a ValueError, a digraph with more than KERNEL_SCAN_LIMIT (24) vertices
+    or more than KERNEL_TABLE_ROW_LIMIT (2^23) rows in all.
+    """
+    if D.n > KERNEL_SCAN_LIMIT:
+        raise ValueError(f"n={D.n} exceeds the subset scan limit {KERNEL_SCAN_LIMIT}")
+    rows = sum(1 << len(D.out_neighbors(v)) for v in range(1, D.n + 1))
+    if rows > KERNEL_TABLE_ROW_LIMIT:
+        raise ValueError(
+            f"{rows} truth-table rows exceed the limit {KERNEL_TABLE_ROW_LIMIT}"
+        )
     f = to_network(D)
     return {
         frozenset(v for v in range(1, D.n + 1) if x[v - 1])

@@ -9,8 +9,10 @@ fixed-point upper bound.
 from __future__ import annotations
 
 import itertools
+import operator
 from collections import deque
 from dataclasses import dataclass, field
+from functools import reduce
 from typing import Optional
 
 from . import codes
@@ -22,12 +24,14 @@ from .graphs import (
     Arc,
     SignedCycle,
     SignedDigraph,
+    _closure,
+    _cycle_index,
+    _CycleIndex,
+    _set_bits,
     as_arc,
-    enumerate_cycles,
     extract_negative_cycle,
     has_negative_cycle,
     is_strong,
-    reachable,
     scc,
     tree_path_arcs,
 )
@@ -66,38 +70,50 @@ def is_special_arc(
         raise ValueError("cycle is not a cycle of the graph")
     if arc not in cycle.arcs:
         raise ValueError(f"{arc!r} is not an arc of the cycle")
-    positives = [c for c in enumerate_cycles(G, cap) if c.sign == POSITIVE]
-    failed = _special_failure(G, positives, frozenset(), cycle, arc)
+    index = _cycle_index(G, cap)
+    failed = _special_failure(
+        index, 0, index.positives, index.sources,
+        index.vertex_mask(cycle.vertex_set), index.arc_number[arc],
+    )
     return SpecialArcVerdict(arc, failed is None, failed)
 
 
-def _special_failure(G, positives, gone, cycle, arc) -> Optional[str]:
-    """The special-arc condition that ``arc`` of ``cycle`` fails first in G
-    minus the arcs ``gone`` and ``arc``, or None when it fails none.
+def _special_failure(
+    index: _CycleIndex, gone: int, left: int, cleared: int, cycle_vertices: int, k: int
+) -> Optional[str]:
+    """The special-arc condition that arc k of a positive cycle on the
+    positions ``cycle_vertices`` fails first in G minus the arcs ``gone``
+    and k, or None when it fails none.
 
-    ``gone`` holds every in-arc of each vertex it enters, and ``cycle``
-    avoids it.  The cycles of the subgraph are the cycles of G that use no
-    removed arc, so (ii) filters ``positives``: the positive cycles of G,
-    or those of them that avoid ``gone``.
+    ``gone`` (an arc mask) holds every in-arc of each vertex it enters, and
+    the cycle avoids it; ``left`` are the positive cycles of G that avoid
+    ``gone``, and ``cleared`` the positions that no arc outside ``gone``
+    enters.
     """
-    removed = gone | {arc}
-    v = arc.target
-    if removed.issuperset(G.in_arcs(v)):
+    v = index.heads[k]
+    if not index.in_arcs[v] & ~gone & ~(1 << k):
         return "i"
-    on_positive = set()
-    for c in positives:
-        if removed.isdisjoint(c.arcs):
-            on_positive |= c.vertex_set
-    if v in on_positive:
+    alive = left & ~index.arc_cycles[k]
+    if index.vertex_cycles[v] & alive:
         return "ii"
-    # The search may run in G itself.  Every removed arc but ``arc`` enters
-    # a vertex with no in-arc left, which is a start itself, and ``arc``
-    # leaves a blocked vertex or is a loop; so no shortest path from a
-    # start needs a removed arc.
-    starts = on_positive.union(u for u in G.vertices if removed.issuperset(G.in_arcs(u)))
-    if reachable(G, starts, cycle.vertex_set - {v}, v):
+    # The search may run in G itself.  Every removed arc but k enters a
+    # vertex with no in-arc left, which is a start itself, and k leaves a
+    # blocked vertex or is a loop; so no shortest path from a start needs a
+    # removed arc.
+    starts = index.vertices_on(alive) | cleared
+    blocked = cycle_vertices & ~(1 << v)
+    if _closure(starts, index.out_neighbors, ~blocked) >> v & 1:
         return "iii"
     return None
+
+
+def _has_special_arc(index: _CycleIndex, gone: int, left: int, cleared: int, j: int) -> bool:
+    """Whether cycle j, one of ``left``, has a special arc in G minus the
+    arcs ``gone``; the arguments are those of ``_special_failure``."""
+    return any(
+        _special_failure(index, gone, left, cleared, index.cycle_vertices[j], k) is None
+        for k in index.cycle_arcs[j]
+    )
 
 
 def find_special_arc(
@@ -131,24 +147,46 @@ def _isolation_rule(G: SignedDigraph, cycle_sign: int, cap: int) -> RuleVerdict:
 
     Each cycle of the given sign needs an arc a = (u -> v) such that after
     deleting a the strong component of v is initial, non-trivial, and free
-    of cycles of that same sign.  The cycles of that component are the
-    cycles of G that avoid a and lie inside it.
+    of cycles of that same sign.  Whether an arc qualifies does not depend
+    on the cycle, so each arc is decided once.
     """
-    cycles = enumerate_cycles(G, cap)
+    index = _cycle_index(G, cap)
+    signed = index.positives if cycle_sign == POSITIVE else index.negatives
+    isolates: dict[int, bool] = {}
     witnesses = []
-    for cycle in (c for c in cycles if c.sign == cycle_sign):
-        for a in cycle.arcs:
-            decomposition = scc(G.delete(a))
-            i = decomposition.index_of(a.target)
-            comp = decomposition.components[i]
-            if decomposition.initial[i] and decomposition.nontrivial[i] and not any(
-                c.sign == cycle_sign and a not in c.arcs and c.vertex_set <= comp for c in cycles
-            ):
-                witnesses.append((cycle, a))
+    for j in _set_bits(signed):
+        cycle = index.cycles[j]
+        for k in index.cycle_arcs[j]:
+            if k not in isolates:
+                isolates[k] = _isolates(index, signed, k)
+            if isolates[k]:
+                witnesses.append((cycle, index.arcs[k]))
                 break
         else:
             return RuleVerdict(False, tuple(witnesses), cycle)
     return RuleVerdict(True, tuple(witnesses))
+
+
+def _isolates(index: _CycleIndex, signed: int, k: int) -> bool:
+    """Whether the strong component of the head of arc k in G minus arc k
+    is initial, non-trivial and holds none of the cycles ``signed``.
+
+    That component is the head's forward closure meet its backward
+    closure.  It is initial iff nothing outside it reaches the head, and
+    its cycles are the cycles of G that avoid arc k and every vertex
+    outside it.
+    """
+    out, into = index.neighbors_without(k)
+    v = index.heads[k]
+    head = 1 << v
+    backward = _closure(head, into)
+    component = _closure(head, out) & backward
+    if backward != component:
+        return False
+    if component == head and not out[v] & head:
+        return False
+    outside = ((1 << len(out)) - 1) & ~component
+    return not signed & ~index.arc_cycles[k] & ~index.cycles_meeting(outside)
 
 
 def uniqueness_arc_rule(G: SignedDigraph, cap: int = DEFAULT_CYCLE_CAP) -> RuleVerdict:
@@ -167,19 +205,22 @@ def existence_arc_rule(G: SignedDigraph, cap: int = DEFAULT_CYCLE_CAP) -> RuleVe
 def uniqueness_vertex_rule(G: SignedDigraph, cap: int = DEFAULT_CYCLE_CAP) -> RuleVerdict:
     """Every positive cycle owns a vertex of in-degree >= 2 lying on no other
     positive cycle, with all its in-neighbors on the cycle."""
-    positives = [c for c in enumerate_cycles(G, cap) if c.sign == POSITIVE]
+    index = _cycle_index(G, cap)
     witnesses = []
-    for cycle in positives:
-        chosen = None
-        for v in sorted(cycle.vertex_set):
-            if G.indegree(v) < 2:
-                continue
-            if not set(G.in_neighbors(v)) <= cycle.vertex_set:
-                continue
-            if any(c is not cycle and c != cycle and v in c.vertex_set for c in positives):
-                continue
-            chosen = v
-            break
+    for j in _set_bits(index.positives):
+        cycle = index.cycles[j]
+        on = index.cycle_vertices[j]
+        others = index.positives & ~(1 << j)
+        chosen = next(
+            (
+                index.vertices[p]
+                for p in _set_bits(on)
+                if index.in_arcs[p].bit_count() >= 2
+                and not index.in_neighbors[p] & ~on
+                and not index.vertex_cycles[p] & others
+            ),
+            None,
+        )
         if chosen is None:
             return RuleVerdict(False, tuple(witnesses), cycle)
         witnesses.append((cycle, chosen))
@@ -187,22 +228,6 @@ def uniqueness_vertex_rule(G: SignedDigraph, cap: int = DEFAULT_CYCLE_CAP) -> Ru
 
 
 # -- deletion parameters and girths ------------------------------------------
-
-
-def _vertex_masks(cycles, vertices) -> list[int]:
-    """Vertex sets of the given cycles as bitmasks, minimal ones only."""
-    bit = {v: i for i, v in enumerate(vertices)}
-    masks = set()
-    for c in cycles:
-        m = 0
-        for v in c.vertices:
-            m |= 1 << bit[v]
-        masks.add(m)
-    minimal = []
-    for m in sorted(masks, key=int.bit_count):
-        if not any(m & other == other for other in minimal):
-            minimal.append(m)
-    return minimal
 
 
 def tau_plus(
@@ -213,25 +238,20 @@ def tau_plus(
     """Minimum number of vertex deletions leaving no positive cycle."""
     if G.n > limit:
         raise ValueError(f"n={G.n} exceeds the search limit {limit}")
-    positives = [c for c in enumerate_cycles(G, cap) if c.sign == POSITIVE]
-    if not positives:
+    index = _cycle_index(G, cap)
+    if not index.positives:
         return 0
-    vertices = G.vertices
-    masks = _vertex_masks(positives, vertices)
     for k in range(1, G.n + 1):
-        for combo in itertools.combinations(range(len(vertices)), k):
-            hit = 0
-            for i in combo:
-                hit |= 1 << i
-            if all(m & hit for m in masks):
+        for through in itertools.combinations(index.vertex_cycles, k):
+            if not index.positives & ~reduce(operator.or_, through):
                 return k
     raise AssertionError("deleting every vertex kills every cycle")
 
 
 def g_plus(G: SignedDigraph, cap: int = DEFAULT_CYCLE_CAP):
     """Length of a shortest positive cycle; INF when none exists."""
-    lengths = [len(c) for c in enumerate_cycles(G, cap) if c.sign == POSITIVE]
-    return min(lengths) if lengths else INF
+    index = _cycle_index(G, cap)
+    return min((len(index.cycle_arcs[j]) for j in _set_bits(index.positives)), default=INF)
 
 
 def tau_tilde_plus(
@@ -244,19 +264,20 @@ def tau_tilde_plus(
 
     Never larger than tau_plus: deleting in-arcs of a hitting set leaves
     no positive cycle at all.  The positive cycles left are those of G
-    that avoid the removed arcs.
+    through no vertex of I.
     """
     if G.n > limit:
         raise ValueError(f"n={G.n} exceeds the search limit {limit}")
-    positives = [c for c in enumerate_cycles(G, cap) if c.sign == POSITIVE]
+    index = _cycle_index(G, cap)
     for k in range(0, G.n + 1):
-        for combo in itertools.combinations(G.vertices, k):
-            gone = frozenset(a for v in combo for a in G.in_arcs(v))
-            left = [c for c in positives if gone.isdisjoint(c.arcs)]
-            if all(
-                any(_special_failure(G, left, gone, c, a) is None for a in c.arcs)
-                for c in left
-            ):
+        for combo in itertools.combinations(range(G.n), k):
+            gone = cut = 0
+            for p in combo:
+                gone |= index.in_arcs[p]
+                cut |= 1 << p
+            left = index.positives & ~index.cycles_meeting(cut)
+            cleared = index.sources | cut
+            if all(_has_special_arc(index, gone, left, cleared, j) for j in _set_bits(left)):
                 return k
     raise AssertionError("removing all in-arcs leaves no cycle")
 
@@ -264,13 +285,15 @@ def tau_tilde_plus(
 def g_tilde_plus(G: SignedDigraph, cap: int = DEFAULT_CYCLE_CAP):
     """Length of a shortest positive cycle with no special arc; INF if every
     positive cycle has one."""
-    positives = [c for c in enumerate_cycles(G, cap) if c.sign == POSITIVE]
-    lengths = [
-        len(c)
-        for c in positives
-        if all(_special_failure(G, positives, frozenset(), c, a) is not None for a in c.arcs)
-    ]
-    return min(lengths) if lengths else INF
+    index = _cycle_index(G, cap)
+    shortest = INF
+    for j in _set_bits(index.positives):
+        length = len(index.cycle_arcs[j])
+        if length < shortest and not _has_special_arc(
+            index, 0, index.positives, index.sources, j
+        ):
+            shortest = length
+    return shortest
 
 
 # -- two-colorings ------------------------------------------------------------
@@ -337,11 +360,14 @@ def no_fixed_point_condition(G: SignedDigraph, cap: int = DEFAULT_CYCLE_CAP) -> 
     The cycles of that subgraph are the cycles of G inside the component,
     so ``cap`` bounds the cycles of G, as elsewhere in this module.
     """
-    cycles = enumerate_cycles(G, cap)
+    index = _cycle_index(G, cap)
     decomposition = scc(G)
     flags = zip(decomposition.components, decomposition.initial, decomposition.nontrivial)
+    everything = (1 << G.n) - 1
     return any(
-        ini and nt and not any(c.sign == POSITIVE and c.vertex_set <= comp for c in cycles)
+        ini
+        and nt
+        and not index.positives & ~index.cycles_meeting(everything & ~index.vertex_mask(comp))
         for comp, ini, nt in flags
     )
 
@@ -366,14 +392,13 @@ def unique_negative_cycle_arc(
     Requires the graph to have exactly one negative cycle.  Existence is
     guaranteed; None signals a defect and is asserted against in tests.
     """
-    cycles = enumerate_cycles(G, cap)
-    negatives = [c for c in cycles if c.sign == NEGATIVE]
-    if len(negatives) != 1:
-        raise ValueError(f"graph has {len(negatives)} negative cycles, not 1")
-    positives = [c for c in cycles if c.sign == POSITIVE]
-    for a in negatives[0].arcs:
-        if not any(a in c.arcs for c in positives):
-            return a
+    index = _cycle_index(G, cap)
+    count = index.negatives.bit_count()
+    if count != 1:
+        raise ValueError(f"graph has {count} negative cycles, not 1")
+    for k in index.cycle_arcs[index.negatives.bit_length() - 1]:
+        if not index.arc_cycles[k] & index.positives:
+            return index.arcs[k]
     return None
 
 
@@ -437,9 +462,9 @@ def analyze(
     sphere-packing and Delsarte LP bounds (21 where A(8, 3) = 20).  The
     exact code search is only the tests' oracle.
     """
-    cycles = enumerate_cycles(G, cap)
-    positives = sum(1 for c in cycles if c.sign == POSITIVE)
-    negatives = sum(1 for c in cycles if c.sign == NEGATIVE)
+    index = _cycle_index(G, cap)
+    positives = index.positives.bit_count()
+    negatives = index.negatives.bit_count()
     strong = is_strong(G)
     tt = tau_tilde_plus(G, limit, cap)
     gt = g_tilde_plus(G, cap)

@@ -4,8 +4,8 @@ The oracles here deliberately avoid the library's algorithms: cycles are
 found by trying every vertex permutation, colorings by trying every state,
 the Delsarte LP optimum by trying every vertex of its polytope, fixed
 points, kernels and attractors by visiting states one at a time, and
-special arcs, tau~+, g~+ and the arc rules by building each subgraph and
-searching its cycles anew.
+special arcs, tau+, tau~+, g~+ and the arc and vertex rules by building
+each subgraph and searching its cycles anew.
 """
 
 import itertools
@@ -212,8 +212,8 @@ def brute_attractors(f):
 # -- subgraph-rebuilding structure oracles ------------------------------------
 #
 # Each subgraph below is built as a graph of its own and its cycles are
-# found again by ``brute_cycles``; the library instead filters the cycles
-# of the whole graph.
+# found again by ``brute_cycles``; the library instead answers from the
+# cycle-arc incidence bitmasks of the whole graph.
 
 
 @lru_cache(maxsize=4096)
@@ -317,3 +317,47 @@ def rebuilt_no_fixed_point_condition(G):
             decomposition.components, decomposition.initial, decomposition.nontrivial
         )
     )
+
+
+def rebuilt_tau_plus(G):
+    """tau+ with every ``induced`` subgraph left by a deletion searched anew."""
+    for k in range(G.n + 1):
+        for I in itertools.combinations(G.vertices, k):
+            H = G.induced(G.vertex_set - set(I))
+            if not _rebuilt_positive_cycles(H):
+                return k
+    raise AssertionError("deleting every vertex kills every cycle")
+
+
+def rebuilt_vertex_rule(G, cycles):
+    """(holds, witnesses, failed cycle) of the vertex rule, quantified over
+    the positive cycles of ``cycles`` in their order; the other positive
+    cycles come from ``brute_cycles``."""
+    positives = _rebuilt_positive_cycles(G)
+    witnesses = []
+    for cycle in cycles:
+        if cycle.sign != 1:
+            continue
+        on = set(cycle.vertices)
+        chosen = next(
+            (
+                v
+                for v in sorted(on)
+                if len(G.in_arcs(v)) >= 2
+                and {a.source for a in G.in_arcs(v)} <= on
+                and not any(c != cycle and v in c.vertices for c in positives)
+            ),
+            None,
+        )
+        if chosen is None:
+            return False, tuple(witnesses), cycle
+        witnesses.append((cycle, chosen))
+    return True, tuple(witnesses), None
+
+
+def rebuilt_unique_negative_cycle_arc(G):
+    """The first arc of G's one negative cycle on no positive cycle, or None."""
+    cycles = _brute_signed_cycles(G)
+    (negative,) = [c for c in cycles if c.sign == -1]
+    on_positive = {a for c in cycles if c.sign == 1 for a in c.arcs}
+    return next((a for a in negative.arcs if a not in on_positive), None)

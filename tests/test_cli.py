@@ -10,6 +10,7 @@ from signedbn.falsify import DIGRAPH, GRAPH, REGISTRY
 from signedbn.formats import format_boolean_network, format_signed_digraph, format_digraph
 from signedbn.boolnet import BooleanNetwork, LocalFunction
 from signedbn.generators import figure1
+from signedbn.graphs import SignedDigraph
 from signedbn.kernels import Digraph
 
 
@@ -77,6 +78,15 @@ class TestAnalyze:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: more than 1 cycles\n"
+
+    def test_cycle_cap_ten_exits_2_with_one_line(self, tmp_path, capsys):
+        path = tmp_path / "k4.sd"
+        arcs = [(u, v, 1) for u in range(1, 5) for v in range(1, 5) if u != v]
+        path.write_text(format_signed_digraph(SignedDigraph(4, arcs)))  # 20 cycles
+        assert main(["analyze", "--cycle-cap", "10", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: more than 10 cycles\n"
 
 
 class TestNetworkCommands:

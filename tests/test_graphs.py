@@ -24,6 +24,7 @@ from signedbn.graphs import (
     reachable,
     scc,
 )
+from signedbn.graphs import _cycle_index
 
 
 def graphs_strategy(max_n=5, simple=False):
@@ -252,6 +253,14 @@ class TestCycleEnumeration:
             got = {tuple(c.arcs) for c in enumerate_cycles(G)}
             assert got == brute_cycles(G)
 
+    def test_found_cycles_equal_checked_construction(self):
+        for G in all_simple_signed_digraphs(3):
+            for c in enumerate_cycles(G):
+                checked = SignedCycle(c.arcs)
+                assert (checked.arcs, checked.sign, checked.vertex_set) == (
+                    c.arcs, c.sign, c.vertex_set
+                )
+
     @given(graphs_strategy(max_n=4))
     @settings(max_examples=40, deadline=None)
     def test_matches_brute_force_random(self, G):
@@ -264,6 +273,42 @@ class TestCycleEnumeration:
         for c in enumerate_cycles(G):
             negatives = sum(1 for a in c.arcs if a.sign == NEGATIVE)
             assert c.sign == (POSITIVE if negatives % 2 == 0 else NEGATIVE)
+
+
+class TestCycleIndex:
+    """The incidence masks, against the cycle list they index."""
+
+    @staticmethod
+    def members(mask):
+        return {j for j, bit in enumerate(reversed(bin(mask)[2:])) if bit == "1"}
+
+    def assert_masks_match(self, G):
+        index = _cycle_index(G)
+        cycles = enumerate_cycles(G)
+        vertices, arcs = G.vertices, G.arcs
+        for k, a in enumerate(arcs):
+            expected = {j for j, c in enumerate(cycles) if a in c.arcs}
+            assert self.members(index.arc_cycles[k]) == expected
+        for p, v in enumerate(vertices):
+            expected = {j for j, c in enumerate(cycles) if v in c.vertex_set}
+            assert self.members(index.vertex_cycles[p]) == expected
+        for j, c in enumerate(cycles):
+            assert tuple(arcs[k] for k in index.cycle_arcs[j]) == c.arcs
+            assert {vertices[p] for p in self.members(index.cycle_vertices[j])} == c.vertex_set
+        positives = {j for j, c in enumerate(cycles) if c.sign == POSITIVE}
+        assert self.members(index.positives) == positives
+        assert self.members(index.negatives) == set(range(len(cycles))) - positives
+
+    def test_small_graphs(self):
+        for seed in range(40):
+            self.assert_masks_match(random_signed_digraph(1 + seed % 6, seed=seed))
+        self.assert_masks_match(SignedDigraph(0))
+        self.assert_masks_match(SignedDigraph([2, 5, 9], [(5, 9, 1), (9, 5, -1), (9, 5, 1), (2, 2, -1)]))
+
+    def test_masks_span_several_build_chunks(self):
+        arcs = [(u, v, 1 if (u * v) % 3 else -1) for u in range(1, 9) for v in range(1, 9) if u != v]
+        G = SignedDigraph(8, arcs)  # 16,064 cycles
+        self.assert_masks_match(G)
 
 
 class TestNegativeCycleDetection:

@@ -1,6 +1,7 @@
 """Kernels, the parity conditions and the fixed-point correspondence."""
 
 import random
+import time
 
 import pytest
 
@@ -20,6 +21,11 @@ from signedbn.kernels import (
 
 def d(n, *arcs):
     return Digraph(n, arcs)
+
+
+def complete(n):
+    """Every arc on 1..n, loops included."""
+    return Digraph(n, [(u, v) for u in range(1, n + 1) for v in range(1, n + 1)])
 
 
 class TestDigraph:
@@ -124,6 +130,17 @@ class TestNetworkCorrespondence:
                 assert kernels(D)
             if generalized_condition(D):
                 assert kernels(D)
+
+    def test_refusals_come_before_any_table(self):
+        for D, reason in ((complete(25), "scan limit"), (complete(24), "truth-table rows")):
+            start = time.perf_counter()
+            with pytest.raises(ValueError, match=reason):
+                kernel_indicators(D)
+            assert time.perf_counter() - start < 1
+
+    def test_row_limit_admits_complete_18_vertex_digraph(self):
+        D = complete(18)
+        assert kernel_indicators(D) == set(kernels(D)) == set()
 
     def test_random_larger_digraphs(self):
         for seed in range(300):

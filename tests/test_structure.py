@@ -15,7 +15,10 @@ from conftest import (
     rebuilt_isolation_rule,
     rebuilt_no_fixed_point_condition,
     rebuilt_special_failure,
+    rebuilt_tau_plus,
     rebuilt_tau_tilde_plus,
+    rebuilt_unique_negative_cycle_arc,
+    rebuilt_vertex_rule,
 )
 from signedbn.generators import double_cycle, figure1, random_signed_digraph
 from signedbn.graphs import (
@@ -23,7 +26,9 @@ from signedbn.graphs import (
     NEGATIVE,
     POSITIVE,
     Arc,
+    CycleCapExceeded,
     SignedCycle,
+    SignedDigraph,
     enumerate_cycles,
     has_negative_cycle,
     is_strong,
@@ -202,7 +207,7 @@ class TestParameters:
 
 
 def assert_matches_rebuilt_subgraphs(G):
-    """Every subgraph question answered by filtering G's cycles agrees with
+    """Every subgraph question answered from G's cycle index agrees with
     the oracle that builds the subgraph and searches it anew."""
     cycles = enumerate_cycles(G)
     for c in cycles:
@@ -211,8 +216,14 @@ def assert_matches_rebuilt_subgraphs(G):
         for a in c.arcs:
             assert is_special_arc(G, c, a).failed_condition == rebuilt_special_failure(G, c, a)
         assert find_special_arc(G, c) == rebuilt_find_special_arc(G, c)
+    assert tau_plus(G) == rebuilt_tau_plus(G)
     assert tau_tilde_plus(G) == rebuilt_tau_tilde_plus(G)
     assert g_tilde_plus(G) == rebuilt_g_tilde_plus(G)
+    verdict = uniqueness_vertex_rule(G)
+    expected = rebuilt_vertex_rule(G, cycles)
+    assert (verdict.holds, verdict.witnesses, verdict.failed_cycle) == expected
+    if sum(1 for c in cycles if c.sign == NEGATIVE) == 1:
+        assert unique_negative_cycle_arc(G) == rebuilt_unique_negative_cycle_arc(G)
     for rule, sign in ((uniqueness_arc_rule, POSITIVE), (existence_arc_rule, NEGATIVE)):
         verdict = rule(G)
         expected = rebuilt_isolation_rule(G, cycles, sign)
@@ -242,6 +253,60 @@ class TestFilteredSubgraphCycles:
         start = time.perf_counter()
         assert tau_tilde_plus(G) == 7
         assert time.perf_counter() - start < 0.5
+
+
+def complete_positive(n):
+    return SignedDigraph(n, [(u, v, "+") for u in range(1, n + 1) for v in range(1, n + 1) if u != v])
+
+
+class TestCycleIndexCost:
+    """The complete positive digraph on 7 vertices has 2,365 cycles; a
+    special-arc check once rescanned all of them."""
+
+    def test_g_tilde_plus(self):
+        G = complete_positive(7)
+        start = time.perf_counter()
+        assert g_tilde_plus(G) == 2
+        assert time.perf_counter() - start < 0.5
+
+    def test_find_special_arc_on_200_cycles(self):
+        G = complete_positive(7)
+        positives = [c for c in enumerate_cycles(G) if c.sign == POSITIVE][:200]
+        start = time.perf_counter()
+        found = [find_special_arc(G, c) for c in positives]
+        assert time.perf_counter() - start < 0.5
+        assert found == [None] * 200
+
+    def test_analyze(self):
+        G = complete_positive(7)
+        start = time.perf_counter()
+        report = analyze(G)
+        assert time.perf_counter() - start < 2
+        assert (report.tau_plus, report.tau_tilde_plus) == (6, 6)
+        assert (report.g_plus, report.g_tilde_plus) == (2, 2)
+        assert report.fixed_point_upper_bound == 64
+
+
+class TestCycleIndexCache:
+    def test_cap_checked_after_cached_analysis(self):
+        G = complete_positive(4)  # 20 cycles
+        analyze(G)
+        with pytest.raises(CycleCapExceeded):
+            analyze(G, cap=10)
+        with pytest.raises(CycleCapExceeded):
+            g_tilde_plus(G, cap=10)
+        assert g_tilde_plus(G, cap=20) == 2
+
+    def test_equal_graphs_answer_alike(self):
+        for seed in range(20):
+            first = random_signed_digraph(6, seed=seed)
+            analyze(first)
+            second = random_signed_digraph(6, seed=seed)
+            assert first == second and first is not second
+            assert analyze(second) == analyze(first)
+            for c in enumerate_cycles(first):
+                if c.sign == POSITIVE:
+                    assert find_special_arc(second, c) == find_special_arc(first, c)
 
 
 class TestTwoColoring:
