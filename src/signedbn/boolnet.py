@@ -14,8 +14,6 @@ import itertools
 import math
 import operator
 import random
-import sys
-from array import array
 from functools import lru_cache, reduce
 from typing import Iterator, Mapping, Sequence
 
@@ -26,7 +24,6 @@ from .graphs import (
     SignedDigraph,
     _set_bits,
     as_arc,
-    tarjan_components,
 )
 
 MAX_FIXED_POINT_SCAN = 24
@@ -216,7 +213,7 @@ class BooleanNetwork:
             fixed &= ~_disagreement_mask(lf.inputs, lf.table, v, masks)
             if not fixed:
                 break
-        return [int_to_state(s, self.n) for s in _set_bits(fixed)]
+        return _states_in(fixed, self.n)
 
     def is_canalized(self, arc) -> bool:
         """Whether the given interaction-graph arc is canalized.
@@ -248,40 +245,64 @@ class BooleanNetwork:
 
         Singletons are exactly the fixed points; larger components are the
         cyclic attractors.  Ordered by their smallest state.
+
+        The search runs on 2^n-bit state sets (Xie and Beerel, IEEE TCAD
+        19, 2000).  Take the lowest undecided state s, its forward closure
+        F, and the set B of undecided states that reach s through undecided
+        states.  F is an attractor iff F lies inside B.  Either way no state
+        of B lies in an attractor not yet found, so B is decided.  If F is
+        not inside B, then F minus B is closed and holds an attractor, so
+        the next pivot is taken there.  A predecessor of a decided state is
+        decided too, so the undecided states are closed under moves and F
+        lies among them.
         """
         if self.n > MAX_ATTRACTOR_SCAN:
             raise ValueError(f"n={self.n} exceeds the attractor scan limit")
         n = self.n
         masks = _state_masks(n)
-        flips = _flip_table(
-            n,
-            [
-                _disagreement_mask(lf.inputs, lf.table, v, masks)
-                for v, lf in enumerate(self.locals, start=1)
-            ],
-        )
+        # Per moving vertex v: the states where x_v falls from 1 to 0, the
+        # states where it rises, and the distance 2^(n-v) between the two
+        # ends of a move.
+        moves = []
+        for v, lf in enumerate(self.locals, start=1):
+            moving = _disagreement_mask(lf.inputs, lf.table, v, masks)
+            if moving:
+                moves.append((moving & masks[v], moving & ~masks[v], 1 << (n - v)))
 
-        def succ(s: int) -> list[int]:
-            # moves in vertex order, as the state tuple lists them
-            out = []
-            m = flips[s]
-            while m:
-                top = 1 << (m.bit_length() - 1)
-                out.append(s ^ top)
-                m ^= top
-            return out
+        # A closure sweep applies the vertices' moves in turn to the growing
+        # set, so one sweep can follow a path through many vertices.
+        def forward(states: int) -> int:
+            while True:
+                before = states
+                for falls, rises, shift in moves:
+                    states |= (states & falls) >> shift | (states & rises) << shift
+                if states == before:
+                    return states
 
-        attractors = []
-        for comp in tarjan_components(range(1 << n), succ):
-            if len(comp) == 1:
-                terminal = not flips[comp[0]]
+        def backward(states: int, allowed: int) -> int:
+            while True:
+                before = states
+                for falls, rises, shift in moves:
+                    states |= ((states << shift) & falls | (states >> shift) & rises) & allowed
+                if states == before:
+                    return states
+
+        found = []
+        left = masks[0]
+        region = 0
+        while left:
+            pool = region or left
+            pivot = pool & -pool
+            reach = forward(pivot)
+            basin = backward(pivot, left)
+            if reach & ~basin:
+                region = reach & ~basin
             else:
-                members = set(comp)
-                terminal = all(t in members for s in comp for t in succ(s))
-            if terminal:
-                attractors.append(frozenset(int_to_state(s, n) for s in comp))
-        attractors.sort(key=lambda states: min(state_to_int(x) for x in states))
-        return attractors
+                found.append(reach)
+                region = 0
+            left &= ~basin
+        found.sort(key=lambda states: states & -states)
+        return [frozenset(_states_in(states, n)) for states in found]
 
 
 # -- state conversions -------------------------------------------------------
@@ -301,6 +322,23 @@ def int_to_state(s: int, n: int) -> tuple[int, ...]:
 
 def all_states(n: int) -> Iterator[tuple[int, ...]]:
     return itertools.product((0, 1), repeat=n)
+
+
+@lru_cache(maxsize=None)
+def _half_states(n: int) -> tuple[int, tuple, tuple]:
+    low = n // 2
+    return low, tuple(all_states(n - low)), tuple(all_states(low))
+
+
+def _states_in(states: int, n: int) -> list[tuple[int, ...]]:
+    """The members of a set of states as tuples, in increasing binary order.
+
+    Each tuple joins the tuples of its high and low halves, listed once
+    per n.
+    """
+    low, high_halves, low_halves = _half_states(n)
+    low_bits = (1 << low) - 1
+    return [high_halves[s >> low] + low_halves[s & low_bits] for s in _set_bits(states)]
 
 
 # -- word-parallel state scans -----------------------------------------------
@@ -358,34 +396,6 @@ def _value_mask(inputs: Sequence[int], table: Sequence[int], masks) -> int:
 def _disagreement_mask(inputs, table, v: int, masks) -> int:
     """The set of states where f_v(x) != x_v."""
     return _value_mask(inputs, table, masks) ^ masks[v]
-
-
-# Byte translations sending the characters "0"/"1" to 0 / 2^i.
-_TO_LANE_BIT = [bytes.maketrans(b"01", bytes((0, 1 << i))) for i in range(8)]
-
-
-def _flip_table(n: int, disagreements: Sequence[int]) -> array:
-    """Per state s, the XOR mask of its asynchronous moves.
-
-    Vertex v moves in state s iff bit s of ``disagreements[v-1]`` is set;
-    its move flips state bit n-v.  Each set is spread to one byte per
-    state by string and bytes operations, and eight state bits share one
-    byte lane of the array entries.
-    """
-    size = 1 << n
-    table = array("I")
-    width = table.itemsize
-    lanes = bytearray(width * size)
-    for lane in range(0, n, 8):
-        acc = 0
-        for bit in range(lane, min(lane + 8, n)):
-            spread = format(disagreements[n - 1 - bit], f"0{size}b").encode()
-            acc |= int.from_bytes(spread.translate(_TO_LANE_BIT[bit - lane]), "big")
-        lanes[lane // 8 :: width] = acc.to_bytes(size, "little")
-    table.frombytes(lanes)
-    if sys.byteorder == "big":
-        table.byteswap()
-    return table
 
 
 # -- the partial order behind monotonicity ----------------------------------

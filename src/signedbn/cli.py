@@ -2,9 +2,9 @@
 
 Exit codes: 0 when the run succeeds and any checked condition holds, 1
 when a condition fails or a counterexample is found, 2 on usage or parse
-errors and when a cycle enumeration exceeds its cap.  ``--format
-structured`` emits stable versioned JSON; the human output may change
-freely between versions.
+errors, on an input file that cannot be read, and when a cycle
+enumeration exceeds its cap.  ``--format structured`` emits stable
+versioned JSON; the human output may change freely between versions.
 """
 
 from __future__ import annotations
@@ -40,9 +40,9 @@ def _bits(state) -> str:
 def _load(parser, loader, path):
     try:
         return loader(path)
-    except FileNotFoundError:
-        parser.exit(EXIT_USAGE, f"error: no such file: {path}\n")
-    except formats.FormatError as exc:
+    except OSError as exc:
+        parser.exit(EXIT_USAGE, f"error: {path}: {exc.strerror or exc}\n")
+    except (UnicodeDecodeError, formats.FormatError) as exc:
         parser.exit(EXIT_USAGE, f"error: {path}: {exc}\n")
 
 

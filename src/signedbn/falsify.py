@@ -19,7 +19,13 @@ from functools import lru_cache
 from typing import Callable, Optional
 
 from . import formats, structure
-from .boolnet import BooleanNetwork, enumerate_consistent, is_realizable, sample_consistent
+from .boolnet import (
+    MAX_FIXED_POINT_SCAN,
+    BooleanNetwork,
+    enumerate_consistent,
+    is_realizable,
+    sample_consistent,
+)
 from .codes import fixed_point_bound
 from .generators import (
     iter_simple_signed_digraphs,
@@ -37,7 +43,13 @@ from .graphs import (
     is_strong,
     iter_cycles,
 )
-from .kernels import generalized_condition, kernel_indicators, kernels, richardson_condition
+from .kernels import (
+    KERNEL_SCAN_LIMIT,
+    generalized_condition,
+    kernel_indicators,
+    kernels,
+    richardson_condition,
+)
 from .structure import (
     RuleVerdict,
     existence_arc_rule,
@@ -48,6 +60,10 @@ from .structure import (
 
 FALSIFY_CYCLE_CAP = 10_000
 SEARCH_TAU_LIMIT = 12
+# The largest exhaustive sweep: every simple signed digraph on up to three
+# vertices with every consistent network, 1,125,064 networks.  Four
+# vertices alone give 3^16 graphs.
+MAX_EXHAUSTIVE_N = 3
 
 # Instance kinds: a signed digraph with a consistent network, a signed
 # digraph alone, an unsigned digraph.
@@ -184,6 +200,10 @@ def _draw_graph(rng: random.Random, max_n: int, max_indegree: int):
 def _draw_digraph(rng: random.Random, max_n: int, max_indegree: int):
     return (random_digraph(rng.randint(1, max_n), rng=rng),)
 
+
+# Per kind: the largest max_n whose instances the check can scan, where
+# it scans 2^n states.
+_MAX_N = {PAIR: MAX_FIXED_POINT_SCAN, DIGRAPH: KERNEL_SCAN_LIMIT}
 
 # Per kind: how a trial draws an instance, and the artifact name and
 # serializer of each part, in the order ``check`` takes the parts.
@@ -403,18 +423,28 @@ def run_falsification(
 ) -> FalsifyReport:
     """Drive one property for a number of independently seeded trials.
 
-    With ``exhaustive_n`` (supported for PAIR properties) the harness
-    sweeps every simple signed digraph up to that size and every
-    consistent network instead of sampling.
+    With ``exhaustive_n`` (supported for PAIR properties, up to
+    MAX_EXHAUSTIVE_N) the harness sweeps every simple signed digraph up to
+    that size and every consistent network instead of sampling.  Random
+    PAIR trials take ``max_n`` up to MAX_FIXED_POINT_SCAN and DIGRAPH
+    trials up to KERNEL_SCAN_LIMIT.  Every parameter is checked before
+    any trial runs.
     """
     if max_n < 1:
         raise ValueError(f"max_n must be at least 1, got {max_n}")
+    limit = _MAX_N.get(prop.kind)
+    if limit is not None and max_n > limit:
+        raise ValueError(f"max_n={max_n} exceeds the scan limit {limit} of theorem {prop.id!r}")
     if max_indegree < 0:
         raise ValueError(f"max_indegree must be at least 0, got {max_indegree}")
     if trials < 0:
         raise ValueError(f"trials must be at least 0, got {trials}")
     if exhaustive_n is not None and exhaustive_n < 1:
         raise ValueError(f"exhaustive_n must be at least 1, got {exhaustive_n}")
+    if exhaustive_n is not None and exhaustive_n > MAX_EXHAUSTIVE_N:
+        raise ValueError(
+            f"exhaustive_n={exhaustive_n} exceeds the exhaustive limit {MAX_EXHAUSTIVE_N}"
+        )
     if exhaustive_n is None:
         results = (
             prop.trial(random.Random(f"{seed}:{i}"), max_n, max_indegree) for i in range(trials)

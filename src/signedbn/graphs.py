@@ -771,7 +771,11 @@ def has_negative_cycle(G: SignedDigraph) -> bool:
     the component admits no assignment x with all arcs consistent (the
     sign-parity labelling from any spanning tree already decides this).
     """
-    decomposition = scc(G)
+    return _has_negative_component(G, scc(G))
+
+
+def _has_negative_component(G: SignedDigraph, decomposition: ComponentDecomposition) -> bool:
+    """``has_negative_cycle`` on G's strong components ``decomposition``."""
     for comp in decomposition.components:
         parity, _ = _component_parity(G, comp)
         if _component_bad_arc(G, comp, parity) is not None:

@@ -22,16 +22,16 @@ from .graphs import (
     NEGATIVE,
     POSITIVE,
     Arc,
+    ComponentDecomposition,
     SignedCycle,
     SignedDigraph,
     _closure,
     _cycle_index,
     _CycleIndex,
+    _has_negative_component,
     _set_bits,
     as_arc,
     extract_negative_cycle,
-    has_negative_cycle,
-    is_strong,
     scc,
     tree_path_arcs,
 )
@@ -360,10 +360,13 @@ def no_fixed_point_condition(G: SignedDigraph, cap: int = DEFAULT_CYCLE_CAP) -> 
     The cycles of that subgraph are the cycles of G inside the component,
     so ``cap`` bounds the cycles of G, as elsewhere in this module.
     """
-    index = _cycle_index(G, cap)
-    decomposition = scc(G)
+    return _no_fixed_point(_cycle_index(G, cap), scc(G))
+
+
+def _no_fixed_point(index: _CycleIndex, decomposition: ComponentDecomposition) -> bool:
+    """``no_fixed_point_condition`` from G's cycle index and strong components."""
     flags = zip(decomposition.components, decomposition.initial, decomposition.nontrivial)
-    everything = (1 << G.n) - 1
+    everything = (1 << len(index.vertices)) - 1
     return any(
         ini
         and nt
@@ -375,13 +378,12 @@ def no_fixed_point_condition(G: SignedDigraph, cap: int = DEFAULT_CYCLE_CAP) -> 
 def two_fixed_points_condition(G: SignedDigraph) -> bool:
     """No negative cycle plus a non-trivial initial component; every
     consistent network then has at least two fixed points."""
-    if has_negative_cycle(G):
-        return False
     decomposition = scc(G)
-    return any(
-        ini and nt
-        for ini, nt in zip(decomposition.initial, decomposition.nontrivial)
-    )
+    return not _has_negative_component(G, decomposition) and _initial_nontrivial(decomposition)
+
+
+def _initial_nontrivial(decomposition: ComponentDecomposition) -> bool:
+    return any(ini and nt for ini, nt in zip(decomposition.initial, decomposition.nontrivial))
 
 
 def unique_negative_cycle_arc(
@@ -463,9 +465,10 @@ def analyze(
     exact code search is only the tests' oracle.
     """
     index = _cycle_index(G, cap)
+    decomposition = scc(G)
     positives = index.positives.bit_count()
     negatives = index.negatives.bit_count()
-    strong = is_strong(G)
+    strong = len(decomposition) <= 1
     tt = tau_tilde_plus(G, limit, cap)
     gt = g_tilde_plus(G, cap)
     return AnalysisReport(
@@ -477,8 +480,8 @@ def analyze(
         thm3=uniqueness_arc_rule(G, cap),
         thm4=uniqueness_vertex_rule(G, cap),
         thm5=existence_arc_rule(G, cap),
-        no_fixed_point=no_fixed_point_condition(G, cap),
-        two_fixed_points=two_fixed_points_condition(G),
+        no_fixed_point=_no_fixed_point(index, decomposition),
+        two_fixed_points=not negatives and _initial_nontrivial(decomposition),
         fixed_point_upper_bound=codes.fixed_point_bound(G.n, tt, gt),
         strong_unique_positive_cycle=strong and positives == 1 and negatives >= 1,
         strong_unique_negative_cycle=strong and negatives == 1 and positives >= 1,

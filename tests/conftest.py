@@ -193,12 +193,15 @@ def brute_attractors(f):
                 out.append(x[:v] + (value,) + x[v + 1:])
         return out
 
+    # Each state's successors are listed once; the searches below revisit
+    # them many times.
+    succ = {x: successors(x) for x in itertools.product((0, 1), repeat=f.n)}
     reach = {}
-    for x in itertools.product((0, 1), repeat=f.n):
+    for x in succ:
         seen = {x}
         frontier = [x]
         while frontier:
-            for y in successors(frontier.pop()):
+            for y in succ[frontier.pop()]:
                 if y not in seen:
                     seen.add(y)
                     frontier.append(y)

@@ -174,6 +174,41 @@ class TestScansAgainstOracles:
                 f = random_network(rng, n)
                 assert f.attractors() == brute_attractors(f)
 
+    def test_attractors_every_n_up_to_ten(self):
+        rng = random.Random(14)
+        for n in range(0, 11):
+            for _ in range(6 if n < 8 else 3):
+                f = random_network(rng, n)
+                assert f.attractors() == brute_attractors(f)
+
+    def test_attractors_large_cyclic(self):
+        rng = random.Random(23)
+        cases = [
+            # negation rings: one cyclic attractor of 2n states at odd n
+            BooleanNetwork([LocalFunction(((v - 2) % n + 1,), (1, 0)) for v in range(1, n + 1)])
+            for n in (3, 5, 7, 9)
+        ] + [
+            # every vertex negates itself: the whole space is one attractor
+            BooleanNetwork([LocalFunction((v,), (1, 0)) for v in range(1, n + 1)])
+            for n in (4, 8)
+        ]
+        for n in (5, 6, 7, 8, 9):
+            # XOR-heavy tables: parities of two or three inputs, some negated
+            locals_ = []
+            for _ in range(n):
+                inputs = rng.sample(range(1, n + 1), rng.choice((2, 3)))
+                flip = rng.randrange(2)
+                table = [(bin(j).count("1") + flip) % 2 for j in range(1 << len(inputs))]
+                locals_.append(LocalFunction(inputs, table))
+            cases.append(BooleanNetwork(locals_))
+        sizes = []
+        for f in cases:
+            found = f.attractors()
+            assert found == brute_attractors(f)
+            sizes.append(max(len(states) for states in found))
+        assert sizes[:6] == [6, 10, 14, 18, 16, 256]
+        assert sizes[6:] == [32, 48, 1, 248, 508]
+
     def test_max_fixed_points_every_graph_up_to_two_vertices(self):
         for n in (0, 1, 2):
             for G in all_signed_digraphs(n):
@@ -221,6 +256,23 @@ class TestScanEdgesAndCost:
         points = f.fixed_points()
         assert time.perf_counter() - start < 2.0
         assert all(f.evaluate(x) == x for x in points)
+
+    def test_attractors_at_18_vertices_is_fast(self):
+        rng = random.Random(18)
+        f = BooleanNetwork([
+            LocalFunction(rng.sample(range(1, 19), 4), [rng.randrange(2) for _ in range(16)])
+            for _ in range(18)
+        ])
+        start = time.perf_counter()
+        found = f.attractors()
+        assert time.perf_counter() - start < 2.0
+        assert found
+        for states in found:
+            for x in states:
+                y = f.evaluate(x)
+                for v in range(18):
+                    if y[v] != x[v]:
+                        assert x[:v] + (y[v],) + x[v + 1:] in states
 
     def test_scan_limits(self):
         with pytest.raises(ValueError):

@@ -70,6 +70,27 @@ class TestAnalyze:
             main(["analyze", "/nonexistent.sd"])
         assert err.value.code == 2
 
+    @pytest.mark.parametrize("command", ["analyze", "attractors"])
+    def test_directory_exits_2_with_one_line(self, tmp_path, capsys, command):
+        with pytest.raises(SystemExit) as err:
+            main([command, str(tmp_path)])
+        assert err.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {tmp_path}: Is a directory\n"
+
+    @pytest.mark.parametrize("command", ["analyze", "attractors"])
+    def test_non_utf8_file_exits_2_with_one_line(self, tmp_path, capsys, command):
+        path = tmp_path / "latin1.txt"
+        path.write_bytes(b"sdigraph 2\n1 2 +\n# caf\xe9\n")
+        with pytest.raises(SystemExit) as err:
+            main([command, str(path)])
+        assert err.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {path}: 'utf-8' codec can't decode")
+        assert captured.err.count("\n") == 1
+
     @pytest.mark.parametrize(
         "command", [["analyze"], ["bounds"], ["check", "--theorem", "thm3"]]
     )
@@ -279,6 +300,23 @@ class TestFalsifyCommand:
         assert capsys.readouterr().out == first
         payload = json.loads(first)
         assert payload["trials"] == 40
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--theorem", "thm3", "--exhaustive-n", "9"],
+             "error: exhaustive_n=9 exceeds the exhaustive limit 3\n"),
+            (["--theorem", "thm1", "--max-n", "40"],
+             "error: max_n=40 exceeds the scan limit 24 of theorem 'thm1'\n"),
+        ],
+    )
+    def test_hopeless_sweep_exits_2_at_once(self, capsys, flags, message):
+        start = time.perf_counter()
+        assert main(["falsify"] + flags) == 2
+        assert time.perf_counter() - start < 1.0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == message
 
     @pytest.mark.parametrize(
         "flag, value, name",

@@ -1,8 +1,13 @@
 """The falsification harness: registry, determinism, sensitivity."""
 
+import time
+
 import pytest
 
+from signedbn.boolnet import MAX_FIXED_POINT_SCAN
 from signedbn.falsify import (
+    DIGRAPH,
+    MAX_EXHAUSTIVE_N,
     PAIR,
     REGISTRY,
     falsify,
@@ -57,6 +62,31 @@ class TestProvenStatements:
     def test_exhaustive_mode_only_for_instance_checks(self):
         with pytest.raises(ValueError, match="exhaustive"):
             falsify("harary", trials=0, exhaustive_n=2)
+
+
+class TestHopelessSweepsRefused:
+    @pytest.mark.parametrize("theorem", ["thm3", "thm1", "cor8"])
+    def test_exhaustive_past_the_limit(self, theorem):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=f"exhaustive limit {MAX_EXHAUSTIVE_N}"):
+            falsify(theorem, trials=0, exhaustive_n=MAX_EXHAUSTIVE_N + 1)
+        assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize(
+        "theorem", sorted(t for t, p in REGISTRY.items() if p.kind in (PAIR, DIGRAPH))
+    )
+    def test_max_n_past_the_scan_limit(self, theorem):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="exceeds the scan limit 24"):
+            falsify(theorem, trials=1000, seed=0, max_n=40)
+        assert time.perf_counter() - start < 1.0
+
+    def test_max_n_at_the_scan_limit_runs(self):
+        report = falsify("thm2", trials=3, seed=0, max_n=MAX_FIXED_POINT_SCAN)
+        assert report.trials == 3 and not report.falsified
+
+    def test_graph_properties_take_any_max_n(self):
+        assert falsify("lemma9", trials=3, seed=0, max_n=40).trials == 3
 
 
 class TestDeterminism:

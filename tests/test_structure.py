@@ -374,6 +374,52 @@ class TestFixedPointConditions:
         assert not two_fixed_points_condition(g(2, (1, 2, "+")))
 
 
+class TestAnalyzeDecomposesOnce:
+    """``analyze`` reads its strong-component flags off one decomposition."""
+
+    def assert_flags_match(self, G):
+        report = analyze(G)
+        assert report.no_fixed_point == no_fixed_point_condition(G)
+        assert report.two_fixed_points == two_fixed_points_condition(G)
+        positives = sum(c.sign == POSITIVE for c in enumerate_cycles(G))
+        negatives = len(enumerate_cycles(G)) - positives
+        strong = is_strong(G)
+        assert report.strong_unique_positive_cycle == (
+            strong and positives == 1 and negatives >= 1
+        )
+        assert report.strong_unique_negative_cycle == (
+            strong and negatives == 1 and positives >= 1
+        )
+
+    def test_every_simple_graph_up_to_three_vertices(self):
+        for n in (1, 2, 3):
+            for G in all_simple_signed_digraphs(n):
+                self.assert_flags_match(G)
+
+    def test_random_graphs(self):
+        for n in range(4, 9):
+            for seed in range(15):
+                self.assert_flags_match(random_signed_digraph(n, seed=seed))
+
+    def test_one_scc_call_per_graph(self, monkeypatch):
+        import signedbn.graphs as graphs
+        import signedbn.structure as structure
+
+        calls = []
+        original = graphs.scc
+
+        def counting(G):
+            calls.append(G)
+            return original(G)
+
+        for module in (graphs, structure):
+            monkeypatch.setattr(module, "scc", counting)
+        inputs = [figure1(7), random_signed_digraph(8, seed=3), g(2, (1, 2, "+"), (2, 1, "+"))]
+        for G in inputs:
+            analyze(G)
+        assert calls == inputs
+
+
 class TestUniqueNegativeCycleArc:
     def test_lone_negative_loop(self):
         arc = unique_negative_cycle_arc(g(1, (1, 1, "-")))
