@@ -130,8 +130,11 @@ def _cmd_generate(parser, args) -> int:
         parser.exit(EXIT_USAGE, f"error: {exc}\n")
     text = formats.format_signed_digraph(G)
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        try:
+            with open(args.output, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as exc:
+            parser.exit(EXIT_USAGE, f"error: {args.output}: {exc.strerror or exc}\n")
     else:
         print(text, end="")
     return EXIT_OK

@@ -51,6 +51,7 @@ from .kernels import (
     richardson_condition,
 )
 from .structure import (
+    DEFAULT_SEARCH_LIMIT,
     RuleVerdict,
     existence_arc_rule,
     find_special_arc,
@@ -59,11 +60,16 @@ from .structure import (
 )
 
 FALSIFY_CYCLE_CAP = 10_000
-SEARCH_TAU_LIMIT = 12
 # The largest exhaustive sweep: every simple signed digraph on up to three
 # vertices with every consistent network, 1,125,064 networks.  Four
 # vertices alone give 3^16 graphs.
 MAX_EXHAUSTIVE_N = 3
+# The largest max_n of random GRAPH trials.  Their checks enumerate the
+# cycles of a random graph or of its symmetrization, and the cycle cap
+# counts the cycles found, not the backtracking: one 23-vertex harary
+# draw takes 15 s.  At 20, 1,000 harary trials took at most 13 s over
+# seeds 0 to 39.
+MAX_GRAPH_N = 20
 
 # Instance kinds: a signed digraph with a consistent network, a signed
 # digraph alone, an unsigned digraph.
@@ -201,9 +207,9 @@ def _draw_digraph(rng: random.Random, max_n: int, max_indegree: int):
     return (random_digraph(rng.randint(1, max_n), rng=rng),)
 
 
-# Per kind: the largest max_n whose instances the check can scan, where
-# it scans 2^n states.
-_MAX_N = {PAIR: MAX_FIXED_POINT_SCAN, DIGRAPH: KERNEL_SCAN_LIMIT}
+# Per kind: the largest max_n random trials take; PAIR and DIGRAPH checks
+# scan 2^n states.
+_MAX_N = {PAIR: MAX_FIXED_POINT_SCAN, GRAPH: MAX_GRAPH_N, DIGRAPH: KERNEL_SCAN_LIMIT}
 
 # Per kind: how a trial draws an instance, and the artifact name and
 # serializer of each part, in the order ``check`` takes the parts.
@@ -228,7 +234,8 @@ class TheoremProperty:
     it).  It returns None when the instance satisfies the statement
     (vacuously or not) and a one-line violation detail otherwise.  The
     rule theorems also carry their graph ``condition``, called as
-    ``condition(G, cap)`` and returning a RuleVerdict.
+    ``condition(G, cap)`` and returning a RuleVerdict.  ``max_n`` is the
+    largest max_n random trials take, the kind's limit when None.
     """
 
     id: str
@@ -236,6 +243,7 @@ class TheoremProperty:
     kind: str
     check: Callable[..., Optional[str]]
     condition: Optional[Callable[[SignedDigraph, int], RuleVerdict]] = None
+    max_n: Optional[int] = None
 
     def counterexample(self, instance: tuple) -> Optional[Counterexample]:
         detail = self.check(*instance)
@@ -304,14 +312,12 @@ def _check_thm6(G, f, cap=FALSIFY_CYCLE_CAP) -> Optional[str]:
 def _graph_fp_bound(G, cap: int) -> int:
     return fixed_point_bound(
         G.n,
-        structure.tau_tilde_plus(G, SEARCH_TAU_LIMIT, cap),
+        structure.tau_tilde_plus(G, cap=cap),
         structure.g_tilde_plus(G, cap),
     )
 
 
 def _check_cor8(G, f, cap=FALSIFY_CYCLE_CAP) -> Optional[str]:
-    if G.n > SEARCH_TAU_LIMIT:
-        return None
     bound = _graph_fp_bound(G, cap)
     count = len(f.fixed_points())
     if count > bound:
@@ -392,7 +398,10 @@ REGISTRY: dict[str, TheoremProperty] = {
             "thm7", "disagreement cycle without special arc", PAIR,
             _disagreement_check(True, "special-arc-free positive cycle"),
         ),
-        TheoremProperty("cor8", "fixed points within min(2^tau~+, A(n, g~+))", PAIR, _check_cor8),
+        TheoremProperty(
+            "cor8", "fixed points within min(2^tau~+, A(n, g~+))", PAIR, _check_cor8,
+            max_n=DEFAULT_SEARCH_LIMIT,
+        ),
         TheoremProperty(
             "lemma9", "unique negative cycle owns a positive-cycle-free arc", GRAPH, _check_lemma9
         ),
@@ -426,14 +435,15 @@ def run_falsification(
     With ``exhaustive_n`` (supported for PAIR properties, up to
     MAX_EXHAUSTIVE_N) the harness sweeps every simple signed digraph up to
     that size and every consistent network instead of sampling.  Random
-    PAIR trials take ``max_n`` up to MAX_FIXED_POINT_SCAN and DIGRAPH
-    trials up to KERNEL_SCAN_LIMIT.  Every parameter is checked before
-    any trial runs.
+    trials take ``max_n`` up to ``prop.max_n`` or else the limit of its
+    kind: MAX_FIXED_POINT_SCAN for PAIR properties (cor8 stops at the
+    tau~+ search limit), MAX_GRAPH_N for GRAPH and KERNEL_SCAN_LIMIT for
+    DIGRAPH properties.  Every parameter is checked before any trial runs.
     """
     if max_n < 1:
         raise ValueError(f"max_n must be at least 1, got {max_n}")
-    limit = _MAX_N.get(prop.kind)
-    if limit is not None and max_n > limit:
+    limit = _MAX_N[prop.kind] if prop.max_n is None else prop.max_n
+    if max_n > limit:
         raise ValueError(f"max_n={max_n} exceeds the scan limit {limit} of theorem {prop.id!r}")
     if max_indegree < 0:
         raise ValueError(f"max_indegree must be at least 0, got {max_indegree}")

@@ -17,7 +17,6 @@ ignored.
 from __future__ import annotations
 
 import itertools
-from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
@@ -732,31 +731,57 @@ class _CycleIndex:
         return out, into
 
 
-# -- negative-cycle detection (polynomial) ---------------------------------
+# -- breadth-first search trees ---------------------------------------------
 
 
-def _component_parity(G: SignedDigraph, comp: frozenset[int]):
-    """Parity labels from a directed BFS tree inside a strong component.
+def _search_tree(
+    G: SignedDigraph, roots: Iterable[int], inside
+) -> tuple[dict[int, int], dict[int, Arc]]:
+    """Breadth-first search trees along G's out-arcs, inside ``inside``.
 
-    Returns (parity, parent) where parent maps each non-root vertex to the
-    tree arc that reached it.
+    A search starts from each root (a vertex of ``inside``) not reached
+    yet and follows out-arcs in ``out_arcs`` order to unreached vertices
+    of ``inside``.  Returns (parity, parent): ``parity[v]`` is the sign
+    product of v's tree path, POSITIVE at each root, and ``parent[v]`` the
+    tree arc that first reached v; the keys of ``parity`` are the reached
+    vertices and roots have no parent.
     """
-    root = min(comp)
-    parity = {root: POSITIVE}
+    parity: dict[int, int] = {}
     parent: dict[int, Arc] = {}
-    queue = deque([root])
-    while queue:
-        v = queue.popleft()
-        for a in G.out_arcs(v):
-            t = a.target
-            if t in comp and t not in parity:
-                parity[t] = parity[v] * a.sign
-                parent[t] = a
-                queue.append(t)
+    out = G._out
+    for root in roots:
+        if root in parity:
+            continue
+        parity[root] = POSITIVE
+        queue = [root]
+        for v in queue:  # the queue grows while it is read
+            sign = parity[v]
+            for a in out[v]:
+                t = a.target
+                if t in inside and t not in parity:
+                    parity[t] = sign * a.sign
+                    parent[t] = a
+                    queue.append(t)
     return parity, parent
 
 
+def tree_path_arcs(parent: dict[int, Arc], v: int) -> list[Arc]:
+    """Arcs from the root of a search tree down to v, given each reached
+    vertex's tree arc in ``parent``."""
+    arcs = []
+    while v in parent:
+        a = parent[v]
+        arcs.append(a)
+        v = a.source
+    arcs.reverse()
+    return arcs
+
+
+# -- negative-cycle detection (polynomial) ---------------------------------
+
+
 def _component_bad_arc(G: SignedDigraph, comp: frozenset[int], parity) -> Arc | None:
+    """An arc inside ``comp`` whose sign disagrees with the parity labels."""
     for v in sorted(comp):
         for a in G.out_arcs(v):
             if a.target in comp and parity[a.target] != parity[v] * a.sign:
@@ -776,51 +801,10 @@ def has_negative_cycle(G: SignedDigraph) -> bool:
 
 def _has_negative_component(G: SignedDigraph, decomposition: ComponentDecomposition) -> bool:
     """``has_negative_cycle`` on G's strong components ``decomposition``."""
-    for comp in decomposition.components:
-        parity, _ = _component_parity(G, comp)
-        if _component_bad_arc(G, comp, parity) is not None:
-            return True
-    return False
-
-
-def _directed_path_arcs(G: SignedDigraph, comp: frozenset[int], start: int, goal: int) -> list[Arc]:
-    """Arcs of some directed path start -> goal inside comp (must exist)."""
-    if start == goal:
-        return []
-    parent: dict[int, Arc] = {}
-    queue = deque([start])
-    seen = {start}
-    while queue:
-        v = queue.popleft()
-        for a in G.out_arcs(v):
-            t = a.target
-            if t in comp and t not in seen:
-                parent[t] = a
-                seen.add(t)
-                if t == goal:
-                    queue.clear()
-                    break
-                queue.append(t)
-    arcs = []
-    v = goal
-    while v != start:
-        a = parent[v]
-        arcs.append(a)
-        v = a.source
-    arcs.reverse()
-    return arcs
-
-
-def tree_path_arcs(parent: dict[int, Arc], v: int) -> list[Arc]:
-    """Arcs from the root of a search tree down to v, given each reached
-    vertex's tree arc in ``parent``."""
-    arcs = []
-    while v in parent:
-        a = parent[v]
-        arcs.append(a)
-        v = a.source
-    arcs.reverse()
-    return arcs
+    return any(
+        _component_bad_arc(G, comp, _search_tree(G, [min(comp)], comp)[0]) is not None
+        for comp in decomposition.components
+    )
 
 
 def extract_negative_cycle(walk: Sequence[Arc]) -> SignedCycle:
@@ -849,14 +833,13 @@ def extract_negative_cycle(walk: Sequence[Arc]) -> SignedCycle:
 
 def find_negative_cycle(G: SignedDigraph) -> SignedCycle | None:
     """A negative simple cycle of G, or None when all cycles are positive."""
-    decomposition = scc(G)
-    for comp in decomposition.components:
-        parity, parent = _component_parity(G, comp)
+    for comp in scc(G).components:
+        root = min(comp)
+        parity, parent = _search_tree(G, [root], comp)
         bad = _component_bad_arc(G, comp, parity)
         if bad is None:
             continue
-        root = min(comp)
-        back = _directed_path_arcs(G, comp, bad.target, root)
+        back = tree_path_arcs(_search_tree(G, [bad.target], comp)[1], root)
         # One of the two closed walks below is negative: their signs
         # multiply to the parity defect of the bad arc.
         walk = tree_path_arcs(parent, bad.source) + [bad] + back
@@ -886,18 +869,4 @@ def reachable(
     if target in blocked:
         raise ValueError("target must not be forbidden")
     starts = [v for v in G._check_subset(sources) if v not in blocked]
-    if target in starts:
-        return True
-    seen = set(starts)
-    queue = list(starts)
-    while queue:
-        v = queue.pop()
-        for a in G.out_arcs(v):
-            t = a.target
-            if t in blocked or t in seen:
-                continue
-            if t == target:
-                return True
-            seen.add(t)
-            queue.append(t)
-    return False
+    return target in _search_tree(G, starts, G.vertex_set - blocked)[0]

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import itertools
 import operator
-from collections import deque
 from dataclasses import dataclass, field
 from functools import reduce
 from typing import Optional
@@ -26,9 +25,11 @@ from .graphs import (
     SignedCycle,
     SignedDigraph,
     _closure,
+    _component_bad_arc,
     _cycle_index,
     _CycleIndex,
     _has_negative_component,
+    _search_tree,
     _set_bits,
     as_arc,
     extract_negative_cycle,
@@ -319,34 +320,18 @@ def find_unbalanced_cycle(G: SignedDigraph):
 
 def _propagate_coloring(G: SignedDigraph):
     H = G.symmetrize()
-    size = max(H.vertex_set) if H.vertex_set else 0
-    colors = [0] * size
-    assigned: dict[int, int] = {}
-    parent: dict[int, Arc] = {}
-    for root in H.vertices:
-        if root in assigned:
-            continue
-        assigned[root] = 0
-        queue = deque([root])
-        while queue:
-            v = queue.popleft()
-            for a in H.out_arcs(v):
-                want = assigned[v] ^ (1 if a.sign == NEGATIVE else 0)
-                t = a.target
-                if t not in assigned:
-                    assigned[t] = want
-                    parent[t] = a
-                    queue.append(t)
-                elif assigned[t] != want:
-                    up = tree_path_arcs(parent, a.source)
-                    down = [
-                        Arc(b.target, b.source, b.sign)
-                        for b in reversed(tree_path_arcs(parent, a.target))
-                    ]
-                    walk = up + [a] + down
-                    return None, extract_negative_cycle(walk)
-    for v, c in assigned.items():
-        colors[v - 1] = c
+    parity, parent = _search_tree(H, H.vertices, H.vertex_set)
+    bad = _component_bad_arc(H, H.vertex_set, parity)
+    if bad is not None:
+        up = tree_path_arcs(parent, bad.source)
+        down = [
+            Arc(b.target, b.source, b.sign) for b in reversed(tree_path_arcs(parent, bad.target))
+        ]
+        return None, extract_negative_cycle(up + [bad] + down)
+    colors = [0] * (max(H.vertex_set) if H.vertex_set else 0)
+    for v, sign in parity.items():
+        if sign == NEGATIVE:
+            colors[v - 1] = 1
     return tuple(colors), None
 
 

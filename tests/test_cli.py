@@ -5,13 +5,23 @@ import time
 
 import pytest
 
+from signedbn import falsify
 from signedbn.cli import main
+from signedbn.codes import fixed_point_bound
 from signedbn.falsify import DIGRAPH, GRAPH, REGISTRY
 from signedbn.formats import format_boolean_network, format_signed_digraph, format_digraph
-from signedbn.boolnet import BooleanNetwork, LocalFunction
+from signedbn.boolnet import BooleanNetwork, LocalFunction, sample_consistent
 from signedbn.generators import figure1
 from signedbn.graphs import SignedDigraph
 from signedbn.kernels import Digraph
+
+
+def _pair_files(tmp_path, G):
+    """Paths of G and of one consistent network on it, written to tmp_path."""
+    graph, network = tmp_path / "pair.sd", tmp_path / "pair.bn"
+    graph.write_text(format_signed_digraph(G))
+    network.write_text(format_boolean_network(sample_consistent(G, seed=0)))
+    return [str(graph), str(network)]
 
 
 @pytest.fixture
@@ -228,6 +238,30 @@ class TestCheckCommand:
         assert main(argv + ["--cycle-cap", "16000"]) == 2
         assert capsys.readouterr().err == "error: more than 16000 cycles\n"
 
+    def test_cor8_computes_the_bound_on_13_vertices(self, tmp_path, capsys, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return fixed_point_bound(*args)
+
+        monkeypatch.setattr(falsify, "fixed_point_bound", counted)
+        falsify._graph_fp_bound.cache_clear()
+        files = _pair_files(tmp_path, figure1(13))
+        assert main(["check", "--theorem", "cor8"] + files) == 0
+        assert capsys.readouterr().out == "cor8: holds\n"
+        assert len(calls) == 1 and calls[0][0] == 13
+
+    def test_cor8_past_the_search_limit_exits_2(self, tmp_path, capsys):
+        ring = SignedDigraph(16, [(v, v % 16 + 1, "+") for v in range(1, 17)])
+        files = _pair_files(tmp_path, ring)
+        start = time.perf_counter()
+        assert main(["check", "--theorem", "cor8"] + files) == 2
+        assert time.perf_counter() - start < 1.0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: n=16 exceeds the search limit 15\n"
+
     def test_harary_honours_cycle_cap(self, tmp_path, capsys):
         # The symmetrization of the complete all-positive 9-vertex digraph
         # has no negative cycle, so only the cap can stop its enumeration.
@@ -267,6 +301,23 @@ class TestGenerate:
         with pytest.raises(SystemExit) as err:
             main(["generate", "figure1", "--n", "4"])
         assert err.value.code == 2
+
+    def test_output_to_a_directory_exits_2_with_one_line(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["generate", "figure1", "--n", "5", "-o", str(tmp_path)])
+        assert err.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {tmp_path}: Is a directory\n"
+
+    def test_output_in_a_missing_directory_exits_2_with_one_line(self, tmp_path, capsys):
+        path = tmp_path / "missing" / "g.sd"
+        with pytest.raises(SystemExit) as err:
+            main(["generate", "figure1", "--n", "5", "-o", str(path)])
+        assert err.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {path}: No such file or directory\n"
 
     def test_random_with_no_vertices(self, capsys):
         assert main(["generate", "random", "--n", "0"]) == 0
@@ -308,6 +359,12 @@ class TestFalsifyCommand:
              "error: exhaustive_n=9 exceeds the exhaustive limit 3\n"),
             (["--theorem", "thm1", "--max-n", "40"],
              "error: max_n=40 exceeds the scan limit 24 of theorem 'thm1'\n"),
+            (["--theorem", "cor8", "--max-n", "16"],
+             "error: max_n=16 exceeds the scan limit 15 of theorem 'cor8'\n"),
+            (["--theorem", "harary", "--trials", "3", "--max-n", "60"],
+             "error: max_n=60 exceeds the scan limit 20 of theorem 'harary'\n"),
+            (["--theorem", "lemma9", "--max-n", "21"],
+             "error: max_n=21 exceeds the scan limit 20 of theorem 'lemma9'\n"),
         ],
     )
     def test_hopeless_sweep_exits_2_at_once(self, capsys, flags, message):

@@ -6,8 +6,8 @@ import pytest
 
 from signedbn.boolnet import MAX_FIXED_POINT_SCAN
 from signedbn.falsify import (
-    DIGRAPH,
     MAX_EXHAUSTIVE_N,
+    MAX_GRAPH_N,
     PAIR,
     REGISTRY,
     falsify,
@@ -72,12 +72,13 @@ class TestHopelessSweepsRefused:
             falsify(theorem, trials=0, exhaustive_n=MAX_EXHAUSTIVE_N + 1)
         assert time.perf_counter() - start < 1.0
 
-    @pytest.mark.parametrize(
-        "theorem", sorted(t for t, p in REGISTRY.items() if p.kind in (PAIR, DIGRAPH))
-    )
+    @pytest.mark.parametrize("theorem", sorted(REGISTRY))
     def test_max_n_past_the_scan_limit(self, theorem):
+        # cor8's limit is the tau~+ search limit and the graph-only
+        # theorems' is MAX_GRAPH_N; the rest scan up to 24 vertices.
+        limit = {"cor8": 15, "harary": 20, "lemma9": 20}.get(theorem, 24)
         start = time.perf_counter()
-        with pytest.raises(ValueError, match="exceeds the scan limit 24"):
+        with pytest.raises(ValueError, match=f"exceeds the scan limit {limit} "):
             falsify(theorem, trials=1000, seed=0, max_n=40)
         assert time.perf_counter() - start < 1.0
 
@@ -85,8 +86,10 @@ class TestHopelessSweepsRefused:
         report = falsify("thm2", trials=3, seed=0, max_n=MAX_FIXED_POINT_SCAN)
         assert report.trials == 3 and not report.falsified
 
-    def test_graph_properties_take_any_max_n(self):
-        assert falsify("lemma9", trials=3, seed=0, max_n=40).trials == 3
+    @pytest.mark.parametrize("theorem", ["harary", "lemma9"])
+    def test_graph_properties_run_at_their_limit(self, theorem):
+        report = falsify(theorem, trials=3, seed=0, max_n=MAX_GRAPH_N)
+        assert report.trials == 3 and not report.falsified
 
 
 class TestDeterminism:

@@ -1,5 +1,8 @@
 """Signed digraph data model and cycle machinery."""
 
+import itertools
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -325,13 +328,17 @@ class TestNegativeCycleDetection:
         assert find_negative_cycle(g(2, (1, 2, "+"), (2, 1, "+"))) is None
 
     def test_agrees_with_enumeration_exhaustively(self):
-        for n in (1, 2):
-            for G in all_signed_digraphs(n):
-                expected = any(c.sign == NEGATIVE for c in enumerate_cycles(G))
-                assert has_negative_cycle(G) == expected
-        for G in all_simple_signed_digraphs(3):
+        graphs = itertools.chain(
+            all_signed_digraphs(1), all_signed_digraphs(2), all_simple_signed_digraphs(3)
+        )
+        for G in graphs:
             expected = any(c.sign == NEGATIVE for c in enumerate_cycles(G))
             assert has_negative_cycle(G) == expected
+            w = find_negative_cycle(G)
+            if expected:
+                assert w.sign == NEGATIVE and set(w.arcs) <= G.arc_set
+            else:
+                assert w is None
 
     @given(graphs_strategy(max_n=6))
     @settings(max_examples=80, deadline=None)
@@ -366,3 +373,25 @@ class TestReachable:
     def test_forbidden_target_rejected(self):
         with pytest.raises(ValueError):
             reachable(g(1), {1}, {1}, 1)
+
+    def test_agrees_with_arc_relaxation_random(self):
+        # oracle: grow the reached set over G's arc list until it is stable
+        def oracle(G, sources, forbidden, target):
+            reached = set(sources) - set(forbidden)
+            grew = True
+            while grew:
+                grew = False
+                for a in G.arcs:
+                    if a.source in reached and a.target not in reached | set(forbidden):
+                        reached.add(a.target)
+                        grew = True
+            return target in reached
+
+        rng = random.Random(8)
+        for _ in range(200):
+            G = random_signed_digraph(rng.randint(1, 6), seed=rng.randrange(10 ** 6))
+            target = rng.choice(G.vertices)
+            sources = [v for v in G.vertices if rng.random() < 0.4]
+            forbidden = [v for v in G.vertices if v != target and rng.random() < 0.3]
+            expected = oracle(G, sources, forbidden, target)
+            assert reachable(G, sources, forbidden, target) == expected

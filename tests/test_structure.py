@@ -348,6 +348,10 @@ class TestTwoColoring:
                 assert G.consistent_subgraph(colors) == G
                 inverse = tuple(1 - b for b in colors)
                 assert G.consistent_subgraph(inverse) == G
+            else:
+                witness = find_unbalanced_cycle(G)
+                assert witness.sign == NEGATIVE
+                assert set(witness.arcs) <= G.symmetrize().arc_set
 
     @given(small_graphs(max_n=5))
     @settings(max_examples=60, deadline=None)
