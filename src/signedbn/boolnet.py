@@ -91,28 +91,41 @@ def constant(value: int) -> LocalFunction:
     return LocalFunction((), (value,))
 
 
-def local_canalizes(lf: LocalFunction, arc) -> bool:
-    """Whether one local function canalizes an in-coming signed arc.
+# -- per-input signs of a truth table ----------------------------------------
+#
+# A table is also read as an int whose bit j is row j.  Input i splits the
+# rows into pairs (j, j + 2^(k-1-i)) that differ only in that input.
 
-    Canalization is a property of the head's local function alone, so
-    sweeps can filter candidate tables before assembling whole networks.
-    The arc's source must be a declared input; effectiveness is not
-    checked here.
-    """
-    a = as_arc(arc)
-    if a.source not in lf.inputs:
-        raise ValueError(f"{a.source} is not an input of the local function")
-    k = lf.arity
-    step = 1 << (k - 1 - lf.inputs.index(a.source))
-    for c in (0, 1):
-        pinned = c if a.sign == POSITIVE else 1 - c
-        rows = (
-            j for j in range(1 << k)
-            if ((j & step) != 0) == (pinned == 1)
-        )
-        if all(lf.table[j] == c for j in rows):
-            return True
-    return False
+_POS_ONLY, _NEG_ONLY = 1, 2
+
+
+@lru_cache(maxsize=None)
+def _input_rows(k: int) -> tuple[tuple[int, int], ...]:
+    """Per input position i: the row step 2^(k-1-i) and the mask of the
+    rows where input i is 0."""
+    rows = []
+    for i in range(k):
+        step = 1 << (k - 1 - i)
+        rows.append((step, sum(1 << j for j in range(1 << k) if not j & step)))
+    return tuple(rows)
+
+
+def _table_bits(table: Sequence[int]) -> int:
+    bits = 0
+    for b in reversed(table):
+        bits = bits << 1 | b
+    return bits
+
+
+def _table_signs(bits: int, k: int) -> tuple[int, ...]:
+    """Per input: _POS_ONLY if some row pair rises, ORed with _NEG_ONLY if
+    some pair falls; 0 for an ineffective input."""
+    signs = []
+    for step, low in _input_rows(k):
+        lo = bits & low
+        hi = bits >> step & low
+        signs.append((_POS_ONLY if hi & ~lo else 0) | (_NEG_ONLY if lo & ~hi else 0))
+    return tuple(signs)
 
 
 class BooleanNetwork:
@@ -166,27 +179,6 @@ class BooleanNetwork:
         lo[u - 1] = 0
         return lf(hi) - lf(lo)
 
-    def _input_signs(self, v: int) -> list[tuple[int, bool, bool]]:
-        """Per declared input of v: (vertex, attains +1, attains -1)."""
-        lf = self.local(v)
-        k = lf.arity
-        out = []
-        for i, u in enumerate(lf.inputs):
-            step = 1 << (k - 1 - i)
-            pos = neg = False
-            for j in range(1 << k):
-                if j & step:
-                    continue
-                d = lf.table[j | step] - lf.table[j]
-                if d > 0:
-                    pos = True
-                elif d < 0:
-                    neg = True
-                if pos and neg:
-                    break
-            out.append((u, pos, neg))
-        return out
-
     def interaction_graph(self) -> SignedDigraph:
         """Signed digraph of effective dependencies.
 
@@ -195,11 +187,11 @@ class BooleanNetwork:
         Declared but ineffective inputs produce no arc.
         """
         arcs = []
-        for v in range(1, self.n + 1):
-            for u, pos, neg in self._input_signs(v):
-                if pos:
+        for v, lf in enumerate(self.locals, start=1):
+            for u, signs in zip(lf.inputs, _table_signs(_table_bits(lf.table), lf.arity)):
+                if signs & _POS_ONLY:
                     arcs.append(Arc(u, v, POSITIVE))
-                if neg:
+                if signs & _NEG_ONLY:
                     arcs.append(Arc(u, v, NEGATIVE))
         return SignedDigraph(self.n, arcs)
 
@@ -223,13 +215,18 @@ class BooleanNetwork:
         """
         a = as_arc(arc)
         lf = self.local(a.target)
-        signs = {u: (pos, neg) for u, pos, neg in self._input_signs(a.target)}
-        if a.source not in signs:
+        if a.source not in lf.inputs:
             raise ValueError(f"{a!r} is not an arc of the interaction graph")
-        pos, neg = signs[a.source]
-        if (a.sign == POSITIVE and not pos) or (a.sign == NEGATIVE and not neg):
+        i = lf.inputs.index(a.source)
+        bits = _table_bits(lf.table)
+        if not _table_signs(bits, lf.arity)[i] & (_POS_ONLY if a.sign == POSITIVE else _NEG_ONLY):
             raise ValueError(f"{a!r} is not an arc of the interaction graph")
-        return local_canalizes(lf, a)
+        # The rows where x_u would force f_v = 0, and those where it would
+        # force f_v = 1: x_u = 0 and x_u = 1 for a positive arc, swapped for
+        # a negative one.
+        step, low = _input_rows(lf.arity)[i]
+        to_0, to_1 = (low, low << step) if a.sign == POSITIVE else (low << step, low)
+        return not bits & to_0 or bits & to_1 == to_1
 
     def pin(self, values: Mapping[int, int]) -> "BooleanNetwork":
         """Freeze the given vertices to constants, keep the rest."""
@@ -418,50 +415,24 @@ def leq_v(G: SignedDigraph, v: int, x: Sequence[int], y: Sequence[int]) -> bool:
 
 # -- networks consistent with a prescribed interaction graph -----------------
 
-_NO_SIGN, _POS_ONLY, _NEG_ONLY, _BOTH = 0, 1, 2, 3
-
 
 @lru_cache(maxsize=None)
 def _signature_index(k: int) -> dict[tuple[int, ...], tuple[tuple[int, ...], ...]]:
-    """All k-input tables grouped by their per-input sign signature.
-
-    The signature holds one code per input position: + only, - only, or
-    both; tables with an ineffective input sit under code 0 for it.
-    """
+    """All k-input tables grouped by their per-input signs (``_table_signs``)."""
     rows = 1 << k
-    masks = []
-    for i in range(k):
-        step = 1 << (k - 1 - i)
-        lo = 0
-        for j in range(rows):
-            if not j & step:
-                lo |= 1 << j
-        masks.append((step, lo))
     index: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
     for t in range(1 << rows):
-        sig = []
-        for step, lo in masks:
-            low_bits = t & lo
-            high_bits = (t >> step) & lo
-            pos = (high_bits & ~low_bits & lo) != 0
-            neg = (low_bits & ~high_bits & lo) != 0
-            sig.append((_POS_ONLY if pos else 0) | (_NEG_ONLY if neg else 0))
         table = tuple((t >> j) & 1 for j in range(rows))
-        index.setdefault(tuple(sig), []).append(table)
+        index.setdefault(_table_signs(t, k), []).append(table)
     return {sig: tuple(tables) for sig, tables in index.items()}
 
 
 def _required_signature(G: SignedDigraph, v: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    inputs = G.in_neighbors(v)
-    sig = []
-    for u in inputs:
-        code = 0
-        if G.has_arc(u, v, POSITIVE):
-            code |= _POS_ONLY
-        if G.has_arc(u, v, NEGATIVE):
-            code |= _NEG_ONLY
-        sig.append(code)
-    return inputs, tuple(sig)
+    """v's in-neighbors in order and the signs of G's arcs from each."""
+    signs: dict[int, int] = {}
+    for a in G.in_arcs(v):  # sorted by source
+        signs[a.source] = signs.get(a.source, 0) | (_POS_ONLY if a.sign == POSITIVE else _NEG_ONLY)
+    return tuple(signs), tuple(signs.values())
 
 
 def _consistent_tables(

@@ -68,7 +68,7 @@ MAX_EXHAUSTIVE_N = 3
 # cycles of a random graph or of its symmetrization, and the cycle cap
 # counts the cycles found, not the backtracking: one 23-vertex harary
 # draw takes 15 s.  At 20, 1,000 harary trials took at most 13 s over
-# seeds 0 to 39.
+# seeds 0 to 39.  The lemma9 and harary checks refuse larger graphs.
 MAX_GRAPH_N = 20
 
 # Instance kinds: a signed digraph with a consistent network, a signed
@@ -180,12 +180,13 @@ def _random_realizable(rng: random.Random, max_n: int, max_indegree: int):
         G = random_signed_digraph(n, rng=rng)
         if max(len(G.in_neighbors(v)) for v in G.vertices) > max_indegree:
             continue
+        if not is_realizable(G, max_indegree):
+            continue
         try:
             enumerate_cycles(G, FALSIFY_CYCLE_CAP)
         except CycleCapExceeded:
             continue
-        if is_realizable(G, max_indegree):
-            return G
+        return G
 
 
 def _draw_pair(rng: random.Random, max_n: int, max_indegree: int):
@@ -325,7 +326,13 @@ def _check_cor8(G, f, cap=FALSIFY_CYCLE_CAP) -> Optional[str]:
     return None
 
 
+def _check_graph_limit(G):
+    if G.n > MAX_GRAPH_N:
+        raise ValueError(f"n={G.n} exceeds the search limit {MAX_GRAPH_N}")
+
+
 def _check_lemma9(G, cap=FALSIFY_CYCLE_CAP) -> Optional[str]:
+    _check_graph_limit(G)
     cycles = enumerate_cycles(G, cap)
     if sum(1 for c in cycles if c.sign == NEGATIVE) != 1:
         return None
@@ -335,6 +342,7 @@ def _check_lemma9(G, cap=FALSIFY_CYCLE_CAP) -> Optional[str]:
 
 
 def _check_harary(G, cap=FALSIFY_CYCLE_CAP) -> Optional[str]:
+    _check_graph_limit(G)
     colors = structure.two_coloring(G)
     negative = False
     for count, c in enumerate(iter_cycles(G.symmetrize()), start=1):

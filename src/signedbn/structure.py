@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import reduce
 from typing import Optional
 
@@ -231,14 +231,14 @@ def uniqueness_vertex_rule(G: SignedDigraph, cap: int = DEFAULT_CYCLE_CAP) -> Ru
 # -- deletion parameters and girths ------------------------------------------
 
 
-def tau_plus(
-    G: SignedDigraph,
-    limit: int = DEFAULT_SEARCH_LIMIT,
-    cap: int = DEFAULT_CYCLE_CAP,
-) -> int:
+def _check_search_limit(G: SignedDigraph):
+    if G.n > DEFAULT_SEARCH_LIMIT:
+        raise ValueError(f"n={G.n} exceeds the search limit {DEFAULT_SEARCH_LIMIT}")
+
+
+def tau_plus(G: SignedDigraph, cap: int = DEFAULT_CYCLE_CAP) -> int:
     """Minimum number of vertex deletions leaving no positive cycle."""
-    if G.n > limit:
-        raise ValueError(f"n={G.n} exceeds the search limit {limit}")
+    _check_search_limit(G)
     index = _cycle_index(G, cap)
     if not index.positives:
         return 0
@@ -255,11 +255,7 @@ def g_plus(G: SignedDigraph, cap: int = DEFAULT_CYCLE_CAP):
     return min((len(index.cycle_arcs[j]) for j in _set_bits(index.positives)), default=INF)
 
 
-def tau_tilde_plus(
-    G: SignedDigraph,
-    limit: int = DEFAULT_SEARCH_LIMIT,
-    cap: int = DEFAULT_CYCLE_CAP,
-) -> int:
+def tau_tilde_plus(G: SignedDigraph, cap: int = DEFAULT_CYCLE_CAP) -> int:
     """Minimum size of a vertex set I such that, once every arc into I is
     removed, each remaining positive cycle has a special arc.
 
@@ -267,8 +263,7 @@ def tau_tilde_plus(
     no positive cycle at all.  The positive cycles left are those of G
     through no vertex of I.
     """
-    if G.n > limit:
-        raise ValueError(f"n={G.n} exceeds the search limit {limit}")
+    _check_search_limit(G)
     index = _cycle_index(G, cap)
     for k in range(0, G.n + 1):
         for combo in itertools.combinations(range(G.n), k):
@@ -407,8 +402,6 @@ class AnalysisReport:
     no_fixed_point: bool
     two_fixed_points: bool
     fixed_point_upper_bound: int
-    strong_unique_positive_cycle: bool = field(default=False)
-    strong_unique_negative_cycle: bool = field(default=False)
 
     def to_dict(self) -> dict:
         def length(value):
@@ -436,29 +429,24 @@ class AnalysisReport:
         return "\n".join(lines) + "\n"
 
 
-def analyze(
-    G: SignedDigraph,
-    limit: int = DEFAULT_SEARCH_LIMIT,
-    cap: int = DEFAULT_CYCLE_CAP,
-) -> AnalysisReport:
+def analyze(G: SignedDigraph, cap: int = DEFAULT_CYCLE_CAP) -> AnalysisReport:
     """Full structural report with the fixed-point upper bound.
 
     The bound is min(2^tau~+, an upper bound on A(n, g~+)) from
     ``codes.fixed_point_bound``: the code term is exact at distance 1 or
     2, 1 for an infinite g~+, and otherwise the smaller of the
     sphere-packing and Delsarte LP bounds (21 where A(8, 3) = 20).  The
-    exact code search is only the tests' oracle.
+    exact code search is only the tests' oracle.  A graph past the
+    search limit is refused before its cycles are enumerated.
     """
+    _check_search_limit(G)
     index = _cycle_index(G, cap)
     decomposition = scc(G)
-    positives = index.positives.bit_count()
-    negatives = index.negatives.bit_count()
-    strong = len(decomposition) <= 1
-    tt = tau_tilde_plus(G, limit, cap)
+    tt = tau_tilde_plus(G, cap)
     gt = g_tilde_plus(G, cap)
     return AnalysisReport(
         n=G.n,
-        tau_plus=tau_plus(G, limit, cap),
+        tau_plus=tau_plus(G, cap),
         tau_tilde_plus=tt,
         g_plus=g_plus(G, cap),
         g_tilde_plus=gt,
@@ -466,8 +454,6 @@ def analyze(
         thm4=uniqueness_vertex_rule(G, cap),
         thm5=existence_arc_rule(G, cap),
         no_fixed_point=_no_fixed_point(index, decomposition),
-        two_fixed_points=not negatives and _initial_nontrivial(decomposition),
+        two_fixed_points=not index.negatives and _initial_nontrivial(decomposition),
         fixed_point_upper_bound=codes.fixed_point_bound(G.n, tt, gt),
-        strong_unique_positive_cycle=strong and positives == 1 and negatives >= 1,
-        strong_unique_negative_cycle=strong and negatives == 1 and positives >= 1,
     )

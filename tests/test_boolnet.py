@@ -34,6 +34,43 @@ def net(*locals_):
     return BooleanNetwork([LocalFunction(i, t) for i, t in locals_])
 
 
+def every_table_up_to_three_inputs():
+    """Each table with k <= 3 inputs as (inputs, table) for vertex 1 of a
+    3-vertex network, the inputs in an unsorted order (3, 1, 2)[:k]."""
+    for k in range(4):
+        for table in itertools.product((0, 1), repeat=1 << k):
+            yield (3, 1, 2)[:k], table
+
+
+def rows_by_assignment(table, k):
+    """{assignment tuple: table entry}, first input most significant."""
+    return dict(zip(itertools.product((0, 1), repeat=k), table))
+
+
+def derivative_signs(table, k, i):
+    """The set of nonzero values of table(x with x_i = 1) - table(x with x_i = 0)."""
+    rows = rows_by_assignment(table, k)
+    return {
+        rows[x[:i] + (1,) + x[i + 1:]] - rows[x]
+        for x in rows
+        if x[i] == 0
+    } - {0}
+
+
+def canalizes_by_rows(table, k, i, sign):
+    """Some c with x_i = c (positive) or x_i != c (negative) forcing c."""
+    rows = rows_by_assignment(table, k)
+    for c in (0, 1):
+        pinned = c if sign == "+" else 1 - c
+        if all(value == c for x, value in rows.items() if x[i] == pinned):
+            return True
+    return False
+
+
+def on_vertex_one(inputs, table):
+    return net((inputs, table), ((), (0,)), ((), (1,)))
+
+
 IDENTITY2 = net(((1,), (0, 1)), ((2,), (0, 1)))
 SWAP2 = net(((2,), (0, 1)), ((1,), (0, 1)))  # f1=x2, f2=x1
 NEGATION1 = net(((1,), (1, 0)))
@@ -139,6 +176,16 @@ class TestInteractionGraph:
     def test_declared_but_unused_input_gives_no_arc(self):
         f = net(((2,), (1, 1)), ((), (0,)))
         assert f.interaction_graph() == g(2)
+
+    def test_every_table_up_to_three_inputs_matches_row_pairs(self):
+        for inputs, table in every_table_up_to_three_inputs():
+            k = len(inputs)
+            arcs = [
+                (u, 1, "+" if d > 0 else "-")
+                for i, u in enumerate(inputs)
+                for d in derivative_signs(table, k, i)
+            ]
+            assert on_vertex_one(inputs, table).interaction_graph() == g(3, *arcs)
 
 
 class TestFixedPoints:
@@ -327,6 +374,24 @@ class TestCanalized:
             SWAP2.is_canalized((1, 1, "+"))
         with pytest.raises(ValueError):
             SWAP2.is_canalized((2, 1, "-"))
+
+    def test_every_table_up_to_three_inputs_matches_rows(self):
+        checked = 0
+        for inputs, table in every_table_up_to_three_inputs():
+            f = on_vertex_one(inputs, table)
+            k = len(inputs)
+            for i, u in enumerate(inputs):
+                present = derivative_signs(table, k, i)
+                for sign, d in (("+", 1), ("-", -1)):
+                    if d in present:
+                        assert f.is_canalized((u, 1, sign)) == canalizes_by_rows(
+                            table, k, i, sign
+                        )
+                    else:
+                        with pytest.raises(ValueError, match="not an arc"):
+                            f.is_canalized((u, 1, sign))
+                    checked += 1
+        assert checked == 1608
 
 
 class TestPin:

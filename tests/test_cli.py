@@ -1,6 +1,7 @@
 """The command-line surface: subcommands, output modes, exit codes."""
 
 import json
+import random
 import time
 
 import pytest
@@ -11,7 +12,7 @@ from signedbn.codes import fixed_point_bound
 from signedbn.falsify import DIGRAPH, GRAPH, REGISTRY
 from signedbn.formats import format_boolean_network, format_signed_digraph, format_digraph
 from signedbn.boolnet import BooleanNetwork, LocalFunction, sample_consistent
-from signedbn.generators import figure1
+from signedbn.generators import figure1, random_signed_digraph
 from signedbn.graphs import SignedDigraph
 from signedbn.kernels import Digraph
 
@@ -37,6 +38,17 @@ def swap_net(tmp_path):
     path = tmp_path / "swap.bn"
     path.write_text(format_boolean_network(f))
     return str(path)
+
+
+@pytest.fixture
+def graph23(tmp_path):
+    """The 23-vertex, 58-arc graph of falsify trial 43 at seed 4 and max_n 24;
+    enumerating the cycles of its symmetrization takes seconds per cycle."""
+    rng = random.Random("4:43")
+    G = random_signed_digraph(rng.randint(1, 24), rng=rng)
+    path = tmp_path / "g23.sd"
+    path.write_text(format_signed_digraph(G))
+    return path, G
 
 
 @pytest.fixture
@@ -118,6 +130,17 @@ class TestAnalyze:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: more than 10 cycles\n"
+
+    def test_past_the_search_limit_exits_2_before_enumerating(self, tmp_path, capsys):
+        path = tmp_path / "k16.sd"
+        arcs = [(u, v, 1) for u in range(1, 17) for v in range(1, 17) if u != v]
+        path.write_text(format_signed_digraph(SignedDigraph(16, arcs)))
+        start = time.perf_counter()
+        assert main(["analyze", str(path)]) == 2
+        assert time.perf_counter() - start < 1.0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: n=16 exceeds the search limit 15\n"
 
 
 class TestNetworkCommands:
@@ -274,6 +297,17 @@ class TestCheckCommand:
         assert main(["check", "--theorem", "harary", "--cycle-cap", "100", str(path)]) == 2
         assert time.perf_counter() - start < 1.0
         assert capsys.readouterr().err == "error: more than 100 cycles\n"
+
+    @pytest.mark.parametrize("theorem", ["harary", "lemma9"])
+    def test_graph_checks_past_the_limit_exit_2_at_once(self, graph23, capsys, theorem):
+        path, G = graph23
+        assert G.n == 23 > falsify.MAX_GRAPH_N
+        start = time.perf_counter()
+        assert main(["check", "--theorem", theorem, str(path)]) == 2
+        assert time.perf_counter() - start < 1.0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: n=23 exceeds the search limit 20\n"
 
 
 class TestGenerate:
