@@ -28,6 +28,8 @@ from .graphs import (
 
 MAX_FIXED_POINT_SCAN = 24
 MAX_ATTRACTOR_SCAN = 20
+# Also the most inputs any vertex may have: ``_signature_index(k)`` scans
+# all 2^(2^k) tables, and k = 5 would scan 2^32.
 DEFAULT_MAX_INDEGREE = 4
 # Largest family ``max_fixed_points`` scans: about 6 s at the 1.58M
 # networks/s measured on a 2-core x86-64 VM.
@@ -302,19 +304,7 @@ class BooleanNetwork:
         return [frozenset(_states_in(states, n)) for states in found]
 
 
-# -- state conversions -------------------------------------------------------
-
-
-def state_to_int(x: Sequence[int]) -> int:
-    """Binary value of a state with x_1 as the most significant bit."""
-    s = 0
-    for b in x:
-        s = (s << 1) | b
-    return s
-
-
-def int_to_state(s: int, n: int) -> tuple[int, ...]:
-    return tuple((s >> (n - 1 - v)) & 1 for v in range(n))
+# -- state enumeration -------------------------------------------------------
 
 
 def all_states(n: int) -> Iterator[tuple[int, ...]]:
@@ -438,11 +428,15 @@ def _required_signature(G: SignedDigraph, v: int) -> tuple[tuple[int, ...], tupl
 def _consistent_tables(
     G: SignedDigraph, v: int, max_indegree: int
 ) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
-    """v's inputs and the truth tables realizing G's signed in-arcs of v."""
+    """v's inputs and the truth tables realizing G's signed in-arcs of v.
+
+    The cap is ``max_indegree``, and never more than DEFAULT_MAX_INDEGREE.
+    """
     inputs, sig = _required_signature(G, v)
     k = len(inputs)
-    if k > max_indegree:
-        raise ValueError(f"vertex {v} has {k} inputs, cap is {max_indegree}")
+    cap = min(max_indegree, DEFAULT_MAX_INDEGREE)
+    if k > cap:
+        raise ValueError(f"vertex {v} has {k} inputs, cap is {cap}")
     return inputs, _signature_index(k).get(sig, ())
 
 

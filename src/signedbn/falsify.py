@@ -20,6 +20,7 @@ from typing import Callable, Optional
 
 from . import formats, structure
 from .boolnet import (
+    DEFAULT_MAX_INDEGREE,
     MAX_FIXED_POINT_SCAN,
     BooleanNetwork,
     enumerate_consistent,
@@ -45,6 +46,7 @@ from .graphs import (
 )
 from .kernels import (
     KERNEL_SCAN_LIMIT,
+    _check_scan_limit,
     generalized_condition,
     kernel_indicators,
     kernels,
@@ -359,18 +361,21 @@ def _check_harary(G, cap=FALSIFY_CYCLE_CAP) -> Optional[str]:
 
 
 def _check_richardson(D, cap=FALSIFY_CYCLE_CAP) -> Optional[str]:
+    _check_scan_limit(D)
     if richardson_condition(D) and not kernels(D):
         return "no odd cycle but no kernel"
     return None
 
 
 def _check_richardson_gen(D, cap=FALSIFY_CYCLE_CAP) -> Optional[str]:
-    if generalized_condition(D) and not kernels(D):
+    _check_scan_limit(D)
+    if generalized_condition(D, cap) and not kernels(D):
         return "cut condition holds but no kernel"
     return None
 
 
 def _check_kernel_corr(D, cap=FALSIFY_CYCLE_CAP) -> Optional[str]:
+    _check_scan_limit(D)
     if set(kernels(D)) != kernel_indicators(D):
         return "kernels differ from decoded network fixed points"
     return None
@@ -446,7 +451,8 @@ def run_falsification(
     trials take ``max_n`` up to ``prop.max_n`` or else the limit of its
     kind: MAX_FIXED_POINT_SCAN for PAIR properties (cor8 stops at the
     tau~+ search limit), MAX_GRAPH_N for GRAPH and KERNEL_SCAN_LIMIT for
-    DIGRAPH properties.  Every parameter is checked before any trial runs.
+    DIGRAPH properties, and ``max_indegree`` up to DEFAULT_MAX_INDEGREE.
+    Every parameter is checked before any trial runs.
     """
     if max_n < 1:
         raise ValueError(f"max_n must be at least 1, got {max_n}")
@@ -455,6 +461,10 @@ def run_falsification(
         raise ValueError(f"max_n={max_n} exceeds the scan limit {limit} of theorem {prop.id!r}")
     if max_indegree < 0:
         raise ValueError(f"max_indegree must be at least 0, got {max_indegree}")
+    if max_indegree > DEFAULT_MAX_INDEGREE:
+        raise ValueError(
+            f"max_indegree={max_indegree} exceeds the in-degree limit {DEFAULT_MAX_INDEGREE}"
+        )
     if trials < 0:
         raise ValueError(f"trials must be at least 0, got {trials}")
     if exhaustive_n is not None and exhaustive_n < 1:

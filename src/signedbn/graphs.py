@@ -16,9 +16,8 @@ ignored.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 POSITIVE = 1
 NEGATIVE = -1
@@ -273,24 +272,7 @@ class Digraph:
         return f"Digraph(n={self.n}, arcs={len(self._arcs)})"
 
 
-# -- states ---------------------------------------------------------------
-
-
-def complement(x: Sequence[int]) -> tuple[int, ...]:
-    return tuple(1 - b for b in x)
-
-
-def flip(x: Sequence[int], v: int) -> tuple[int, ...]:
-    return tuple(1 - b if i == v - 1 else b for i, b in enumerate(x))
-
-
-def hamming(x: Sequence[int], y: Sequence[int]) -> int:
-    if len(x) != len(y):
-        raise ValueError("states have different lengths")
-    return sum(a != b for a, b in zip(x, y))
-
-
-# -- paths and cycles ------------------------------------------------------
+# -- cycles ---------------------------------------------------------------
 
 
 def _check_chain(arcs: tuple[Arc, ...]):
@@ -304,45 +286,6 @@ def _sign_product(arcs: Iterable[Arc]) -> int:
     for a in arcs:
         sign *= a.sign
     return sign
-
-
-class SignedPath:
-    """Directed simple path given as a non-empty chained arc sequence."""
-
-    __slots__ = ("arcs",)
-
-    def __init__(self, arcs: Iterable):
-        arcs = tuple(as_arc(a) for a in arcs)
-        if not arcs:
-            raise ValueError("a path needs at least one arc")
-        _check_chain(arcs)
-        verts = [arcs[0].source] + [a.target for a in arcs]
-        if len(set(verts)) != len(verts):
-            raise ValueError("path repeats a vertex")
-        self.arcs = arcs
-
-    @property
-    def sign(self) -> int:
-        return _sign_product(self.arcs)
-
-    @property
-    def vertices(self) -> tuple[int, ...]:
-        return (self.arcs[0].source,) + tuple(a.target for a in self.arcs)
-
-    def __len__(self):
-        return len(self.arcs)
-
-    def __eq__(self, other):
-        if not isinstance(other, SignedPath):
-            return NotImplemented
-        return self.arcs == other.arcs
-
-    def __hash__(self):
-        return hash(("path", self.arcs))
-
-    def __repr__(self):
-        chain = "->".join(str(v) for v in self.vertices)
-        return f"Path({chain},{sign_char(self.sign)})"
 
 
 class SignedCycle:
@@ -402,59 +345,49 @@ class SignedCycle:
         return f"Cycle({chain},{sign_char(self.sign)})"
 
 
+# -- vertex masks -----------------------------------------------------------
+
+
+def _set_bits(mask: int) -> Iterator[int]:
+    """Positions of the 1 bits of mask, increasing, in one linear pass."""
+    bits = bin(mask)[:1:-1]
+    pos = bits.find("1")
+    while pos >= 0:
+        yield pos
+        pos = bits.find("1", pos + 1)
+
+
+def _closure(seed: int, step: Sequence[int], allowed: int = -1) -> int:
+    """Positions reachable from the mask ``seed`` inside the mask
+    ``allowed``, seed included, where ``step[p]`` is the mask of the
+    neighbours of position p."""
+    seen = frontier = seed & allowed
+    while frontier:
+        reached = 0
+        while frontier:
+            low = frontier & -frontier
+            reached |= step[low.bit_length() - 1]
+            frontier ^= low
+        frontier = reached & allowed & ~seen
+        seen |= frontier
+    return seen
+
+
+def _neighbor_masks(G: SignedDigraph) -> tuple[dict[int, int], list[int], list[int]]:
+    """G's vertex positions (the p-th of ``G.vertices`` is p) and, per
+    position, the masks of its out- and in-neighbour positions."""
+    position = {v: p for p, v in enumerate(G.vertices)}
+    out = [0] * len(position)
+    into = [0] * len(position)
+    for v, s in position.items():
+        for a in G._out[v]:
+            t = position[a.target]
+            out[s] |= 1 << t
+            into[t] |= 1 << s
+    return position, out, into
+
+
 # -- strongly connected components ----------------------------------------
-
-
-def tarjan_components(vertices: Iterable, successors: Callable) -> list[list]:
-    """Iterative Tarjan over an implicit graph.
-
-    Returns the strongly connected components in reverse topological
-    order: every arc leaving an emitted component enters an earlier one.
-    Deterministic for a fixed vertex order and successor order.
-    """
-    index: dict = {}
-    low: dict = {}
-    on_stack: set = set()
-    stack: list = []
-    counter = itertools.count()
-    components: list[list] = []
-    for root in vertices:
-        if root in index:
-            continue
-        index[root] = low[root] = next(counter)
-        stack.append(root)
-        on_stack.add(root)
-        work = [(root, iter(successors(root)))]
-        while work:
-            v, it = work[-1]
-            pushed = False
-            for w in it:
-                if w not in index:
-                    index[w] = low[w] = next(counter)
-                    stack.append(w)
-                    on_stack.add(w)
-                    work.append((w, iter(successors(w))))
-                    pushed = True
-                    break
-                if w in on_stack and index[w] < low[v]:
-                    low[v] = index[w]
-            if pushed:
-                continue
-            work.pop()
-            if work:
-                u = work[-1][0]
-                if low[v] < low[u]:
-                    low[u] = low[v]
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    comp.append(w)
-                    if w == v:
-                        break
-                components.append(comp)
-    return components
 
 
 @dataclass(frozen=True)
@@ -472,42 +405,55 @@ class ComponentDecomposition:
     terminal: tuple[bool, ...]
     nontrivial: tuple[bool, ...]
 
-    def index_of(self, v: int) -> int:
-        for i, comp in enumerate(self.components):
-            if v in comp:
-                return i
-        raise ValueError(f"vertex {v} is not in any component")
-
     def __len__(self):
         return len(self.components)
 
 
 def scc(G: SignedDigraph) -> ComponentDecomposition:
-    """Strong components of G, topologically ordered (arcs go forward)."""
+    """Strong components of G, topologically ordered (arcs go forward).
 
-    def succ(v):
-        seen = []
-        last = None
-        for a in G.out_arcs(v):
-            if a.target != last:
-                seen.append(a.target)
-                last = a.target
-        return seen
-
-    comps = tarjan_components(G.vertices, succ)
-    comps.reverse()
-    components = tuple(frozenset(c) for c in comps)
-    initial = []
-    terminal = []
-    nontrivial = []
-    for comp in components:
-        has_in = any(a.source not in comp for v in comp for a in G.in_arcs(v))
-        has_out = any(a.target not in comp for v in comp for a in G.out_arcs(v))
-        has_arc = any(a.target in comp for v in comp for a in G.out_arcs(v))
-        initial.append(not has_in)
-        terminal.append(not has_out)
-        nontrivial.append(has_arc)
-    return ComponentDecomposition(components, tuple(initial), tuple(terminal), tuple(nontrivial))
+    Kosaraju's method on vertex masks: one depth-first search, from each
+    root in vertex order to the lowest unvisited out-neighbour, lists the
+    positions by finishing time; then, latest finisher first, each
+    position not yet placed takes its backward closure inside the
+    unplaced positions as the next component.
+    """
+    position, out, into = _neighbor_masks(G)
+    vertices = list(position)
+    finished = []
+    visited = 0
+    for root in range(len(vertices)):
+        if visited >> root & 1:
+            continue
+        visited |= 1 << root
+        stack = [root]
+        while stack:
+            fresh = out[stack[-1]] & ~visited
+            if fresh:
+                low = fresh & -fresh
+                visited |= low
+                stack.append(low.bit_length() - 1)
+            else:
+                finished.append(stack.pop())
+    unplaced = (1 << len(vertices)) - 1
+    components, initial, terminal, nontrivial = [], [], [], []
+    for p in reversed(finished):
+        if not unplaced >> p & 1:
+            continue
+        comp = _closure(1 << p, into, unplaced)
+        unplaced &= ~comp
+        members = list(_set_bits(comp))
+        ins = outs = 0
+        for q in members:
+            ins |= into[q]
+            outs |= out[q]
+        components.append(frozenset(vertices[q] for q in members))
+        initial.append(not ins & ~comp)
+        terminal.append(not outs & ~comp)
+        nontrivial.append(bool(outs & comp))
+    return ComponentDecomposition(
+        tuple(components), tuple(initial), tuple(terminal), tuple(nontrivial)
+    )
 
 
 def is_strong(G: SignedDigraph) -> bool:
@@ -584,31 +530,6 @@ def _cycle_index(G: SignedDigraph, cap: int = DEFAULT_CYCLE_CAP) -> "_CycleIndex
     return index
 
 
-def _set_bits(mask: int) -> Iterator[int]:
-    """Positions of the 1 bits of mask, increasing, in one linear pass."""
-    bits = bin(mask)[:1:-1]
-    pos = bits.find("1")
-    while pos >= 0:
-        yield pos
-        pos = bits.find("1", pos + 1)
-
-
-def _closure(seed: int, step: Sequence[int], allowed: int = -1) -> int:
-    """Positions reachable from the mask ``seed`` inside the mask
-    ``allowed``, seed included, where ``step[p]`` is the mask of the
-    neighbours of position p."""
-    seen = frontier = seed & allowed
-    while frontier:
-        reached = 0
-        while frontier:
-            low = frontier & -frontier
-            reached |= step[low.bit_length() - 1]
-            frontier ^= low
-        frontier = reached & allowed & ~seen
-        seen |= frontier
-    return seen
-
-
 _CHUNK = 1 << 12
 
 
@@ -645,21 +566,16 @@ class _CycleIndex:
     def build(self, G: SignedDigraph):
         """Fill in the incidence; ``structure`` asks for it, a caller of
         ``enumerate_cycles`` alone does not pay for it."""
-        vertices = self.vertices = G.vertices
+        position, self.out_neighbors, self.in_neighbors = _neighbor_masks(G)
+        self.position = position
+        vertices = self.vertices = tuple(position)
         arcs = self.arcs = G.arcs
         n, m = len(vertices), len(arcs)
-        position = self.position = dict(zip(vertices, range(n)))
         arc_number = self.arc_number = dict(zip(arcs, range(m)))
-        heads = self.heads = []
+        heads = self.heads = [position[a.target] for a in arcs]
         in_arcs = self.in_arcs = [0] * n
-        in_neighbors = self.in_neighbors = [0] * n
-        out_neighbors = self.out_neighbors = [0] * n
-        for k, a in enumerate(arcs):
-            s, t = position[a.source], position[a.target]
-            heads.append(t)
+        for k, t in enumerate(heads):
             in_arcs[t] |= 1 << k
-            in_neighbors[t] |= 1 << s
-            out_neighbors[s] |= 1 << t
         self.sources = sum(1 << p for p in range(n) if not in_arcs[p])
         # Cycle bits are OR-ed into per-chunk ints that are shifted into
         # place once per chunk: the build stays linear in the total cycle

@@ -9,7 +9,14 @@ reuse the signed-graph machinery.
 from __future__ import annotations
 
 from .boolnet import BooleanNetwork, LocalFunction, _state_masks
-from .graphs import NEGATIVE, Digraph, SignedDigraph, _set_bits, has_negative_cycle
+from .graphs import (
+    DEFAULT_CYCLE_CAP,
+    NEGATIVE,
+    Digraph,
+    SignedDigraph,
+    _set_bits,
+    has_negative_cycle,
+)
 from .structure import existence_arc_rule
 
 KERNEL_SCAN_LIMIT = 24
@@ -24,6 +31,12 @@ def as_all_negative(D: Digraph) -> SignedDigraph:
     return SignedDigraph(D.n, ((u, v, NEGATIVE) for u, v in D.arc_set))
 
 
+def _check_scan_limit(D: Digraph):
+    """Refuse, with a ValueError, a digraph past KERNEL_SCAN_LIMIT vertices."""
+    if D.n > KERNEL_SCAN_LIMIT:
+        raise ValueError(f"n={D.n} exceeds the subset scan limit {KERNEL_SCAN_LIMIT}")
+
+
 def kernels(D: Digraph) -> list[frozenset[int]]:
     """All kernels of D by subset scan, in increasing bitmask order.
 
@@ -31,8 +44,7 @@ def kernels(D: Digraph) -> list[frozenset[int]]:
     Y_v the set of subsets holding v, the kernels are the AND over v of
     Y_v XOR (OR of Y_w over the out-neighbors w of v).
     """
-    if D.n > KERNEL_SCAN_LIMIT:
-        raise ValueError(f"n={D.n} exceeds the subset scan limit {KERNEL_SCAN_LIMIT}")
+    _check_scan_limit(D)
     n = D.n
     masks = _state_masks(n)
     # Subset bit v-1 is state bit n-v, which the mask of vertex n+1-v reads.
@@ -56,7 +68,7 @@ def richardson_condition(D: Digraph) -> bool:
     return not has_negative_cycle(as_all_negative(D))
 
 
-def generalized_condition(D: Digraph) -> bool:
+def generalized_condition(D: Digraph, cap: int = DEFAULT_CYCLE_CAP) -> bool:
     """Every odd cycle can be cut so its tail keeps only even company.
 
     Precisely: every odd cycle of D has an arc (s -> t) such that D minus
@@ -64,9 +76,9 @@ def generalized_condition(D: Digraph) -> bool:
     only even cycles.  Through the fixed-point correspondence (kernels are
     fixed points of a network wired along REVERSED arcs) this is exactly
     the at-least-one-fixed-point arc rule on the reversed, all-negative
-    encoding, and it guarantees a kernel.
+    encoding, and it guarantees a kernel.  ``cap`` bounds D's cycles.
     """
-    return existence_arc_rule(as_all_negative(D.reverse())).holds
+    return existence_arc_rule(as_all_negative(D.reverse()), cap).holds
 
 
 def to_network(D: Digraph):
@@ -93,8 +105,7 @@ def kernel_indicators(D: Digraph) -> set[frozenset[int]]:
     a ValueError, a digraph with more than KERNEL_SCAN_LIMIT (24) vertices
     or more than KERNEL_TABLE_ROW_LIMIT (2^23) rows in all.
     """
-    if D.n > KERNEL_SCAN_LIMIT:
-        raise ValueError(f"n={D.n} exceeds the subset scan limit {KERNEL_SCAN_LIMIT}")
+    _check_scan_limit(D)
     rows = sum(1 << len(D.out_neighbors(v)) for v in range(1, D.n + 1))
     if rows > KERNEL_TABLE_ROW_LIMIT:
         raise ValueError(

@@ -5,7 +5,8 @@ found by trying every vertex permutation, colorings by trying every state,
 the Delsarte LP optimum by trying every vertex of its polytope, fixed
 points, kernels and attractors by visiting states one at a time, and
 special arcs, tau+, tau~+, g~+ and the arc and vertex rules by building
-each subgraph and searching its cycles anew.
+each subgraph and searching its cycles anew, and strong components by
+mutual reachability.
 """
 
 import itertools
@@ -13,7 +14,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
-from signedbn.graphs import SignedCycle, SignedDigraph, scc
+from signedbn.graphs import SignedCycle, SignedDigraph
 
 
 def g(n, *arcs):
@@ -289,21 +290,34 @@ def rebuilt_g_tilde_plus(G):
     return min(lengths) if lengths else float("inf")
 
 
+def _rebuilt_component(H, v):
+    """(component, initial, nontrivial) of v's strong component in H: the
+    vertices that v reaches and that reach v, each pair found by
+    ``_bfs_reaches``."""
+    comp = frozenset(
+        w for w in H.vertices
+        if _bfs_reaches(H, [v], (), w) and _bfs_reaches(H, [w], (), v)
+    )
+    initial = all(a.source in comp for w in comp for a in H.in_arcs(w))
+    nontrivial = any(a.target in comp for w in comp for a in H.out_arcs(w))
+    return comp, initial, nontrivial
+
+
 def rebuilt_isolation_rule(G, cycles, sign):
     """(holds, witnesses, failed cycle) of the arc rule for cycles of
     ``sign``, quantified over ``cycles`` in their order; each component is
-    checked in ``induced`` of G minus the arc."""
+    found by mutual reachability and checked in ``induced`` of G minus
+    the arc."""
     witnesses = []
     for cycle in cycles:
         if cycle.sign != sign:
             continue
         for a in cycle.arcs:
             H = G.delete(a)
-            decomposition = scc(H)
-            i = decomposition.index_of(a.target)
-            if not (decomposition.initial[i] and decomposition.nontrivial[i]):
+            comp, initial, nontrivial = _rebuilt_component(H, a.target)
+            if not (initial and nontrivial):
                 continue
-            inside = H.induced(decomposition.components[i])
+            inside = H.induced(comp)
             if all(c.sign != sign for c in _brute_signed_cycles(inside)):
                 witnesses.append((cycle, a))
                 break
@@ -313,12 +327,10 @@ def rebuilt_isolation_rule(G, cycles, sign):
 
 
 def rebuilt_no_fixed_point_condition(G):
-    decomposition = scc(G)
+    components = {_rebuilt_component(G, v) for v in G.vertices}
     return any(
         ini and nt and all(c.sign != 1 for c in _brute_signed_cycles(G.induced(comp)))
-        for comp, ini, nt in zip(
-            decomposition.components, decomposition.initial, decomposition.nontrivial
-        )
+        for comp, ini, nt in components
     )
 
 

@@ -43,7 +43,6 @@ from signedbn.graphs import (
     SignedDigraph,
     enumerate_cycles,
     iter_cycles,
-    tarjan_components,
 )
 from signedbn.kernels import kernel_indicators, kernels, generalized_condition, richardson_condition
 from signedbn.structure import (
@@ -235,16 +234,29 @@ def test_criterion_6_existence_arc_rule(sweep):
 # -- criterion 7: strong graphs with exactly one negative cycle -----------------
 
 
+def _reaches_all(n, succ):
+    """Whether vertex 1 reaches every vertex of 1..n along ``succ``."""
+    seen = {1}
+    frontier = [1]
+    while frontier:
+        for w in succ[frontier.pop()]:
+            if w not in seen:
+                seen.add(w)
+                frontier.append(w)
+    return len(seen) == n
+
+
 def _strong_structures(n):
     """All strong arc structures on 1..n with their cycle arc-index masks."""
     pairs = [(u, v) for u in range(1, n + 1) for v in range(1, n + 1)]
     for mask in range(1, 1 << len(pairs)):
         arcs = [p for i, p in enumerate(pairs) if (mask >> i) & 1]
         succ = {v: [] for v in range(1, n + 1)}
+        pred = {v: [] for v in range(1, n + 1)}
         for u, v in arcs:
             succ[u].append(v)
-        comps = tarjan_components(range(1, n + 1), lambda v: succ[v])
-        if len(comps) != 1:
+            pred[v].append(u)
+        if not (_reaches_all(n, succ) and _reaches_all(n, pred)):
             continue
         shape = SignedDigraph(n, [(u, v, POSITIVE) for u, v in arcs])
         index = {(a.source, a.target): i for i, a in enumerate(shape.arcs)}

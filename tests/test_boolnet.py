@@ -18,12 +18,10 @@ from signedbn.boolnet import (
     consistent_local_functions,
     count_consistent,
     enumerate_consistent,
-    int_to_state,
     is_realizable,
     leq_v,
     max_fixed_points,
     sample_consistent,
-    state_to_int,
 )
 from signedbn.falsify import disagreement_cycles, verify_antipodal_fixed_points
 from signedbn.generators import figure1, random_signed_digraph
@@ -201,7 +199,7 @@ class TestFixedPoints:
 
     def test_order_is_increasing_binary(self):
         points = IDENTITY2.fixed_points()
-        assert points == sorted(points, key=state_to_int)
+        assert points == sorted(points)
 
 
 class TestScansAgainstOracles:
@@ -490,6 +488,15 @@ class TestConsistentNetworks:
         with pytest.raises(ValueError):
             list(enumerate_consistent(G))
 
+    def test_five_inputs_refused_whatever_the_cap(self):
+        # _signature_index(5) would scan 2^32 tables.
+        G = g(5, *((u, 1, "+") for u in range(1, 6)))
+        start = time.perf_counter()
+        for call in (is_realizable, count_consistent, sample_consistent):
+            with pytest.raises(ValueError, match="vertex 1 has 5 inputs, cap is 4"):
+                call(G, max_indegree=5)
+        assert time.perf_counter() - start < 1.0
+
     def test_candidate_counts_match_independent_unate_count(self):
         # Over all sign assignments on k potential inputs, the consistent
         # tables partition the functions that are unate in every variable;
@@ -598,10 +605,3 @@ class TestTheoremVerdicts:
         assert verdict == "conclusion-holds"
         cycle = witnesses[((0, 0), (1, 1))]
         assert cycle.vertices == (1, 2)
-
-
-class TestStateConversions:
-    def test_round_trip(self):
-        for n in (1, 3):
-            for x in all_states(n):
-                assert int_to_state(state_to_int(x), n) == x

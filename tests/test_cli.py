@@ -298,6 +298,39 @@ class TestCheckCommand:
         assert time.perf_counter() - start < 1.0
         assert capsys.readouterr().err == "error: more than 100 cycles\n"
 
+    def test_richardson_gen_honours_cycle_cap(self, tmp_path, capsys):
+        # The complete 8-vertex digraph has 16,064 cycles.
+        path = tmp_path / "k8.dg"
+        arcs = "".join(f"{u} {v}\n" for u in range(1, 9) for v in range(1, 9) if u != v)
+        path.write_text(f"digraph 8\n{arcs}")
+        argv = ["check", "--theorem", "richardson-gen", str(path)]
+        assert main(argv + ["--cycle-cap", "100"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: more than 100 cycles\n"
+        assert main(argv + ["--cycle-cap", "20000"]) == 0
+        assert capsys.readouterr().out == "richardson-gen: holds\n"
+
+    @pytest.mark.parametrize("theorem", ["richardson", "richardson-gen", "kernel-corr"])
+    def test_digraph_checks_past_the_limit_exit_2_at_once(self, tmp_path, capsys, theorem):
+        # An acyclic ladder: layers {2i+1, 2i+2}, every arc from layer i+1
+        # to layer i.  Its reversal has 2^23 paths from the bottom layer,
+        # which a cycle search would walk before any subset scan refused.
+        path = tmp_path / "ladder.dg"
+        arcs = "".join(
+            f"{u} {v}\n"
+            for i in range(22)
+            for u in (2 * i + 3, 2 * i + 4)
+            for v in (2 * i + 1, 2 * i + 2)
+        )
+        path.write_text(f"digraph 46\n{arcs}")
+        start = time.perf_counter()
+        assert main(["check", "--theorem", theorem, str(path)]) == 2
+        assert time.perf_counter() - start < 1.0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: n=46 exceeds the subset scan limit 24\n"
+
     @pytest.mark.parametrize("theorem", ["harary", "lemma9"])
     def test_graph_checks_past_the_limit_exit_2_at_once(self, graph23, capsys, theorem):
         path, G = graph23
@@ -399,6 +432,8 @@ class TestFalsifyCommand:
              "error: max_n=60 exceeds the scan limit 20 of theorem 'harary'\n"),
             (["--theorem", "lemma9", "--max-n", "21"],
              "error: max_n=21 exceeds the scan limit 20 of theorem 'lemma9'\n"),
+            (["--theorem", "thm2", "--trials", "50", "--max-n", "10", "--max-indegree", "5"],
+             "error: max_indegree=5 exceeds the in-degree limit 4\n"),
         ],
     )
     def test_hopeless_sweep_exits_2_at_once(self, capsys, flags, message):

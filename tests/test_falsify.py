@@ -82,6 +82,12 @@ class TestHopelessSweepsRefused:
             falsify(theorem, trials=1000, seed=0, max_n=40)
         assert time.perf_counter() - start < 1.0
 
+    def test_max_indegree_past_the_table_limit(self):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="max_indegree=5 exceeds the in-degree limit 4"):
+            falsify("thm2", trials=50, seed=0, max_n=10, max_indegree=5)
+        assert time.perf_counter() - start < 1.0
+
     def test_max_n_at_the_scan_limit_runs(self):
         report = falsify("thm2", trials=3, seed=0, max_n=MAX_FIXED_POINT_SCAN)
         assert report.trials == 3 and not report.falsified

@@ -2,11 +2,13 @@
 
 import itertools
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import signedbn
 from conftest import all_signed_digraphs, all_simple_signed_digraphs, brute_cycles, g
 from signedbn.generators import figure1, random_signed_digraph
 from signedbn.graphs import (
@@ -16,12 +18,8 @@ from signedbn.graphs import (
     CycleCapExceeded,
     SignedCycle,
     SignedDigraph,
-    SignedPath,
-    complement,
     enumerate_cycles,
     find_negative_cycle,
-    flip,
-    hamming,
     has_negative_cycle,
     is_strong,
     reachable,
@@ -47,6 +45,9 @@ def graphs_strategy(max_n=5, simple=False):
 
 
 class TestModel:
+    def test_package_exports_resolve(self):
+        assert all(hasattr(signedbn, name) for name in signedbn.__all__)
+
     def test_arc_views(self):
         G = g(3, (1, 2, "+"), (1, 2, "-"), (3, 2, "+"), (2, 2, "-"))
         assert G.indegree(2) == 4
@@ -150,15 +151,6 @@ class TestSubgraphCalculus:
         assert all(c.sign == POSITIVE for c in enumerate_cycles(H))
 
 
-class TestStates:
-    def test_complement_and_flip_are_involutions(self):
-        x = (0, 1, 1, 0)
-        assert complement(complement(x)) == x
-        assert flip(flip(x, 2), 2) == x
-        assert hamming(x, complement(x)) == 4
-        assert hamming(x, x) == 0
-
-
 class TestPathsAndCycles:
     def test_cycle_canonical_rotation(self):
         a = SignedCycle([(2, 3, "+"), (3, 1, "+"), (1, 2, "+")])
@@ -180,12 +172,34 @@ class TestPathsAndCycles:
         with pytest.raises(ValueError):
             SignedCycle([])
 
-    def test_path(self):
-        p = SignedPath([(1, 2, "+"), (2, 3, "-")])
-        assert p.sign == NEGATIVE
-        assert p.vertices == (1, 2, 3)
-        with pytest.raises(ValueError):
-            SignedPath([(1, 2, "+"), (2, 1, "+")])
+
+def _reached(G, v):
+    seen = {v}
+    stack = [v]
+    while stack:
+        for a in G.out_arcs(stack.pop()):
+            if a.target not in seen:
+                seen.add(a.target)
+                stack.append(a.target)
+    return seen
+
+
+def _mutual_reachability_components(G):
+    """{(component, initial, terminal, nontrivial)}: each component is the
+    set of vertices that reach a vertex and are reached by it."""
+    reached = {v: _reached(G, v) for v in G.vertices}
+    found = set()
+    for v in G.vertices:
+        comp = frozenset(w for w in reached[v] if v in reached[w])
+        ins = [a.source for w in comp for a in G.in_arcs(w)]
+        outs = [a.target for w in comp for a in G.out_arcs(w)]
+        found.add((
+            comp,
+            all(u in comp for u in ins),
+            all(t in comp for t in outs),
+            any(t in comp for t in outs),
+        ))
+    return found
 
 
 class TestScc:
@@ -219,6 +233,24 @@ class TestScc:
         for a in G.arcs:
             assert index[a.source] <= index[a.target]
         assert sorted(v for comp in dec.components for v in comp) == list(G.vertices)
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3])
+    def test_matches_mutual_reachability(self, n):
+        graphs = all_signed_digraphs(n) if n <= 2 else all_simple_signed_digraphs(n)
+        for G in graphs:
+            dec = scc(G)
+            flags = zip(dec.components, dec.initial, dec.terminal, dec.nontrivial)
+            assert set(flags) == _mutual_reachability_components(G)
+            assert len(dec) == len(set(dec.components))
+            assert is_strong(G) == (len(dec) <= 1)
+
+    def test_reversed_path_cost(self):
+        n = 1000
+        G = SignedDigraph(n, [(v + 1, v, "+") for v in range(1, n)])
+        start = time.perf_counter()
+        dec = scc(G)
+        assert time.perf_counter() - start < 0.5
+        assert dec.components == tuple(frozenset({v}) for v in range(n, 0, -1))
 
 
 class TestCycleEnumeration:
