@@ -99,24 +99,20 @@ def constant(value: int) -> LocalFunction:
 # rows into pairs (j, j + 2^(k-1-i)) that differ only in that input.
 
 _POS_ONLY, _NEG_ONLY = 1, 2
+_DIGITS = bytes.maketrans(b"\0\1", b"01")
 
 
 @lru_cache(maxsize=None)
 def _input_rows(k: int) -> tuple[tuple[int, int], ...]:
     """Per input position i: the row step 2^(k-1-i) and the mask of the
-    rows where input i is 0."""
-    rows = []
-    for i in range(k):
-        step = 1 << (k - 1 - i)
-        rows.append((step, sum(1 << j for j in range(1 << k) if not j & step)))
-    return tuple(rows)
+    rows where input i is 0.  Row j is the k-input state with binary value
+    j, so that mask is the complement of the state set X_(i+1)."""
+    masks = _state_masks(k)
+    return tuple((1 << (k - 1 - i), masks[0] ^ masks[i + 1]) for i in range(k))
 
 
 def _table_bits(table: Sequence[int]) -> int:
-    bits = 0
-    for b in reversed(table):
-        bits = bits << 1 | b
-    return bits
+    return int(bytes(reversed(table)).translate(_DIGITS), 2)
 
 
 def _table_signs(bits: int, k: int) -> tuple[int, ...]:
@@ -334,6 +330,8 @@ def _states_in(states: int, n: int) -> list[tuple[int, ...]]:
 # binary value s (x_1 most significant).  Every scan over all 2^n states is
 # a few big-int operations per vertex on such sets.
 
+# Wider tables are looked up per state: a fold costs 2^k ops on 2^n-bit sets.
+_FOLD_MAX_INPUTS = 10
 # Vertex masks are kept for n up to here (about 140 KB at 16); larger
 # ones are rebuilt per call, which costs little next to the scan itself.
 _CACHED_MASKS_N = 16
@@ -367,8 +365,17 @@ def _value_mask(inputs: Sequence[int], table: Sequence[int], masks) -> int:
     """The set of states where the table's function is 1.
 
     Folds the table one input at a time, last input first: each pair of
-    rows that differ only in x_u becomes one multiplexer on X_u.
+    rows that differ only in x_u becomes one multiplexer on X_u.  A wider
+    table is looked up once per state, at the sum of its halves' rows.
     """
+    if len(inputs) > _FOLD_MAX_INPUTS:
+        n = len(masks) - 1
+        weight = {u: len(table) >> i + 1 for i, u in enumerate(inputs)}
+        high, low = [0], [0]
+        for u in range(1, n + 1):
+            half = high if u <= n - n // 2 else low
+            half[:] = [r + b for r in half for b in (0, weight.get(u, 0))]
+        return int(bytes([table[h + l] for h in high for l in low][::-1]).translate(_DIGITS), 2)
     full = masks[0]
     level = [full if b else 0 for b in table]
     for u in reversed(inputs):
@@ -411,9 +418,9 @@ def _signature_index(k: int) -> dict[tuple[int, ...], tuple[tuple[int, ...], ...
     """All k-input tables grouped by their per-input signs (``_table_signs``)."""
     rows = 1 << k
     index: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-    for t in range(1 << rows):
-        table = tuple((t >> j) & 1 for j in range(rows))
-        index.setdefault(_table_signs(t, k), []).append(table)
+    # Table t holds row j in bit j, so it is state t reversed.
+    for t, state in enumerate(all_states(rows)):
+        index.setdefault(_table_signs(t, k), []).append(state[::-1])
     return {sig: tuple(tables) for sig, tables in index.items()}
 
 

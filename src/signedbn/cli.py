@@ -14,7 +14,7 @@ import json
 import sys
 
 from . import boolnet, codes, falsify, formats, generators, structure
-from .graphs import DEFAULT_CYCLE_CAP, INF, CycleCapExceeded
+from .graphs import DEFAULT_CYCLE_CAP, INF, CycleCapExceeded, _check_cap
 from .kernels import kernels as all_kernels
 
 SCHEMA_VERSION = 1
@@ -141,30 +141,28 @@ def _cmd_generate(parser, args) -> int:
 
 
 def _load_instance(parser, prop, args) -> tuple:
-    """The input files as the parts ``prop.check`` takes, by instance kind."""
-    if prop.kind == falsify.DIGRAPH:
-        return (_load(parser, formats.load_digraph, args.input),)
-    if prop.kind == falsify.GRAPH:
-        return (_load(parser, formats.load_signed_digraph, args.input),)
-    if not args.network:
-        parser.exit(EXIT_USAGE, f"error: --theorem {prop.id} needs a network file\n")
-    G = _load(parser, formats.load_signed_digraph, args.input)
-    f = _load(parser, formats.load_boolean_network, args.network)
-    if f.interaction_graph() != G:
+    """The input files, each read with its part's loader, as the parts
+    ``prop.check`` takes; a rule theorem's condition takes the graph alone."""
+    parts = prop.kind.parts if prop.condition is None else prop.kind.parts[:1]
+    paths = [path for path in (args.input, args.network) if path]
+    if len(paths) != len(parts):
+        wanted = " and ".join(f"a {name} file" for name, _, _ in parts)
+        parser.exit(EXIT_USAGE, f"error: --theorem {prop.id} takes exactly {wanted}\n")
+    instance = tuple(_load(parser, load, path) for (_, _, load), path in zip(parts, paths))
+    if len(instance) == 2 and instance[1].interaction_graph() != instance[0]:
         parser.exit(EXIT_USAGE, "error: network's interaction graph differs from the graph\n")
-    return G, f
+    return instance
 
 
 def _cmd_check(parser, args) -> int:
     prop = falsify.REGISTRY.get(args.theorem)
     if prop is None:
         parser.exit(EXIT_USAGE, f"error: unknown theorem id {args.theorem!r}\n")
+    instance = _load_instance(parser, prop, args)
     if prop.condition is not None:
-        # A rule theorem: report whether its condition holds on the graph.
-        G = _load(parser, formats.load_signed_digraph, args.input)
-        holds, detail = prop.condition(G, args.cycle_cap).holds, ""
+        holds, detail = prop.condition(*instance, args.cycle_cap).holds, ""
     else:
-        violation = prop.check(*_load_instance(parser, prop, args), cap=args.cycle_cap)
+        violation = prop.check(*instance, cap=args.cycle_cap)
         holds, detail = violation is None, violation or ""
     verdict = "holds" if holds else "violated"
     _emit(
@@ -267,6 +265,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_cap(getattr(args, "cycle_cap", 0))
         return args.run(parser, args)
     except (boolnet.UnrealizableGraphError, CycleCapExceeded, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -16,7 +16,7 @@ import random
 import time
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 from . import formats, structure
 from .boolnet import (
@@ -28,17 +28,14 @@ from .boolnet import (
     sample_consistent,
 )
 from .codes import fixed_point_bound
-from .generators import (
-    iter_simple_signed_digraphs,
-    random_digraph,
-    random_signed_digraph,
-)
+from .generators import iter_simple_signed_digraphs, random_digraph, random_signed_digraph
 from .graphs import (
     DEFAULT_CYCLE_CAP,
     NEGATIVE,
     POSITIVE,
     CycleCapExceeded,
     SignedDigraph,
+    _check_cap,
     enumerate_cycles,
     has_negative_cycle,
     is_strong,
@@ -72,12 +69,6 @@ MAX_EXHAUSTIVE_N = 3
 # draw takes 15 s.  At 20, 1,000 harary trials took at most 13 s over
 # seeds 0 to 39.  The lemma9 and harary checks refuse larger graphs.
 MAX_GRAPH_N = 20
-
-# Instance kinds: a signed digraph with a consistent network, a signed
-# digraph alone, an unsigned digraph.
-PAIR = "pair"
-GRAPH = "graph"
-DIGRAPH = "digraph"
 
 
 # -- instance-level theorem verdicts -------------------------------------------
@@ -175,53 +166,72 @@ class FalsifyReport:
 # -- drawing instances ------------------------------------------------------------
 
 
-def _random_realizable(rng: random.Random, max_n: int, max_indegree: int):
-    """A random signed digraph with a non-empty consistent-network family."""
-    while True:
-        n = rng.randint(1, max_n)
-        G = random_signed_digraph(n, rng=rng)
-        if max(len(G.in_neighbors(v)) for v in G.vertices) > max_indegree:
-            continue
-        if not is_realizable(G, max_indegree):
-            continue
-        try:
-            enumerate_cycles(G, FALSIFY_CYCLE_CAP)
-        except CycleCapExceeded:
-            continue
-        return G
+def _within_cap(G: SignedDigraph) -> bool:
+    try:
+        enumerate_cycles(G, FALSIFY_CYCLE_CAP)
+    except CycleCapExceeded:
+        return False
+    return True
 
 
 def _draw_pair(rng: random.Random, max_n: int, max_indegree: int):
-    G = _random_realizable(rng, max_n, max_indegree)
-    return G, sample_consistent(G, rng=rng, max_indegree=max_indegree)
+    """A random signed digraph, redrawn until it has a consistent network
+    within the in-degree and cycle caps, and one such network."""
+    while True:
+        G = random_signed_digraph(rng.randint(1, max_n), rng=rng)
+        fits = max(len(G.in_neighbors(v)) for v in G.vertices) <= max_indegree
+        if fits and is_realizable(G, max_indegree) and _within_cap(G):
+            return G, sample_consistent(G, rng=rng, max_indegree=max_indegree)
 
 
 def _draw_graph(rng: random.Random, max_n: int, max_indegree: int):
     """A random signed digraph, or None (a vacuous trial) past the cycle cap."""
     G = random_signed_digraph(rng.randint(1, max_n), rng=rng)
-    try:
-        enumerate_cycles(G, FALSIFY_CYCLE_CAP)
-    except CycleCapExceeded:
-        return None
-    return (G,)
+    return (G,) if _within_cap(G) else None
 
 
 def _draw_digraph(rng: random.Random, max_n: int, max_indegree: int):
     return (random_digraph(rng.randint(1, max_n), rng=rng),)
 
 
-# Per kind: the largest max_n random trials take; PAIR and DIGRAPH checks
-# scan 2^n states.
-_MAX_N = {PAIR: MAX_FIXED_POINT_SCAN, GRAPH: MAX_GRAPH_N, DIGRAPH: KERNEL_SCAN_LIMIT}
+def _sweep_pairs(max_n: int, max_indegree: int):
+    """Every simple signed digraph up to max_n vertices, with each consistent network."""
+    return (
+        (G, f)
+        for n in range(1, max_n + 1)
+        for G in iter_simple_signed_digraphs(n)
+        for f in enumerate_consistent(G, max_indegree)
+    )
 
-# Per kind: how a trial draws an instance, and the artifact name and
-# serializer of each part, in the order ``check`` takes the parts.
-_DRAW = {PAIR: _draw_pair, GRAPH: _draw_graph, DIGRAPH: _draw_digraph}
-_PARTS = {
-    PAIR: (("graph", formats.format_signed_digraph), ("network", formats.format_boolean_network)),
-    GRAPH: (("graph", formats.format_signed_digraph),),
-    DIGRAPH: (("digraph", formats.format_digraph),),
-}
+
+@dataclass(frozen=True)
+class InstanceKind:
+    """How random trials draw an instance, or None for a vacuous trial; the
+    largest max_n they take; the exhaustive sweep up to a vertex count, or
+    None; and per part, in the order ``check`` takes the parts, its
+    artifact name, serializer and file loader.
+    """
+
+    draw: Callable[[random.Random, int, int], Optional[tuple]]
+    max_n: int
+    sweep: Optional[Callable[[int, int], Iterator[tuple]]]
+    parts: tuple[tuple[str, Callable, Callable], ...]
+
+
+_GRAPH_PART = ("graph", formats.format_signed_digraph, formats.load_signed_digraph)
+
+# A signed digraph with a consistent network: its checks scan 2^n states.
+PAIR = InstanceKind(
+    _draw_pair, MAX_FIXED_POINT_SCAN, _sweep_pairs,
+    (_GRAPH_PART, ("network", formats.format_boolean_network, formats.load_boolean_network)),
+)
+# A signed digraph alone.
+GRAPH = InstanceKind(_draw_graph, MAX_GRAPH_N, None, (_GRAPH_PART,))
+# An unsigned digraph: its checks scan 2^n vertex subsets.
+DIGRAPH = InstanceKind(
+    _draw_digraph, KERNEL_SCAN_LIMIT, None,
+    (("digraph", formats.format_digraph, formats.load_digraph),),
+)
 
 
 # -- the properties -----------------------------------------------------------------
@@ -243,7 +253,7 @@ class TheoremProperty:
 
     id: str
     description: str
-    kind: str
+    kind: InstanceKind
     check: Callable[..., Optional[str]]
     condition: Optional[Callable[[SignedDigraph, int], RuleVerdict]] = None
     max_n: Optional[int] = None
@@ -253,12 +263,8 @@ class TheoremProperty:
         if detail is None:
             return None
         return Counterexample(
-            detail, {name: fmt(part) for (name, fmt), part in zip(_PARTS[self.kind], instance)}
+            detail, {name: fmt(part) for (name, fmt, _), part in zip(self.kind.parts, instance)}
         )
-
-    def trial(self, rng: random.Random, max_n: int, max_indegree: int) -> Optional[Counterexample]:
-        instance = _DRAW[self.kind](rng, max_n, max_indegree)
-        return None if instance is None else self.counterexample(instance)
 
 
 def _rule_property(theorem_id, description, condition, conclusion, detail) -> TheoremProperty:
@@ -345,6 +351,7 @@ def _check_lemma9(G, cap=FALSIFY_CYCLE_CAP) -> Optional[str]:
 
 def _check_harary(G, cap=FALSIFY_CYCLE_CAP) -> Optional[str]:
     _check_graph_limit(G)
+    _check_cap(cap)
     colors = structure.two_coloring(G)
     negative = False
     for count, c in enumerate(iter_cycles(G.symmetrize()), start=1):
@@ -445,18 +452,16 @@ def run_falsification(
 ) -> FalsifyReport:
     """Drive one property for a number of independently seeded trials.
 
-    With ``exhaustive_n`` (supported for PAIR properties, up to
-    MAX_EXHAUSTIVE_N) the harness sweeps every simple signed digraph up to
-    that size and every consistent network instead of sampling.  Random
-    trials take ``max_n`` up to ``prop.max_n`` or else the limit of its
-    kind: MAX_FIXED_POINT_SCAN for PAIR properties (cor8 stops at the
-    tau~+ search limit), MAX_GRAPH_N for GRAPH and KERNEL_SCAN_LIMIT for
-    DIGRAPH properties, and ``max_indegree`` up to DEFAULT_MAX_INDEGREE.
+    With ``exhaustive_n`` (up to MAX_EXHAUSTIVE_N, for a kind with a
+    sweep: PAIR) the harness runs the kind's sweep instead of sampling.
+    Random trials take ``max_n`` up to ``prop.max_n``, or else up to the
+    kind's ``max_n``, and ``max_indegree`` up to DEFAULT_MAX_INDEGREE.
     Every parameter is checked before any trial runs.
     """
     if max_n < 1:
         raise ValueError(f"max_n must be at least 1, got {max_n}")
-    limit = _MAX_N[prop.kind] if prop.max_n is None else prop.max_n
+    kind = prop.kind
+    limit = kind.max_n if prop.max_n is None else prop.max_n
     if max_n > limit:
         raise ValueError(f"max_n={max_n} exceeds the scan limit {limit} of theorem {prop.id!r}")
     if max_indegree < 0:
@@ -474,23 +479,19 @@ def run_falsification(
             f"exhaustive_n={exhaustive_n} exceeds the exhaustive limit {MAX_EXHAUSTIVE_N}"
         )
     if exhaustive_n is None:
-        results = (
-            prop.trial(random.Random(f"{seed}:{i}"), max_n, max_indegree) for i in range(trials)
+        instances = (
+            kind.draw(random.Random(f"{seed}:{i}"), max_n, max_indegree) for i in range(trials)
         )
-    elif prop.kind == PAIR:
-        results = (
-            prop.counterexample((G, f))
-            for n in range(1, exhaustive_n + 1)
-            for G in iter_simple_signed_digraphs(n)
-            for f in enumerate_consistent(G, max_indegree)
-        )
-    else:
+    elif kind.sweep is None:
         raise ValueError(f"theorem {prop.id!r} has no exhaustive mode")
+    else:
+        instances = kind.sweep(exhaustive_n, max_indegree)
     start = time.perf_counter()
     found: list[Counterexample] = []
     ran = 0
-    for result in results:
+    for instance in instances:
         ran += 1
+        result = None if instance is None else prop.counterexample(instance)
         if result is not None:
             found.append(result)
             if stop_after and len(found) >= stop_after:

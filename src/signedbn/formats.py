@@ -9,7 +9,7 @@ parse/serialize round-trips are bit exact modulo comments and whitespace.
 from __future__ import annotations
 
 from .boolnet import BooleanNetwork, LocalFunction
-from .graphs import Arc, Digraph, SignedDigraph, sign_char
+from .graphs import Digraph, SignedDigraph, sign_char
 
 
 class FormatError(Exception):
@@ -27,7 +27,13 @@ def _records(text: str):
             yield line_no, line
 
 
-def _parse_header(line_no: int, line: str, kind: str) -> int:
+def _read_header(text: str, kind: str):
+    """The header line's number, the vertex count and the remaining records."""
+    records = _records(text)
+    try:
+        line_no, line = next(records)
+    except StopIteration:
+        raise FormatError(1, f"missing '{kind} <n>' header") from None
     parts = line.split()
     if len(parts) != 2 or parts[0] != kind:
         raise FormatError(line_no, f"expected header '{kind} <n>', got {line!r}")
@@ -37,7 +43,7 @@ def _parse_header(line_no: int, line: str, kind: str) -> int:
         raise FormatError(line_no, f"bad vertex count {parts[1]!r}") from None
     if n < 0:
         raise FormatError(line_no, f"bad vertex count {n}")
-    return n
+    return line_no, n, records
 
 
 def _parse_vertex(line_no: int, token: str, n: int) -> int:
@@ -50,33 +56,33 @@ def _parse_vertex(line_no: int, token: str, n: int) -> int:
     return v
 
 
+def _read_arcs(records, n: int, shape: str) -> list[tuple]:
+    """Per record of ``shape``, (u, v) or (u, v, sign character); no duplicates."""
+    fields = len(shape.split())
+    arcs = []
+    seen = set()
+    for line_no, line in records:
+        parts = line.split()
+        if len(parts) != fields:
+            raise FormatError(line_no, f"expected '{shape}', got {line!r}")
+        u = _parse_vertex(line_no, parts[0], n)
+        v = _parse_vertex(line_no, parts[1], n)
+        if fields == 3 and parts[2] not in ("+", "-"):
+            raise FormatError(line_no, f"bad sign {parts[2]!r}")
+        arc = (u, v, *parts[2:])
+        if arc in seen:
+            raise FormatError(line_no, "duplicate arc " + " ".join(map(str, arc)))
+        seen.add(arc)
+        arcs.append(arc)
+    return arcs
+
+
 # -- signed digraphs ----------------------------------------------------------
 
 
 def parse_signed_digraph(text: str) -> SignedDigraph:
-    records = _records(text)
-    try:
-        line_no, line = next(records)
-    except StopIteration:
-        raise FormatError(1, "missing 'sdigraph <n>' header") from None
-    n = _parse_header(line_no, line, "sdigraph")
-    arcs: list[Arc] = []
-    seen = set()
-    for line_no, line in records:
-        parts = line.split()
-        if len(parts) != 3:
-            raise FormatError(line_no, f"expected '<u> <v> <sign>', got {line!r}")
-        u = _parse_vertex(line_no, parts[0], n)
-        v = _parse_vertex(line_no, parts[1], n)
-        if parts[2] not in ("+", "-"):
-            raise FormatError(line_no, f"bad sign {parts[2]!r}")
-        sign = 1 if parts[2] == "+" else -1
-        arc = Arc(u, v, sign)
-        if arc in seen:
-            raise FormatError(line_no, f"duplicate arc {u} {v} {parts[2]}")
-        seen.add(arc)
-        arcs.append(arc)
-    return SignedDigraph(n, arcs)
+    _, n, records = _read_header(text, "sdigraph")
+    return SignedDigraph(n, _read_arcs(records, n, "<u> <v> <sign>"))
 
 
 def format_signed_digraph(G: SignedDigraph) -> str:
@@ -91,12 +97,7 @@ def format_signed_digraph(G: SignedDigraph) -> str:
 
 
 def parse_boolean_network(text: str) -> BooleanNetwork:
-    records = _records(text)
-    try:
-        line_no, line = next(records)
-    except StopIteration:
-        raise FormatError(1, "missing 'boolnet <n>' header") from None
-    n = _parse_header(line_no, line, "boolnet")
+    header_no, n, records = _read_header(text, "boolnet")
     locals_: dict[int, LocalFunction] = {}
     for line_no, line in records:
         if ":" not in line:
@@ -108,9 +109,7 @@ def parse_boolean_network(text: str) -> BooleanNetwork:
         if "|" not in rest:
             raise FormatError(line_no, f"missing '|' before the table in {line!r}")
         inputs_part, _, table_part = rest.partition("|")
-        inputs = tuple(
-            _parse_vertex(line_no, tok, n) for tok in inputs_part.split()
-        )
+        inputs = tuple(_parse_vertex(line_no, tok, n) for tok in inputs_part.split())
         if len(set(inputs)) != len(inputs):
             raise FormatError(line_no, "duplicate input vertex")
         table_str = table_part.strip()
@@ -125,7 +124,9 @@ def parse_boolean_network(text: str) -> BooleanNetwork:
         locals_[v] = LocalFunction(inputs, tuple(int(b) for b in table_str))
     missing = [v for v in range(1, n + 1) if v not in locals_]
     if missing:
-        raise FormatError(0, f"no local function for vertices {missing}")
+        # Name at most five of them: the header alone may declare millions.
+        shown = ", ".join(map(str, missing[:5])) + (", ..." if len(missing) > 5 else "")
+        raise FormatError(header_no, f"no local function for {len(missing)} vertices: {shown}")
     return BooleanNetwork([locals_[v] for v in range(1, n + 1)])
 
 
@@ -146,25 +147,8 @@ def format_boolean_network(f: BooleanNetwork) -> str:
 
 
 def parse_digraph(text: str) -> Digraph:
-    records = _records(text)
-    try:
-        line_no, line = next(records)
-    except StopIteration:
-        raise FormatError(1, "missing 'digraph <n>' header") from None
-    n = _parse_header(line_no, line, "digraph")
-    arcs = []
-    seen = set()
-    for line_no, line in records:
-        parts = line.split()
-        if len(parts) != 2:
-            raise FormatError(line_no, f"expected '<u> <v>', got {line!r}")
-        u = _parse_vertex(line_no, parts[0], n)
-        v = _parse_vertex(line_no, parts[1], n)
-        if (u, v) in seen:
-            raise FormatError(line_no, f"duplicate arc {u} {v}")
-        seen.add((u, v))
-        arcs.append((u, v))
-    return Digraph(n, arcs)
+    _, n, records = _read_header(text, "digraph")
+    return Digraph(n, _read_arcs(records, n, "<u> <v>"))
 
 
 def format_digraph(D: Digraph) -> str:
@@ -176,16 +160,18 @@ def format_digraph(D: Digraph) -> str:
 # -- file wrappers ------------------------------------------------------------
 
 
-def load_signed_digraph(path) -> SignedDigraph:
+def _read_file(path) -> str:
     with open(path, encoding="utf-8") as handle:
-        return parse_signed_digraph(handle.read())
+        return handle.read()
+
+
+def load_signed_digraph(path) -> SignedDigraph:
+    return parse_signed_digraph(_read_file(path))
 
 
 def load_boolean_network(path) -> BooleanNetwork:
-    with open(path, encoding="utf-8") as handle:
-        return parse_boolean_network(handle.read())
+    return parse_boolean_network(_read_file(path))
 
 
 def load_digraph(path) -> Digraph:
-    with open(path, encoding="utf-8") as handle:
-        return parse_digraph(handle.read())
+    return parse_digraph(_read_file(path))

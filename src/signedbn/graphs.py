@@ -493,13 +493,20 @@ def iter_cycles(G: SignedDigraph) -> Iterator[SignedCycle]:
                     on_path.discard(path.pop().target)
 
 
+def _check_cap(cap: int):
+    """Refuse a negative cycle cap, before any cycle is enumerated."""
+    if cap < 0:
+        raise ValueError(f"cycle cap {cap} is below 0")
+
+
 def enumerate_cycles(G: SignedDigraph, cap: int = DEFAULT_CYCLE_CAP) -> list[SignedCycle]:
     """All simple cycles of G in deterministic order.
 
-    Raises CycleCapExceeded when the graph has more than ``cap`` cycles;
-    truncation is never silent.  The complete list is cached on the graph,
-    inside its cycle index.
+    Raises CycleCapExceeded when the graph has more than ``cap`` cycles,
+    so truncation is never silent, and ValueError for a cap below 0.  The
+    complete list is cached on the graph, inside its cycle index.
     """
+    _check_cap(cap)
     index = G._cycle_cache
     if index is None:
         out = []
@@ -517,14 +524,13 @@ def _cycle_index(G: SignedDigraph, cap: int = DEFAULT_CYCLE_CAP) -> "_CycleIndex
     """G's cycle index, from ``enumerate_cycles`` on first use, with its
     incidence built.
 
-    Raises CycleCapExceeded when the graph has more than ``cap`` cycles,
-    on every call, as ``enumerate_cycles`` does.
+    On every call, a cap below 0 or below G's cycle count goes to
+    ``enumerate_cycles``, which refuses it.
     """
-    if G._cycle_cache is None:
-        enumerate_cycles(G, cap)
     index = G._cycle_cache
-    if len(index.cycles) > cap:
-        raise CycleCapExceeded(f"more than {cap} cycles")
+    if index is None or cap < 0 or len(index.cycles) > cap:
+        enumerate_cycles(G, cap)
+        index = G._cycle_cache
     if index.arcs is None:
         index.build(G)
     return index

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import all_signed_digraphs, brute_attractors, brute_fixed_points, g
+from signedbn import boolnet
 from signedbn.boolnet import (
     BooleanNetwork,
     LocalFunction,
@@ -332,6 +333,93 @@ class TestScanEdgesAndCost:
         with pytest.raises(ValueError, match="family scan limit"):
             max_fixed_points(G)
         assert time.perf_counter() - start < 1.0
+
+
+def wide_network(table, k=18):
+    """Vertex 1 reads vertices k+1, k, ..., 2 through ``table``; every
+    other vertex copies x_1."""
+    inputs = tuple(range(k + 1, 1, -1))
+    return BooleanNetwork(
+        [LocalFunction(inputs, table)] + [LocalFunction((1,), (0, 1))] * k
+    )
+
+
+class TestWideTables:
+    """Per-input row masks come from the state masks, and a table wider than
+    the fold limit is read by one lookup per state."""
+
+    @pytest.mark.parametrize("k", range(13))
+    def test_input_rows_match_the_row_sums(self, k):
+        expected = tuple(
+            (1 << (k - 1 - i), sum(1 << j for j in range(1 << k) if not j >> (k - 1 - i) & 1))
+            for i in range(k)
+        )
+        assert boolnet._input_rows(k) == expected
+
+    def test_table_bits_match_the_shift_loop(self):
+        rng = random.Random(3)
+        for k in range(13):
+            table = [rng.randrange(2) for _ in range(1 << k)]
+            bits = 0
+            for b in reversed(table):
+                bits = bits << 1 | b
+            assert boolnet._table_bits(table) == bits
+
+    @pytest.mark.parametrize("k", range(5))
+    def test_signature_index_matches_a_per_table_unpacking(self, k):
+        rows = 1 << k
+        expected = {}
+        for t in range(1 << rows):
+            table = tuple((t >> j) & 1 for j in range(rows))
+            expected.setdefault(boolnet._table_signs(t, k), []).append(table)
+        index = boolnet._signature_index(k)
+        assert list(index) == list(expected)
+        assert index == {sig: tuple(tables) for sig, tables in expected.items()}
+
+    def test_interaction_graph_of_an_18_input_table_is_fast(self):
+        rng = random.Random(18)
+        table = [rng.randrange(2) for _ in range(1 << 18)]
+        f = wide_network(table)
+        start = time.perf_counter()
+        G = f.interaction_graph()
+        assert time.perf_counter() - start < 1.0
+        for u in (2, 11, 19):
+            # Input u is at position 19 - u; its rows pair up at that step.
+            step = 1 << (u - 2)
+            signs = {table[j | step] - table[j] for j in range(1 << 18) if not j & step}
+            assert {a.sign for a in G.in_arcs(1) if a.source == u} == signs - {0}
+
+    def test_is_canalized_on_an_18_input_table_is_fast(self):
+        conjunction = [0] * ((1 << 18) - 1) + [1]
+        majority = [int(bin(j).count("1") >= 9) for j in range(1 << 18)]
+        for table, canalized in ((conjunction, True), (majority, False)):
+            f = wide_network(table)
+            start = time.perf_counter()
+            assert all(f.is_canalized((u, 1, "+")) == canalized for u in range(2, 20))
+            assert time.perf_counter() - start < 1.0
+
+    def test_wide_table_fixed_points_are_fast(self):
+        rng = random.Random(19)
+        f = wide_network([rng.randrange(2) for _ in range(1 << 18)])
+        start = time.perf_counter()
+        points = f.fixed_points()
+        assert time.perf_counter() - start < 1.0
+        assert points == [x for x in ((0,) * 19, (1,) * 19) if f.evaluate(x) == x]
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_lookup_matches_the_fold(self, seed, monkeypatch):
+        rng = random.Random(seed)
+        n = 12
+        f = BooleanNetwork([
+            LocalFunction(
+                rng.sample(range(1, n + 1), k), [rng.randrange(2) for _ in range(1 << k)]
+            )
+            for k in [rng.randint(0, n) for _ in range(n)]
+        ])
+        looked_up = f.fixed_points(), f.attractors()
+        monkeypatch.setattr(boolnet, "_FOLD_MAX_INPUTS", n)
+        assert (f.fixed_points(), f.attractors()) == looked_up
+        assert looked_up[0] == brute_fixed_points(f)
 
 
 class TestLeq:

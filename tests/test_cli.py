@@ -343,6 +343,67 @@ class TestCheckCommand:
         assert captured.err == "error: n=23 exceeds the search limit 20\n"
 
 
+    @pytest.mark.parametrize(
+        "theorem, count, wanted",
+        [
+            ("harary", 2, "a graph file"),
+            ("richardson", 2, "a digraph file"),
+            ("thm4", 2, "a graph file"),  # a rule theorem: its condition reads G
+            ("thm1", 1, "a graph file and a network file"),
+        ],
+    )
+    def test_wrong_file_count_exits_2(
+        self, tmp_path, swap_net, two_cycle_digraph, capsys, theorem, count, wanted
+    ):
+        graph = tmp_path / "pos2.sd"
+        graph.write_text("sdigraph 2\n1 2 +\n2 1 +\n")
+        first = two_cycle_digraph if theorem == "richardson" else str(graph)
+        with pytest.raises(SystemExit) as err:
+            main(["check", "--theorem", theorem] + [first, swap_net][:count])
+        assert err.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --theorem {theorem} takes exactly {wanted}\n"
+
+    def test_thm1_on_an_18_input_table_is_fast(self, tmp_path, capsys):
+        # Vertex 1 reads the other 18 vertices, each of which copies x_1.
+        rng = random.Random(18)
+        f = BooleanNetwork(
+            [LocalFunction(range(2, 20), [rng.randrange(2) for _ in range(1 << 18)])]
+            + [LocalFunction((1,), (0, 1))] * 18
+        )
+        graph, network = tmp_path / "wide.sd", tmp_path / "wide.bn"
+        graph.write_text(format_signed_digraph(f.interaction_graph()))
+        network.write_text(format_boolean_network(f))
+        start = time.perf_counter()
+        assert main(["check", "--theorem", "thm1", str(graph), str(network)]) == 0
+        assert time.perf_counter() - start < 1.0
+        assert capsys.readouterr().out == "thm1: holds\n"
+
+
+class TestNegativeCycleCap:
+    @pytest.mark.parametrize(
+        "command",
+        [["analyze"], ["bounds"], ["check", "--theorem", "thm3"],
+         ["check", "--theorem", "harary"], ["check", "--theorem", "thm2"]],
+    )
+    def test_refused_with_the_cap_named(self, tmp_path, capsys, command):
+        path = tmp_path / "acyclic.sd"
+        path.write_text("sdigraph 2\n1 2 +\n")
+        network = tmp_path / "acyclic.bn"
+        network.write_text("boolnet 2\n1 : | 0\n2 : 1 | 01\n")
+        files = [str(path), str(network)] if command[-1] == "thm2" else [str(path)]
+        assert main(command + ["--cycle-cap", "-1"] + files) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: cycle cap -1 is below 0\n"
+
+    def test_a_cap_of_zero_is_allowed(self, tmp_path, capsys):
+        path = tmp_path / "acyclic.sd"
+        path.write_text("sdigraph 2\n1 2 +\n")
+        assert main(["bounds", "--cycle-cap", "0", str(path)]) == 0
+
+
 class TestGenerate:
     def test_figure1_to_file(self, tmp_path, capsys):
         out = tmp_path / "g.sd"

@@ -1,11 +1,14 @@
 """The falsification harness: registry, determinism, sensitivity."""
 
+import random
 import time
 
 import pytest
 
 from signedbn.boolnet import MAX_FIXED_POINT_SCAN
 from signedbn.falsify import (
+    DIGRAPH,
+    GRAPH,
     MAX_EXHAUSTIVE_N,
     MAX_GRAPH_N,
     PAIR,
@@ -62,6 +65,31 @@ class TestProvenStatements:
     def test_exhaustive_mode_only_for_instance_checks(self):
         with pytest.raises(ValueError, match="exhaustive"):
             falsify("harary", trials=0, exhaustive_n=2)
+
+
+class TestInstanceKinds:
+    def test_every_property_takes_one_of_the_three_kinds(self):
+        assert {p.kind for p in REGISTRY.values()} == {PAIR, GRAPH, DIGRAPH}
+        assert [k.sweep is None for k in (PAIR, GRAPH, DIGRAPH)] == [False, True, True]
+
+    @pytest.mark.parametrize("theorem", ["thm1", "thm3", "lemma9", "harary", "kernel-corr"])
+    def test_drawn_instances_round_trip_through_files(self, tmp_path, theorem):
+        # Each part is written with its kind's serializer and read back with
+        # its loader; the check sees the same instance and gives the same answer.
+        prop = REGISTRY[theorem]
+        kind = prop.kind
+        for i in range(20):
+            instance = kind.draw(random.Random(f"5:{i}"), 5, 4)
+            if instance is None:
+                continue
+            assert len(instance) == len(kind.parts)
+            reloaded = []
+            for (name, serialize, load), part in zip(kind.parts, instance):
+                path = tmp_path / f"{i}.{name}"
+                path.write_text(serialize(part))
+                reloaded.append(load(path))
+            assert tuple(reloaded) == instance
+            assert prop.check(*reloaded) == prop.check(*instance)
 
 
 class TestHopelessSweepsRefused:

@@ -82,6 +82,19 @@ class TestBooleanNetwork:
         with pytest.raises(FormatError, match="no local function"):
             parse_boolean_network("boolnet 2\n1 : | 0\n")
 
+    def test_missing_vertices_message_is_bounded(self):
+        # A 15-byte header declares 200,000 vertices and defines none.
+        with pytest.raises(FormatError) as err:
+            parse_boolean_network("boolnet 200000\n")
+        message = str(err.value)
+        assert len(message) < 100
+        assert message == "line 1: no local function for 200000 vertices: 1, 2, 3, 4, 5, ..."
+
+    def test_missing_vertices_names_the_header_line(self):
+        with pytest.raises(FormatError) as err:
+            parse_boolean_network("# network\n\nboolnet 3\n2 : | 1\n")
+        assert str(err.value) == "line 3: no local function for 2 vertices: 1, 3"
+
     def test_duplicate_vertex(self):
         with pytest.raises(FormatError, match="twice"):
             parse_boolean_network("boolnet 1\n1 : | 0\n1 : | 1\n")
@@ -107,3 +120,54 @@ class TestDigraph:
     def test_wrong_header_kind(self):
         with pytest.raises(FormatError, match="header"):
             parse_digraph("sdigraph 2\n1 2\n")
+
+
+@pytest.mark.parametrize(
+    "parse, text, message",
+    [
+        # header kind and count
+        (parse_signed_digraph, "", "line 1: missing 'sdigraph <n>' header"),
+        (parse_boolean_network, "# only a comment\n", "line 1: missing 'boolnet <n>' header"),
+        (parse_digraph, "\n", "line 1: missing 'digraph <n>' header"),
+        (parse_signed_digraph, "digraph 2\n", "line 1: expected header 'sdigraph <n>', got 'digraph 2'"),
+        (parse_boolean_network, "boolnet\n", "line 1: expected header 'boolnet <n>', got 'boolnet'"),
+        (parse_digraph, "# c\ndigraph 2 3\n", "line 2: expected header 'digraph <n>', got 'digraph 2 3'"),
+        (parse_signed_digraph, "sdigraph two\n", "line 1: bad vertex count 'two'"),
+        (parse_boolean_network, "boolnet -1\n", "line 1: bad vertex count -1"),
+        (parse_digraph, "digraph 1.5\n", "line 1: bad vertex count '1.5'"),
+        # record shape
+        (parse_signed_digraph, "sdigraph 2\n1 2\n", "line 2: expected '<u> <v> <sign>', got '1 2'"),
+        (parse_digraph, "digraph 2\n1 2 +\n", "line 2: expected '<u> <v>', got '1 2 +'"),
+        (parse_boolean_network, "boolnet 1\n1 | 0\n",
+         "line 2: expected '<v> : <inputs> | <table>', got '1 | 0'"),
+        (parse_boolean_network, "boolnet 1\n1 : 0\n", "line 2: missing '|' before the table in '1 : 0'"),
+        # vertex id
+        (parse_signed_digraph, "sdigraph 2\n1 x +\n", "line 2: bad vertex id 'x'"),
+        (parse_signed_digraph, "sdigraph 2\n0 1 +\n", "line 2: vertex id 0 outside 1..2"),
+        (parse_digraph, "digraph 2\n1 3\n", "line 2: vertex id 3 outside 1..2"),
+        (parse_digraph, "digraph 2\n\n? 1\n", "line 3: bad vertex id '?'"),
+        (parse_boolean_network, "boolnet 2\n3 : | 0\n", "line 2: vertex id 3 outside 1..2"),
+        (parse_boolean_network, "boolnet 2\n1 : 2 z | 01\n", "line 2: bad vertex id 'z'"),
+        # sign
+        (parse_signed_digraph, "sdigraph 2\n1 2 ++\n", "line 2: bad sign '++'"),
+        # duplicate arc, duplicate vertex
+        (parse_signed_digraph, "sdigraph 2\n1 2 -\n1 2 +\n2 1 +\n1 2 -\n", "line 5: duplicate arc 1 2 -"),
+        (parse_digraph, "digraph 2\n2 2\n2 2\n", "line 3: duplicate arc 2 2"),
+        (parse_boolean_network, "boolnet 2\n2 : | 1\n2 : | 0\n", "line 3: vertex 2 defined twice"),
+        (parse_boolean_network, "boolnet 2\n1 : 2 2 | 0110\n", "line 2: duplicate input vertex"),
+        # table length and characters
+        (parse_boolean_network, "boolnet 2\n1 : 2 | 011\n",
+         "line 2: table of length 3 for 1 inputs (expected 2)"),
+        (parse_boolean_network, "boolnet 1\n1 : | 2\n", "line 2: bad table '2'"),
+        (parse_boolean_network, "boolnet 1\n1 : |\n", "line 2: bad table ''"),
+        # a vertex with no local function
+        (parse_boolean_network, "boolnet 2\n2 : | 1\n", "no local function"),
+    ],
+)
+def test_malformed_input_messages(parse, text, message):
+    with pytest.raises(FormatError) as err:
+        parse(text)
+    if message.startswith("line "):
+        assert str(err.value) == message
+    else:
+        assert message in str(err.value)

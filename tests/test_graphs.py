@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import signedbn
+from signedbn import falsify, structure
 from conftest import all_signed_digraphs, all_simple_signed_digraphs, brute_cycles, g
 from signedbn.generators import figure1, random_signed_digraph
 from signedbn.graphs import (
@@ -281,6 +282,18 @@ class TestCycleEnumeration:
         with pytest.raises(CycleCapExceeded):
             enumerate_cycles(G, cap=1)
         assert len(enumerate_cycles(G, cap=2)) == 2
+
+    def test_negative_cap_refused_before_and_after_the_cache_fills(self):
+        G = g(2, (1, 2, "+"))  # acyclic: no count can exceed any cap >= 0
+        for call in (
+            lambda: enumerate_cycles(G, cap=-1),
+            lambda: _cycle_index(G, -1),
+            lambda: structure.analyze(G, cap=-1),
+            lambda: falsify.REGISTRY["harary"].check(G, cap=-1),
+        ):
+            with pytest.raises(ValueError, match="^cycle cap -1 is below 0$"):
+                call()
+            assert enumerate_cycles(G, cap=0) == []
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_matches_brute_force_exhaustively(self, n):
