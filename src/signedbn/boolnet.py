@@ -46,25 +46,42 @@ class UnrealizableGraphError(Exception):
 
 
 class LocalFunction:
-    """Truth table over an ordered input list."""
+    """Truth table over an ordered input list, held as the int ``bits``
+    whose bit j is row j."""
 
-    __slots__ = ("inputs", "table")
+    __slots__ = ("inputs", "bits")
 
     def __init__(self, inputs: Sequence[int], table: Sequence[int]):
         self.inputs = tuple(int(u) for u in inputs)
-        self.table = tuple(int(b) for b in table)
+        values = list(map(int, table))
         if len(set(self.inputs)) != len(self.inputs):
             raise ValueError("duplicate input vertex")
-        if len(self.table) != 1 << len(self.inputs):
+        if len(values) != 1 << len(self.inputs):
             raise ValueError(
-                f"table length {len(self.table)} does not match {len(self.inputs)} inputs"
+                f"table length {len(values)} does not match {len(self.inputs)} inputs"
             )
-        if any(b not in (0, 1) for b in self.table):
+        if not {0, 1}.issuperset(values):
             raise ValueError("table entries must be 0 or 1")
+        # A 0/1 byte is '00' or '01' in hex: its second digit is the row.
+        self.bits = int(bytes(reversed(values)).hex()[1::2], 2)
+
+    @classmethod
+    def _from_bits(cls, inputs: tuple[int, ...], bits: int) -> "LocalFunction":
+        """A table the library built itself: distinct int inputs and bits
+        below 2^(2^k), so they need no check."""
+        lf = object.__new__(cls)
+        lf.inputs = inputs
+        lf.bits = bits
+        return lf
 
     @property
     def arity(self) -> int:
         return len(self.inputs)
+
+    @property
+    def table(self) -> tuple[int, ...]:
+        """The rows as a 0/1 tuple, row 0 first."""
+        return tuple(map(int, _table_text(self.bits, self.arity)))
 
     def row(self, x: Sequence[int]) -> int:
         """Table row index for the state x (first input most significant)."""
@@ -74,19 +91,23 @@ class LocalFunction:
         return idx
 
     def __call__(self, x: Sequence[int]) -> int:
-        return self.table[self.row(x)]
+        return self.bits >> self.row(x) & 1
 
     def __eq__(self, other):
         if not isinstance(other, LocalFunction):
             return NotImplemented
-        return self.inputs == other.inputs and self.table == other.table
+        return self.inputs == other.inputs and self.bits == other.bits
 
     def __hash__(self):
-        return hash((self.inputs, self.table))
+        return hash((self.inputs, self.bits))
 
     def __repr__(self):
-        bits = "".join(str(b) for b in self.table)
-        return f"LocalFunction(inputs={self.inputs}, table={bits})"
+        return f"LocalFunction(inputs={self.inputs}, table={_table_text(self.bits, self.arity)})"
+
+
+def _table_text(bits: int, k: int) -> str:
+    """A k-input table's rows as '0'/'1' characters, row 0 first."""
+    return format(bits, f"0{1 << k}b")[::-1]
 
 
 def constant(value: int) -> LocalFunction:
@@ -95,11 +116,10 @@ def constant(value: int) -> LocalFunction:
 
 # -- per-input signs of a truth table ----------------------------------------
 #
-# A table is also read as an int whose bit j is row j.  Input i splits the
-# rows into pairs (j, j + 2^(k-1-i)) that differ only in that input.
+# Input i of a k-input table splits its rows into pairs (j, j + 2^(k-1-i))
+# that differ only in that input.
 
 _POS_ONLY, _NEG_ONLY = 1, 2
-_DIGITS = bytes.maketrans(b"\0\1", b"01")
 
 
 @lru_cache(maxsize=None)
@@ -109,10 +129,6 @@ def _input_rows(k: int) -> tuple[tuple[int, int], ...]:
     j, so that mask is the complement of the state set X_(i+1)."""
     masks = _state_masks(k)
     return tuple((1 << (k - 1 - i), masks[0] ^ masks[i + 1]) for i in range(k))
-
-
-def _table_bits(table: Sequence[int]) -> int:
-    return int(bytes(reversed(table)).translate(_DIGITS), 2)
 
 
 def _table_signs(bits: int, k: int) -> tuple[int, ...]:
@@ -186,7 +202,7 @@ class BooleanNetwork:
         """
         arcs = []
         for v, lf in enumerate(self.locals, start=1):
-            for u, signs in zip(lf.inputs, _table_signs(_table_bits(lf.table), lf.arity)):
+            for u, signs in zip(lf.inputs, _table_signs(lf.bits, lf.arity)):
                 if signs & _POS_ONLY:
                     arcs.append(Arc(u, v, POSITIVE))
                 if signs & _NEG_ONLY:
@@ -200,7 +216,7 @@ class BooleanNetwork:
         masks = _state_masks(self.n)
         fixed = masks[0]
         for v, lf in enumerate(self.locals, start=1):
-            fixed &= ~_disagreement_mask(lf.inputs, lf.table, v, masks)
+            fixed &= ~(masks[v] ^ _value_mask(lf.inputs, lf.bits, masks))
             if not fixed:
                 break
         return _states_in(fixed, self.n)
@@ -216,15 +232,14 @@ class BooleanNetwork:
         if a.source not in lf.inputs:
             raise ValueError(f"{a!r} is not an arc of the interaction graph")
         i = lf.inputs.index(a.source)
-        bits = _table_bits(lf.table)
-        if not _table_signs(bits, lf.arity)[i] & (_POS_ONLY if a.sign == POSITIVE else _NEG_ONLY):
+        if not _table_signs(lf.bits, lf.arity)[i] & (_POS_ONLY if a.sign == POSITIVE else _NEG_ONLY):
             raise ValueError(f"{a!r} is not an arc of the interaction graph")
         # The rows where x_u would force f_v = 0, and those where it would
         # force f_v = 1: x_u = 0 and x_u = 1 for a positive arc, swapped for
         # a negative one.
         step, low = _input_rows(lf.arity)[i]
         to_0, to_1 = (low, low << step) if a.sign == POSITIVE else (low << step, low)
-        return not bits & to_0 or bits & to_1 == to_1
+        return not lf.bits & to_0 or lf.bits & to_1 == to_1
 
     def pin(self, values: Mapping[int, int]) -> "BooleanNetwork":
         """Freeze the given vertices to constants, keep the rest."""
@@ -260,7 +275,7 @@ class BooleanNetwork:
         # ends of a move.
         moves = []
         for v, lf in enumerate(self.locals, start=1):
-            moving = _disagreement_mask(lf.inputs, lf.table, v, masks)
+            moving = masks[v] ^ _value_mask(lf.inputs, lf.bits, masks)
             if moving:
                 moves.append((moving & masks[v], moving & ~masks[v], 1 << (n - v)))
 
@@ -361,23 +376,25 @@ def _state_masks(n: int) -> tuple[int, ...]:
     return _build_state_masks(n)
 
 
-def _value_mask(inputs: Sequence[int], table: Sequence[int], masks) -> int:
+def _value_mask(inputs: Sequence[int], bits: int, masks) -> int:
     """The set of states where the table's function is 1.
 
     Folds the table one input at a time, last input first: each pair of
     rows that differ only in x_u becomes one multiplexer on X_u.  A wider
     table is looked up once per state, at the sum of its halves' rows.
     """
-    if len(inputs) > _FOLD_MAX_INPUTS:
+    k = len(inputs)
+    rows = _table_text(bits, k)
+    if k > _FOLD_MAX_INPUTS:
         n = len(masks) - 1
-        weight = {u: len(table) >> i + 1 for i, u in enumerate(inputs)}
+        weight = {u: 1 << (k - 1 - i) for i, u in enumerate(inputs)}
         high, low = [0], [0]
         for u in range(1, n + 1):
             half = high if u <= n - n // 2 else low
             half[:] = [r + b for r in half for b in (0, weight.get(u, 0))]
-        return int(bytes([table[h + l] for h in high for l in low][::-1]).translate(_DIGITS), 2)
+        return int("".join([rows[h + l] for h in high for l in low])[::-1], 2)
     full = masks[0]
-    level = [full if b else 0 for b in table]
+    level = [full if b == "1" else 0 for b in rows]
     for u in reversed(inputs):
         x = masks[u]
         level = [
@@ -385,11 +402,6 @@ def _value_mask(inputs: Sequence[int], table: Sequence[int], masks) -> int:
             for lo, hi in zip(level[::2], level[1::2])
         ]
     return level[0]
-
-
-def _disagreement_mask(inputs, table, v: int, masks) -> int:
-    """The set of states where f_v(x) != x_v."""
-    return _value_mask(inputs, table, masks) ^ masks[v]
 
 
 # -- the partial order behind monotonicity ----------------------------------
@@ -414,37 +426,37 @@ def leq_v(G: SignedDigraph, v: int, x: Sequence[int], y: Sequence[int]) -> bool:
 
 
 @lru_cache(maxsize=None)
-def _signature_index(k: int) -> dict[tuple[int, ...], tuple[tuple[int, ...], ...]]:
-    """All k-input tables grouped by their per-input signs (``_table_signs``)."""
-    rows = 1 << k
-    index: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-    # Table t holds row j in bit j, so it is state t reversed.
-    for t, state in enumerate(all_states(rows)):
-        index.setdefault(_table_signs(t, k), []).append(state[::-1])
+def _signature_index(k: int) -> dict[tuple[int, ...], tuple[int, ...]]:
+    """All k-input tables, as ints, grouped by their per-input signs
+    (``_table_signs``)."""
+    index: dict[tuple[int, ...], list[int]] = {}
+    for bits in range(1 << (1 << k)):
+        index.setdefault(_table_signs(bits, k), []).append(bits)
     return {sig: tuple(tables) for sig, tables in index.items()}
-
-
-def _required_signature(G: SignedDigraph, v: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """v's in-neighbors in order and the signs of G's arcs from each."""
-    signs: dict[int, int] = {}
-    for a in G.in_arcs(v):  # sorted by source
-        signs[a.source] = signs.get(a.source, 0) | (_POS_ONLY if a.sign == POSITIVE else _NEG_ONLY)
-    return tuple(signs), tuple(signs.values())
 
 
 def _consistent_tables(
     G: SignedDigraph, v: int, max_indegree: int
-) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
-    """v's inputs and the truth tables realizing G's signed in-arcs of v.
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """v's in-neighbors and the tables (as ints) realizing G's signed in-arcs of v.
 
     The cap is ``max_indegree``, and never more than DEFAULT_MAX_INDEGREE.
     """
-    inputs, sig = _required_signature(G, v)
-    k = len(inputs)
+    signs: dict[int, int] = {}
+    for a in G.in_arcs(v):  # sorted by source
+        signs[a.source] = signs.get(a.source, 0) | (_POS_ONLY if a.sign == POSITIVE else _NEG_ONLY)
+    k = len(signs)
     cap = min(max_indegree, DEFAULT_MAX_INDEGREE)
     if k > cap:
         raise ValueError(f"vertex {v} has {k} inputs, cap is {cap}")
-    return inputs, _signature_index(k).get(sig, ())
+    return tuple(signs), _signature_index(k).get(tuple(signs.values()), ())
+
+
+def _family(G: SignedDigraph, max_indegree: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Per vertex 1..n, its inputs and consistent tables (``_consistent_tables``)."""
+    if G.vertex_set != frozenset(range(1, G.n + 1)):
+        raise ValueError("graph vertices must be exactly 1..n for network operations")
+    return [_consistent_tables(G, v, max_indegree) for v in G.vertices]
 
 
 def consistent_local_functions(
@@ -457,7 +469,7 @@ def consistent_local_functions(
     in-neighbor carrying both signs, are unrealizable.
     """
     inputs, tables = _consistent_tables(G, v, max_indegree)
-    return [LocalFunction(inputs, t) for t in tables]
+    return [LocalFunction._from_bits(inputs, t) for t in tables]
 
 
 def enumerate_consistent(
@@ -468,22 +480,16 @@ def enumerate_consistent(
     Per-vertex candidates are filtered truth tables; the stream is their
     Cartesian product in deterministic order.  Empty when G is unrealizable.
     """
-    _check_network_shaped(G)
     candidates = [
-        consistent_local_functions(G, v, max_indegree) for v in G.vertices
+        [LocalFunction._from_bits(inputs, t) for t in tables]
+        for inputs, tables in _family(G, max_indegree)
     ]
-    if any(not c for c in candidates):
-        return
-    for combo in itertools.product(*candidates):
-        yield BooleanNetwork(combo)
+    if all(candidates):
+        yield from map(BooleanNetwork, itertools.product(*candidates))
 
 
 def count_consistent(G: SignedDigraph, max_indegree: int = DEFAULT_MAX_INDEGREE) -> int:
-    _check_network_shaped(G)
-    total = 1
-    for v in G.vertices:
-        total *= len(_consistent_tables(G, v, max_indegree)[1])
-    return total
+    return math.prod(len(tables) for _, tables in _family(G, max_indegree))
 
 
 def sample_consistent(
@@ -493,23 +499,21 @@ def sample_consistent(
     rng: random.Random | None = None,
 ) -> BooleanNetwork:
     """Uniform independent per-vertex choice among consistent tables."""
-    _check_network_shaped(G)
+    family = _family(G, max_indegree)
     if rng is None:
         rng = random.Random(seed)
     chosen = []
-    for v in G.vertices:
-        inputs, tables = _consistent_tables(G, v, max_indegree)
+    for v, (inputs, tables) in enumerate(family, start=1):
         if not tables:
             raise UnrealizableGraphError(
                 f"no local function realizes the signed in-arcs of vertex {v}"
             )
-        chosen.append(LocalFunction(inputs, tables[rng.randrange(len(tables))]))
+        chosen.append(LocalFunction._from_bits(inputs, tables[rng.randrange(len(tables))]))
     return BooleanNetwork(chosen)
 
 
 def is_realizable(G: SignedDigraph, max_indegree: int = DEFAULT_MAX_INDEGREE) -> bool:
-    _check_network_shaped(G)
-    return all(_consistent_tables(G, v, max_indegree)[1] for v in G.vertices)
+    return all(tables for _, tables in _family(G, max_indegree))
 
 
 def max_fixed_points(G: SignedDigraph, max_indegree: int = DEFAULT_MAX_INDEGREE) -> int:
@@ -520,27 +524,21 @@ def max_fixed_points(G: SignedDigraph, max_indegree: int = DEFAULT_MAX_INDEGREE)
     sets, one per vertex.  A family of more than MAX_FAMILY_SCAN networks
     raises ValueError before any set is built.
     """
-    _check_network_shaped(G)
-    candidates = [_consistent_tables(G, v, max_indegree) for v in G.vertices]
-    if any(not tables for _, tables in candidates):
+    family = _family(G, max_indegree)
+    if not all(tables for _, tables in family):
         raise UnrealizableGraphError("no Boolean network has this interaction graph")
     if G.n > MAX_FIXED_POINT_SCAN:
         raise ValueError(f"n={G.n} exceeds the fixed-point scan limit")
-    size = math.prod(len(tables) for _, tables in candidates)
+    size = math.prod(len(tables) for _, tables in family)
     if size > MAX_FAMILY_SCAN:
         raise ValueError(f"{size} networks exceed the family scan limit {MAX_FAMILY_SCAN}")
     masks = _state_masks(G.n)
     full = masks[0]
     agreements = [
-        [full ^ _disagreement_mask(inputs, table, v, masks) for table in tables]
-        for v, (inputs, tables) in enumerate(candidates, start=1)
+        [full ^ masks[v] ^ _value_mask(inputs, bits, masks) for bits in tables]
+        for v, (inputs, tables) in enumerate(family, start=1)
     ]
     return max(
         reduce(operator.and_, combo, full).bit_count()
         for combo in itertools.product(*agreements)
     )
-
-
-def _check_network_shaped(G: SignedDigraph):
-    if G.vertex_set != frozenset(range(1, G.n + 1)):
-        raise ValueError("graph vertices must be exactly 1..n for network operations")

@@ -7,11 +7,13 @@ can be that far apart, so the code size is 1.
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, inf
 
 EXACT_SEARCH_LIMIT = 12
+_GREEDY_RESTARTS = 6000
 
 
 def _check(n: int, d) -> bool:
@@ -160,7 +162,7 @@ def delsarte_upper(n: int, d) -> int:
     return int(1 + best)
 
 
-def _block_profile(p: int, w: int, n: int) -> tuple[int, int]:
+def _block_profile(p: int, w: int) -> tuple[int, int]:
     low = p & ((1 << w) - 1)
     return (low.bit_count(), (p >> w).bit_count())
 
@@ -169,19 +171,17 @@ def _profile_word(a: int, b: int, w: int) -> int:
     return ((1 << a) - 1) | (((1 << b) - 1) << w)
 
 
-def _greedy_incumbent(n: int, d: int, restarts: int = 6000) -> int:
+def _greedy_incumbent(n: int, d: int) -> int:
     """Best code size found by seeded randomized greedy; a lower bound.
 
     The optimum is often non-linear, so a plain lexicographic descent can
     stall well below it; random restarts find tight incumbents cheaply and
     sharpen branch-and-bound pruning from the start.
     """
-    import random
-
     points = [p for p in range(1, 1 << n) if p.bit_count() >= d]
     rng = random.Random(0xC0DE + 31 * n + d)
     best = 1
-    for _ in range(restarts):
+    for _ in range(_GREEDY_RESTARTS):
         rng.shuffle(points)
         code = [0]
         for p in points:
@@ -221,7 +221,7 @@ def _branch_and_bound(n: int, d: int) -> int:
             for p in range(1, 1 << n)
             if p != seed and p.bit_count() >= w and (p ^ seed).bit_count() >= d
         ]
-        profiles = sorted({_block_profile(p, w, n) for p in points})
+        profiles = sorted({_block_profile(p, w) for p in points})
         for a, b in profiles:
             if best >= upper:
                 return best
@@ -232,7 +232,7 @@ def _branch_and_bound(n: int, d: int) -> int:
                 p
                 for p in points
                 if p != third
-                and _block_profile(p, w, n) >= (a, b)
+                and _block_profile(p, w) >= (a, b)
                 and (p ^ third).bit_count() >= d
             ]
             found = 3 + _max_clique(rest, d, at_least=best - 3, stop_at=upper - 3)

@@ -78,7 +78,7 @@ HOLDS = "conclusion-holds"
 COUNTEREXAMPLE = "counterexample"
 
 
-def verify_antipodal_fixed_points(G: SignedDigraph, f: BooleanNetwork, cap=None):
+def verify_antipodal_fixed_points(G: SignedDigraph, f: BooleanNetwork, cap=DEFAULT_CYCLE_CAP):
     """Check the antipodal-pair conclusion on one (G, f) instance.
 
     Premises: G strong with exactly one negative cycle and at least one
@@ -88,7 +88,6 @@ def verify_antipodal_fixed_points(G: SignedDigraph, f: BooleanNetwork, cap=None)
     """
     if f.interaction_graph() != G:
         raise ValueError("network's interaction graph differs from G")
-    cap = DEFAULT_CYCLE_CAP if cap is None else cap
     if not is_strong(G):
         return NOT_APPLICABLE, None
     cycles = enumerate_cycles(G, cap)
@@ -105,7 +104,7 @@ def verify_antipodal_fixed_points(G: SignedDigraph, f: BooleanNetwork, cap=None)
     return COUNTEREXAMPLE, None
 
 
-def disagreement_cycles(f: BooleanNetwork, special_arc_free: bool = False, cap=None):
+def disagreement_cycles(f: BooleanNetwork, special_arc_free: bool = False, cap=DEFAULT_CYCLE_CAP):
     """Positive disagreement cycles for every pair of distinct fixed points.
 
     For each pair the witness is a positive cycle on whose vertices the two
@@ -113,7 +112,6 @@ def disagreement_cycles(f: BooleanNetwork, special_arc_free: bool = False, cap=N
     have no special arc.  Returns (verdict, {(x, y): cycle}); the verdict is
     a counterexample when some pair has no witness.
     """
-    cap = DEFAULT_CYCLE_CAP if cap is None else cap
     G = f.interaction_graph()
     cycles = [c for c in enumerate_cycles(G, cap) if c.sign == POSITIVE]
     if special_arc_free:

@@ -8,7 +8,7 @@ parse/serialize round-trips are bit exact modulo comments and whitespace.
 
 from __future__ import annotations
 
-from .boolnet import BooleanNetwork, LocalFunction
+from .boolnet import BooleanNetwork, LocalFunction, _table_text
 from .graphs import Digraph, SignedDigraph, sign_char
 
 
@@ -121,7 +121,7 @@ def parse_boolean_network(text: str) -> BooleanNetwork:
                 f"table of length {len(table_str)} for {len(inputs)} inputs "
                 f"(expected {1 << len(inputs)})",
             )
-        locals_[v] = LocalFunction(inputs, tuple(int(b) for b in table_str))
+        locals_[v] = LocalFunction._from_bits(inputs, int(table_str[::-1], 2))
     missing = [v for v in range(1, n + 1) if v not in locals_]
     if missing:
         # Name at most five of them: the header alone may declare millions.
@@ -135,7 +135,7 @@ def format_boolean_network(f: BooleanNetwork) -> str:
     for v in range(1, f.n + 1):
         lf = f.local(v)
         inputs = " ".join(str(u) for u in lf.inputs)
-        table = "".join(str(b) for b in lf.table)
+        table = _table_text(lf.bits, lf.arity)
         if inputs:
             lines.append(f"{v} : {inputs} | {table}")
         else:

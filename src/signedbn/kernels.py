@@ -8,7 +8,7 @@ reuse the signed-graph machinery.
 
 from __future__ import annotations
 
-from .boolnet import BooleanNetwork, LocalFunction, _state_masks
+from .boolnet import _FOLD_MAX_INPUTS, BooleanNetwork, LocalFunction, _state_masks
 from .graphs import (
     DEFAULT_CYCLE_CAP,
     NEGATIVE,
@@ -20,8 +20,9 @@ from .graphs import (
 from .structure import existence_arc_rule
 
 KERNEL_SCAN_LIMIT = 24
-# Most truth-table rows ``kernel_indicators`` builds, summed over the
-# vertices: 2^outdeg(v) each.  The complete 18-vertex digraph with loops
+# Most truth-table rows ``kernel_indicators`` reads, summed over the
+# vertices: 2^outdeg(v) each, or 2^n for a table wider than the fold limit,
+# which is read once per state.  The complete 18-vertex digraph with loops
 # needs 4,718,592 rows and takes about 1.5 s on a 2-core x86-64 VM.
 KERNEL_TABLE_ROW_LIMIT = 1 << 23
 
@@ -89,24 +90,23 @@ def to_network(D: Digraph):
     out-neighbor is selected, which is the kernel condition pair.  The
     interaction graph is the reverse of D with all arcs negative.
     """
-    locals_ = []
-    for v in range(1, D.n + 1):
-        inputs = D.out_neighbors(v)
-        rows = 1 << len(inputs)
-        table = tuple(1 if j == 0 else 0 for j in range(rows))
-        locals_.append(LocalFunction(inputs, table))
-    return BooleanNetwork(locals_)
+    # Row 0, where no out-neighbor is selected, is the only 1.
+    return BooleanNetwork(
+        [LocalFunction._from_bits(D.out_neighbors(v), 1) for v in range(1, D.n + 1)]
+    )
 
 
 def kernel_indicators(D: Digraph) -> set[frozenset[int]]:
     """Kernels decoded from the fixed points of the correspondence network.
 
-    The network's table at v has 2^outdeg(v) rows.  Refuses at once, with
-    a ValueError, a digraph with more than KERNEL_SCAN_LIMIT (24) vertices
-    or more than KERNEL_TABLE_ROW_LIMIT (2^23) rows in all.
+    The table at v has 2^outdeg(v) rows, counted as 2^n past 10 inputs,
+    where it is read once per state.  Refuses at once, with a ValueError,
+    a digraph with more than KERNEL_SCAN_LIMIT (24) vertices or more than
+    KERNEL_TABLE_ROW_LIMIT (2^23) rows in all.
     """
     _check_scan_limit(D)
-    rows = sum(1 << len(D.out_neighbors(v)) for v in range(1, D.n + 1))
+    widths = (len(D.out_neighbors(v)) for v in range(1, D.n + 1))
+    rows = sum(1 << (k if k <= _FOLD_MAX_INPUTS else D.n) for k in widths)
     if rows > KERNEL_TABLE_ROW_LIMIT:
         raise ValueError(
             f"{rows} truth-table rows exceed the limit {KERNEL_TABLE_ROW_LIMIT}"

@@ -149,7 +149,7 @@ def brute_fixed_points(f):
     """Every fixed point of f, by evaluating each state vertex by vertex."""
     out = []
     for x in itertools.product((0, 1), repeat=f.n):
-        if all(lf.table[_row(lf, x)] == x[v] for v, lf in enumerate(f.locals)):
+        if all(lf.bits >> _row(lf, x) & 1 == x[v] for v, lf in enumerate(f.locals)):
             out.append(x)
     return out
 
@@ -189,7 +189,7 @@ def brute_attractors(f):
     def successors(x):
         out = []
         for v, lf in enumerate(f.locals):
-            value = lf.table[_row(lf, x)]
+            value = lf.bits >> _row(lf, x) & 1
             if value != x[v]:
                 out.append(x[:v] + (value,) + x[v + 1:])
         return out

@@ -321,7 +321,8 @@ def _premise_rules(sig, canal):
     from signedbn.boolnet import _signature_index
 
     k = len(sig)
-    tables = list(_signature_index(k).get(sig, ()))
+    rows = range(1 << k)
+    tables = [tuple(t >> j & 1 for j in rows) for t in _signature_index(k).get(sig, ())]
     if canal is not None:
         position, sign = canal
         tables = [t for t in tables if not _table_canalizes(t, k, position, sign)]

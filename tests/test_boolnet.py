@@ -3,6 +3,7 @@
 import itertools
 import random
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -108,6 +109,22 @@ class TestLocalFunction:
     def test_table_length_checked(self):
         with pytest.raises(ValueError):
             LocalFunction((1, 2), (0, 1))
+
+    @pytest.mark.parametrize("table, message", [
+        ((0, 2), "table entries must be 0 or 1"),
+        ((-1, 1), "table entries must be 0 or 1"),
+        ((0, "x"), "invalid literal for int"),
+        ((0, 1, 1), "table length 3 does not match 1 inputs"),
+    ])
+    def test_bad_tables_keep_their_messages(self, table, message):
+        with pytest.raises(ValueError, match=message):
+            LocalFunction((1,), table)
+
+    def test_table_is_a_view_of_bits(self):
+        lf = LocalFunction((2, 1), [0, 1, 1, 0])
+        assert lf.bits == 0b0110
+        assert lf.table == (0, 1, 1, 0)
+        assert repr(lf) == "LocalFunction(inputs=(2, 1), table=0110)"
 
     def test_first_input_is_most_significant(self):
         lf = LocalFunction((2, 1), (0, 0, 0, 1))  # x2 AND x1, x2 is the high bit
@@ -363,18 +380,26 @@ class TestWideTables:
             bits = 0
             for b in reversed(table):
                 bits = bits << 1 | b
-            assert boolnet._table_bits(table) == bits
+            assert LocalFunction(range(1, k + 1), table).bits == bits
 
     @pytest.mark.parametrize("k", range(5))
     def test_signature_index_matches_a_per_table_unpacking(self, k):
-        rows = 1 << k
         expected = {}
-        for t in range(1 << rows):
-            table = tuple((t >> j) & 1 for j in range(rows))
-            expected.setdefault(boolnet._table_signs(t, k), []).append(table)
+        for t in range(1 << (1 << k)):
+            expected.setdefault(boolnet._table_signs(t, k), []).append(t)
         index = boolnet._signature_index(k)
         assert list(index) == list(expected)
         assert index == {sig: tuple(tables) for sig, tables in expected.items()}
+
+    def test_signature_index_of_four_inputs_is_small(self):
+        tracemalloc.start()
+        try:
+            index = boolnet._signature_index.__wrapped__(4)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sum(map(len, index.values())) == 1 << 16
+        assert peak < 4 << 20
 
     def test_interaction_graph_of_an_18_input_table_is_fast(self):
         rng = random.Random(18)
@@ -584,6 +609,15 @@ class TestConsistentNetworks:
             with pytest.raises(ValueError, match="vertex 1 has 5 inputs, cap is 4"):
                 call(G, max_indegree=5)
         assert time.perf_counter() - start < 1.0
+
+    def test_cap_is_checked_on_every_vertex_before_realizability(self):
+        # Vertex 1 is unrealizable, vertex 2 has five inputs.
+        G = g(6, (1, 1, "+"), (1, 1, "-"), *((u, 2, "+") for u in range(2, 7)))
+        calls = (is_realizable, count_consistent, sample_consistent, max_fixed_points,
+                 lambda G: list(enumerate_consistent(G)))
+        for call in calls:
+            with pytest.raises(ValueError, match="vertex 2 has 5 inputs, cap is 4"):
+                call(G)
 
     def test_candidate_counts_match_independent_unate_count(self):
         # Over all sign assignments on k potential inputs, the consistent

@@ -1,5 +1,7 @@
 """Text formats: parsing, serialization, round trips, diagnostics."""
 
+import random
+
 import pytest
 
 from conftest import g
@@ -72,6 +74,15 @@ class TestBooleanNetwork:
             LocalFunction((3,), (1, 0)),
         ])
         assert parse_boolean_network(format_boolean_network(f)) == f
+
+    def test_random_tables_round_trip(self):
+        rng = random.Random(12)
+        for k in [*range(13), 18]:
+            table = "".join(rng.choice("01") for _ in range(1 << k))
+            inputs = "".join(f"{u} " for u in range(2, k + 2))
+            copies = "".join(f"{v} : 1 | 01\n" for v in range(2, k + 2))
+            text = f"boolnet {k + 1}\n1 : {inputs}| {table}\n{copies}"
+            assert format_boolean_network(parse_boolean_network(text)) == text
 
     def test_table_length_mismatch_names_the_line(self):
         text = "boolnet 2\n1 : 2 | 0110\n2 : 1 | 01\n"

@@ -1,5 +1,6 @@
 """Kernels, the parity conditions and the fixed-point correspondence."""
 
+import importlib
 import random
 import time
 
@@ -17,6 +18,8 @@ from signedbn.kernels import (
     richardson_condition,
     to_network,
 )
+
+kernels_module = importlib.import_module("signedbn.kernels")
 
 
 def d(n, *arcs):
@@ -132,15 +135,23 @@ class TestNetworkCorrespondence:
                 assert kernels(D)
 
     def test_refusals_come_before_any_table(self):
-        for D, reason in ((complete(25), "scan limit"), (complete(24), "truth-table rows")):
+        # Out-degree 11 is past the fold limit: each table is read once per
+        # state, 2^24 times, though it has only 2^11 rows.
+        wide = d(24, *((u, (u + i) % 24 + 1) for u in range(1, 25) for i in range(11)))
+        cases = ((complete(25), "scan limit"), (complete(24), "truth-table rows"),
+                 (wide, "truth-table rows"))
+        for D, reason in cases:
             start = time.perf_counter()
             with pytest.raises(ValueError, match=reason):
                 kernel_indicators(D)
             assert time.perf_counter() - start < 1
 
-    def test_row_limit_admits_complete_18_vertex_digraph(self):
+    def test_row_limit_admits_complete_18_vertex_digraph(self, monkeypatch):
         D = complete(18)
         assert kernel_indicators(D) == set(kernels(D)) == set()
+        monkeypatch.setattr(kernels_module, "KERNEL_TABLE_ROW_LIMIT", 4_718_591)
+        with pytest.raises(ValueError, match="4718592 truth-table rows"):
+            kernel_indicators(D)
 
     def test_random_larger_digraphs(self):
         for seed in range(300):
