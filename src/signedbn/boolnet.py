@@ -379,9 +379,11 @@ def _state_masks(n: int) -> tuple[int, ...]:
 def _value_mask(inputs: Sequence[int], bits: int, masks) -> int:
     """The set of states where the table's function is 1.
 
-    Folds the table one input at a time, last input first: each pair of
-    rows that differ only in x_u becomes one multiplexer on X_u.  A wider
-    table is looked up once per state, at the sum of its halves' rows.
+    Folds the table depth-first, like a binary counter: row j closes one
+    block per trailing 1 of j, each merging two blocks that differ only in
+    x_u into one multiplexer on X_u, so at most k + 1 sets of 2^n bits are
+    alive.  A wider table is looked up once per state, at the sum of its
+    halves' rows.
     """
     k = len(inputs)
     rows = _table_text(bits, k)
@@ -394,14 +396,16 @@ def _value_mask(inputs: Sequence[int], bits: int, masks) -> int:
             half[:] = [r + b for r in half for b in (0, weight.get(u, 0))]
         return int("".join([rows[h + l] for h in high for l in low])[::-1], 2)
     full = masks[0]
-    level = [full if b == "1" else 0 for b in rows]
-    for u in reversed(inputs):
-        x = masks[u]
-        level = [
-            lo if lo == hi else lo ^ ((lo ^ hi) & x)
-            for lo, hi in zip(level[::2], level[1::2])
-        ]
-    return level[0]
+    blocks = []
+    for j, b in enumerate(rows):
+        hi = full if b == "1" else 0
+        height = 0
+        while j >> height & 1:
+            lo = blocks.pop()
+            hi = lo if lo == hi else lo ^ ((lo ^ hi) & masks[inputs[~height]])
+            height += 1
+        blocks.append(hi)
+    return blocks[0]
 
 
 # -- the partial order behind monotonicity ----------------------------------
@@ -499,9 +503,11 @@ def sample_consistent(
     rng: random.Random | None = None,
 ) -> BooleanNetwork:
     """Uniform independent per-vertex choice among consistent tables."""
-    family = _family(G, max_indegree)
-    if rng is None:
-        rng = random.Random(seed)
+    return _sample_family(_family(G, max_indegree), random.Random(seed) if rng is None else rng)
+
+
+def _sample_family(family, rng: random.Random) -> BooleanNetwork:
+    """``sample_consistent`` on the list that ``_family`` returned."""
     chosen = []
     for v, (inputs, tables) in enumerate(family, start=1):
         if not tables:

@@ -23,9 +23,9 @@ from .boolnet import (
     DEFAULT_MAX_INDEGREE,
     MAX_FIXED_POINT_SCAN,
     BooleanNetwork,
+    _family,
+    _sample_family,
     enumerate_consistent,
-    is_realizable,
-    sample_consistent,
 )
 from .codes import fixed_point_bound
 from .generators import iter_simple_signed_digraphs, random_digraph, random_signed_digraph
@@ -88,6 +88,11 @@ def verify_antipodal_fixed_points(G: SignedDigraph, f: BooleanNetwork, cap=DEFAU
     """
     if f.interaction_graph() != G:
         raise ValueError("network's interaction graph differs from G")
+    return _antipodal_fixed_points(G, f, cap)
+
+
+def _antipodal_fixed_points(G: SignedDigraph, f: BooleanNetwork, cap: int):
+    """``verify_antipodal_fixed_points`` on f and its interaction graph G."""
     if not is_strong(G):
         return NOT_APPLICABLE, None
     cycles = enumerate_cycles(G, cap)
@@ -112,7 +117,11 @@ def disagreement_cycles(f: BooleanNetwork, special_arc_free: bool = False, cap=D
     have no special arc.  Returns (verdict, {(x, y): cycle}); the verdict is
     a counterexample when some pair has no witness.
     """
-    G = f.interaction_graph()
+    return _disagreement_cycles(f.interaction_graph(), f, special_arc_free, cap)
+
+
+def _disagreement_cycles(G: SignedDigraph, f: BooleanNetwork, special_arc_free: bool, cap: int):
+    """``disagreement_cycles`` on f and its interaction graph G."""
     cycles = [c for c in enumerate_cycles(G, cap) if c.sign == POSITIVE]
     if special_arc_free:
         cycles = [c for c in cycles if find_special_arc(G, c, cap) is None]
@@ -177,9 +186,10 @@ def _draw_pair(rng: random.Random, max_n: int, max_indegree: int):
     within the in-degree and cycle caps, and one such network."""
     while True:
         G = random_signed_digraph(rng.randint(1, max_n), rng=rng)
-        fits = max(len(G.in_neighbors(v)) for v in G.vertices) <= max_indegree
-        if fits and is_realizable(G, max_indegree) and _within_cap(G):
-            return G, sample_consistent(G, rng=rng, max_indegree=max_indegree)
+        if max(len(G.in_neighbors(v)) for v in G.vertices) <= max_indegree:
+            family = _family(G, max_indegree)
+            if all(tables for _, tables in family) and _within_cap(G):
+                return G, _sample_family(family, rng)
 
 
 def _draw_graph(rng: random.Random, max_n: int, max_indegree: int):
@@ -294,7 +304,7 @@ def make_existence_rule_property(checker=existence_arc_rule) -> TheoremProperty:
 
 def _disagreement_check(special_arc_free: bool, cycle: str):
     def check(G, f, cap=FALSIFY_CYCLE_CAP) -> Optional[str]:
-        verdict, info = disagreement_cycles(f, special_arc_free, cap)
+        verdict, info = _disagreement_cycles(G, f, special_arc_free, cap)
         if verdict == COUNTEREXAMPLE:
             return f"fixed points {info['pair']} share no {cycle}"
         return None
@@ -309,7 +319,7 @@ def _check_thm2(G, f, cap=FALSIFY_CYCLE_CAP) -> Optional[str]:
 
 
 def _check_thm6(G, f, cap=FALSIFY_CYCLE_CAP) -> Optional[str]:
-    verdict, _ = verify_antipodal_fixed_points(G, f, cap=cap)
+    verdict, _ = _antipodal_fixed_points(G, f, cap)
     if verdict == COUNTEREXAMPLE:
         return "premises hold but no antipodal fixed-point pair"
     return None

@@ -73,7 +73,7 @@ class SignedDigraph:
     allowed; duplicate identical arcs collapse.
     """
 
-    __slots__ = ("_vertices", "_arcs", "_in", "_out", "_hash", "_cycle_cache")
+    __slots__ = ("_vertices", "_arcs", "_in", "_out", "_hash", "_cycle_cache", "_scc_cache")
 
     def __init__(self, vertices, arcs: Iterable = ()):
         if isinstance(vertices, int):
@@ -99,6 +99,7 @@ class SignedDigraph:
         self._out = {v: tuple(lst) for v, lst in outs.items()}
         self._hash = None
         self._cycle_cache = None
+        self._scc_cache = None
 
     # -- basic views ----------------------------------------------------
 
@@ -456,8 +457,16 @@ def scc(G: SignedDigraph) -> ComponentDecomposition:
     )
 
 
+def _components(G: SignedDigraph) -> ComponentDecomposition:
+    """G's strong components, from ``scc`` on first use; cached on the graph."""
+    decomposition = G._scc_cache
+    if decomposition is None:
+        decomposition = G._scc_cache = scc(G)
+    return decomposition
+
+
 def is_strong(G: SignedDigraph) -> bool:
-    return len(scc(G)) <= 1
+    return len(_components(G)) <= 1
 
 
 # -- cycle enumeration -----------------------------------------------------
@@ -718,14 +727,9 @@ def has_negative_cycle(G: SignedDigraph) -> bool:
     the component admits no assignment x with all arcs consistent (the
     sign-parity labelling from any spanning tree already decides this).
     """
-    return _has_negative_component(G, scc(G))
-
-
-def _has_negative_component(G: SignedDigraph, decomposition: ComponentDecomposition) -> bool:
-    """``has_negative_cycle`` on G's strong components ``decomposition``."""
     return any(
         _component_bad_arc(G, comp, _search_tree(G, [min(comp)], comp)[0]) is not None
-        for comp in decomposition.components
+        for comp in _components(G).components
     )
 
 
@@ -755,7 +759,7 @@ def extract_negative_cycle(walk: Sequence[Arc]) -> SignedCycle:
 
 def find_negative_cycle(G: SignedDigraph) -> SignedCycle | None:
     """A negative simple cycle of G, or None when all cycles are positive."""
-    for comp in scc(G).components:
+    for comp in _components(G).components:
         root = min(comp)
         parity, parent = _search_tree(G, [root], comp)
         bad = _component_bad_arc(G, comp, parity)

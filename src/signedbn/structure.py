@@ -21,20 +21,18 @@ from .graphs import (
     NEGATIVE,
     POSITIVE,
     Arc,
-    ComponentDecomposition,
     SignedCycle,
     SignedDigraph,
     _closure,
     _component_bad_arc,
+    _components,
     _cycle_index,
     _CycleIndex,
-    _has_negative_component,
     _search_tree,
     _set_bits,
     as_arc,
-    extract_negative_cycle,
-    scc,
-    tree_path_arcs,
+    find_negative_cycle,
+    has_negative_cycle,
 )
 
 DEFAULT_SEARCH_LIMIT = 15
@@ -303,31 +301,20 @@ def two_coloring(G: SignedDigraph):
     lowest-indexed vertex of each connected component of the symmetrized
     graph gets color 0.  The complement of a two-coloring is one as well.
     """
-    colors, _ = _propagate_coloring(G)
-    return colors
-
-
-def find_unbalanced_cycle(G: SignedDigraph):
-    """A negative cycle of the symmetrized graph, or None if two-colorable."""
-    _, witness = _propagate_coloring(G)
-    return witness
-
-
-def _propagate_coloring(G: SignedDigraph):
     H = G.symmetrize()
-    parity, parent = _search_tree(H, H.vertices, H.vertex_set)
-    bad = _component_bad_arc(H, H.vertex_set, parity)
-    if bad is not None:
-        up = tree_path_arcs(parent, bad.source)
-        down = [
-            Arc(b.target, b.source, b.sign) for b in reversed(tree_path_arcs(parent, bad.target))
-        ]
-        return None, extract_negative_cycle(up + [bad] + down)
+    parity, _ = _search_tree(H, H.vertices, H.vertex_set)
+    if _component_bad_arc(H, H.vertex_set, parity) is not None:
+        return None
     colors = [0] * (max(H.vertex_set) if H.vertex_set else 0)
     for v, sign in parity.items():
         if sign == NEGATIVE:
             colors[v - 1] = 1
-    return tuple(colors), None
+    return tuple(colors)
+
+
+def find_unbalanced_cycle(G: SignedDigraph):
+    """A negative cycle of the symmetrized graph, or None if two-colorable."""
+    return find_negative_cycle(G.symmetrize())
 
 
 # -- graph-only fixed-point conditions ----------------------------------------
@@ -340,11 +327,8 @@ def no_fixed_point_condition(G: SignedDigraph, cap: int = DEFAULT_CYCLE_CAP) -> 
     The cycles of that subgraph are the cycles of G inside the component,
     so ``cap`` bounds the cycles of G, as elsewhere in this module.
     """
-    return _no_fixed_point(_cycle_index(G, cap), scc(G))
-
-
-def _no_fixed_point(index: _CycleIndex, decomposition: ComponentDecomposition) -> bool:
-    """``no_fixed_point_condition`` from G's cycle index and strong components."""
+    index = _cycle_index(G, cap)
+    decomposition = _components(G)
     flags = zip(decomposition.components, decomposition.initial, decomposition.nontrivial)
     everything = (1 << len(index.vertices)) - 1
     return any(
@@ -358,12 +342,10 @@ def _no_fixed_point(index: _CycleIndex, decomposition: ComponentDecomposition) -
 def two_fixed_points_condition(G: SignedDigraph) -> bool:
     """No negative cycle plus a non-trivial initial component; every
     consistent network then has at least two fixed points."""
-    decomposition = scc(G)
-    return not _has_negative_component(G, decomposition) and _initial_nontrivial(decomposition)
-
-
-def _initial_nontrivial(decomposition: ComponentDecomposition) -> bool:
-    return any(ini and nt for ini, nt in zip(decomposition.initial, decomposition.nontrivial))
+    decomposition = _components(G)
+    return not has_negative_cycle(G) and any(
+        ini and nt for ini, nt in zip(decomposition.initial, decomposition.nontrivial)
+    )
 
 
 def unique_negative_cycle_arc(
@@ -436,12 +418,9 @@ def analyze(G: SignedDigraph, cap: int = DEFAULT_CYCLE_CAP) -> AnalysisReport:
     ``codes.fixed_point_bound``: the code term is exact at distance 1 or
     2, 1 for an infinite g~+, and otherwise the smaller of the
     sphere-packing and Delsarte LP bounds (21 where A(8, 3) = 20).  The
-    exact code search is only the tests' oracle.  A graph past the
-    search limit is refused before its cycles are enumerated.
+    exact code search is only the tests' oracle.  The first call refuses a
+    graph past the search limit before its cycles are enumerated.
     """
-    _check_search_limit(G)
-    index = _cycle_index(G, cap)
-    decomposition = scc(G)
     tt = tau_tilde_plus(G, cap)
     gt = g_tilde_plus(G, cap)
     return AnalysisReport(
@@ -453,7 +432,7 @@ def analyze(G: SignedDigraph, cap: int = DEFAULT_CYCLE_CAP) -> AnalysisReport:
         thm3=uniqueness_arc_rule(G, cap),
         thm4=uniqueness_vertex_rule(G, cap),
         thm5=existence_arc_rule(G, cap),
-        no_fixed_point=_no_fixed_point(index, decomposition),
-        two_fixed_points=not index.negatives and _initial_nontrivial(decomposition),
+        no_fixed_point=no_fixed_point_condition(G, cap),
+        two_fixed_points=two_fixed_points_condition(G),
         fixed_point_upper_bound=codes.fixed_point_bound(G.n, tt, gt),
     )

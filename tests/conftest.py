@@ -1,4 +1,4 @@
-"""Shared test helpers: tiny builders and brute-force oracles.
+"""Shared test helpers: tiny builders, brute-force oracles and a call counter.
 
 The oracles here deliberately avoid the library's algorithms: cycles are
 found by trying every vertex permutation, colorings by trying every state,
@@ -14,7 +14,24 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
+import pytest
+
+from signedbn.boolnet import BooleanNetwork
 from signedbn.graphs import SignedCycle, SignedDigraph
+
+
+@pytest.fixture
+def interaction_graph_calls(monkeypatch):
+    """The networks whose interaction graph is built while the test runs."""
+    calls = []
+    original = BooleanNetwork.interaction_graph
+
+    def counting(f):
+        calls.append(f)
+        return original(f)
+
+    monkeypatch.setattr(BooleanNetwork, "interaction_graph", counting)
+    return calls
 
 
 def g(n, *arcs):

@@ -431,6 +431,22 @@ class TestWideTables:
         assert time.perf_counter() - start < 1.0
         assert points == [x for x in ((0,) * 19, (1,) * 19) if f.evaluate(x) == x]
 
+    def test_fold_keeps_few_state_sets_alive(self, monkeypatch):
+        # Folding breadth-first kept 2^9 sets of 2^16 bits, about 4 MB.
+        rng = random.Random(10)
+        inputs = rng.sample(range(1, 17), boolnet._FOLD_MAX_INPUTS)
+        bits = rng.getrandbits(1 << len(inputs))
+        masks = boolnet._state_masks(16)
+        tracemalloc.start()
+        try:
+            folded = boolnet._value_mask(inputs, bits, masks)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        monkeypatch.setattr(boolnet, "_FOLD_MAX_INPUTS", len(inputs) - 1)
+        assert folded == boolnet._value_mask(inputs, bits, masks)
+
     @pytest.mark.parametrize("seed", range(6))
     def test_lookup_matches_the_fold(self, seed, monkeypatch):
         rng = random.Random(seed)

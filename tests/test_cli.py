@@ -365,6 +365,16 @@ class TestCheckCommand:
         assert captured.out == ""
         assert captured.err == f"error: --theorem {theorem} takes exactly {wanted}\n"
 
+    @pytest.mark.parametrize("theorem", ["thm1", "thm6", "thm7"])
+    def test_pair_checks_build_the_interaction_graph_once(
+        self, tmp_path, capsys, interaction_graph_calls, theorem
+    ):
+        # Loading the pair compares the network's interaction graph with
+        # the graph file; the check then reads the loaded graph.
+        assert main(["check", "--theorem", theorem] + _pair_files(tmp_path, figure1(5))) == 0
+        assert capsys.readouterr().out == f"{theorem}: holds\n"
+        assert len(interaction_graph_calls) == 1
+
     def test_thm1_on_an_18_input_table_is_fast(self, tmp_path, capsys):
         # Vertex 1 reads the other 18 vertices, each of which copies x_1.
         rng = random.Random(18)

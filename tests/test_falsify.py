@@ -91,6 +91,14 @@ class TestInstanceKinds:
             assert tuple(reloaded) == instance
             assert prop.check(*reloaded) == prop.check(*instance)
 
+    @pytest.mark.parametrize("theorem", ["thm1", "thm6", "thm7"])
+    def test_pair_trials_check_the_drawn_graph(self, interaction_graph_calls, theorem):
+        # A drawn pair's network has the drawn graph as its interaction
+        # graph, so a trial never rebuilds it.
+        report = falsify(theorem, trials=40, seed=3, max_n=5)
+        assert report.trials == 40 and not report.falsified
+        assert interaction_graph_calls == []
+
 
 class TestHopelessSweepsRefused:
     @pytest.mark.parametrize("theorem", ["thm3", "thm1", "cor8"])

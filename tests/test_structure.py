@@ -30,6 +30,7 @@ from signedbn.graphs import (
     SignedCycle,
     SignedDigraph,
     enumerate_cycles,
+    find_negative_cycle,
     has_negative_cycle,
     is_strong,
 )
@@ -379,7 +380,8 @@ class TestFixedPointConditions:
 
 
 class TestAnalyzeDecomposesOnce:
-    """``analyze`` reads its strong-component flags off one decomposition."""
+    """``analyze`` and the graph-only conditions read one strong-component
+    decomposition per graph."""
 
     def assert_flags_match(self, G):
         report = analyze(G)
@@ -396,9 +398,9 @@ class TestAnalyzeDecomposesOnce:
             for seed in range(15):
                 self.assert_flags_match(random_signed_digraph(n, seed=seed))
 
-    def test_one_scc_call_per_graph(self, monkeypatch):
+    @staticmethod
+    def count_scc_calls(monkeypatch) -> list:
         import signedbn.graphs as graphs
-        import signedbn.structure as structure
 
         calls = []
         original = graphs.scc
@@ -407,10 +409,25 @@ class TestAnalyzeDecomposesOnce:
             calls.append(G)
             return original(G)
 
-        for module in (graphs, structure):
-            monkeypatch.setattr(module, "scc", counting)
+        monkeypatch.setattr(graphs, "scc", counting)
+        return calls
+
+    def test_one_scc_call_per_graph(self, monkeypatch):
+        calls = self.count_scc_calls(monkeypatch)
         inputs = [figure1(7), random_signed_digraph(8, seed=3), g(2, (1, 2, "+"), (2, 1, "+"))]
         for G in inputs:
+            analyze(G)
+        assert calls == inputs
+
+    def test_graph_only_conditions_share_the_decomposition(self, monkeypatch):
+        calls = self.count_scc_calls(monkeypatch)
+        inputs = [figure1(7), random_signed_digraph(8, seed=3), g(2, (1, 2, "+"), (2, 1, "+"))]
+        for G in inputs:
+            is_strong(G)
+            has_negative_cycle(G)
+            find_negative_cycle(G)
+            no_fixed_point_condition(G)
+            two_fixed_points_condition(G)
             analyze(G)
         assert calls == inputs
 
