@@ -22,6 +22,7 @@ from .graphs import (
     POSITIVE,
     Arc,
     SignedDigraph,
+    _check_limit,
     _set_bits,
     as_arc,
 )
@@ -211,8 +212,7 @@ class BooleanNetwork:
 
     def fixed_points(self) -> list[tuple[int, ...]]:
         """All states x with f(x) = x, in increasing binary order."""
-        if self.n > MAX_FIXED_POINT_SCAN:
-            raise ValueError(f"n={self.n} exceeds the fixed-point scan limit")
+        _check_limit(self.n, "fixed-point scan", MAX_FIXED_POINT_SCAN)
         masks = _state_masks(self.n)
         fixed = masks[0]
         for v, lf in enumerate(self.locals, start=1):
@@ -266,8 +266,7 @@ class BooleanNetwork:
         decided too, so the undecided states are closed under moves and F
         lies among them.
         """
-        if self.n > MAX_ATTRACTOR_SCAN:
-            raise ValueError(f"n={self.n} exceeds the attractor scan limit")
+        _check_limit(self.n, "attractor scan", MAX_ATTRACTOR_SCAN)
         n = self.n
         masks = _state_masks(n)
         # Per moving vertex v: the states where x_v falls from 1 to 0, the
@@ -533,8 +532,7 @@ def max_fixed_points(G: SignedDigraph, max_indegree: int = DEFAULT_MAX_INDEGREE)
     family = _family(G, max_indegree)
     if not all(tables for _, tables in family):
         raise UnrealizableGraphError("no Boolean network has this interaction graph")
-    if G.n > MAX_FIXED_POINT_SCAN:
-        raise ValueError(f"n={G.n} exceeds the fixed-point scan limit")
+    _check_limit(G.n, "fixed-point scan", MAX_FIXED_POINT_SCAN)
     size = math.prod(len(tables) for _, tables in family)
     if size > MAX_FAMILY_SCAN:
         raise ValueError(f"{size} networks exceed the family scan limit {MAX_FAMILY_SCAN}")

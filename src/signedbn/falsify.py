@@ -35,7 +35,9 @@ from .graphs import (
     POSITIVE,
     CycleCapExceeded,
     SignedDigraph,
+    _capped,
     _check_cap,
+    _check_limit,
     enumerate_cycles,
     has_negative_cycle,
     is_strong,
@@ -43,7 +45,6 @@ from .graphs import (
 )
 from .kernels import (
     KERNEL_SCAN_LIMIT,
-    _check_scan_limit,
     generalized_condition,
     kernel_indicators,
     kernels,
@@ -342,13 +343,8 @@ def _check_cor8(G, f, cap=FALSIFY_CYCLE_CAP) -> Optional[str]:
     return None
 
 
-def _check_graph_limit(G):
-    if G.n > MAX_GRAPH_N:
-        raise ValueError(f"n={G.n} exceeds the search limit {MAX_GRAPH_N}")
-
-
 def _check_lemma9(G, cap=FALSIFY_CYCLE_CAP) -> Optional[str]:
-    _check_graph_limit(G)
+    _check_limit(G.n, "search", MAX_GRAPH_N)
     cycles = enumerate_cycles(G, cap)
     if sum(1 for c in cycles if c.sign == NEGATIVE) != 1:
         return None
@@ -358,16 +354,10 @@ def _check_lemma9(G, cap=FALSIFY_CYCLE_CAP) -> Optional[str]:
 
 
 def _check_harary(G, cap=FALSIFY_CYCLE_CAP) -> Optional[str]:
-    _check_graph_limit(G)
+    _check_limit(G.n, "search", MAX_GRAPH_N)
     _check_cap(cap)
     colors = structure.two_coloring(G)
-    negative = False
-    for count, c in enumerate(iter_cycles(G.symmetrize()), start=1):
-        if count > cap:
-            raise CycleCapExceeded(f"more than {cap} cycles")
-        if c.sign == NEGATIVE:
-            negative = True
-            break
+    negative = any(c.sign == NEGATIVE for c in _capped(iter_cycles(G.symmetrize()), cap))
     if (colors is None) != negative:
         return "two-coloring existence disagrees with symmetrized negative cycles"
     if colors is not None and G.consistent_subgraph(colors) != G:
@@ -376,21 +366,20 @@ def _check_harary(G, cap=FALSIFY_CYCLE_CAP) -> Optional[str]:
 
 
 def _check_richardson(D, cap=FALSIFY_CYCLE_CAP) -> Optional[str]:
-    _check_scan_limit(D)
+    _check_limit(D.n, "subset scan", KERNEL_SCAN_LIMIT)
     if richardson_condition(D) and not kernels(D):
         return "no odd cycle but no kernel"
     return None
 
 
 def _check_richardson_gen(D, cap=FALSIFY_CYCLE_CAP) -> Optional[str]:
-    _check_scan_limit(D)
+    _check_limit(D.n, "subset scan", KERNEL_SCAN_LIMIT)
     if generalized_condition(D, cap) and not kernels(D):
         return "cut condition holds but no kernel"
     return None
 
 
 def _check_kernel_corr(D, cap=FALSIFY_CYCLE_CAP) -> Optional[str]:
-    _check_scan_limit(D)
     if set(kernels(D)) != kernel_indicators(D):
         return "kernels differ from decoded network fixed points"
     return None
@@ -486,6 +475,8 @@ def run_falsification(
         raise ValueError(
             f"exhaustive_n={exhaustive_n} exceeds the exhaustive limit {MAX_EXHAUSTIVE_N}"
         )
+    if stop_after is not None and stop_after < 1:
+        raise ValueError(f"stop_after must be at least 1, got {stop_after}")
     if exhaustive_n is None:
         instances = (
             kind.draw(random.Random(f"{seed}:{i}"), max_n, max_indegree) for i in range(trials)
@@ -502,7 +493,7 @@ def run_falsification(
         result = None if instance is None else prop.counterexample(instance)
         if result is not None:
             found.append(result)
-            if stop_after and len(found) >= stop_after:
+            if stop_after is not None and len(found) >= stop_after:
                 break
     return FalsifyReport(prop.id, ran, found, time.perf_counter() - start)
 
@@ -513,11 +504,10 @@ def falsify(
     seed: int = 0,
     max_n: int = 5,
     exhaustive_n: Optional[int] = None,
-    stop_after: Optional[int] = None,
     max_indegree: int = 4,
 ) -> FalsifyReport:
     if theorem not in REGISTRY:
         raise ValueError(f"unknown theorem id {theorem!r}; known: {sorted(REGISTRY)}")
     return run_falsification(
-        REGISTRY[theorem], trials, seed, max_n, exhaustive_n, stop_after, max_indegree
+        REGISTRY[theorem], trials, seed, max_n, exhaustive_n, max_indegree=max_indegree
     )

@@ -34,6 +34,12 @@ class CycleCapExceeded(Exception):
     """A cycle enumeration found more cycles than its cap allows."""
 
 
+def _check_limit(n: int, what: str, limit: int):
+    """Refuse, with a ValueError, a size n past the ``what`` limit."""
+    if n > limit:
+        raise ValueError(f"n={n} exceeds the {what} limit {limit}")
+
+
 def sign_char(sign: int) -> str:
     return _SIGN_CHARS[sign]
 
@@ -73,7 +79,9 @@ class SignedDigraph:
     allowed; duplicate identical arcs collapse.
     """
 
-    __slots__ = ("_vertices", "_arcs", "_in", "_out", "_hash", "_cycle_cache", "_scc_cache")
+    __slots__ = (
+        "_vertices", "_arcs", "_in", "_out", "_hash", "_cycle_cache", "_index_cache", "_scc_cache"
+    )
 
     def __init__(self, vertices, arcs: Iterable = ()):
         if isinstance(vertices, int):
@@ -99,6 +107,7 @@ class SignedDigraph:
         self._out = {v: tuple(lst) for v, lst in outs.items()}
         self._hash = None
         self._cycle_cache = None
+        self._index_cache = None
         self._scc_cache = None
 
     # -- basic views ----------------------------------------------------
@@ -508,40 +517,46 @@ def _check_cap(cap: int):
         raise ValueError(f"cycle cap {cap} is below 0")
 
 
+def _capped(cycles: Iterable[SignedCycle], cap: int) -> Iterator[SignedCycle]:
+    """The cycles of ``cycles`` in order, refusing at the first past ``cap``."""
+    for count, c in enumerate(cycles, start=1):
+        if count > cap:
+            raise CycleCapExceeded(f"more than {cap} cycles")
+        yield c
+
+
+def _cycles(G: SignedDigraph, cap: int) -> tuple[SignedCycle, ...]:
+    """G's cycles, from ``iter_cycles`` on first use; cached on the graph.
+
+    Refuses a cap below 0 with a ValueError and, on every call, a cap
+    below G's cycle count with CycleCapExceeded.
+    """
+    _check_cap(cap)
+    cycles = G._cycle_cache
+    if cycles is None:
+        cycles = G._cycle_cache = tuple(_capped(iter_cycles(G), cap))
+    elif len(cycles) > cap:
+        raise CycleCapExceeded(f"more than {cap} cycles")
+    return cycles
+
+
 def enumerate_cycles(G: SignedDigraph, cap: int = DEFAULT_CYCLE_CAP) -> list[SignedCycle]:
     """All simple cycles of G in deterministic order.
 
     Raises CycleCapExceeded when the graph has more than ``cap`` cycles,
     so truncation is never silent, and ValueError for a cap below 0.  The
-    complete list is cached on the graph, inside its cycle index.
+    complete list is cached on the graph; its cycle index is not built.
     """
-    _check_cap(cap)
-    index = G._cycle_cache
-    if index is None:
-        out = []
-        for c in iter_cycles(G):
-            out.append(c)
-            if len(out) > cap:
-                raise CycleCapExceeded(f"more than {cap} cycles")
-        index = G._cycle_cache = _CycleIndex(out)
-    if len(index.cycles) > cap:
-        raise CycleCapExceeded(f"more than {cap} cycles")
-    return list(index.cycles)
+    return list(_cycles(G, cap))
 
 
 def _cycle_index(G: SignedDigraph, cap: int = DEFAULT_CYCLE_CAP) -> "_CycleIndex":
-    """G's cycle index, from ``enumerate_cycles`` on first use, with its
-    incidence built.
-
-    On every call, a cap below 0 or below G's cycle count goes to
-    ``enumerate_cycles``, which refuses it.
-    """
-    index = G._cycle_cache
-    if index is None or cap < 0 or len(index.cycles) > cap:
-        enumerate_cycles(G, cap)
-        index = G._cycle_cache
-    if index.arcs is None:
-        index.build(G)
+    """G's cycle index over ``_cycles(G, cap)``, which refuses the cap;
+    built on first use and cached on the graph beside the cycles."""
+    cycles = _cycles(G, cap)
+    index = G._index_cache
+    if index is None:
+        index = G._index_cache = _CycleIndex(G, cycles)
     return index
 
 
@@ -565,7 +580,7 @@ class _CycleIndex:
     in rotation order, and ``cycle_vertices[j]``.  ``positives`` and
     ``negatives`` split the cycles by sign; ``sources`` are the positions
     with no in-arc.  ``position`` and ``arc_number`` map vertices and arcs
-    to their numbers.  The incidence is filled in by ``build``.
+    to their numbers.
     """
 
     __slots__ = (
@@ -574,13 +589,8 @@ class _CycleIndex:
         "cycle_vertices", "positives", "negatives", "arc_cycles", "vertex_cycles",
     )
 
-    def __init__(self, cycles: list[SignedCycle]):
-        self.cycles = tuple(cycles)
-        self.arcs = None
-
-    def build(self, G: SignedDigraph):
-        """Fill in the incidence; ``structure`` asks for it, a caller of
-        ``enumerate_cycles`` alone does not pay for it."""
+    def __init__(self, G: SignedDigraph, cycles: tuple[SignedCycle, ...]):
+        self.cycles = cycles
         position, self.out_neighbors, self.in_neighbors = _neighbor_masks(G)
         self.position = position
         vertices = self.vertices = tuple(position)
@@ -601,11 +611,11 @@ class _CycleIndex:
         cycle_arcs = self.cycle_arcs = []
         cycle_vertices = self.cycle_vertices = []
         positives = 0
-        for base in range(0, len(self.cycles), _CHUNK):
+        for base in range(0, len(cycles), _CHUNK):
             arc_part = [0] * m
             vertex_part = [0] * n
             positive_part = 0
-            for j, c in enumerate(self.cycles[base:base + _CHUNK]):
+            for j, c in enumerate(cycles[base:base + _CHUNK]):
                 bit = 1 << j
                 numbers = tuple(map(arc_number.__getitem__, c.arcs))
                 on = 0
@@ -623,7 +633,7 @@ class _CycleIndex:
             positives |= positive_part << base
         self.arc_cycles, self.vertex_cycles = arc_cycles, vertex_cycles
         self.positives = positives
-        self.negatives = ((1 << len(self.cycles)) - 1) & ~positives
+        self.negatives = ((1 << len(cycles)) - 1) & ~positives
 
     def vertex_mask(self, vertices: Iterable[int]) -> int:
         mask = 0

@@ -14,6 +14,7 @@ from .graphs import (
     NEGATIVE,
     Digraph,
     SignedDigraph,
+    _check_limit,
     _set_bits,
     has_negative_cycle,
 )
@@ -32,12 +33,6 @@ def as_all_negative(D: Digraph) -> SignedDigraph:
     return SignedDigraph(D.n, ((u, v, NEGATIVE) for u, v in D.arc_set))
 
 
-def _check_scan_limit(D: Digraph):
-    """Refuse, with a ValueError, a digraph past KERNEL_SCAN_LIMIT vertices."""
-    if D.n > KERNEL_SCAN_LIMIT:
-        raise ValueError(f"n={D.n} exceeds the subset scan limit {KERNEL_SCAN_LIMIT}")
-
-
 def kernels(D: Digraph) -> list[frozenset[int]]:
     """All kernels of D by subset scan, in increasing bitmask order.
 
@@ -45,7 +40,7 @@ def kernels(D: Digraph) -> list[frozenset[int]]:
     Y_v the set of subsets holding v, the kernels are the AND over v of
     Y_v XOR (OR of Y_w over the out-neighbors w of v).
     """
-    _check_scan_limit(D)
+    _check_limit(D.n, "subset scan", KERNEL_SCAN_LIMIT)
     n = D.n
     masks = _state_masks(n)
     # Subset bit v-1 is state bit n-v, which the mask of vertex n+1-v reads.
@@ -104,7 +99,7 @@ def kernel_indicators(D: Digraph) -> set[frozenset[int]]:
     a digraph with more than KERNEL_SCAN_LIMIT (24) vertices or more than
     KERNEL_TABLE_ROW_LIMIT (2^23) rows in all.
     """
-    _check_scan_limit(D)
+    _check_limit(D.n, "subset scan", KERNEL_SCAN_LIMIT)
     widths = (len(D.out_neighbors(v)) for v in range(1, D.n + 1))
     rows = sum(1 << (k if k <= _FOLD_MAX_INPUTS else D.n) for k in widths)
     if rows > KERNEL_TABLE_ROW_LIMIT:

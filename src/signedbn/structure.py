@@ -23,11 +23,13 @@ from .graphs import (
     Arc,
     SignedCycle,
     SignedDigraph,
+    _check_limit,
     _closure,
     _component_bad_arc,
     _components,
     _cycle_index,
     _CycleIndex,
+    _cycles,
     _search_tree,
     _set_bits,
     as_arc,
@@ -229,14 +231,9 @@ def uniqueness_vertex_rule(G: SignedDigraph, cap: int = DEFAULT_CYCLE_CAP) -> Ru
 # -- deletion parameters and girths ------------------------------------------
 
 
-def _check_search_limit(G: SignedDigraph):
-    if G.n > DEFAULT_SEARCH_LIMIT:
-        raise ValueError(f"n={G.n} exceeds the search limit {DEFAULT_SEARCH_LIMIT}")
-
-
 def tau_plus(G: SignedDigraph, cap: int = DEFAULT_CYCLE_CAP) -> int:
     """Minimum number of vertex deletions leaving no positive cycle."""
-    _check_search_limit(G)
+    _check_limit(G.n, "search", DEFAULT_SEARCH_LIMIT)
     index = _cycle_index(G, cap)
     if not index.positives:
         return 0
@@ -249,8 +246,7 @@ def tau_plus(G: SignedDigraph, cap: int = DEFAULT_CYCLE_CAP) -> int:
 
 def g_plus(G: SignedDigraph, cap: int = DEFAULT_CYCLE_CAP):
     """Length of a shortest positive cycle; INF when none exists."""
-    index = _cycle_index(G, cap)
-    return min((len(index.cycle_arcs[j]) for j in _set_bits(index.positives)), default=INF)
+    return min((len(c) for c in _cycles(G, cap) if c.sign == POSITIVE), default=INF)
 
 
 def tau_tilde_plus(G: SignedDigraph, cap: int = DEFAULT_CYCLE_CAP) -> int:
@@ -261,7 +257,7 @@ def tau_tilde_plus(G: SignedDigraph, cap: int = DEFAULT_CYCLE_CAP) -> int:
     no positive cycle at all.  The positive cycles left are those of G
     through no vertex of I.
     """
-    _check_search_limit(G)
+    _check_limit(G.n, "search", DEFAULT_SEARCH_LIMIT)
     index = _cycle_index(G, cap)
     for k in range(0, G.n + 1):
         for combo in itertools.combinations(range(G.n), k):
@@ -356,14 +352,12 @@ def unique_negative_cycle_arc(
     Requires the graph to have exactly one negative cycle.  Existence is
     guaranteed; None signals a defect and is asserted against in tests.
     """
-    index = _cycle_index(G, cap)
-    count = index.negatives.bit_count()
-    if count != 1:
-        raise ValueError(f"graph has {count} negative cycles, not 1")
-    for k in index.cycle_arcs[index.negatives.bit_length() - 1]:
-        if not index.arc_cycles[k] & index.positives:
-            return index.arcs[k]
-    return None
+    cycles = _cycles(G, cap)
+    negatives = [c for c in cycles if c.sign == NEGATIVE]
+    if len(negatives) != 1:
+        raise ValueError(f"graph has {len(negatives)} negative cycles, not 1")
+    on_positive = {a for c in cycles if c.sign == POSITIVE for a in c.arcs}
+    return next((a for a in negatives[0].arcs if a not in on_positive), None)
 
 
 # -- aggregate report ----------------------------------------------------------

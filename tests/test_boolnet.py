@@ -343,6 +343,16 @@ class TestScanEdgesAndCost:
         with pytest.raises(ValueError):
             BooleanNetwork([constant(0)] * 21).attractors()
 
+    def test_scan_refusals_name_their_limit(self):
+        cases = (
+            (lambda: BooleanNetwork([constant(0)] * 25).fixed_points(), "fixed-point scan", 25, 24),
+            (lambda: BooleanNetwork([constant(0)] * 21).attractors(), "attractor scan", 21, 20),
+            (lambda: max_fixed_points(SignedDigraph(25)), "fixed-point scan", 25, 24),
+        )
+        for call, what, n, limit in cases:
+            with pytest.raises(ValueError, match=f"^n={n} exceeds the {what} limit {limit}$"):
+                call()
+
     def test_family_scan_limit_refuses_at_once(self):
         # 19,254,145,824 consistent networks: hours of scanning.
         G = SignedDigraph(5, [(u, v, 1) for u in range(1, 6) for v in range(1, 6) if u != v])

@@ -124,6 +124,13 @@ class TestHopelessSweepsRefused:
             falsify("thm2", trials=50, seed=0, max_n=10, max_indegree=5)
         assert time.perf_counter() - start < 1.0
 
+    @pytest.mark.parametrize("stop_after", [0, -1])
+    def test_stop_after_below_one(self, stop_after):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=f"^stop_after must be at least 1, got {stop_after}$"):
+            run_falsification(REGISTRY["thm2"], trials=1000, seed=0, stop_after=stop_after)
+        assert time.perf_counter() - start < 1.0
+
     def test_max_n_at_the_scan_limit_runs(self):
         report = falsify("thm2", trials=3, seed=0, max_n=MAX_FIXED_POINT_SCAN)
         assert report.trials == 3 and not report.falsified

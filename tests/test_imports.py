@@ -1,4 +1,5 @@
-"""Every library module uses each name it imports.
+"""Every library module uses each name it imports, and every private
+name the library defines is read somewhere in it.
 
 No linter ships with the test dependencies, so this reads the modules
 with ``ast``.  ``__init__.py`` re-exports names it does not use, and
@@ -6,6 +7,7 @@ with ``ast``.  ``__init__.py`` re-exports names it does not use, and
 """
 
 import ast
+import types
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "signedbn"
@@ -66,3 +68,83 @@ def test_library_modules_use_their_imports():
         if (names := unused_imports(p.read_text(encoding="utf-8")))
     }
     assert unused == {}
+
+
+def _is_private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def unread_private_names(sources: dict[str, str]) -> list[str]:
+    """The private module-level names and private methods that the modules
+    of ``sources`` (module name to text) define and none of them reads,
+    as ``module.name`` or ``module.Class.name``, in definition order.
+
+    Private means a leading underscore, dunders excepted.  A name counts
+    as read when it is loaded as a name or as an attribute; importing it
+    alone does not count, and the import check catches such an import.
+    """
+    trees = {module: ast.parse(text) for module, text in sources.items()}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    defined = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.append((f"{module}.{node.name}", node.name))
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined += [
+                    (f"{module}.{name.id}", name.id)
+                    for target in targets
+                    for name in ast.walk(target)
+                    if isinstance(name, ast.Name)
+                ]
+            if isinstance(node, ast.ClassDef):
+                defined += [
+                    (f"{module}.{node.name}.{item.name}", item.name)
+                    for item in node.body
+                    if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                ]
+    return [label for label, name in defined if _is_private(name) and name not in read]
+
+
+def test_checker_flags_an_unread_private_name():
+    sources = {
+        "a": (
+            "_LIMIT = 3\n"
+            "_UNUSED, used = 1, 2\n"
+            "def _helper():\n"
+            "    return _LIMIT\n"
+            "class _Index:\n"
+            "    def __init__(self):\n"
+            "        self._cache = None\n"
+            "    def _build(self):\n"
+            "        return self._cache\n"
+            "    def _stale(self):\n"
+            "        pass\n"
+        ),
+        "b": (
+            "from .a import _helper, _Index, _stale\n"
+            "def run():\n"
+            "    return _helper(), _Index()._build()\n"
+        ),
+    }
+    assert unread_private_names(sources) == ["a._UNUSED", "a._Index._stale"]
+
+
+def test_library_reads_every_private_name_it_defines():
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))}
+    assert sources
+    assert unread_private_names(sources) == []
+
+
+def test_kernels_names_the_module():
+    import signedbn.kernels as kernels_module
+
+    assert isinstance(kernels_module, types.ModuleType)
+    assert kernels_module.kernels(kernels_module.Digraph(1)) == [frozenset({1})]

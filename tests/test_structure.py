@@ -298,6 +298,53 @@ class TestCycleIndexCache:
             g_tilde_plus(G, cap=10)
         assert g_tilde_plus(G, cap=20) == 2
 
+    def test_cap_checked_on_every_call_once_both_caches_fill(self):
+        G = double_cycle(2, POSITIVE, 1, NEGATIVE)  # a positive 2-cycle and a negative loop
+        analyze(G)
+        for call in (enumerate_cycles, g_plus, unique_negative_cycle_arc, g_tilde_plus):
+            with pytest.raises(CycleCapExceeded, match="^more than 1 cycles$"):
+                call(G, cap=1)
+        assert unique_negative_cycle_arc(G, cap=2) == Arc(1, 1, NEGATIVE)
+
+    @staticmethod
+    def count_index_builds(monkeypatch) -> list:
+        import signedbn.graphs as graphs
+
+        built = []
+        original = graphs._CycleIndex.__init__
+
+        def counting(self, *args):
+            built.append(self)
+            original(self, *args)
+
+        monkeypatch.setattr(graphs._CycleIndex, "__init__", counting)
+        return built
+
+    def test_cycle_list_questions_build_no_index(self, monkeypatch):
+        built = self.count_index_builds(monkeypatch)
+        shapes = [
+            lambda: double_cycle(2, POSITIVE, 1, NEGATIVE),
+            lambda: g(3, (1, 2, "+"), (2, 1, "+"), (2, 3, "-"), (3, 2, "+")),
+            lambda: g(1, (1, 1, "-")),
+        ]
+        questions = (enumerate_cycles, g_plus, unique_negative_cycle_arc)
+        for shape in shapes:
+            for question in questions:
+                question(shape())  # alone on a fresh graph
+            G = shape()
+            for question in questions:
+                question(G)  # one after another on the same graph
+        assert built == []
+
+    def test_analyze_builds_one_index_per_graph(self, monkeypatch):
+        built = self.count_index_builds(monkeypatch)
+        inputs = [figure1(7), random_signed_digraph(8, seed=3), g(2, (1, 2, "+"), (2, 1, "+"))]
+        for G in inputs:
+            enumerate_cycles(G)
+            analyze(G)
+            analyze(G)
+        assert len(built) == len(inputs)
+
     def test_equal_graphs_answer_alike(self):
         for seed in range(20):
             first = random_signed_digraph(6, seed=seed)
