@@ -9,9 +9,7 @@ fixed-point upper bound.
 from __future__ import annotations
 
 import itertools
-import operator
 from dataclasses import dataclass
-from functools import reduce
 from typing import Optional
 
 from . import codes
@@ -234,14 +232,53 @@ def uniqueness_vertex_rule(G: SignedDigraph, cap: int = DEFAULT_CYCLE_CAP) -> Ru
 def tau_plus(G: SignedDigraph, cap: int = DEFAULT_CYCLE_CAP) -> int:
     """Minimum number of vertex deletions leaving no positive cycle."""
     _check_limit(G.n, "search", DEFAULT_SEARCH_LIMIT)
-    index = _cycle_index(G, cap)
-    if not index.positives:
-        return 0
-    for k in range(1, G.n + 1):
-        for through in itertools.combinations(index.vertex_cycles, k):
-            if not index.positives & ~reduce(operator.or_, through):
-                return k
-    raise AssertionError("deleting every vertex kills every cycle")
+    return _tau_plus(_cycle_index(G, cap))
+
+
+def _tau_plus(index: _CycleIndex) -> int:
+    """tau+ as a minimum hitting set of the positive cycles' position masks.
+
+    k deepens from a packing of disjoint masks, which no smaller set hits.
+    """
+    masks = sorted(_positive_masks(index), key=lambda mask: (mask.bit_count(), mask))
+    k = _packing(masks)
+    while not _hits(masks, k):
+        k += 1
+    return k
+
+
+def _positive_masks(index: _CycleIndex) -> set[int]:
+    """The distinct position masks of the positive cycles."""
+    return {
+        on for on, cycle in zip(index.cycle_vertices, index.cycles) if cycle.sign == POSITIVE
+    }
+
+
+def _packing(masks: list[int]) -> int:
+    """Size of the greedy packing of pairwise disjoint ``masks``, taken in
+    their order; a hitting set needs one position per packed mask."""
+    used = count = 0
+    for mask in masks:
+        if not mask & used:
+            used |= mask
+            count += 1
+    return count
+
+
+def _hits(masks: list[int], k: int) -> bool:
+    """Whether k positions meet every one of ``masks``, shortest first.
+
+    Every hitting set holds some position of the shortest mask, so the
+    search branches on those and drops the masks each one meets.
+    """
+    if not masks:
+        return True
+    if k == 0 or _packing(masks) > k:
+        return False
+    return any(
+        _hits([mask for mask in masks if not mask >> p & 1], k - 1)
+        for p in _set_bits(masks[0])
+    )
 
 
 def g_plus(G: SignedDigraph, cap: int = DEFAULT_CYCLE_CAP):
@@ -259,17 +296,45 @@ def tau_tilde_plus(G: SignedDigraph, cap: int = DEFAULT_CYCLE_CAP) -> int:
     """
     _check_limit(G.n, "search", DEFAULT_SEARCH_LIMIT)
     index = _cycle_index(G, cap)
-    for k in range(0, G.n + 1):
-        for combo in itertools.combinations(range(G.n), k):
+    return _tau_tilde_plus(index, _tau_plus(index))
+
+
+def _tau_tilde_plus(index: _CycleIndex, upper: int) -> int:
+    """tau~+ given ``upper`` = tau+, by scanning the sizes below it.
+
+    A positive cycle whose positions all have in-degree 1 has no special
+    arc unless I meets it: outside I each arc is its head's only in-arc,
+    so condition (i) fails.  Such forced cycles are disjoint, so every
+    valid I holds one position of each, and the scan starts at their
+    count and skips the sets that miss one.  Validity is not monotone in
+    I, so no superset of a failed set is pruned.  The cycle that sank the
+    previous set is checked first.
+    """
+    single = sum(1 << p for p, arcs in enumerate(index.in_arcs) if arcs.bit_count() == 1)
+    forced = [mask for mask in _positive_masks(index) if not mask & ~single]
+    killer = 0
+    for k in range(len(forced), upper):
+        for combo in itertools.combinations(range(len(index.vertices)), k):
             gone = cut = 0
             for p in combo:
                 gone |= index.in_arcs[p]
                 cut |= 1 << p
+            if not all(cut & mask for mask in forced):
+                continue
             left = index.positives & ~index.cycles_meeting(cut)
             cleared = index.sources | cut
-            if all(_has_special_arc(index, gone, left, cleared, j) for j in _set_bits(left)):
+            failed = next(
+                (
+                    j
+                    for j in itertools.chain(_set_bits(left & killer), _set_bits(left & ~killer))
+                    if not _has_special_arc(index, gone, left, cleared, j)
+                ),
+                None,
+            )
+            if failed is None:
                 return k
-    raise AssertionError("removing all in-arcs leaves no cycle")
+            killer = 1 << failed
+    return upper
 
 
 def g_tilde_plus(G: SignedDigraph, cap: int = DEFAULT_CYCLE_CAP):
@@ -412,14 +477,17 @@ def analyze(G: SignedDigraph, cap: int = DEFAULT_CYCLE_CAP) -> AnalysisReport:
     ``codes.fixed_point_bound``: the code term is exact at distance 1 or
     2, 1 for an infinite g~+, and otherwise the smaller of the
     sphere-packing and Delsarte LP bounds (21 where A(8, 3) = 20).  The
-    exact code search is only the tests' oracle.  The first call refuses a
-    graph past the search limit before its cycles are enumerated.
+    exact code search is only the tests' oracle.  A graph past the search
+    limit is refused before its cycles are enumerated.
     """
-    tt = tau_tilde_plus(G, cap)
+    _check_limit(G.n, "search", DEFAULT_SEARCH_LIMIT)
+    index = _cycle_index(G, cap)
+    tp = _tau_plus(index)
+    tt = _tau_tilde_plus(index, tp)
     gt = g_tilde_plus(G, cap)
     return AnalysisReport(
         n=G.n,
-        tau_plus=tau_plus(G, cap),
+        tau_plus=tp,
         tau_tilde_plus=tt,
         g_plus=g_plus(G, cap),
         g_tilde_plus=gt,

@@ -6,18 +6,21 @@ the Delsarte LP optimum by trying every vertex of its polytope, fixed
 points, kernels and attractors by visiting states one at a time, and
 special arcs, tau+, tau~+, g~+ and the arc and vertex rules by building
 each subgraph and searching its cycles anew, and strong components by
-mutual reachability.
+mutual reachability.  tau+ and tau~+ also have scan oracles that try every
+vertex subset by size and ask the library's cycle index about each.
 """
 
 import itertools
+import operator
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from math import comb
 
 import pytest
 
 from signedbn.boolnet import BooleanNetwork
-from signedbn.graphs import SignedCycle, SignedDigraph
+from signedbn.graphs import SignedCycle, SignedDigraph, _cycle_index, _set_bits
+from signedbn.structure import _has_special_arc
 
 
 @pytest.fixture
@@ -393,3 +396,38 @@ def rebuilt_unique_negative_cycle_arc(G):
     (negative,) = [c for c in cycles if c.sign == -1]
     on_positive = {a for c in cycles if c.sign == 1 for a in c.arcs}
     return next((a for a in negative.arcs if a not in on_positive), None)
+
+
+# -- subset-scan oracles for tau+ and tau~+ -------------------------------------
+#
+# The library searches only between proven bounds; these visit every size.
+
+
+def scan_tau_plus(G):
+    """tau+: the first subset, by size, through which every positive cycle
+    passes."""
+    index = _cycle_index(G)
+    if not index.positives:
+        return 0
+    for k in range(1, G.n + 1):
+        for through in itertools.combinations(index.vertex_cycles, k):
+            if not index.positives & ~reduce(operator.or_, through):
+                return k
+    raise AssertionError("deleting every vertex kills every cycle")
+
+
+def scan_tau_tilde_plus(G):
+    """tau~+: the first subset I, by size, such that every positive cycle
+    avoiding I has a special arc once the arcs into I are gone."""
+    index = _cycle_index(G)
+    for k in range(0, G.n + 1):
+        for combo in itertools.combinations(range(G.n), k):
+            gone = cut = 0
+            for p in combo:
+                gone |= index.in_arcs[p]
+                cut |= 1 << p
+            left = index.positives & ~index.cycles_meeting(cut)
+            cleared = index.sources | cut
+            if all(_has_special_arc(index, gone, left, cleared, j) for j in _set_bits(left)):
+                return k
+    raise AssertionError("removing all in-arcs leaves no cycle")

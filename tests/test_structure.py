@@ -1,5 +1,6 @@
 """Special arcs, theorem conditions, deletion parameters, two-colorings."""
 
+import random
 import time
 
 import pytest
@@ -19,6 +20,8 @@ from conftest import (
     rebuilt_tau_tilde_plus,
     rebuilt_unique_negative_cycle_arc,
     rebuilt_vertex_rule,
+    scan_tau_plus,
+    scan_tau_tilde_plus,
 )
 from signedbn.generators import double_cycle, figure1, random_signed_digraph
 from signedbn.graphs import (
@@ -163,9 +166,20 @@ class TestArcRules:
 
 
 class TestParameters:
-    @pytest.mark.parametrize("n,tau", [(3, 1), (5, 1), (7, 2), (9, 2), (11, 3)])
+    @pytest.mark.parametrize(
+        "n,tau", [(3, 1), (5, 1), (7, 2), (9, 2), (11, 3), (13, 3), (15, 4)]
+    )
     def test_figure1_tau_plus_formula(self, n, tau):
         assert tau_plus(figure1(n)) == tau == -(-(n - 1) // 4)
+
+    @pytest.mark.parametrize("n", range(3, 16, 2))
+    def test_figure1_tau_tilde_plus_is_zero(self, n):
+        assert tau_tilde_plus(figure1(n)) == 0
+
+    @pytest.mark.parametrize("k", range(1, 8))
+    def test_disjoint_positive_two_cycles(self, k):
+        G = two_cycles(k)
+        assert tau_plus(G) == tau_tilde_plus(G) == k
 
     def test_figure1_girths(self):
         G = figure1(5)
@@ -254,6 +268,100 @@ class TestFilteredSubgraphCycles:
         start = time.perf_counter()
         assert tau_tilde_plus(G) == 7
         assert time.perf_counter() - start < 0.5
+
+
+def two_cycles(k):
+    """k vertex-disjoint positive 2-cycles on 2k vertices."""
+    arcs = [(v, v + 1, "+") for v in range(1, 2 * k, 2)]
+    arcs += [(v + 1, v, "+") for v in range(1, 2 * k, 2)]
+    return g(2 * k, *arcs)
+
+
+def assert_matches_scans(G):
+    assert tau_plus(G) == scan_tau_plus(G)
+    assert tau_tilde_plus(G) == scan_tau_tilde_plus(G)
+
+
+def count_calls(monkeypatch, name) -> list:
+    """The calls to ``structure.<name>`` made while the test runs."""
+    import signedbn.structure as structure
+
+    calls = []
+    original = getattr(structure, name)
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(structure, name, counting)
+    return calls
+
+
+class TestBoundedSearches:
+    """tau+ by a hitting-set search, and tau~+ scanned from its forced-cycle
+    lower bound up to tau+, equal the subset scans over every size."""
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_every_graph_with_parallel_arcs(self, n):
+        for G in all_signed_digraphs(n):
+            assert_matches_scans(G)
+
+    def test_every_simple_graph_n3(self):
+        for G in all_simple_signed_digraphs(3):
+            assert_matches_scans(G)
+
+    # Past 10 vertices a density of 0.3 gives tens of thousands of cycles,
+    # which test_dense_graphs covers on fewer graphs.
+    @pytest.mark.parametrize(
+        "low,high,count,densities",
+        [
+            pytest.param(1, 5, 2000, (None, 0.1, 0.2, 0.3, 0.45), id="n1-5"),
+            pytest.param(6, 10, 2000, (None, 0.1, 0.2, 0.3, 0.45), id="n6-10"),
+            pytest.param(11, 15, 1000, (None, 0.1, 0.15, 0.2), id="n11-15"),
+        ],
+    )
+    def test_random_graphs(self, low, high, count, densities):
+        rng = random.Random(low)
+        for _ in range(count):
+            n = rng.randint(low, high)
+            density = rng.choice(densities)
+            assert_matches_scans(random_signed_digraph(n, density, seed=rng.randrange(10 ** 6)))
+
+    def test_dense_graphs(self):
+        rng = random.Random(0)
+        graphs = [complete_positive(n) for n in range(2, 8)]
+        while len(graphs) < 16:
+            G = random_signed_digraph(rng.randint(8, 13), 0.4, seed=rng.randrange(10 ** 6))
+            try:
+                cycles = len(enumerate_cycles(G, cap=10_000))
+            except CycleCapExceeded:
+                continue
+            if cycles >= 500:
+                graphs.append(G)
+        for G in graphs:
+            assert_matches_scans(G)
+
+    def test_lower_bound_at_tau_plus_checks_no_special_arc(self, monkeypatch):
+        calls = count_calls(monkeypatch, "_special_failure")
+        assert tau_tilde_plus(two_cycles(7)) == 7
+        assert calls == []
+
+    def test_scan_skips_sets_that_miss_a_forced_cycle(self, monkeypatch):
+        # Two forced 2-cycles, on positions 0-1 and 2-3, and a positive loop
+        # on vertex 5, which vertex 1 also enters, so the loop is not forced.
+        G = g(5, (1, 2, "+"), (2, 1, "+"), (3, 4, "+"), (4, 3, "+"), (5, 5, "+"), (1, 5, "+"))
+        calls = count_calls(monkeypatch, "_has_special_arc")
+        assert tau_tilde_plus(G) == tau_plus(G) == 3
+        assert calls
+        for _, _, _, cleared, _ in calls:  # G has no source, so cleared is I
+            assert cleared & 0b0011 and cleared & 0b1100
+
+    def test_analyze_searches_hitting_sets_once_per_graph(self, monkeypatch):
+        calls = count_calls(monkeypatch, "_tau_plus")
+        inputs = [figure1(7), random_signed_digraph(8, seed=3), two_cycles(7)]
+        for G in inputs:
+            analyze(G)
+        assert len(calls) == len(inputs)
 
 
 def complete_positive(n):
