@@ -120,8 +120,8 @@ def _cmd_generate(parser, args) -> int:
         if args.kind == "figure1":
             G = generators.figure1(args.n)
         elif args.kind == "double_cycle":
-            l1, s1, l2, s2 = args.lengths[0], args.signs[0], args.lengths[1], args.signs[1]
-            G = generators.double_cycle(l1, 1 if s1 == "+" else -1, l2, 1 if s2 == "+" else -1)
+            (l1, l2), (s1, s2) = args.lengths, args.signs
+            G = generators.double_cycle(l1, s1, l2, s2)
         else:
             G = generators.random_signed_digraph(
                 args.n, args.arc_prob, args.neg_prob, seed=args.seed

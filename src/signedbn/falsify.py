@@ -124,14 +124,14 @@ def disagreement_cycles(f: BooleanNetwork, special_arc_free: bool = False, cap=D
 def _disagreement_cycles(G: SignedDigraph, f: BooleanNetwork, special_arc_free: bool, cap: int):
     """``disagreement_cycles`` on f and its interaction graph G."""
     cycles = [c for c in enumerate_cycles(G, cap) if c.sign == POSITIVE]
-    if special_arc_free:
-        cycles = [c for c in cycles if find_special_arc(G, c, cap) is None]
     fixed = f.fixed_points()
+    if special_arc_free and len(fixed) >= 2:
+        cycles = [c for c in cycles if find_special_arc(G, c, cap) is None]
     witnesses = {}
     for x, y in itertools.combinations(fixed, 2):
         disagree = {v + 1 for v in range(f.n) if x[v] != y[v]}
         for c in cycles:
-            if c.vertex_set <= disagree:
+            if disagree.issuperset(c.vertices):
                 witnesses[(x, y)] = c
                 break
         else:

@@ -303,10 +303,11 @@ class SignedCycle:
 
     The rotation starts at the minimal vertex, so equal cycles compare
     equal regardless of the rotation they were built from.  A loop is a
-    cycle of length one.
+    cycle of length one.  Only the arcs and the sign are stored; the
+    vertices are read off the arcs.
     """
 
-    __slots__ = ("arcs", "sign", "vertex_set")
+    __slots__ = ("arcs", "sign")
 
     def __init__(self, arcs: Iterable):
         arcs = tuple(as_arc(a) for a in arcs)
@@ -316,13 +317,11 @@ class SignedCycle:
         if arcs[-1].target != arcs[0].source:
             raise ValueError("arc sequence does not close")
         sources = [a.source for a in arcs]
-        vertex_set = frozenset(sources)
-        if len(vertex_set) != len(sources):
+        if len(set(sources)) != len(sources):
             raise ValueError("cycle repeats a vertex")
         i = sources.index(min(sources))
         self.arcs = arcs[i:] + arcs[:i]
         self.sign = _sign_product(arcs)
-        self.vertex_set = vertex_set
 
     @classmethod
     def _found(cls, arcs: tuple[Arc, ...]) -> "SignedCycle":
@@ -332,12 +331,15 @@ class SignedCycle:
         cycle = object.__new__(cls)
         cycle.arcs = arcs
         cycle.sign = _sign_product(arcs)
-        cycle.vertex_set = frozenset(a.source for a in arcs)
         return cycle
 
     @property
     def vertices(self) -> tuple[int, ...]:
         return tuple(a.source for a in self.arcs)
+
+    @property
+    def vertex_set(self) -> frozenset[int]:
+        return frozenset(a.source for a in self.arcs)
 
     def __len__(self):
         return len(self.arcs)
@@ -576,17 +578,17 @@ class _CycleIndex:
     Per arc k: ``heads[k]``, the position it enters, and ``arc_cycles[k]``,
     the cycles through it.  Per position p: ``in_arcs[p]`` (arcs),
     ``in_neighbors[p]`` and ``out_neighbors[p]`` (positions), and
-    ``vertex_cycles[p]``.  Per cycle j: ``cycle_arcs[j]``, its arc numbers
-    in rotation order, and ``cycle_vertices[j]``.  ``positives`` and
-    ``negatives`` split the cycles by sign; ``sources`` are the positions
-    with no in-arc.  ``position`` and ``arc_number`` map vertices and arcs
-    to their numbers.
+    ``vertex_cycles[p]``.  Per cycle j: ``cycle_vertices[j]``; its arcs
+    are those of ``cycles[j]``, numbered by ``arc_number``.  ``positives``
+    and ``negatives`` split the cycles by sign; ``sources`` are the
+    positions with no in-arc.  ``position`` and ``arc_number`` map vertices
+    and arcs to their numbers.
     """
 
     __slots__ = (
         "cycles", "vertices", "arcs", "arc_number", "position", "heads",
-        "in_arcs", "in_neighbors", "out_neighbors", "sources", "cycle_arcs",
-        "cycle_vertices", "positives", "negatives", "arc_cycles", "vertex_cycles",
+        "in_arcs", "in_neighbors", "out_neighbors", "sources", "cycle_vertices",
+        "positives", "negatives", "arc_cycles", "vertex_cycles",
     )
 
     def __init__(self, G: SignedDigraph, cycles: tuple[SignedCycle, ...]):
@@ -608,7 +610,6 @@ class _CycleIndex:
         # growing int per incidence.
         arc_cycles = [0] * m
         vertex_cycles = [0] * n
-        cycle_arcs = self.cycle_arcs = []
         cycle_vertices = self.cycle_vertices = []
         positives = 0
         for base in range(0, len(cycles), _CHUNK):
@@ -617,14 +618,13 @@ class _CycleIndex:
             positive_part = 0
             for j, c in enumerate(cycles[base:base + _CHUNK]):
                 bit = 1 << j
-                numbers = tuple(map(arc_number.__getitem__, c.arcs))
                 on = 0
-                for k in numbers:
+                for a in c.arcs:
+                    k = arc_number[a]
                     p = heads[k]
                     arc_part[k] |= bit
                     vertex_part[p] |= bit
                     on |= 1 << p
-                cycle_arcs.append(numbers)
                 cycle_vertices.append(on)
                 if c.sign == POSITIVE:
                     positive_part |= bit

@@ -72,7 +72,7 @@ def is_special_arc(
     index = _cycle_index(G, cap)
     failed = _special_failure(
         index, 0, index.positives, index.sources,
-        index.vertex_mask(cycle.vertex_set), index.arc_number[arc],
+        index.vertex_mask(cycle.vertices), index.arc_number[arc],
     )
     return SpecialArcVerdict(arc, failed is None, failed)
 
@@ -109,9 +109,10 @@ def _special_failure(
 def _has_special_arc(index: _CycleIndex, gone: int, left: int, cleared: int, j: int) -> bool:
     """Whether cycle j, one of ``left``, has a special arc in G minus the
     arcs ``gone``; the arguments are those of ``_special_failure``."""
+    on = index.cycle_vertices[j]
     return any(
-        _special_failure(index, gone, left, cleared, index.cycle_vertices[j], k) is None
-        for k in index.cycle_arcs[j]
+        _special_failure(index, gone, left, cleared, on, index.arc_number[a]) is None
+        for a in index.cycles[j].arcs
     )
 
 
@@ -151,15 +152,15 @@ def _isolation_rule(G: SignedDigraph, cycle_sign: int, cap: int) -> RuleVerdict:
     """
     index = _cycle_index(G, cap)
     signed = index.positives if cycle_sign == POSITIVE else index.negatives
-    isolates: dict[int, bool] = {}
+    isolates: dict[Arc, bool] = {}
     witnesses = []
     for j in _set_bits(signed):
         cycle = index.cycles[j]
-        for k in index.cycle_arcs[j]:
-            if k not in isolates:
-                isolates[k] = _isolates(index, signed, k)
-            if isolates[k]:
-                witnesses.append((cycle, index.arcs[k]))
+        for a in cycle.arcs:
+            if a not in isolates:
+                isolates[a] = _isolates(index, signed, index.arc_number[a])
+            if isolates[a]:
+                witnesses.append((cycle, a))
                 break
         else:
             return RuleVerdict(False, tuple(witnesses), cycle)
@@ -249,9 +250,7 @@ def _tau_plus(index: _CycleIndex) -> int:
 
 def _positive_masks(index: _CycleIndex) -> set[int]:
     """The distinct position masks of the positive cycles."""
-    return {
-        on for on, cycle in zip(index.cycle_vertices, index.cycles) if cycle.sign == POSITIVE
-    }
+    return {index.cycle_vertices[j] for j in _set_bits(index.positives)}
 
 
 def _packing(masks: list[int]) -> int:
@@ -343,7 +342,7 @@ def g_tilde_plus(G: SignedDigraph, cap: int = DEFAULT_CYCLE_CAP):
     index = _cycle_index(G, cap)
     shortest = INF
     for j in _set_bits(index.positives):
-        length = len(index.cycle_arcs[j])
+        length = len(index.cycles[j])
         if length < shortest and not _has_special_arc(
             index, 0, index.positives, index.sources, j
         ):

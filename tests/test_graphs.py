@@ -3,6 +3,7 @@
 import itertools
 import random
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -308,6 +309,7 @@ class TestCycleEnumeration:
                 assert (checked.arcs, checked.sign, checked.vertex_set) == (
                     c.arcs, c.sign, c.vertex_set
                 )
+                assert c.vertex_set == frozenset(c.vertices)
 
     @given(graphs_strategy(max_n=4))
     @settings(max_examples=40, deadline=None)
@@ -341,7 +343,7 @@ class TestCycleIndex:
             expected = {j for j, c in enumerate(cycles) if v in c.vertex_set}
             assert self.members(index.vertex_cycles[p]) == expected
         for j, c in enumerate(cycles):
-            assert tuple(arcs[k] for k in index.cycle_arcs[j]) == c.arcs
+            assert tuple(arcs[index.arc_number[a]] for a in c.arcs) == c.arcs
             assert {vertices[p] for p in self.members(index.cycle_vertices[j])} == c.vertex_set
         positives = {j for j, c in enumerate(cycles) if c.sign == POSITIVE}
         assert self.members(index.positives) == positives
@@ -357,6 +359,18 @@ class TestCycleIndex:
         arcs = [(u, v, 1 if (u * v) % 3 else -1) for u in range(1, 9) for v in range(1, 9) if u != v]
         G = SignedDigraph(8, arcs)  # 16,064 cycles
         self.assert_masks_match(G)
+
+    def test_cycles_and_index_of_the_complete_8_vertex_digraph_are_small(self):
+        G = SignedDigraph(8, [(u, v, 1) for u in range(1, 9) for v in range(1, 9) if u != v])
+        tracemalloc.start()
+        try:
+            cycles = enumerate_cycles(G)
+            index = _cycle_index(G)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(cycles) == len(index.cycles) == 16_064
+        assert peak < 5 << 20
 
 
 class TestNegativeCycleDetection:
