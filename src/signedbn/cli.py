@@ -13,8 +13,8 @@ import argparse
 import json
 import sys
 
-from . import boolnet, codes, falsify, formats, generators, structure
-from .graphs import DEFAULT_CYCLE_CAP, INF, CycleCapExceeded, _check_cap
+from . import boolnet, falsify, formats, generators, structure
+from .graphs import DEFAULT_CYCLE_CAP, CycleCapExceeded, _check_cap
 from .kernels import kernels as all_kernels
 
 SCHEMA_VERSION = 1
@@ -82,20 +82,17 @@ def _cmd_attractors(parser, args) -> int:
 
 def _cmd_bounds(parser, args) -> int:
     G = _load(parser, formats.load_signed_digraph, args.graph)
-    tau = structure.tau_tilde_plus(G, cap=args.cycle_cap)
-    girth = structure.g_tilde_plus(G, cap=args.cycle_cap)
-    bound = codes.fixed_point_bound(G.n, tau, girth)
-    girth_text = "inf" if girth == INF else int(girth)
-    payload = {
-        "n": G.n,
-        "tau_tilde_plus": tau,
-        "g_tilde_plus": girth_text,
-        "two_power": 1 << tau,
-        "fp_upper_bound": bound,
-    }
+    _, tau, girth, bound = structure._bound_terms(G, args.cycle_cap)
+    girth_text = structure._length(girth)
     _emit(
         args,
-        payload,
+        {
+            "n": G.n,
+            "tau_tilde_plus": tau,
+            "g_tilde_plus": girth_text,
+            "two_power": 1 << tau,
+            "fp_upper_bound": bound,
+        },
         [
             f"tau_tilde_plus = {tau}",
             f"g_tilde_plus = {girth_text}",

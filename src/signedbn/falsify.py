@@ -27,7 +27,6 @@ from .boolnet import (
     _sample_family,
     enumerate_consistent,
 )
-from .codes import fixed_point_bound
 from .generators import iter_simple_signed_digraphs, random_digraph, random_signed_digraph
 from .graphs import (
     DEFAULT_CYCLE_CAP,
@@ -326,13 +325,10 @@ def _check_thm6(G, f, cap=FALSIFY_CYCLE_CAP) -> Optional[str]:
     return None
 
 
-@lru_cache(maxsize=65536)
+@lru_cache(maxsize=1)
 def _graph_fp_bound(G, cap: int) -> int:
-    return fixed_point_bound(
-        G.n,
-        structure.tau_tilde_plus(G, cap=cap),
-        structure.g_tilde_plus(G, cap),
-    )
+    """G's bound; a sweep checks each graph's networks in a row, so one is cached."""
+    return structure._bound_terms(G, cap)[3]
 
 
 def _check_cor8(G, f, cap=FALSIFY_CYCLE_CAP) -> Optional[str]:

@@ -62,19 +62,24 @@ def is_special_arc(
     avoiding the other vertices of the cycle.  Conditions are checked in
     order and the first failure is reported; ``cap`` bounds G's cycles.
     """
-    arc = as_arc(arc)
+    return next(_special_verdicts(G, cycle, (as_arc(arc),), cap))
+
+
+def _special_verdicts(G: SignedDigraph, cycle: SignedCycle, arcs, cap: int):
+    """The verdicts on ``arcs`` as special arcs of ``cycle``, checked once."""
     if cycle.sign != POSITIVE:
         raise ValueError("special arcs are defined on positive cycles")
     if not set(cycle.arcs) <= G.arc_set:
         raise ValueError("cycle is not a cycle of the graph")
-    if arc not in cycle.arcs:
-        raise ValueError(f"{arc!r} is not an arc of the cycle")
+    for arc in arcs:
+        if arc not in cycle.arcs:
+            raise ValueError(f"{arc!r} is not an arc of the cycle")
     index = _cycle_index(G, cap)
-    failed = _special_failure(
-        index, 0, index.positives, index.sources,
-        index.vertex_mask(cycle.vertices), index.arc_number[arc],
-    )
-    return SpecialArcVerdict(arc, failed is None, failed)
+    on = index.vertex_mask(cycle.vertices)
+    for arc in arcs:
+        k = index.arc_number[arc]
+        failed = _special_failure(index, 0, index.positives, index.sources, on, k)
+        yield SpecialArcVerdict(arc, failed is None, failed)
 
 
 def _special_failure(
@@ -120,7 +125,7 @@ def find_special_arc(
     G: SignedDigraph, cycle: SignedCycle, cap: int = DEFAULT_CYCLE_CAP
 ) -> Optional[Arc]:
     """First special arc of the cycle in rotation order, or None."""
-    return next((a for a in cycle.arcs if is_special_arc(G, cycle, a, cap).holds), None)
+    return next((v.arc for v in _special_verdicts(G, cycle, cycle.arcs, cap) if v.holds), None)
 
 
 # -- theorem-condition checkers ----------------------------------------------
@@ -311,7 +316,7 @@ def _tau_tilde_plus(index: _CycleIndex, upper: int) -> int:
     """
     single = sum(1 << p for p, arcs in enumerate(index.in_arcs) if arcs.bit_count() == 1)
     forced = [mask for mask in _positive_masks(index) if not mask & ~single]
-    killer = 0
+    failed = len(index.cycles)  # the cycle that sank the previous set; none yet
     for k in range(len(forced), upper):
         for combo in itertools.combinations(range(len(index.vertices)), k):
             gone = cut = 0
@@ -322,17 +327,14 @@ def _tau_tilde_plus(index: _CycleIndex, upper: int) -> int:
                 continue
             left = index.positives & ~index.cycles_meeting(cut)
             cleared = index.sources | cut
+            if left >> failed & 1 and not _has_special_arc(index, gone, left, cleared, failed):
+                continue
+            others = _set_bits(left & ~(1 << failed))
             failed = next(
-                (
-                    j
-                    for j in itertools.chain(_set_bits(left & killer), _set_bits(left & ~killer))
-                    if not _has_special_arc(index, gone, left, cleared, j)
-                ),
-                None,
+                (j for j in others if not _has_special_arc(index, gone, left, cleared, j)), None
             )
             if failed is None:
                 return k
-            killer = 1 << failed
     return upper
 
 
@@ -444,14 +446,11 @@ class AnalysisReport:
     fixed_point_upper_bound: int
 
     def to_dict(self) -> dict:
-        def length(value):
-            return "inf" if value == INF else int(value)
-
         return {
             "tau_plus": self.tau_plus,
             "tau_tilde_plus": self.tau_tilde_plus,
-            "g_plus": length(self.g_plus),
-            "g_tilde_plus": length(self.g_tilde_plus),
+            "g_plus": _length(self.g_plus),
+            "g_tilde_plus": _length(self.g_tilde_plus),
             "thm3": self.thm3.holds,
             "thm4": self.thm4.holds,
             "thm5": self.thm5.holds,
@@ -469,21 +468,29 @@ class AnalysisReport:
         return "\n".join(lines) + "\n"
 
 
-def analyze(G: SignedDigraph, cap: int = DEFAULT_CYCLE_CAP) -> AnalysisReport:
-    """Full structural report with the fixed-point upper bound.
+def _length(value):
+    """A cycle length as structured output writes it: an int, or "inf"."""
+    return "inf" if value == INF else int(value)
 
-    The bound is min(2^tau~+, an upper bound on A(n, g~+)) from
-    ``codes.fixed_point_bound``: the code term is exact at distance 1 or
-    2, 1 for an infinite g~+, and otherwise the smaller of the
-    sphere-packing and Delsarte LP bounds (21 where A(8, 3) = 20).  The
-    exact code search is only the tests' oracle.  A graph past the search
-    limit is refused before its cycles are enumerated.
+
+def _bound_terms(G: SignedDigraph, cap: int) -> tuple:
+    """(tau+, tau~+, g~+, fixed-point bound) of G from one hitting-set search.
+
+    The bound is min(2^tau~+, an upper bound on A(n, g~+)), as
+    ``codes.fixed_point_bound`` computes it.  A graph past the search limit
+    is refused before its cycles are enumerated.
     """
     _check_limit(G.n, "search", DEFAULT_SEARCH_LIMIT)
     index = _cycle_index(G, cap)
     tp = _tau_plus(index)
     tt = _tau_tilde_plus(index, tp)
     gt = g_tilde_plus(G, cap)
+    return tp, tt, gt, codes.fixed_point_bound(G.n, tt, gt)
+
+
+def analyze(G: SignedDigraph, cap: int = DEFAULT_CYCLE_CAP) -> AnalysisReport:
+    """Full structural report with the fixed-point bound of ``_bound_terms``."""
+    tp, tt, gt, bound = _bound_terms(G, cap)
     return AnalysisReport(
         n=G.n,
         tau_plus=tp,
@@ -495,5 +502,5 @@ def analyze(G: SignedDigraph, cap: int = DEFAULT_CYCLE_CAP) -> AnalysisReport:
         thm5=existence_arc_rule(G, cap),
         no_fixed_point=no_fixed_point_condition(G, cap),
         two_fixed_points=two_fixed_points_condition(G),
-        fixed_point_upper_bound=codes.fixed_point_bound(G.n, tt, gt),
+        fixed_point_upper_bound=bound,
     )

@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from signedbn import falsify
+from signedbn import codes, falsify
 from signedbn.cli import main
 from signedbn.codes import fixed_point_bound
 from signedbn.falsify import DIGRAPH, GRAPH, REGISTRY
@@ -268,7 +268,7 @@ class TestCheckCommand:
             calls.append(args)
             return fixed_point_bound(*args)
 
-        monkeypatch.setattr(falsify, "fixed_point_bound", counted)
+        monkeypatch.setattr(codes, "fixed_point_bound", counted)
         falsify._graph_fp_bound.cache_clear()
         files = _pair_files(tmp_path, figure1(13))
         assert main(["check", "--theorem", "cor8"] + files) == 0

@@ -13,11 +13,13 @@ from signedbn.falsify import (
     MAX_GRAPH_N,
     PAIR,
     REGISTRY,
+    _graph_fp_bound,
     falsify,
     make_existence_rule_property,
     run_falsification,
 )
 from signedbn.formats import parse_boolean_network, parse_signed_digraph
+from signedbn.generators import iter_simple_signed_digraphs
 from signedbn.structure import uniqueness_arc_rule
 
 
@@ -65,6 +67,32 @@ class TestProvenStatements:
     def test_exhaustive_mode_only_for_instance_checks(self):
         with pytest.raises(ValueError, match="exhaustive"):
             falsify("harary", trials=0, exhaustive_n=2)
+
+
+class TestBoundCache:
+    """cor8 caches one graph's bound: a sweep checks each graph's networks
+    in a row, and a cache of every random graph held hundreds of MB."""
+
+    def test_random_trials_keep_one_graph(self):
+        _graph_fp_bound.cache_clear()
+        falsify("cor8", trials=500, seed=1, max_n=15)
+        assert _graph_fp_bound.cache_info().currsize <= 1
+
+    def test_sweep_computes_each_graph_bound_once(self, monkeypatch):
+        import signedbn.structure as structure
+
+        graphs = []
+        original = structure._bound_terms
+
+        def counting(G, cap):
+            graphs.append(G)
+            return original(G, cap)
+
+        monkeypatch.setattr(structure, "_bound_terms", counting)
+        _graph_fp_bound.cache_clear()
+        report = falsify("cor8", trials=0, exhaustive_n=2)
+        assert report.trials == 200 and not report.falsified
+        assert graphs == [G for n in (1, 2) for G in iter_simple_signed_digraphs(n)]
 
 
 class TestInstanceKinds:

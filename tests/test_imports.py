@@ -143,6 +143,25 @@ def test_library_reads_every_private_name_it_defines():
     assert unread_private_names(sources) == []
 
 
+def test_only_structure_reads_the_fixed_point_bound():
+    # ``structure`` composes the bound from tau~+ and g~+ for every caller;
+    # ``codes`` defines it and ``__init__`` re-exports it.
+    readers = set()
+    for path in PACKAGE.glob("*.py"):
+        if path.stem in ("__init__", "codes", "structure"):
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.alias):
+                named = node.name
+            elif isinstance(node, ast.Name):
+                named = node.id
+            else:
+                named = getattr(node, "attr", None)
+            if named == "fixed_point_bound":
+                readers.add(path.stem)
+    assert readers == set()
+
+
 def test_kernels_names_the_module():
     import signedbn.kernels as kernels_module
 
