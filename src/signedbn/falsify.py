@@ -340,7 +340,7 @@ def _check_cor8(G, f, cap=FALSIFY_CYCLE_CAP) -> Optional[str]:
 
 
 def _check_lemma9(G, cap=FALSIFY_CYCLE_CAP) -> Optional[str]:
-    _check_limit(G.n, "search", MAX_GRAPH_N)
+    _check_limit(G.n, "cycle search", MAX_GRAPH_N)
     cycles = enumerate_cycles(G, cap)
     if sum(1 for c in cycles if c.sign == NEGATIVE) != 1:
         return None
@@ -350,7 +350,7 @@ def _check_lemma9(G, cap=FALSIFY_CYCLE_CAP) -> Optional[str]:
 
 
 def _check_harary(G, cap=FALSIFY_CYCLE_CAP) -> Optional[str]:
-    _check_limit(G.n, "search", MAX_GRAPH_N)
+    _check_limit(G.n, "cycle search", MAX_GRAPH_N)
     _check_cap(cap)
     colors = structure.two_coloring(G)
     negative = any(c.sign == NEGATIVE for c in _capped(iter_cycles(G.symmetrize()), cap))

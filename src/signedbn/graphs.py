@@ -581,8 +581,9 @@ class _CycleIndex:
     ``vertex_cycles[p]``.  Per cycle j: ``cycle_vertices[j]``; its arcs
     are those of ``cycles[j]``, numbered by ``arc_number``.  ``positives``
     and ``negatives`` split the cycles by sign; ``sources`` are the
-    positions with no in-arc.  ``position`` and ``arc_number`` map vertices
-    and arcs to their numbers.
+    positions with no in-arc.  ``position`` and ``arc_number`` number
+    vertices and arcs; ``vertex_mask`` turns vertices into a position mask
+    and ``cycles_meeting`` a position mask into the cycles through it.
     """
 
     __slots__ = (
@@ -649,27 +650,6 @@ class _CycleIndex:
             cycles |= self.vertex_cycles[low.bit_length() - 1]
             vertex_mask ^= low
         return cycles
-
-    def vertices_on(self, cycle_mask: int) -> int:
-        """The positions on some cycle of ``cycle_mask``."""
-        mask = 0
-        for p, through in enumerate(self.vertex_cycles):
-            if through & cycle_mask:
-                mask |= 1 << p
-        return mask
-
-    def neighbors_without(self, k: int) -> tuple[list[int], list[int]]:
-        """Out- and in-neighbour masks of G minus arc k; a parallel arc of
-        the other sign keeps its endpoints adjacent."""
-        out, into = self.out_neighbors, self.in_neighbors
-        a = self.arcs[k]
-        if Arc(a.source, a.target, -a.sign) not in self.arc_number:
-            s, t = self.position[a.source], self.heads[k]
-            out = out.copy()
-            out[s] &= ~(1 << t)
-            into = into.copy()
-            into[t] &= ~(1 << s)
-        return out, into
 
 
 # -- breadth-first search trees ---------------------------------------------

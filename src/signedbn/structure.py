@@ -100,13 +100,14 @@ def _special_failure(
     alive = left & ~index.arc_cycles[k]
     if index.vertex_cycles[v] & alive:
         return "ii"
-    # The search may run in G itself.  Every removed arc but k enters a
-    # vertex with no in-arc left, which is a start itself, and k leaves a
-    # blocked vertex or is a loop; so no shortest path from a start needs a
-    # removed arc.
-    starts = index.vertices_on(alive) | cleared
+    # Search back from v in G itself for a start: a position of ``cleared``
+    # or of a cycle ``alive`` (v is neither, by (i) and (ii)).  The path from
+    # the start nearest v passes only non-starts; every removed arc but k
+    # enters a cut position, a start, and k leaves a blocked position or is
+    # a loop, so that path uses no removed arc.
     blocked = cycle_vertices & ~(1 << v)
-    if _closure(starts, index.out_neighbors, ~blocked) >> v & 1:
+    reach = _closure(1 << v, index.in_neighbors, ~blocked)
+    if reach & cleared or index.cycles_meeting(reach) & alive:
         return "iii"
     return None
 
@@ -177,20 +178,25 @@ def _isolates(index: _CycleIndex, signed: int, k: int) -> bool:
     is initial, non-trivial and holds none of the cycles ``signed``.
 
     That component is the head's forward closure meet its backward
-    closure.  It is initial iff nothing outside it reaches the head, and
-    its cycles are the cycles of G that avoid arc k and every vertex
-    outside it.
+    closure, on G's masks: arc k enters the head, so forward it adds
+    nothing, and backward it only drops its tail from the head's
+    in-neighbours, unless a parallel arc of the other sign stays.  The
+    component is initial iff nothing outside it reaches the head, and its
+    cycles are those of G that avoid arc k and every vertex outside it.
     """
-    out, into = index.neighbors_without(k)
+    a = index.arcs[k]
     v = index.heads[k]
     head = 1 << v
-    backward = _closure(head, into)
-    component = _closure(head, out) & backward
+    into = index.in_neighbors[v]
+    if Arc(a.source, a.target, -a.sign) not in index.arc_number:
+        into &= ~(1 << index.position[a.source])
+    backward = head | _closure(into, index.in_neighbors, ~head)
+    component = _closure(head, index.out_neighbors) & backward
     if backward != component:
         return False
-    if component == head and not out[v] & head:
+    if component == head and not into & head:
         return False
-    outside = ((1 << len(out)) - 1) & ~component
+    outside = ((1 << len(index.vertices)) - 1) & ~component
     return not signed & ~index.arc_cycles[k] & ~index.cycles_meeting(outside)
 
 

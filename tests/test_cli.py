@@ -340,7 +340,7 @@ class TestCheckCommand:
         assert time.perf_counter() - start < 1.0
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "error: n=23 exceeds the search limit 20\n"
+        assert captured.err == "error: n=23 exceeds the cycle search limit 20\n"
 
 
     @pytest.mark.parametrize(

@@ -1,5 +1,6 @@
 """Special arcs, theorem conditions, deletion parameters, two-colorings."""
 
+import itertools
 import random
 import time
 
@@ -25,6 +26,7 @@ from conftest import (
 )
 from signedbn.generators import double_cycle, figure1, random_signed_digraph
 from signedbn.graphs import (
+    DEFAULT_CYCLE_CAP,
     INF,
     NEGATIVE,
     POSITIVE,
@@ -32,12 +34,15 @@ from signedbn.graphs import (
     CycleCapExceeded,
     SignedCycle,
     SignedDigraph,
+    _cycle_index,
+    _set_bits,
     enumerate_cycles,
     find_negative_cycle,
     has_negative_cycle,
     is_strong,
 )
 from signedbn.structure import (
+    _special_failure,
     analyze,
     existence_arc_rule,
     find_special_arc,
@@ -268,6 +273,48 @@ class TestFilteredSubgraphCycles:
         start = time.perf_counter()
         assert tau_tilde_plus(G) == 7
         assert time.perf_counter() - start < 0.5
+
+
+def assert_special_failures_match_under_cuts(G, max_cut):
+    """For every vertex set I of at most ``max_cut`` vertices, each verdict
+    of ``_special_failure`` on G's index, with I's in-arcs gone, equals the
+    oracle on the rebuilt graph ``G.remove_incoming(I)``."""
+    index = _cycle_index(G, DEFAULT_CYCLE_CAP)
+    for size in range(max_cut + 1):
+        for cut_vertices in itertools.combinations(range(len(index.vertices)), size):
+            gone = cut = 0
+            for p in cut_vertices:
+                gone |= index.in_arcs[p]
+                cut |= 1 << p
+            left = index.positives & ~index.cycles_meeting(cut)
+            cleared = index.sources | cut
+            H = G.remove_incoming([index.vertices[p] for p in cut_vertices])
+            for j in _set_bits(left):
+                c = index.cycles[j]
+                for a in c.arcs:
+                    verdict = _special_failure(
+                        index, gone, left, cleared, index.cycle_vertices[j], index.arc_number[a]
+                    )
+                    assert verdict == rebuilt_special_failure(H, c, a), (G, cut_vertices, c, a)
+
+
+class TestSpecialFailureUnderCuts:
+    """Special-arc verdicts in G without the in-arcs of a vertex set I,
+    answered on G's own index, against the rebuilt subgraph."""
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_every_graph_with_parallel_arcs(self, n):
+        for G in all_signed_digraphs(n):
+            assert_special_failures_match_under_cuts(G, n)
+
+    def test_every_simple_graph_n3(self):
+        for G in all_simple_signed_digraphs(3):
+            assert_special_failures_match_under_cuts(G, 3)
+
+    @pytest.mark.parametrize("n", [4, 5, 6, 7])
+    def test_random_graphs(self, n):
+        for seed in range(25):
+            assert_special_failures_match_under_cuts(random_signed_digraph(n, seed=seed), 2)
 
 
 def two_cycles(k):
