@@ -122,6 +122,35 @@ def _has_special_arc(index: _CycleIndex, gone: int, left: int, cleared: int, j: 
     )
 
 
+def _stuck(index: _CycleIndex, j: int) -> bool:
+    """Whether each arc of positive cycle j fails in a way that no vertex
+    set I missing the cycle can mend.  The cycle then has no special arc
+    in G minus the in-arcs of any such I, so every valid I for tau~+
+    meets it.  The test is sufficient, not necessary.
+
+    Arc k = (u -> v) stays failed when (i) fails, as v keeps all its
+    in-arcs; or when v's backward closure avoiding the cycle's other
+    positions, the ``reach`` of ``_special_failure``, holds a source or a
+    positive cycle avoiding those positions and k.  Such a cycle lies in
+    ``reach``: if I misses it, it fails (ii) or (iii), and if I meets it,
+    a position of I is a start in ``reach``.
+    """
+    on = index.cycle_vertices[j]
+    for a in index.cycles[j].arcs:
+        k = index.arc_number[a]
+        v = index.heads[k]
+        if not index.in_arcs[v] & ~(1 << k):
+            continue
+        blocked = on & ~(1 << v)
+        reach = _closure(1 << v, index.in_neighbors, ~blocked)
+        if reach & index.sources:
+            continue
+        beside = index.positives & ~index.arc_cycles[k] & ~index.cycles_meeting(blocked)
+        if not index.cycles_meeting(reach) & beside:
+            return False
+    return True
+
+
 def find_special_arc(
     G: SignedDigraph, cycle: SignedCycle, cap: int = DEFAULT_CYCLE_CAP
 ) -> Optional[Arc]:
@@ -244,24 +273,31 @@ def uniqueness_vertex_rule(G: SignedDigraph, cap: int = DEFAULT_CYCLE_CAP) -> Ru
 def tau_plus(G: SignedDigraph, cap: int = DEFAULT_CYCLE_CAP) -> int:
     """Minimum number of vertex deletions leaving no positive cycle."""
     _check_limit(G.n, "search", DEFAULT_SEARCH_LIMIT)
-    return _tau_plus(_cycle_index(G, cap))
+    return _tau_plus(_positive_masks(_cycle_index(G, cap)))
 
 
-def _tau_plus(index: _CycleIndex) -> int:
-    """tau+ as a minimum hitting set of the positive cycles' position masks.
-
-    k deepens from a packing of disjoint masks, which no smaller set hits.
-    """
-    masks = sorted(_positive_masks(index), key=lambda mask: (mask.bit_count(), mask))
-    k = _packing(masks)
-    while not _hits(masks, k):
-        k += 1
-    return k
+def _tau_plus(masks: set[int]) -> int:
+    """tau+ given the positive cycles' position masks: their hitting number."""
+    return _hitting_number(masks)
 
 
 def _positive_masks(index: _CycleIndex) -> set[int]:
     """The distinct position masks of the positive cycles."""
     return {index.cycle_vertices[j] for j in _set_bits(index.positives)}
+
+
+def _hitting_number(masks, floor: int = 0) -> int:
+    """Size of a smallest position set meeting every one of ``masks``,
+    given that it is at least ``floor``.
+
+    k deepens from the larger of ``floor`` and a greedy packing of
+    disjoint masks, shortest first, which no smaller set hits.
+    """
+    masks = sorted(masks, key=lambda mask: (mask.bit_count(), mask))
+    k = max(floor, _packing(masks))
+    while not _hits(masks, k):
+        k += 1
+    return k
 
 
 def _packing(masks: list[int]) -> int:
@@ -306,30 +342,39 @@ def tau_tilde_plus(G: SignedDigraph, cap: int = DEFAULT_CYCLE_CAP) -> int:
     """
     _check_limit(G.n, "search", DEFAULT_SEARCH_LIMIT)
     index = _cycle_index(G, cap)
-    return _tau_tilde_plus(index, _tau_plus(index))
+    masks = _positive_masks(index)
+    return _tau_tilde_plus(index, masks, _tau_plus(masks))
 
 
-def _tau_tilde_plus(index: _CycleIndex, upper: int) -> int:
-    """tau~+ given ``upper`` = tau+, by scanning the sizes below it.
+def _tau_tilde_plus(index: _CycleIndex, masks: set[int], upper: int) -> int:
+    """tau~+ given the positive cycles' position ``masks`` and ``upper`` =
+    tau+, by scanning the sizes below it.
 
-    A positive cycle whose positions all have in-degree 1 has no special
-    arc unless I meets it: outside I each arc is its head's only in-arc,
-    so condition (i) fails.  Such forced cycles are disjoint, so every
-    valid I holds one position of each, and the scan starts at their
-    count and skips the sets that miss one.  Validity is not monotone in
-    I, so no superset of a failed set is pruned.  The cycle that sank the
-    previous set is checked first.
+    A positive cycle is stuck (``_stuck``) when no I that misses it leaves
+    it a special arc, so every valid I meets every stuck cycle and the
+    hitting number of their masks is a lower bound.  A positive cycle
+    whose positions all have in-degree 1 is stuck, as (i) fails on each
+    of its arcs while I misses it; such forced cycles are disjoint, so
+    their count starts the bound.  Any other cycle is tested once, when it first sinks a
+    scanned set: testing every positive cycle upfront costs more than the
+    scan saves on graphs with many cycles.  Each stuck cycle learned
+    raises the bound if it can; the scan jumps to the new size, or stops
+    at ``upper``, and skips the sets that miss a stuck cycle.  Validity
+    is not monotone in I, so no superset of a failed set is pruned.  The
+    cycle that sank the previous set is checked first.
     """
     single = sum(1 << p for p, arcs in enumerate(index.in_arcs) if arcs.bit_count() == 1)
-    forced = [mask for mask in _positive_masks(index) if not mask & ~single]
+    stuck = [mask for mask in masks if not mask & ~single]
+    tested = set()  # the cycles tested by ``_stuck``
     failed = len(index.cycles)  # the cycle that sank the previous set; none yet
-    for k in range(len(forced), upper):
+    k = len(stuck)
+    while k < upper:
         for combo in itertools.combinations(range(len(index.vertices)), k):
             gone = cut = 0
             for p in combo:
                 gone |= index.in_arcs[p]
                 cut |= 1 << p
-            if not all(cut & mask for mask in forced):
+            if not all(cut & mask for mask in stuck):
                 continue
             left = index.positives & ~index.cycles_meeting(cut)
             cleared = index.sources | cut
@@ -341,6 +386,16 @@ def _tau_tilde_plus(index: _CycleIndex, upper: int) -> int:
             )
             if failed is None:
                 return k
+            if failed not in tested:
+                tested.add(failed)
+                if _stuck(index, failed):
+                    stuck.append(index.cycle_vertices[failed])
+                    bound = _hitting_number(stuck, k)
+                    if bound > k:
+                        k = bound
+                        break
+        else:
+            k += 1
     return upper
 
 
@@ -488,8 +543,9 @@ def _bound_terms(G: SignedDigraph, cap: int) -> tuple:
     """
     _check_limit(G.n, "search", DEFAULT_SEARCH_LIMIT)
     index = _cycle_index(G, cap)
-    tp = _tau_plus(index)
-    tt = _tau_tilde_plus(index, tp)
+    masks = _positive_masks(index)
+    tp = _tau_plus(masks)
+    tt = _tau_tilde_plus(index, masks, tp)
     gt = g_tilde_plus(G, cap)
     return tp, tt, gt, codes.fixed_point_bound(G.n, tt, gt)
 

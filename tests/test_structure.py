@@ -43,6 +43,7 @@ from signedbn.graphs import (
 )
 from signedbn.structure import (
     _special_failure,
+    _stuck,
     analyze,
     existence_arc_rule,
     find_special_arc,
@@ -345,7 +346,7 @@ def count_calls(monkeypatch, name) -> list:
 
 
 class TestBoundedSearches:
-    """tau+ by a hitting-set search, and tau~+ scanned from its forced-cycle
+    """tau+ by a hitting-set search, and tau~+ scanned from its stuck-cycle
     lower bound up to tau+, equal the subset scans over every size."""
 
     @pytest.mark.parametrize("n", [1, 2])
@@ -403,12 +404,72 @@ class TestBoundedSearches:
         for _, _, _, cleared, _ in calls:  # G has no source, so cleared is I
             assert cleared & 0b0011 and cleared & 0b1100
 
+    def test_scan_stops_once_a_stuck_cycle_needs_tau_plus(self, monkeypatch):
+        # The graph above: the loop on vertex 5 is stuck, since its backward
+        # closure holds the positive 2-cycle 1-2, which avoids the loop.  The
+        # first set that it sinks teaches the bound 3 = tau+, so no other
+        # set of size 2 is checked.
+        G = g(5, (1, 2, "+"), (2, 1, "+"), (3, 4, "+"), (4, 3, "+"), (5, 5, "+"), (1, 5, "+"))
+        calls = count_calls(monkeypatch, "_has_special_arc")
+        assert tau_tilde_plus(G) == 3
+        assert len({cleared for _, _, _, cleared, _ in calls}) == 1
+
     def test_analyze_searches_hitting_sets_once_per_graph(self, monkeypatch):
         calls = count_calls(monkeypatch, "_tau_plus")
+        collected = count_calls(monkeypatch, "_positive_masks")
         inputs = [figure1(7), random_signed_digraph(8, seed=3), two_cycles(7)]
         for G in inputs:
             analyze(G)
         assert len(calls) == len(inputs)
+        assert len(collected) == len(inputs)
+
+
+def assert_stuck_cycles_keep_no_special_arc(G) -> int:
+    """Each positive cycle C that ``_stuck`` accepts has no special arc in
+    the rebuilt graph ``G.remove_incoming(I)``, searched anew, for every
+    vertex set I that misses C.  Returns how many cycles were accepted."""
+    index = _cycle_index(G, DEFAULT_CYCLE_CAP)
+    stuck = [index.cycles[j] for j in _set_bits(index.positives) if _stuck(index, j)]
+    for c in stuck:
+        others = [v for v in G.vertices if v not in c.vertex_set]
+        for size in range(len(others) + 1):
+            for I in itertools.combinations(others, size):
+                assert rebuilt_find_special_arc(G.remove_incoming(I), c) is None, (G, c, I)
+    return len(stuck)
+
+
+class TestStuckCycles:
+    """A stuck cycle keeps no special arc for any I that misses it, so
+    every valid I for tau~+ meets it; checked without the cycle index.
+    The oracle enumerates each rebuilt graph's cycles by exhaustive
+    search, whose cost grows about as (n - 1)!, so the larger random
+    graphs are fewer and sparser."""
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_every_graph_with_parallel_arcs(self, n):
+        assert sum(assert_stuck_cycles_keep_no_special_arc(G) for G in all_signed_digraphs(n))
+
+    def test_every_simple_graph_n3(self):
+        graphs = all_simple_signed_digraphs(3)
+        assert sum(assert_stuck_cycles_keep_no_special_arc(G) for G in graphs)
+
+    @pytest.mark.parametrize(
+        "n,count,densities",
+        [
+            (4, 150, (None, 0.2, 0.3, 0.45)),
+            (5, 150, (None, 0.2, 0.3, 0.45)),
+            (6, 130, (None, 0.2, 0.3)),
+            (7, 60, (0.1, 0.15, 0.2)),
+            (8, 10, (0.1,)),
+        ],
+    )
+    def test_random_graphs(self, n, count, densities):
+        rng = random.Random(n)
+        accepted = 0
+        for _ in range(count):
+            G = random_signed_digraph(n, rng.choice(densities), seed=rng.randrange(10 ** 6))
+            accepted += assert_stuck_cycles_keep_no_special_arc(G)
+        assert accepted
 
 
 def complete_positive(n):
