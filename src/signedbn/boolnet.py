@@ -29,8 +29,8 @@ from .graphs import (
 
 MAX_FIXED_POINT_SCAN = 24
 MAX_ATTRACTOR_SCAN = 20
-# Also the most inputs any vertex may have: ``_signature_index(k)`` scans
-# all 2^(2^k) tables, and k = 5 would scan 2^32.
+# Also the most inputs any vertex may have: ``_signature_index(k)`` lists
+# all 2^(2^k) tables, and k = 5 would list 2^32.
 DEFAULT_MAX_INDEGREE = 4
 # Largest family ``max_fixed_points`` scans: about 6 s at the 1.58M
 # networks/s measured on a 2-core x86-64 VM.
@@ -428,14 +428,41 @@ def leq_v(G: SignedDigraph, v: int, x: Sequence[int], y: Sequence[int]) -> bool:
 # -- networks consistent with a prescribed interaction graph -----------------
 
 
+def _wider_sign_codes(codes: Sequence[int], j: int) -> Iterator[int]:
+    """Every (j+1)-input table's sign code, in increasing table order, from
+    ``codes``, the j-input tables' codes in the same order.
+
+    A code packs ``_table_signs`` two bits per input, the first input
+    highest.  Table ``hi << 2^j | lo`` has the first input off on the rows
+    of ``lo`` and on on those of ``hi``: that input rises where ``hi & ~lo``
+    and falls where ``lo & ~hi``, and each other input has the OR of its
+    signs in the two halves.
+    """
+    shift = 2 * j
+    for hi, hi_code in enumerate(codes):
+        for lo, lo_code in enumerate(codes):
+            first = (_POS_ONLY if hi & ~lo else 0) | (_NEG_ONLY if lo & ~hi else 0)
+            yield first << shift | hi_code | lo_code
+
+
 @lru_cache(maxsize=None)
 def _signature_index(k: int) -> dict[tuple[int, ...], tuple[int, ...]]:
     """All k-input tables, as ints, grouped by their per-input signs
-    (``_table_signs``)."""
-    index: dict[tuple[int, ...], list[int]] = {}
-    for bits in range(1 << (1 << k)):
-        index.setdefault(_table_signs(bits, k), []).append(bits)
-    return {sig: tuple(tables) for sig, tables in index.items()}
+    (``_table_signs``), each group and the keys in increasing table order.
+
+    Built from the (k-1)-input tables' sign codes, so no table is scanned
+    row by row.
+    """
+    codes: Sequence[int] = [0, 0]  # both 0-input tables have no input
+    for j in range(k - 1):
+        codes = list(_wider_sign_codes(codes, j))
+    groups: dict[int, list[int]] = {}
+    for bits, code in enumerate(_wider_sign_codes(codes, k - 1) if k else codes):
+        groups.setdefault(code, []).append(bits)
+    return {
+        tuple(code >> 2 * (k - 1 - i) & 3 for i in range(k)): tuple(tables)
+        for code, tables in groups.items()
+    }
 
 
 def _consistent_tables(

@@ -352,8 +352,10 @@ def _check_lemma9(G, cap=FALSIFY_CYCLE_CAP) -> Optional[str]:
 def _check_harary(G, cap=FALSIFY_CYCLE_CAP) -> Optional[str]:
     _check_limit(G.n, "cycle search", MAX_GRAPH_N)
     _check_cap(cap)
-    colors = structure.two_coloring(G)
-    negative = any(c.sign == NEGATIVE for c in _capped(iter_cycles(G.symmetrize()), cap))
+    H = G.symmetrize()
+    # Symmetrizing H returns H, so two_coloring builds no second graph.
+    colors = structure.two_coloring(H)
+    negative = any(c.sign == NEGATIVE for c in _capped(iter_cycles(H), cap))
     if (colors is None) != negative:
         return "two-coloring existence disagrees with symmetrized negative cycles"
     if colors is not None and G.consistent_subgraph(colors) != G:

@@ -6,7 +6,7 @@ import itertools
 import random
 from typing import Iterator
 
-from .graphs import NEGATIVE, POSITIVE, Digraph, SignedDigraph
+from .graphs import NEGATIVE, POSITIVE, Arc, Digraph, SignedDigraph
 
 
 def figure1(n: int) -> SignedDigraph:
@@ -77,9 +77,9 @@ def random_signed_digraph(
     for u in range(1, n + 1):
         for v in range(1, n + 1):
             if rng.random() < arc_prob * (1.0 - neg_prob):
-                arcs.append((u, v, POSITIVE))
+                arcs.append(Arc(u, v, POSITIVE))
             if rng.random() < arc_prob * neg_prob:
-                arcs.append((u, v, NEGATIVE))
+                arcs.append(Arc(u, v, NEGATIVE))
     return SignedDigraph(n, arcs)
 
 
@@ -115,7 +115,7 @@ def iter_simple_signed_digraphs(n: int) -> Iterator[SignedDigraph]:
     """Every simple signed digraph on 1..n (loops allowed, no parallel pairs)."""
     pairs = [(u, v) for u in range(1, n + 1) for v in range(1, n + 1)]
     for combo in itertools.product((None, POSITIVE, NEGATIVE), repeat=len(pairs)):
-        arcs = [(u, v, s) for (u, v), s in zip(pairs, combo) if s is not None]
+        arcs = [Arc(u, v, s) for (u, v), s in zip(pairs, combo) if s is not None]
         yield SignedDigraph(n, arcs)
 
 

@@ -208,10 +208,12 @@ class SignedDigraph:
         return SignedDigraph(self._vertices - {v}, arcs)
 
     def symmetrize(self) -> "SignedDigraph":
-        """Close the arc set under sign-preserving reversal."""
-        arcs = set(self._arcs)
-        arcs.update(Arc(a.target, a.source, a.sign) for a in self._arcs)
-        return SignedDigraph(self._vertices, arcs)
+        """Close the arc set under sign-preserving reversal; a graph already
+        closed is returned itself."""
+        reversed_arcs = {Arc(a.target, a.source, a.sign) for a in self._arcs}
+        if reversed_arcs <= self._arcs:
+            return self
+        return SignedDigraph(self._vertices, self._arcs | reversed_arcs)
 
     def consistent_subgraph(self, x: Sequence[int]) -> "SignedDigraph":
         """Spanning subgraph of arcs consistent with the state x.

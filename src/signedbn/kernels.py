@@ -12,6 +12,7 @@ from .boolnet import _FOLD_MAX_INPUTS, BooleanNetwork, LocalFunction, _state_mas
 from .graphs import (
     DEFAULT_CYCLE_CAP,
     NEGATIVE,
+    Arc,
     Digraph,
     SignedDigraph,
     _check_limit,
@@ -30,7 +31,7 @@ KERNEL_TABLE_ROW_LIMIT = 1 << 23
 
 def as_all_negative(D: Digraph) -> SignedDigraph:
     """Signed copy of D with every arc negative; odd cycles become negative."""
-    return SignedDigraph(D.n, ((u, v, NEGATIVE) for u, v in D.arc_set))
+    return SignedDigraph(D.n, (Arc(u, v, NEGATIVE) for u, v in D.arc_set))
 
 
 def kernels(D: Digraph) -> list[frozenset[int]]:

@@ -411,6 +411,18 @@ class TestWideTables:
         assert sum(map(len, index.values())) == 1 << 16
         assert peak < 4 << 20
 
+    def test_signature_index_reads_no_table_row_by_row(self, monkeypatch):
+        calls = []
+        table_signs = boolnet._table_signs
+
+        def counted(bits, k):
+            calls.append(bits)
+            return table_signs(bits, k)
+
+        monkeypatch.setattr(boolnet, "_table_signs", counted)
+        boolnet._signature_index.__wrapped__(4)
+        assert calls == []
+
     def test_interaction_graph_of_an_18_input_table_is_fast(self):
         rng = random.Random(18)
         table = [rng.randrange(2) for _ in range(1 << 18)]
@@ -628,7 +640,7 @@ class TestConsistentNetworks:
             list(enumerate_consistent(G))
 
     def test_five_inputs_refused_whatever_the_cap(self):
-        # _signature_index(5) would scan 2^32 tables.
+        # _signature_index(5) would list 2^32 tables.
         G = g(5, *((u, 1, "+") for u in range(1, 6)))
         start = time.perf_counter()
         for call in (is_realizable, count_consistent, sample_consistent):

@@ -13,6 +13,7 @@ from signedbn.falsify import (
     MAX_GRAPH_N,
     PAIR,
     REGISTRY,
+    _check_harary,
     _graph_fp_bound,
     falsify,
     make_existence_rule_property,
@@ -20,7 +21,8 @@ from signedbn.falsify import (
 )
 from signedbn.formats import parse_boolean_network, parse_signed_digraph
 from signedbn.generators import iter_simple_signed_digraphs
-from signedbn.structure import uniqueness_arc_rule
+from signedbn.graphs import NEGATIVE, Arc, SignedDigraph, iter_cycles
+from signedbn.structure import two_coloring, uniqueness_arc_rule
 
 
 class TestRegistry:
@@ -93,6 +95,48 @@ class TestBoundCache:
         report = falsify("cor8", trials=0, exhaustive_n=2)
         assert report.trials == 200 and not report.falsified
         assert graphs == [G for n in (1, 2) for G in iter_simple_signed_digraphs(n)]
+
+
+class TestHararyCheck:
+    """The harary check symmetrizes G once and hands the result to both
+    the two-coloring and the cycle search."""
+
+    @staticmethod
+    def _rebuilt_check(G):
+        # The check as it read with a fresh symmetrization for the cycles.
+        H = SignedDigraph(G.n, G.arc_set | {Arc(a.target, a.source, a.sign) for a in G.arc_set})
+        colors = two_coloring(G)
+        if (colors is None) != any(c.sign == NEGATIVE for c in iter_cycles(H)):
+            return "two-coloring existence disagrees with symmetrized negative cycles"
+        if colors is not None and G.consistent_subgraph(colors) != G:
+            return "returned coloring is not consistent"
+        return None
+
+    def test_verdicts_match_a_fresh_symmetrization(self):
+        for n in (1, 2, 3):
+            for G in iter_simple_signed_digraphs(n):
+                assert _check_harary(G) == self._rebuilt_check(G)
+
+    def test_builds_at_most_one_symmetrization(self, monkeypatch):
+        graphs = list(iter_simple_signed_digraphs(2))
+        # One symmetrization unless G is already symmetric, and one
+        # consistent subgraph to check a coloring when there is one.
+        expected = [(G.symmetrize() is not G) + (two_coloring(G) is not None) for G in graphs]
+        built = []
+        init = SignedDigraph.__init__
+
+        def counting(self, *args):
+            built.append(self)
+            init(self, *args)
+
+        monkeypatch.setattr(SignedDigraph, "__init__", counting)
+        counts = []
+        for G in graphs:
+            built.clear()
+            assert _check_harary(G) is None
+            counts.append(len(built))
+        assert counts == expected
+        assert 0 in counts
 
 
 class TestInstanceKinds:

@@ -1,5 +1,7 @@
 """Instance generators: the triangle chain, double cycles, random graphs."""
 
+import random
+
 import pytest
 
 from signedbn.generators import (
@@ -9,7 +11,14 @@ from signedbn.generators import (
     random_digraph,
     random_signed_digraph,
 )
-from signedbn.graphs import NEGATIVE, POSITIVE, Arc, enumerate_cycles, is_strong
+from signedbn.graphs import (
+    NEGATIVE,
+    POSITIVE,
+    Arc,
+    SignedDigraph,
+    enumerate_cycles,
+    is_strong,
+)
 
 
 class TestFigure1:
@@ -74,6 +83,20 @@ class TestRandom:
         assert all(a.sign == NEGATIVE for a in all_neg.arcs)
         all_pos = random_signed_digraph(6, arc_prob=0.9, neg_prob=0.0, seed=1)
         assert all(a.sign == POSITIVE for a in all_pos.arcs)
+
+    def test_arc_records_match_a_triple_built_copy(self):
+        for n in range(1, 9):
+            for seed in range(1000):
+                rng, twin = random.Random(seed), random.Random(seed)
+                arc_prob, arcs = 2.0 / n, []
+                for u in range(1, n + 1):
+                    for v in range(1, n + 1):
+                        if twin.random() < arc_prob * (1.0 - 0.5):
+                            arcs.append((u, v, POSITIVE))
+                        if twin.random() < arc_prob * 0.5:
+                            arcs.append((u, v, NEGATIVE))
+                assert random_signed_digraph(n, rng=rng) == SignedDigraph(n, arcs)
+                assert rng.random() == twin.random()
 
     def test_no_vertices(self):
         assert random_signed_digraph(0, seed=1).n == 0

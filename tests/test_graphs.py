@@ -134,6 +134,13 @@ class TestSubgraphCalculus:
         H = G.symmetrize()
         assert H.symmetrize() == H
 
+    def test_symmetrize_of_a_symmetric_graph_is_that_graph(self):
+        for G in all_signed_digraphs(2):
+            H = G.symmetrize()
+            assert H.symmetrize() is H
+            reversal_closed = all(Arc(a.target, a.source, a.sign) in G.arc_set for a in G.arc_set)
+            assert (H is G) == reversal_closed
+
     def test_consistent_subgraph_examples(self):
         G = g(2, (1, 2, "+"))
         assert G.consistent_subgraph((0, 0)) == G
