@@ -257,36 +257,49 @@ class BooleanNetwork:
         cyclic attractors.  Ordered by their smallest state.
 
         The search runs on 2^n-bit state sets (Xie and Beerel, IEEE TCAD
-        19, 2000).  Take the lowest undecided state s, its forward closure
-        F, and the set B of undecided states that reach s through undecided
-        states.  F is an attractor iff F lies inside B.  Either way no state
-        of B lies in an attractor not yet found, so B is decided.  If F is
-        not inside B, then F minus B is closed and holds an attractor, so
-        the next pivot is taken there.  A predecessor of a decided state is
-        decided too, so the undecided states are closed under moves and F
-        lies among them.
+        19, 2000).  The fixed points are the states where no vertex moves,
+        and each is an attractor.  A state that reaches one lies in no
+        cyclic attractor, so one backward closure from all of them decides
+        those states at once.  Then, while states are undecided, take a
+        pivot s, its forward closure F, and the set B of undecided states
+        that reach s through undecided states.  F is an attractor iff F
+        lies inside B.  Either way no state of B lies in an attractor not
+        yet found, so B is decided.  If F is not inside B, then F minus B
+        is closed and holds an attractor, so any of its states is a valid
+        next pivot: the lowest of those that the last growing sweep of F
+        added, which lie furthest from s, else the lowest of F minus B.
+        After an attractor the pivot is the lowest undecided state.  A
+        predecessor of a decided state is decided too, so the undecided
+        states are closed under moves and F lies among them.
         """
         _check_limit(self.n, "attractor scan", MAX_ATTRACTOR_SCAN)
         n = self.n
         masks = _state_masks(n)
+        full = masks[0]
         # Per moving vertex v: the states where x_v falls from 1 to 0, the
         # states where it rises, and the distance 2^(n-v) between the two
         # ends of a move.
         moves = []
+        unstable = 0
         for v, lf in enumerate(self.locals, start=1):
             moving = masks[v] ^ _value_mask(lf.inputs, lf.bits, masks)
             if moving:
                 moves.append((moving & masks[v], moving & ~masks[v], 1 << (n - v)))
+                unstable |= moving
 
         # A closure sweep applies the vertices' moves in turn to the growing
-        # set, so one sweep can follow a path through many vertices.
-        def forward(states: int) -> int:
+        # set, so one sweep can follow a path through many vertices.  The
+        # forward closure also returns what its last growing sweep added:
+        # the closure minus the set that sweep started from.
+        def forward(states: int) -> tuple[int, int]:
+            start = 0
             while True:
                 before = states
                 for falls, rises, shift in moves:
                     states |= (states & falls) >> shift | (states & rises) << shift
                 if states == before:
-                    return states
+                    return states, states & ~start
+                start = before
 
         def backward(states: int, allowed: int) -> int:
             while True:
@@ -296,22 +309,26 @@ class BooleanNetwork:
                 if states == before:
                     return states
 
-        found = []
-        left = masks[0]
+        fixed = full & ~unstable
+        left = full & ~backward(fixed, full) if fixed else full
+        cyclic = []
         region = 0
         while left:
             pool = region or left
             pivot = pool & -pool
-            reach = forward(pivot)
+            reach, added = forward(pivot)
             basin = backward(pivot, left)
-            if reach & ~basin:
-                region = reach & ~basin
+            region = reach & ~basin
+            if region:
+                region = added & region or region
             else:
-                found.append(reach)
-                region = 0
+                cyclic.append(reach)
             left &= ~basin
-        found.sort(key=lambda states: states & -states)
-        return [frozenset(_states_in(states, n)) for states in found]
+        # Each attractor keyed by the bit index of its lowest state.
+        found = [(s, (x,)) for s, x in zip(_set_bits(fixed), _states_in(fixed, n))]
+        found += [((states & -states).bit_length() - 1, _states_in(states, n)) for states in cyclic]
+        found.sort(key=operator.itemgetter(0))
+        return [frozenset(states) for _, states in found]
 
 
 # -- state enumeration -------------------------------------------------------

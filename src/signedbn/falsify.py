@@ -358,7 +358,11 @@ def _check_harary(G, cap=FALSIFY_CYCLE_CAP) -> Optional[str]:
     negative = any(c.sign == NEGATIVE for c in _capped(iter_cycles(H), cap))
     if (colors is None) != negative:
         return "two-coloring existence disagrees with symmetrized negative cycles"
-    if colors is not None and G.consistent_subgraph(colors) != G:
+    # The coloring is consistent iff G(colors) = G: every positive arc
+    # joins equal colors and every negative arc unequal ones.
+    if colors is not None and any(
+        (colors[a.source - 1] == colors[a.target - 1]) != (a.sign == POSITIVE) for a in G.arc_set
+    ):
         return "returned coloring is not consistent"
     return None
 

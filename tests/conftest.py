@@ -8,6 +8,8 @@ special arcs, tau+, tau~+, g~+ and the arc and vertex rules by building
 each subgraph and searching its cycles anew, and strong components by
 mutual reachability.  tau+ and tau~+ also have scan oracles that try every
 vertex subset by size and ask the library's cycle index about each.
+Attractors also have a set-search oracle, the lowest-pivot loop that the
+library's search replaced, on the library's state masks.
 """
 
 import itertools
@@ -18,7 +20,7 @@ from math import comb
 
 import pytest
 
-from signedbn.boolnet import BooleanNetwork
+from signedbn.boolnet import BooleanNetwork, _state_masks, _states_in, _value_mask
 from signedbn.graphs import SignedCycle, SignedDigraph, _cycle_index, _set_bits
 from signedbn.structure import _has_special_arc
 
@@ -231,6 +233,53 @@ def brute_attractors(f):
         states for x, states in reach.items() if all(x in reach[y] for y in states)
     }
     return sorted(attractors, key=min)
+
+
+def lowest_pivot_attractors(f):
+    """``BooleanNetwork.attractors`` as it searched before it took the fixed
+    points first: Xie and Beerel's loop on 2^n-bit state sets, with the
+    pivot always the lowest state of the undecided set or of the closed
+    region F minus B."""
+    n = f.n
+    masks = _state_masks(n)
+    moves = []
+    for v, lf in enumerate(f.locals, start=1):
+        moving = masks[v] ^ _value_mask(lf.inputs, lf.bits, masks)
+        if moving:
+            moves.append((moving & masks[v], moving & ~masks[v], 1 << (n - v)))
+
+    def forward(states):
+        while True:
+            before = states
+            for falls, rises, shift in moves:
+                states |= (states & falls) >> shift | (states & rises) << shift
+            if states == before:
+                return states
+
+    def backward(states, allowed):
+        while True:
+            before = states
+            for falls, rises, shift in moves:
+                states |= ((states << shift) & falls | (states >> shift) & rises) & allowed
+            if states == before:
+                return states
+
+    found = []
+    left = masks[0]
+    region = 0
+    while left:
+        pool = region or left
+        pivot = pool & -pool
+        reach = forward(pivot)
+        basin = backward(pivot, left)
+        if reach & ~basin:
+            region = reach & ~basin
+        else:
+            found.append(reach)
+            region = 0
+        left &= ~basin
+    found.sort(key=lambda states: states & -states)
+    return [frozenset(_states_in(states, n)) for states in found]
 
 
 # -- subgraph-rebuilding structure oracles ------------------------------------

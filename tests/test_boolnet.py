@@ -9,7 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import all_signed_digraphs, brute_attractors, brute_fixed_points, g
+from conftest import (
+    all_signed_digraphs,
+    brute_attractors,
+    brute_fixed_points,
+    g,
+    lowest_pivot_attractors,
+)
 from signedbn import boolnet
 from signedbn.boolnet import (
     BooleanNetwork,
@@ -309,6 +315,15 @@ class TestScanEdgesAndCost:
         f = BooleanNetwork([LocalFunction((v,), (0, 1)) for v in range(1, 17)])
         assert f.fixed_points() == list(all_states(16))
 
+    def test_identity_attractors_are_every_state_in_order_and_fast(self):
+        # Every state is a fixed point: one backward closure decides them all.
+        f = BooleanNetwork([LocalFunction((v,), (0, 1)) for v in range(1, 17)])
+        start = time.perf_counter()
+        found = f.attractors()
+        assert time.perf_counter() - start < 2.0
+        assert found == [frozenset({x}) for x in f.fixed_points()]
+        assert len(found) == 1 << 16
+
     def test_fixed_points_at_22_vertices_is_fast(self):
         rng = random.Random(22)
         f = BooleanNetwork([
@@ -578,6 +593,42 @@ class TestAttractors:
 
     def test_swap_transients_excluded(self):
         assert SWAP2.attractors() == [frozenset({(0, 0)}), frozenset({(1, 1)})]
+
+    def test_matches_the_lowest_pivot_search(self):
+        # The search takes the fixed points first and draws later pivots
+        # from the forward closure's last sweep; the sets and their order
+        # are those of the loop that always took the lowest state.
+        rng = random.Random(41)
+        for i in range(2200):
+            f = random_network(rng, i % 13)
+            assert f.attractors() == lowest_pivot_attractors(f)
+
+    def test_matches_the_lowest_pivot_search_at_13_to_16_vertices(self):
+        rng = random.Random(42)
+        for i in range(30):
+            n = 13 + i % 4
+            f = BooleanNetwork([
+                LocalFunction(rng.sample(range(1, n + 1), 4), [rng.randrange(2) for _ in range(16)])
+                for _ in range(n)
+            ])
+            assert f.attractors() == lowest_pivot_attractors(f)
+
+    def test_fixed_points_beside_a_cyclic_attractor(self):
+        # x_1 gates an odd negation ring on 2, 3, 4 and falls when the ring
+        # reads 111, from where both kinds of attractor are reachable; x_5
+        # copies itself, doubling each attractor.
+        gated = (0, 0, 1, 0)  # x_1 and not x_pred
+        f = net(
+            ((1, 2, 3, 4), [0] * 8 + [1] * 7 + [0]),
+            ((1, 4), gated),
+            ((1, 2), gated),
+            ((1, 3), gated),
+            ((5,), (0, 1)),
+        )
+        found = f.attractors()
+        assert found == brute_attractors(f)
+        assert sorted(map(len, found)) == [1, 1, 6, 6]
+        assert [next(iter(a)) for a in found if len(a) == 1] == f.fixed_points()
 
     @given(networks_strategy())
     @settings(max_examples=40, deadline=None)

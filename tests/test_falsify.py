@@ -5,6 +5,8 @@ import time
 
 import pytest
 
+from conftest import g
+from signedbn import structure
 from signedbn.boolnet import MAX_FIXED_POINT_SCAN
 from signedbn.falsify import (
     DIGRAPH,
@@ -81,8 +83,6 @@ class TestBoundCache:
         assert _graph_fp_bound.cache_info().currsize <= 1
 
     def test_sweep_computes_each_graph_bound_once(self, monkeypatch):
-        import signedbn.structure as structure
-
         graphs = []
         original = structure._bound_terms
 
@@ -117,11 +117,21 @@ class TestHararyCheck:
             for G in iter_simple_signed_digraphs(n):
                 assert _check_harary(G) == self._rebuilt_check(G)
 
+    def test_flags_a_coloring_that_breaks_an_arc(self, monkeypatch):
+        # A positive arc between unequal colors, and a negative arc between
+        # equal ones, each fail the check; the true coloring passes.
+        for sign, wrong in (("+", (0, 1)), ("-", (0, 0))):
+            G = g(2, (1, 2, sign))
+            assert _check_harary(G) is None
+            monkeypatch.setattr(structure, "two_coloring", lambda H, wrong=wrong: wrong)
+            assert _check_harary(G) == "returned coloring is not consistent"
+            monkeypatch.undo()
+
     def test_builds_at_most_one_symmetrization(self, monkeypatch):
         graphs = list(iter_simple_signed_digraphs(2))
-        # One symmetrization unless G is already symmetric, and one
-        # consistent subgraph to check a coloring when there is one.
-        expected = [(G.symmetrize() is not G) + (two_coloring(G) is not None) for G in graphs]
+        # One symmetrization unless G is already symmetric; the coloring is
+        # checked on G's own arcs.
+        expected = [int(G.symmetrize() is not G) for G in graphs]
         built = []
         init = SignedDigraph.__init__
 
