@@ -211,15 +211,48 @@ class BooleanNetwork:
         return SignedDigraph(self.n, arcs)
 
     def fixed_points(self) -> list[tuple[int, ...]]:
-        """All states x with f(x) = x, in increasing binary order."""
+        """All states x with f(x) = x, in increasing binary order.
+
+        A fixed point is fixed by its values on a feedback vertex set F of
+        the reads (Aracena, Bull. Math. Biol. 70, 2008): the other vertices
+        read acyclically, so their values follow in order.  The scan runs
+        on sets of F's 2^|F| assignments: each vertex of F gets the state
+        mask of its place in F, every other vertex's value is folded from
+        its table once, after its inputs, and the fixed assignments are
+        the AND of F's agreement sets.  At k inputs per table that costs
+        about n·2^k big-int operations on 2^|F|-bit sets, plus a decode
+        linear in the fixed points.  F is the set of targets of back reads
+        in one depth-first pass along the inputs (``_feedback_order``).
+        Up to ``_FULL_SCAN_MAX_N`` vertices, and for a network with a
+        table wider than ``_FOLD_MAX_INPUTS``, F is every vertex, which
+        is the scan of all 2^n states.
+        """
         _check_limit(self.n, "fixed-point scan", MAX_FIXED_POINT_SCAN)
-        masks = _state_masks(self.n)
-        fixed = masks[0]
-        for v, lf in enumerate(self.locals, start=1):
-            fixed &= ~(masks[v] ^ _value_mask(lf.inputs, lf.bits, masks))
-            if not fixed:
-                break
-        return _states_in(fixed, self.n)
+        n = self.n
+        if n <= _FULL_SCAN_MAX_N or any(lf.arity > _FOLD_MAX_INPUTS for lf in self.locals):
+            free, order = range(1, n + 1), enumerate(self.locals, start=1)
+        else:
+            free, order = _feedback_order(self.locals)
+        base = _state_masks(len(free))
+        if len(free) == n:
+            masks = base  # F is every vertex: its assignments are the states.
+        else:
+            # masks[v]: the assignments where x_v = 1, None until v is folded.
+            masks = [base[0]] + [None] * n
+            for v, m in zip(free, base[1:]):
+                masks[v] = m
+        fixed = base[0]
+        for v, lf in order:
+            value = _value_mask(lf.inputs, lf.bits, masks)
+            if masks[v] is None:
+                masks[v] = value
+            else:
+                fixed &= ~(masks[v] ^ value)
+                if not fixed:
+                    break
+        if len(free) == n:
+            return _states_in(fixed, n)
+        return _full_states(fixed, free, masks, n)
 
     def is_canalized(self, arc) -> bool:
         """Whether the given interaction-graph arc is canalized.
@@ -350,9 +383,107 @@ def _states_in(states: int, n: int) -> list[tuple[int, ...]]:
     Each tuple joins the tuples of its high and low halves, listed once
     per n.
     """
+    return _state_tuples(_set_bits(states), n)
+
+
+def _state_tuples(codes, n: int) -> list[tuple[int, ...]]:
+    """The states with these binary values, as tuples, in the given order."""
     low, high_halves, low_halves = _half_states(n)
     low_bits = (1 << low) - 1
-    return [high_halves[s >> low] + low_halves[s & low_bits] for s in _set_bits(states)]
+    return [high_halves[s >> low] + low_halves[s & low_bits] for s in codes]
+
+
+# -- fixed points over a feedback vertex set ---------------------------------
+
+# Up to here ``fixed_points`` scans all states.  A fold costs about one
+# interpreter step per table row while its sets stay below about 2^12 bits,
+# so a smaller F saves less than the depth-first pass and the decode cost:
+# README's per-size table has the crossover between n = 12 and 13.
+_FULL_SCAN_MAX_N = 12
+
+
+def _feedback_order(
+    locals_: Sequence[LocalFunction],
+) -> tuple[tuple[int, ...], list[tuple[int, LocalFunction]]]:
+    """A feedback vertex set F of the reads, sorted, and an order of all
+    vertices, each with its local function, in which each vertex comes
+    after its inputs outside F.
+
+    One depth-first pass along each vertex's inputs, from vertices 1..n in
+    order.  F is the targets of back reads, reads of a vertex still on the
+    stack (self-reads included); every cycle has one.  The order is the
+    post-order.
+    """
+    n = len(locals_)
+    mark = [0] * (n + 1)  # 0 unseen, 1 on the stack, 2 done
+    free = set()
+    order = []
+
+    def visit(v):
+        mark[v] = 1
+        for u in locals_[v - 1].inputs:
+            if mark[u] == 1:
+                free.add(u)
+            elif not mark[u]:
+                visit(u)
+        mark[v] = 2
+        order.append((v, locals_[v - 1]))
+
+    for v in range(1, n + 1):
+        if not mark[v]:
+            visit(v)
+    return tuple(sorted(free)), order
+
+
+def _spread(vertices: Sequence[int], n: int) -> list[int]:
+    """Per value j of len(vertices) bits, the first vertex most
+    significant: the binary value of the n-vertex state that holds j's bits
+    on those vertices and 0 elsewhere."""
+    codes = [0]
+    for v in vertices:
+        codes = [c | b for c in codes for b in (0, 1 << (n - v))]
+    return codes
+
+
+def _full_states(fixed: int, free: tuple[int, ...], masks, n: int) -> list[tuple[int, ...]]:
+    """The states of the assignments of F (``free``) in ``fixed``, in
+    increasing binary order of the state.
+
+    F's values are read through half tables, as ``_states_in`` reads a
+    state.  A vertex outside F set at every fixed point or at none costs
+    nothing per point; the others are read eight at a time, through one
+    byte per assignment that packs their values and a table from that
+    byte to their part of the state.
+    """
+    if not fixed:
+        return []
+    width = len(free)
+    low = width // 2
+    low_bits = (1 << low) - 1
+    high_codes, low_codes = _spread(free[: width - low], n), _spread(free[width - low:], n)
+    always = 0
+    varying = []
+    for v in set(range(1, n + 1)).difference(free):
+        hit = masks[v] & fixed
+        if hit == fixed:
+            always |= 1 << (n - v)
+        elif hit:
+            varying.append((v, hit))
+    points = list(_set_bits(fixed))
+    codes = [high_codes[a >> low] | low_codes[a & low_bits] | always for a in points]
+    for i in range(0, len(varying), 8):
+        batch = varying[i : i + 8]
+        # Row a of a set's table text is the character '0' or '1', whose
+        # low bit is the value; byte a of ``packed`` gets it at bit j.
+        ones = int.from_bytes(b"\1" * (1 << width), "little")
+        packed = 0
+        for j, (_, hit) in enumerate(batch):
+            packed |= (int.from_bytes(_table_text(hit, width).encode(), "little") & ones) << j
+        row = packed.to_bytes(1 << width, "little")
+        parts = _spread([v for v, _ in reversed(batch)], n)
+        codes = [c | parts[row[a]] for c, a in zip(codes, points)]
+    codes.sort()
+    return _state_tuples(codes, n)
 
 
 # -- word-parallel state scans -----------------------------------------------
@@ -393,13 +524,15 @@ def _state_masks(n: int) -> tuple[int, ...]:
 
 
 def _value_mask(inputs: Sequence[int], bits: int, masks) -> int:
-    """The set of states where the table's function is 1.
+    """The set where the table's function is 1, given ``masks``: the
+    whole set, then per vertex u the subset where x_u = 1.
 
     Folds the table depth-first, like a binary counter: row j closes one
     block per trailing 1 of j, each merging two blocks that differ only in
-    x_u into one multiplexer on X_u, so at most k + 1 sets of 2^n bits are
-    alive.  A wider table is looked up once per state, at the sum of its
-    halves' rows.
+    x_u into one multiplexer on X_u, so at most k + 1 sets are alive.  The
+    fold works on any sets, such as assignments of a feedback vertex set.
+    A wider table is looked up once per state, at the sum of its halves'
+    rows, so for it ``masks`` must be ``_state_masks(n)``.
     """
     k = len(inputs)
     rows = _table_text(bits, k)

@@ -9,7 +9,9 @@ each subgraph and searching its cycles anew, and strong components by
 mutual reachability.  tau+ and tau~+ also have scan oracles that try every
 vertex subset by size and ask the library's cycle index about each.
 Attractors also have a set-search oracle, the lowest-pivot loop that the
-library's search replaced, on the library's state masks.
+library's search replaced, on the library's state masks, and fixed points
+a scan oracle, the AND over all 2^n states that the library's scan over a
+feedback vertex set replaced.
 """
 
 import itertools
@@ -174,6 +176,17 @@ def brute_fixed_points(f):
         if all(lf.bits >> _row(lf, x) & 1 == x[v] for v, lf in enumerate(f.locals)):
             out.append(x)
     return out
+
+
+def scan_fixed_points(f):
+    """``BooleanNetwork.fixed_points`` as it scanned before it narrowed to a
+    feedback vertex set: one agreement set per vertex over all 2^n states,
+    ANDed, then decoded in increasing binary order."""
+    masks = _state_masks(f.n)
+    fixed = masks[0]
+    for v, lf in enumerate(f.locals, start=1):
+        fixed &= ~(masks[v] ^ _value_mask(lf.inputs, lf.bits, masks))
+    return _states_in(fixed, f.n)
 
 
 def _row(lf, x):

@@ -6,7 +6,7 @@ import time
 import tracemalloc
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -15,6 +15,7 @@ from conftest import (
     brute_fixed_points,
     g,
     lowest_pivot_attractors,
+    scan_fixed_points,
 )
 from signedbn import boolnet
 from signedbn.boolnet import (
@@ -33,7 +34,8 @@ from signedbn.boolnet import (
 )
 from signedbn.falsify import disagreement_cycles, verify_antipodal_fixed_points
 from signedbn.generators import figure1, random_signed_digraph
-from signedbn.graphs import SignedDigraph
+from signedbn.graphs import Digraph, SignedDigraph
+from signedbn.kernels import to_network
 
 
 def net(*locals_):
@@ -88,6 +90,31 @@ def random_network(rng, n, max_k=4):
     for _ in range(n):
         k = rng.randint(0, min(max_k, n))
         inputs = rng.sample(range(1, n + 1), k)
+        locals_.append(LocalFunction(inputs, [rng.randrange(2) for _ in range(1 << k)]))
+    return BooleanNetwork(locals_)
+
+
+def looped_network(rng, n):
+    """About half the vertices read themselves, each vertex reads up to 3
+    random other vertices, and the table is random.  Vertices that read
+    themselves are in F, so many cycles run through F alone, and the
+    other vertices read them."""
+    locals_ = []
+    for v in range(1, n + 1):
+        others = [u for u in range(1, n + 1) if u != v]
+        inputs = rng.sample(others, rng.randint(0, min(3, n - 1))) + [v] * rng.randrange(2)
+        rng.shuffle(inputs)
+        locals_.append(LocalFunction(inputs, [rng.randrange(2) for _ in range(1 << len(inputs))]))
+    return BooleanNetwork(locals_)
+
+
+def bench_shaped_network(rng, n):
+    """Vertex v reads 1 + (v - 1) % 4 random vertices other than itself
+    through a random table, the shape of the dynamics benchmark's networks."""
+    locals_ = []
+    for v in range(1, n + 1):
+        k = 1 + (v - 1) % 4
+        inputs = rng.sample([u for u in range(1, n + 1) if u != v], k)
         locals_.append(LocalFunction(inputs, [rng.randrange(2) for _ in range(1 << k)]))
     return BooleanNetwork(locals_)
 
@@ -305,15 +332,41 @@ class TestScansAgainstOracles:
             checked += 1
 
 
+@pytest.fixture
+def mask_widths(monkeypatch):
+    """The widths ``boolnet._state_masks`` is asked for while the test runs."""
+    widths = []
+    original = boolnet._state_masks
+
+    def recording(n):
+        widths.append(n)
+        return original(n)
+
+    monkeypatch.setattr(boolnet, "_state_masks", recording)
+    return widths
+
+
+def best_time(call, rounds=3):
+    """The least wall time of ``call`` over some rounds, and its result."""
+    times = []
+    for _ in range(rounds):
+        start = time.perf_counter()
+        out = call()
+        times.append(time.perf_counter() - start)
+    return min(times), out
+
+
 class TestScanEdgesAndCost:
     def test_no_vertices(self):
         f = BooleanNetwork([])
         assert f.fixed_points() == [()]
         assert f.attractors() == [frozenset({()})]
 
-    def test_identity_fixes_every_state_in_order(self):
+    def test_identity_fixes_every_state_in_order(self, mask_widths):
+        # Every vertex reads itself, so F is every vertex: all 2^16 states.
         f = BooleanNetwork([LocalFunction((v,), (0, 1)) for v in range(1, 17)])
         assert f.fixed_points() == list(all_states(16))
+        assert mask_widths == [16]
 
     def test_identity_attractors_are_every_state_in_order_and_fast(self):
         # Every state is a fixed point: one backward closure decides them all.
@@ -500,6 +553,115 @@ class TestWideTables:
         assert looked_up[0] == brute_fixed_points(f)
 
 
+class TestFeedbackScan:
+    """``fixed_points`` scans the assignments of a feedback vertex set F and
+    folds the other vertices in order; the scan of all 2^n states that it
+    replaced is the oracle, order included."""
+
+    @pytest.mark.parametrize("full_scan_max_n", [0, boolnet._FULL_SCAN_MAX_N])
+    def test_matches_the_full_scan_on_random_networks(self, full_scan_max_n, monkeypatch):
+        # At 0 every network with a vertex takes the path through F.
+        monkeypatch.setattr(boolnet, "_FULL_SCAN_MAX_N", full_scan_max_n)
+        rng = random.Random(24)
+        narrowed = 0
+        for i in range(2250):
+            n = i % 15
+            f = looped_network(rng, n) if i % 3 == 0 else random_network(rng, n)
+            assert f.fixed_points() == scan_fixed_points(f)
+            narrowed += len(boolnet._feedback_order(f.locals)[0]) < n
+        assert narrowed > 1500
+
+    def test_matches_the_full_scan_on_bench_shaped_networks(self):
+        rng = random.Random(1518)
+        for i in range(30):
+            f = bench_shaped_network(rng, 15 + i % 4)
+            assert f.fixed_points() == scan_fixed_points(f)
+
+    @pytest.mark.parametrize("full_scan_max_n", [0, boolnet._FULL_SCAN_MAX_N])
+    def test_matches_the_full_scan_on_kernel_networks(self, full_scan_max_n, monkeypatch):
+        monkeypatch.setattr(boolnet, "_FULL_SCAN_MAX_N", full_scan_max_n)
+        rng = random.Random(7)
+        for i in range(450):
+            n = i % 15
+            p = rng.random() / 2
+            D = Digraph(n, [(u, v) for u in range(1, n + 1) for v in range(1, n + 1) if rng.random() < p])
+            f = to_network(D)
+            assert f.fixed_points() == scan_fixed_points(f)
+
+    def test_a_wide_table_outside_f_keeps_the_full_scan(self, mask_widths):
+        # Vertex 14 reads vertices 1..12 and no vertex reads it, so it lies
+        # outside F; its table is wider than the fold limit, and its lookup
+        # reads the states of all 14 vertices.
+        rng = random.Random(12)
+        for _ in range(4):
+            f = BooleanNetwork(
+                list(bench_shaped_network(rng, 13).locals)
+                + [LocalFunction(range(1, 13), [rng.randrange(2) for _ in range(1 << 12)])]
+            )
+            assert 14 not in boolnet._feedback_order(f.locals)[0]
+            mask_widths.clear()
+            assert f.fixed_points() == scan_fixed_points(f)
+            assert mask_widths == [14]
+
+    def test_large_networks_scan_fewer_than_all_states(self, mask_widths):
+        rng = random.Random(24)
+        dense = BooleanNetwork([
+            LocalFunction(rng.sample(range(1, 25), 3), [rng.randrange(2) for _ in range(8)])
+            for _ in range(24)
+        ])
+        points = dense.fixed_points()
+        assert points == sorted(points)
+        assert all(dense.evaluate(x) == x for x in points)
+        # x_1 reads itself and each later vertex copies or negates the one
+        # before it: F is {1}, and each value of x_1 fixes one state.
+        tables = [rng.choice(((0, 1), (1, 0))) for _ in range(23)]
+        chain = BooleanNetwork(
+            [LocalFunction((1,), (0, 1))]
+            + [LocalFunction((v - 1,), t) for v, t in zip(range(2, 25), tables)]
+        )
+        expected = []
+        for x_1 in (0, 1):
+            x = [x_1]
+            for t in tables:
+                x.append(t[x[-1]])
+            expected.append(tuple(x))
+        assert chain.fixed_points() == expected
+        assert mask_widths and 24 not in mask_widths
+
+    def test_many_fixed_points_decode_fast(self):
+        # 16 identity vertices and 4 copies of them: F is the 16, and each
+        # of its 2^16 assignments is fixed.
+        f = BooleanNetwork(
+            [LocalFunction((v,), (0, 1)) for v in range(1, 17)]
+            + [LocalFunction((v,), (0, 1)) for v in (1, 6, 11, 16)]
+        )
+        assert boolnet._feedback_order(f.locals)[0] == tuple(range(1, 17))
+        spent, points = best_time(f.fixed_points)
+        oracle_spent, expected = best_time(lambda: scan_fixed_points(f))
+        assert points == expected
+        assert len(points) == 1 << 16
+        assert spent < 2 * oracle_spent
+        # With the copies first, F is 5..20, and the states come out in
+        # another order than F's assignments.
+        f = BooleanNetwork(
+            [LocalFunction((u,), (0, 1)) for u in (20, 15, 10, 5)]
+            + [LocalFunction((v,), (0, 1)) for v in range(5, 21)]
+        )
+        assert boolnet._feedback_order(f.locals)[0] == tuple(range(5, 21))
+        assert f.fixed_points() == scan_fixed_points(f)
+        # Odd vertices copy or negate the even ones, which copy themselves:
+        # ten vertices outside F vary between fixed points, more than one
+        # byte packs.
+        rng = random.Random(20)
+        f = BooleanNetwork([
+            LocalFunction((v,), (0, 1)) if v % 2 == 0
+            else LocalFunction((rng.randrange(2, 21, 2),), rng.choice(((0, 1), (1, 0))))
+            for v in range(1, 21)
+        ])
+        assert len(boolnet._feedback_order(f.locals)[0]) == 10
+        assert f.fixed_points() == scan_fixed_points(f)
+
+
 class TestLeq:
     def test_reflexive(self):
         G = g(2, (1, 2, "+"), (2, 1, "-"))
@@ -631,6 +793,10 @@ class TestAttractors:
         assert [next(iter(a)) for a in found if len(a) == 1] == f.fixed_points()
 
     @given(networks_strategy())
+    @example(bench_shaped_network(random.Random(13), 13))
+    @example(bench_shaped_network(random.Random(14), 14))
+    @example(bench_shaped_network(random.Random(15), 15))
+    @example(bench_shaped_network(random.Random(16), 16))
     @settings(max_examples=40, deadline=None)
     def test_fixed_points_are_exactly_singleton_attractors(self, f):
         singles = {
