@@ -15,7 +15,7 @@ import math
 import operator
 import random
 from functools import lru_cache, reduce
-from typing import Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .graphs import (
     NEGATIVE,
@@ -615,6 +615,16 @@ def _signature_index(k: int) -> dict[tuple[int, ...], tuple[int, ...]]:
     }
 
 
+def _input_signs(in_arcs: Iterable[Arc]) -> dict[int, int]:
+    """Per source of one vertex's ``in_arcs``, in order of appearance: the
+    signs it brings, _POS_ONLY, _NEG_ONLY or both ORed.  With the arcs
+    sorted by source, the values in order are a ``_signature_index`` key."""
+    signs: dict[int, int] = {}
+    for a in in_arcs:
+        signs[a.source] = signs.get(a.source, 0) | (_POS_ONLY if a.sign == POSITIVE else _NEG_ONLY)
+    return signs
+
+
 def _consistent_tables(
     G: SignedDigraph, v: int, max_indegree: int
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -622,9 +632,7 @@ def _consistent_tables(
 
     The cap is ``max_indegree``, and never more than DEFAULT_MAX_INDEGREE.
     """
-    signs: dict[int, int] = {}
-    for a in G.in_arcs(v):  # sorted by source
-        signs[a.source] = signs.get(a.source, 0) | (_POS_ONLY if a.sign == POSITIVE else _NEG_ONLY)
+    signs = _input_signs(G.in_arcs(v))  # sorted by source
     k = len(signs)
     cap = min(max_indegree, DEFAULT_MAX_INDEGREE)
     if k > cap:

@@ -23,11 +23,18 @@ from .boolnet import (
     DEFAULT_MAX_INDEGREE,
     MAX_FIXED_POINT_SCAN,
     BooleanNetwork,
-    _family,
+    _input_signs,
     _sample_family,
+    _signature_index,
     enumerate_consistent,
 )
-from .generators import iter_simple_signed_digraphs, random_digraph, random_signed_digraph
+from .generators import (
+    _arc_prob,
+    _signed_arcs,
+    iter_simple_signed_digraphs,
+    random_digraph,
+    random_signed_digraph,
+)
 from .graphs import (
     DEFAULT_CYCLE_CAP,
     NEGATIVE,
@@ -183,12 +190,36 @@ def _within_cap(G: SignedDigraph) -> bool:
 
 def _draw_pair(rng: random.Random, max_n: int, max_indegree: int):
     """A random signed digraph, redrawn until it has a consistent network
-    within the in-degree and cycle caps, and one such network."""
+    within the in-degree and cycle caps, and one such network.
+
+    The draws are ``random_signed_digraph``'s.  Each vertex's inputs and
+    tables come from its drawn in-arcs as ``_family`` would find them, so
+    a draw past the in-degree cap or with an unrealizable vertex is
+    redrawn before any graph is built.  ``max_indegree`` may not pass
+    DEFAULT_MAX_INDEGREE, the widest tables ``_signature_index`` lists.
+    """
+    if max_indegree > DEFAULT_MAX_INDEGREE:
+        raise ValueError(
+            f"max_indegree={max_indegree} exceeds the in-degree limit {DEFAULT_MAX_INDEGREE}"
+        )
     while True:
-        G = random_signed_digraph(rng.randint(1, max_n), rng=rng)
-        if max(len(G.in_neighbors(v)) for v in G.vertices) <= max_indegree:
-            family = _family(G, max_indegree)
-            if all(tables for _, tables in family) and _within_cap(G):
+        n = rng.randint(1, max_n)
+        arcs = _signed_arcs(n, _arc_prob(n, None), 0.5, rng)
+        into: list[list] = [[] for _ in range(n + 1)]
+        for a in arcs:
+            into[a.target].append(a)
+        family = []
+        for in_arcs in into[1:]:
+            signs = _input_signs(in_arcs)
+            if len(signs) > max_indegree:
+                break
+            tables = _signature_index(len(signs)).get(tuple(signs.values()))
+            if tables is None:
+                break
+            family.append((tuple(signs), tables))
+        else:
+            G = SignedDigraph(n, arcs)
+            if _within_cap(G):
                 return G, _sample_family(family, rng)
 
 

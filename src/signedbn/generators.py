@@ -73,14 +73,25 @@ def random_signed_digraph(
     arc_prob = _arc_prob(n, arc_prob, neg_prob)
     if rng is None:
         rng = random.Random(seed)
+    return SignedDigraph(n, _signed_arcs(n, arc_prob, neg_prob, rng))
+
+
+def _signed_arcs(n: int, arc_prob: float, neg_prob: float, rng: random.Random) -> list[Arc]:
+    """The arcs ``random_signed_digraph`` draws, in draw order: per ordered
+    pair (u, v), u then v increasing, a positive arc with probability
+    arc_prob * (1 - neg_prob), then a negative one with arc_prob * neg_prob.
+    Each vertex's in-arcs come out sorted by source."""
+    positive = arc_prob * (1.0 - neg_prob)
+    negative = arc_prob * neg_prob
+    draw = rng.random
     arcs = []
     for u in range(1, n + 1):
         for v in range(1, n + 1):
-            if rng.random() < arc_prob * (1.0 - neg_prob):
+            if draw() < positive:
                 arcs.append(Arc(u, v, POSITIVE))
-            if rng.random() < arc_prob * neg_prob:
+            if draw() < negative:
                 arcs.append(Arc(u, v, NEGATIVE))
-    return SignedDigraph(n, arcs)
+    return arcs
 
 
 def random_digraph(
@@ -93,12 +104,8 @@ def random_digraph(
     arc_prob = _arc_prob(n, arc_prob)
     if rng is None:
         rng = random.Random(seed)
-    arcs = [
-        (u, v)
-        for u in range(1, n + 1)
-        for v in range(1, n + 1)
-        if rng.random() < arc_prob
-    ]
+    draw = rng.random
+    arcs = [(u, v) for u in range(1, n + 1) for v in range(1, n + 1) if draw() < arc_prob]
     return Digraph(n, arcs)
 
 

@@ -92,17 +92,23 @@ class SignedDigraph:
             vertex_set = frozenset(int(v) for v in vertices)
             if any(v < 1 for v in vertex_set):
                 raise ValueError("vertex ids must be positive integers")
-        arc_set = frozenset(as_arc(a) for a in arcs)
-        for a in arc_set:
-            if a.source not in vertex_set or a.target not in vertex_set:
-                raise ValueError(f"arc {a!r} has an endpoint outside the vertex set")
-        self._vertices = vertex_set
-        self._arcs = arc_set
+        arc_set = frozenset(map(as_arc, arcs))
         ins: dict[int, list[Arc]] = {v: [] for v in vertex_set}
         outs: dict[int, list[Arc]] = {v: [] for v in vertex_set}
-        for a in sorted(arc_set, key=_arc_sort_key):
-            outs[a.source].append(a)
-            ins[a.target].append(a)
+        try:
+            for a in sorted(arc_set, key=_arc_sort_key):
+                outs[a.source].append(a)
+                ins[a.target].append(a)
+        except KeyError:
+            # Name the first bad arc in set order, not in sorted order.
+            for a in arc_set:
+                if a.source not in vertex_set or a.target not in vertex_set:
+                    raise ValueError(
+                        f"arc {a!r} has an endpoint outside the vertex set"
+                    ) from None
+            raise
+        self._vertices = vertex_set
+        self._arcs = arc_set
         self._in = {v: tuple(lst) for v, lst in ins.items()}
         self._out = {v: tuple(lst) for v, lst in outs.items()}
         self._hash = None
@@ -423,20 +429,20 @@ class ComponentDecomposition:
         return len(self.components)
 
 
-def scc(G: SignedDigraph) -> ComponentDecomposition:
-    """Strong components of G, topologically ordered (arcs go forward).
+def _component_masks(out: Sequence[int], into: Sequence[int]) -> list[int]:
+    """Strong components, as position masks in topological order, of the
+    digraph whose position p has out- and in-neighbour masks ``out[p]``
+    and ``into[p]``.
 
-    Kosaraju's method on vertex masks: one depth-first search, from each
-    root in vertex order to the lowest unvisited out-neighbour, lists the
-    positions by finishing time; then, latest finisher first, each
+    Kosaraju's method on the masks: one depth-first search, from each
+    root in position order to the lowest unvisited out-neighbour, lists
+    the positions by finishing time; then, latest finisher first, each
     position not yet placed takes its backward closure inside the
     unplaced positions as the next component.
     """
-    position, out, into = _neighbor_masks(G)
-    vertices = list(position)
     finished = []
     visited = 0
-    for root in range(len(vertices)):
+    for root in range(len(out)):
         if visited >> root & 1:
             continue
         visited |= 1 << root
@@ -449,13 +455,23 @@ def scc(G: SignedDigraph) -> ComponentDecomposition:
                 stack.append(low.bit_length() - 1)
             else:
                 finished.append(stack.pop())
-    unplaced = (1 << len(vertices)) - 1
-    components, initial, terminal, nontrivial = [], [], [], []
+    unplaced = (1 << len(out)) - 1
+    components = []
     for p in reversed(finished):
-        if not unplaced >> p & 1:
-            continue
-        comp = _closure(1 << p, into, unplaced)
-        unplaced &= ~comp
+        if unplaced >> p & 1:
+            comp = _closure(1 << p, into, unplaced)
+            unplaced &= ~comp
+            components.append(comp)
+    return components
+
+
+def scc(G: SignedDigraph) -> ComponentDecomposition:
+    """Strong components of G, topologically ordered (arcs go forward),
+    by ``_component_masks`` on G's neighbour masks."""
+    position, out, into = _neighbor_masks(G)
+    vertices = list(position)
+    components, initial, terminal, nontrivial = [], [], [], []
+    for comp in _component_masks(out, into):
         members = list(_set_bits(comp))
         ins = outs = 0
         for q in members:

@@ -2,8 +2,9 @@
 
 A kernel is an independent vertex set K such that every vertex outside K
 has an arc into K.  Encoding every arc as negative turns odd cycles into
-negative cycles, so the no-odd-cycle existence theorem and its refinement
-reuse the signed-graph machinery.
+negative cycles, so the refinement of the no-odd-cycle existence theorem
+reuses the signed-graph machinery; the theorem's own condition is decided
+on D's vertex masks.
 """
 
 from __future__ import annotations
@@ -16,8 +17,8 @@ from .graphs import (
     Digraph,
     SignedDigraph,
     _check_limit,
+    _component_masks,
     _set_bits,
-    has_negative_cycle,
 )
 from .structure import existence_arc_rule
 
@@ -61,8 +62,52 @@ def kernels(D: Digraph) -> list[frozenset[int]]:
 
 
 def richardson_condition(D: Digraph) -> bool:
-    """No odd cycle (cycle parity = length parity); guarantees a kernel."""
-    return not has_negative_cycle(as_all_negative(D))
+    """No odd cycle (cycle parity = length parity); guarantees a kernel.
+
+    Decided on D's neighbour masks, position v-1 for vertex v, with no
+    graph built.  A loop is an odd cycle.  Arcs between strong components
+    lie on no cycle, and a strong digraph has an odd cycle iff its
+    underlying undirected graph is not bipartite (Bang-Jensen and Gutin,
+    *Digraphs*), so each component of ``_component_masks`` is 2-coloured.
+    """
+    out = [0] * D.n
+    into = [0] * D.n
+    for u, v in D.arc_set:
+        if u == v:
+            return False
+        out[u - 1] |= 1 << v - 1
+        into[v - 1] |= 1 << u - 1
+    return all(
+        _two_colourable(comp, out, into)
+        for comp in _component_masks(out, into)
+        if comp & comp - 1  # one vertex without a loop has no edge
+    )
+
+
+def _two_colourable(comp: int, out: list[int], into: list[int]) -> bool:
+    """Whether the arcs inside the position mask ``comp``, read as
+    undirected edges, form a bipartite graph, given that they connect it.
+
+    A breadth-first search by layers: ``side`` holds the layers of the
+    frontier's parity.  An edge joins layers at most one apart, so one
+    from the frontier into ``side`` lies inside a layer and closes an
+    odd cycle.
+    """
+    frontier = seen = side = comp & -comp
+    while frontier:
+        near = 0
+        while frontier:
+            low = frontier & -frontier
+            q = low.bit_length() - 1
+            near |= out[q] | into[q]
+            frontier ^= low
+        near &= comp
+        if near & side:
+            return False
+        frontier = near & ~seen
+        seen |= frontier
+        side = seen & ~side
+    return True
 
 
 def generalized_condition(D: Digraph, cap: int = DEFAULT_CYCLE_CAP) -> bool:
@@ -75,7 +120,8 @@ def generalized_condition(D: Digraph, cap: int = DEFAULT_CYCLE_CAP) -> bool:
     the at-least-one-fixed-point arc rule on the reversed, all-negative
     encoding, and it guarantees a kernel.  ``cap`` bounds D's cycles.
     """
-    return existence_arc_rule(as_all_negative(D.reverse()), cap).holds
+    reversed_negative = SignedDigraph(D.n, (Arc(v, u, NEGATIVE) for u, v in D.arc_set))
+    return existence_arc_rule(reversed_negative, cap).holds
 
 
 def to_network(D: Digraph):

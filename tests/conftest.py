@@ -1,4 +1,4 @@
-"""Shared test helpers: tiny builders, brute-force oracles and a call counter.
+"""Shared test helpers: tiny builders, brute-force oracles and call counters.
 
 The oracles here deliberately avoid the library's algorithms: cycles are
 found by trying every vertex permutation, colorings by trying every state,
@@ -11,7 +11,8 @@ vertex subset by size and ask the library's cycle index about each.
 Attractors also have a set-search oracle, the lowest-pivot loop that the
 library's search replaced, on the library's state masks, and fixed points
 a scan oracle, the AND over all 2^n states that the library's scan over a
-feedback vertex set replaced.
+feedback vertex set replaced.  The odd-cycle condition has the negative
+cycle search on the all-negative encoding that its mask test replaced.
 """
 
 import itertools
@@ -23,7 +24,14 @@ from math import comb
 import pytest
 
 from signedbn.boolnet import BooleanNetwork, _state_masks, _states_in, _value_mask
-from signedbn.graphs import SignedCycle, SignedDigraph, _cycle_index, _set_bits
+from signedbn.graphs import (
+    SignedCycle,
+    SignedDigraph,
+    _cycle_index,
+    _set_bits,
+    has_negative_cycle,
+)
+from signedbn.kernels import as_all_negative
 from signedbn.structure import _has_special_arc
 
 
@@ -39,6 +47,20 @@ def interaction_graph_calls(monkeypatch):
 
     monkeypatch.setattr(BooleanNetwork, "interaction_graph", counting)
     return calls
+
+
+@pytest.fixture
+def signed_digraphs_built(monkeypatch):
+    """The SignedDigraphs constructed while the test runs."""
+    built = []
+    original = SignedDigraph.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(SignedDigraph, "__init__", counting)
+    return built
 
 
 def g(n, *arcs):
@@ -194,6 +216,12 @@ def _row(lf, x):
     for u in lf.inputs:
         idx = (idx << 1) | x[u - 1]
     return idx
+
+
+def signed_richardson_condition(D):
+    """``kernels.richardson_condition`` as it decided before it read D's
+    masks: D with every arc negative has no negative cycle."""
+    return not has_negative_cycle(as_all_negative(D))
 
 
 def brute_kernels(D):

@@ -1,5 +1,6 @@
 """The falsification harness: registry, determinism, sensitivity."""
 
+import itertools
 import random
 import time
 
@@ -7,7 +8,7 @@ import pytest
 
 from conftest import g
 from signedbn import structure
-from signedbn.boolnet import MAX_FIXED_POINT_SCAN
+from signedbn.boolnet import MAX_FIXED_POINT_SCAN, _family, _sample_family
 from signedbn.falsify import (
     DIGRAPH,
     GRAPH,
@@ -16,13 +17,15 @@ from signedbn.falsify import (
     PAIR,
     REGISTRY,
     _check_harary,
+    _draw_pair,
     _graph_fp_bound,
+    _within_cap,
     falsify,
     make_existence_rule_property,
     run_falsification,
 )
 from signedbn.formats import parse_boolean_network, parse_signed_digraph
-from signedbn.generators import iter_simple_signed_digraphs
+from signedbn.generators import iter_simple_signed_digraphs, random_signed_digraph
 from signedbn.graphs import NEGATIVE, Arc, SignedDigraph, iter_cycles
 from signedbn.structure import two_coloring, uniqueness_arc_rule
 
@@ -127,26 +130,69 @@ class TestHararyCheck:
             assert _check_harary(G) == "returned coloring is not consistent"
             monkeypatch.undo()
 
-    def test_builds_at_most_one_symmetrization(self, monkeypatch):
+    def test_builds_at_most_one_symmetrization(self, signed_digraphs_built):
         graphs = list(iter_simple_signed_digraphs(2))
         # One symmetrization unless G is already symmetric; the coloring is
         # checked on G's own arcs.
         expected = [int(G.symmetrize() is not G) for G in graphs]
-        built = []
-        init = SignedDigraph.__init__
-
-        def counting(self, *args):
-            built.append(self)
-            init(self, *args)
-
-        monkeypatch.setattr(SignedDigraph, "__init__", counting)
         counts = []
         for G in graphs:
-            built.clear()
+            signed_digraphs_built.clear()
             assert _check_harary(G) is None
-            counts.append(len(built))
+            counts.append(len(signed_digraphs_built))
         assert counts == expected
         assert 0 in counts
+
+
+def built_pair_draw(rng, max_n, max_indegree):
+    """``_draw_pair`` as it drew before it rejected draws from their arcs:
+    every draw built as a graph, then its in-degrees and its family read.
+    Returns the pair and the number of graphs drawn."""
+    drawn = 0
+    while True:
+        G = random_signed_digraph(rng.randint(1, max_n), rng=rng)
+        drawn += 1
+        if max(len(G.in_neighbors(v)) for v in G.vertices) <= max_indegree:
+            family = _family(G, max_indegree)
+            if all(tables for _, tables in family) and _within_cap(G):
+                return (G, _sample_family(family, rng)), drawn
+
+
+class TestPairDraw:
+    """``_draw_pair`` rejects a draw from its arcs and builds one graph for
+    the draw it keeps.  ``max_n`` starts at 2: a one-vertex draw always
+    carries a positive and a negative loop, which no table realizes, so at
+    ``max_n`` 1 both loops redraw forever."""
+
+    @staticmethod
+    def _settings():
+        # 2,000 trial seeds over max_n 2-6 and max_indegree 1-4, and 100
+        # more at max_indegree 0, where a draw is kept only without arcs.
+        for i in range(2000):
+            yield i, 2 + i % 5, 1 + i // 5 % 4
+        for i in range(2000, 2100):
+            yield i, 2 + i % 5, 0
+
+    def test_matches_the_graph_building_loop(self):
+        for i, max_n, max_indegree in self._settings():
+            rng, twin = random.Random(f"25:{i}"), random.Random(f"25:{i}")
+            assert _draw_pair(rng, max_n, max_indegree) == built_pair_draw(
+                twin, max_n, max_indegree
+            )[0]
+            assert rng.getstate() == twin.getstate()
+
+    def test_builds_one_graph_per_kept_draw(self, signed_digraphs_built):
+        redrawn = 0
+        for i, max_n, max_indegree in itertools.islice(self._settings(), 0, None, 7):
+            signed_digraphs_built.clear()
+            G, _ = _draw_pair(random.Random(f"25:{i}"), max_n, max_indegree)
+            assert signed_digraphs_built == [G]
+            redrawn += built_pair_draw(random.Random(f"25:{i}"), max_n, max_indegree)[1] - 1
+        assert redrawn > 100
+
+    def test_refuses_tables_past_the_index(self):
+        with pytest.raises(ValueError, match="max_indegree=5 exceeds the in-degree limit 4"):
+            _draw_pair(random.Random(0), 5, 5)
 
 
 class TestInstanceKinds:

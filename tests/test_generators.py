@@ -1,5 +1,6 @@
 """Instance generators: the triangle chain, double cycles, random graphs."""
 
+import itertools
 import random
 
 import pytest
@@ -15,6 +16,7 @@ from signedbn.graphs import (
     NEGATIVE,
     POSITIVE,
     Arc,
+    Digraph,
     SignedDigraph,
     enumerate_cycles,
     is_strong,
@@ -85,17 +87,33 @@ class TestRandom:
         assert all(a.sign == POSITIVE for a in all_pos.arcs)
 
     def test_arc_records_match_a_triple_built_copy(self):
-        for n in range(1, 9):
-            for seed in range(1000):
+        # Both generators against their loops as written before they bound
+        # rng.random and computed each probability once: the same graph from
+        # the same draws, and the rng left in the same state.
+        settings = [(None, 0.5, 1000)] + [
+            (arc_prob, neg_prob, 300)
+            for arc_prob, neg_prob in [(0.0, 0.5), (1.0, 0.5), (0.3, 0.0), (0.3, 1.0), (1.0, 1.0)]
+        ]
+        for (arc_prob, neg_prob, seeds), n in itertools.product(settings, range(1, 9)):
+            for seed in range(seeds):
                 rng, twin = random.Random(seed), random.Random(seed)
-                arc_prob, arcs = 2.0 / n, []
+                p, arcs = 2.0 / n if arc_prob is None else arc_prob, []
                 for u in range(1, n + 1):
                     for v in range(1, n + 1):
-                        if twin.random() < arc_prob * (1.0 - 0.5):
+                        if twin.random() < p * (1.0 - neg_prob):
                             arcs.append((u, v, POSITIVE))
-                        if twin.random() < arc_prob * 0.5:
+                        if twin.random() < p * neg_prob:
                             arcs.append((u, v, NEGATIVE))
-                assert random_signed_digraph(n, rng=rng) == SignedDigraph(n, arcs)
+                G = random_signed_digraph(n, arc_prob, neg_prob, rng=rng)
+                assert G == SignedDigraph(n, arcs)
+                assert rng.random() == twin.random()
+                pairs = [
+                    (u, v)
+                    for u in range(1, n + 1)
+                    for v in range(1, n + 1)
+                    if twin.random() < p
+                ]
+                assert random_digraph(n, arc_prob, rng=rng) == Digraph(n, pairs)
                 assert rng.random() == twin.random()
 
     def test_no_vertices(self):

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import re
 import time
 import tracemalloc
 
@@ -20,6 +21,7 @@ from signedbn.graphs import (
     CycleCapExceeded,
     SignedCycle,
     SignedDigraph,
+    as_arc,
     enumerate_cycles,
     find_negative_cycle,
     has_negative_cycle,
@@ -68,6 +70,53 @@ class TestModel:
     def test_bad_sign(self):
         with pytest.raises(ValueError):
             g(2, (1, 2, 0))
+
+    @staticmethod
+    def _old_validation(vertices, arcs):
+        """The ValueError text of the constructor's checks as they read
+        before it checked endpoints while filling its adjacency lists."""
+        try:
+            if isinstance(vertices, int):
+                if vertices < 0:
+                    raise ValueError("vertex count must be non-negative")
+                vertex_set = frozenset(range(1, vertices + 1))
+            else:
+                vertex_set = frozenset(int(v) for v in vertices)
+                if any(v < 1 for v in vertex_set):
+                    raise ValueError("vertex ids must be positive integers")
+            arc_set = frozenset(as_arc(a) for a in arcs)
+            for a in arc_set:
+                if a.source not in vertex_set or a.target not in vertex_set:
+                    raise ValueError(f"arc {a!r} has an endpoint outside the vertex set")
+        except ValueError as e:
+            return str(e)
+        return None
+
+    def test_error_messages_match_the_old_checks(self):
+        rng = random.Random(25)
+        signs = (POSITIVE, NEGATIVE, "+", "-", 0, 2, "*")
+        for trial in range(3000):
+            n = rng.randint(-1, 6)
+            arcs = [
+                (rng.randint(0, 8), rng.randint(0, 8), rng.choice(signs))
+                for _ in range(rng.randint(0, 8))
+            ]
+            if trial % 2:
+                vertices = rng.sample(range(0, 9), rng.randint(0, 6))
+            else:
+                vertices = n
+            expected = self._old_validation(vertices, arcs)
+            if expected is None:
+                SignedDigraph(vertices, arcs)
+            else:
+                with pytest.raises(ValueError) as raised:
+                    SignedDigraph(vertices, arcs)
+                assert str(raised.value) == expected
+
+    @pytest.mark.parametrize("sign", ["*", "", 0, 2, -2, None])
+    def test_as_arc_sign_errors(self, sign):
+        with pytest.raises(ValueError, match=f"^bad sign {re.escape(repr(sign))}$"):
+            as_arc((1, 2, sign))
 
     def test_equality_and_hash(self):
         a = g(3, (1, 2, "+"), (2, 3, "-"))

@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from conftest import brute_kernels
+from conftest import brute_kernels, signed_richardson_condition
 
 from signedbn.generators import iter_digraphs, random_digraph
 from signedbn.kernels import (
@@ -101,6 +101,64 @@ class TestConditions:
         assert not richardson_condition(D)
         assert generalized_condition(D)
         assert kernels(D)
+
+
+class TestOddCycleMasks:
+    """``richardson_condition`` 2-colours D's strong components on masks;
+    the oracle searches the all-negative encoding for a negative cycle."""
+
+    def test_every_digraph_up_to_four_vertices(self):
+        for n in range(5):
+            for D in iter_digraphs(n):
+                assert richardson_condition(D) == signed_richardson_condition(D), D.arcs
+
+    def test_random_digraphs(self):
+        rng = random.Random(25)
+        for _ in range(21_000):
+            D = random_digraph(rng.randint(1, 9), arc_prob=rng.choice((0.1, 0.2, 0.4)), rng=rng)
+            assert richardson_condition(D) == signed_richardson_condition(D), D.arcs
+
+    @pytest.mark.parametrize(
+        "D,holds",
+        [
+            # An undirected triangle, but acyclic.
+            (d(3, (1, 2), (2, 3), (1, 3)), True),
+            # Two bipartite strong components, {1, 2} and {3, 4}; the arcs
+            # 1 -> 3 and 2 -> 3 between them close an undirected triangle.
+            (d(4, (1, 2), (2, 1), (3, 4), (4, 3), (1, 3), (2, 3)), True),
+            (d(1, (1, 1)), False),
+            (d(2, (1, 2), (2, 1)), True),
+            # The 4-cycle 1 2 3 4 and the 2-cycle 1 4 are even; the
+            # 3-cycle 1 2 4 is not.
+            (d(4, (1, 2), (2, 3), (3, 4), (4, 1), (1, 4), (2, 4)), False),
+        ],
+    )
+    def test_hand_cases(self, D, holds):
+        assert richardson_condition(D) == signed_richardson_condition(D) == holds
+
+    def test_builds_no_signed_digraph(self, signed_digraphs_built):
+        for D in iter_digraphs(3):
+            richardson_condition(D)
+        assert signed_digraphs_built == []
+
+
+class TestGeneralizedConditionGraph:
+    def test_one_step_reversal_equals_the_two_step_one(self, monkeypatch):
+        # generalized_condition hands the arc rule the reversed all-negative
+        # encoding, built without the intermediate reversed Digraph.
+        seen = []
+        original = kernels_module.existence_arc_rule
+
+        def recording(G, cap):
+            seen.append(G)
+            return original(G, cap)
+
+        monkeypatch.setattr(kernels_module, "existence_arc_rule", recording)
+        for n in range(4):
+            for D in iter_digraphs(n):
+                seen.clear()
+                generalized_condition(D)
+                assert seen == [as_all_negative(D.reverse())]
 
 
 class TestNetworkCorrespondence:
