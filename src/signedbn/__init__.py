@@ -28,7 +28,6 @@ from .boolnet import (
     LocalFunction,
     UnrealizableGraphError,
     enumerate_consistent,
-    leq_v,
     max_fixed_points,
     sample_consistent,
 )
@@ -90,7 +89,6 @@ __all__ = [
     "has_negative_cycle",
     "is_special_arc",
     "is_strong",
-    "leq_v",
     "max_fixed_points",
     "no_fixed_point_condition",
     "random_signed_digraph",

@@ -167,32 +167,10 @@ class BooleanNetwork:
     def __repr__(self):
         return f"BooleanNetwork(n={self.n})"
 
-    def _check_state(self, x: Sequence[int]):
-        if len(x) != self.n:
-            raise ValueError(f"state length {len(x)} != {self.n}")
-
-    def evaluate(self, x: Sequence[int]) -> tuple[int, ...]:
-        self._check_state(x)
-        return tuple(lf(x) for lf in self.locals)
-
     def local(self, v: int) -> LocalFunction:
         if not 1 <= v <= self.n:
             raise ValueError(f"vertex {v} outside 1..{self.n}")
         return self.locals[v - 1]
-
-    def derivative(self, v: int, u: int, x: Sequence[int]) -> int:
-        """Discrete derivative of component v with respect to variable u at x."""
-        self._check_state(x)
-        lf = self.local(v)
-        if not 1 <= u <= self.n:
-            raise ValueError(f"vertex {u} outside 1..{self.n}")
-        if u not in lf.inputs:
-            return 0
-        hi = list(x)
-        hi[u - 1] = 1
-        lo = list(x)
-        lo[u - 1] = 0
-        return lf(hi) - lf(lo)
 
     def interaction_graph(self) -> SignedDigraph:
         """Signed digraph of effective dependencies.
@@ -557,24 +535,6 @@ def _value_mask(inputs: Sequence[int], bits: int, masks) -> int:
     return blocks[0]
 
 
-# -- the partial order behind monotonicity ----------------------------------
-
-
-def leq_v(G: SignedDigraph, v: int, x: Sequence[int], y: Sequence[int]) -> bool:
-    """x <= y on positive in-neighbors of v and >= on negative ones."""
-    if len(x) != len(y):
-        raise ValueError("states have different lengths")
-    G._check_vertex(v)
-    G._check_state(x)
-    for u in G.in_neighbors(v, POSITIVE):
-        if x[u - 1] > y[u - 1]:
-            return False
-    for u in G.in_neighbors(v, NEGATIVE):
-        if x[u - 1] < y[u - 1]:
-            return False
-    return True
-
-
 # -- networks consistent with a prescribed interaction graph -----------------
 
 
@@ -647,19 +607,6 @@ def _family(G: SignedDigraph, max_indegree: int) -> list[tuple[tuple[int, ...], 
     return [_consistent_tables(G, v, max_indegree) for v in G.vertices]
 
 
-def consistent_local_functions(
-    G: SignedDigraph, v: int, max_indegree: int = DEFAULT_MAX_INDEGREE
-) -> list[LocalFunction]:
-    """Local functions for v realizing exactly G's signed in-arcs of v.
-
-    The in-degree cap counts distinct in-neighbors (the truth-table size
-    driver).  The list may be empty: some sign patterns, such as a single
-    in-neighbor carrying both signs, are unrealizable.
-    """
-    inputs, tables = _consistent_tables(G, v, max_indegree)
-    return [LocalFunction._from_bits(inputs, t) for t in tables]
-
-
 def enumerate_consistent(
     G: SignedDigraph, max_indegree: int = DEFAULT_MAX_INDEGREE
 ) -> Iterator[BooleanNetwork]:
@@ -700,10 +647,6 @@ def _sample_family(family, rng: random.Random) -> BooleanNetwork:
             )
         chosen.append(LocalFunction._from_bits(inputs, tables[rng.randrange(len(tables))]))
     return BooleanNetwork(chosen)
-
-
-def is_realizable(G: SignedDigraph, max_indegree: int = DEFAULT_MAX_INDEGREE) -> bool:
-    return all(tables for _, tables in _family(G, max_indegree))
 
 
 def max_fixed_points(G: SignedDigraph, max_indegree: int = DEFAULT_MAX_INDEGREE) -> int:

@@ -14,8 +14,8 @@ import json
 import sys
 
 from . import boolnet, falsify, formats, generators, structure
-from .graphs import DEFAULT_CYCLE_CAP, CycleCapExceeded, _check_cap
-from .kernels import kernels as all_kernels
+from .graphs import DEFAULT_CYCLE_CAP, CycleCapExceeded, _check_cap, _check_limit
+from .kernels import KERNEL_SCAN_LIMIT, kernels as all_kernels
 
 SCHEMA_VERSION = 1
 
@@ -37,8 +37,17 @@ def _bits(state) -> str:
     return "".join(str(b) for b in state)
 
 
-def _load(parser, loader, path):
+def _load(parser, loader, path, limit=None):
+    """``loader(path)``; a file that cannot be read or parsed exits 2.
+
+    ``limit`` is the command's (header kind, what, L): a header that
+    declares more than L vertices is refused, in the command's own words,
+    before anything of that size is built.
+    """
     try:
+        if limit is not None:
+            kind, what, most = limit
+            _check_limit(formats._read_header(formats._read_file(path), kind)[1], what, most)
         return loader(path)
     except OSError as exc:
         parser.exit(EXIT_USAGE, f"error: {path}: {exc.strerror or exc}\n")
@@ -48,16 +57,21 @@ def _load(parser, loader, path):
 
 # -- subcommands ---------------------------------------------------------------
 
+_SEARCH_LIMIT = ("sdigraph", "search", structure.DEFAULT_SEARCH_LIMIT)
+
 
 def _cmd_analyze(parser, args) -> int:
-    G = _load(parser, formats.load_signed_digraph, args.graph)
+    G = _load(parser, formats.load_signed_digraph, args.graph, _SEARCH_LIMIT)
     report = structure.analyze(G, cap=args.cycle_cap)
     _emit(args, report.to_dict(), report.to_text().splitlines())
     return EXIT_OK
 
 
 def _cmd_fixed_points(parser, args) -> int:
-    f = _load(parser, formats.load_boolean_network, args.network)
+    f = _load(
+        parser, formats.load_boolean_network, args.network,
+        ("boolnet", "fixed-point scan", boolnet.MAX_FIXED_POINT_SCAN),
+    )
     points = f.fixed_points()
     _emit(
         args,
@@ -68,7 +82,10 @@ def _cmd_fixed_points(parser, args) -> int:
 
 
 def _cmd_attractors(parser, args) -> int:
-    f = _load(parser, formats.load_boolean_network, args.network)
+    f = _load(
+        parser, formats.load_boolean_network, args.network,
+        ("boolnet", "attractor scan", boolnet.MAX_ATTRACTOR_SCAN),
+    )
     attractors = f.attractors()
     serialized = [sorted(_bits(x) for x in states) for states in attractors]
     lines = []
@@ -81,7 +98,7 @@ def _cmd_attractors(parser, args) -> int:
 
 
 def _cmd_bounds(parser, args) -> int:
-    G = _load(parser, formats.load_signed_digraph, args.graph)
+    G = _load(parser, formats.load_signed_digraph, args.graph, _SEARCH_LIMIT)
     _, tau, girth, bound = structure._bound_terms(G, args.cycle_cap)
     girth_text = structure._length(girth)
     _emit(
@@ -103,7 +120,9 @@ def _cmd_bounds(parser, args) -> int:
 
 
 def _cmd_kernels(parser, args) -> int:
-    D = _load(parser, formats.load_digraph, args.digraph)
+    D = _load(
+        parser, formats.load_digraph, args.digraph, ("digraph", "subset scan", KERNEL_SCAN_LIMIT)
+    )
     found = all_kernels(D)
     serialized = [sorted(k) for k in found]
     lines = [("{" + ", ".join(str(v) for v in k) + "}") for k in serialized]

@@ -36,7 +36,6 @@ from .generators import (
     random_signed_digraph,
 )
 from .graphs import (
-    DEFAULT_CYCLE_CAP,
     NEGATIVE,
     POSITIVE,
     CycleCapExceeded,
@@ -85,21 +84,14 @@ HOLDS = "conclusion-holds"
 COUNTEREXAMPLE = "counterexample"
 
 
-def verify_antipodal_fixed_points(G: SignedDigraph, f: BooleanNetwork, cap=DEFAULT_CYCLE_CAP):
-    """Check the antipodal-pair conclusion on one (G, f) instance.
+def _antipodal_fixed_points(G: SignedDigraph, f: BooleanNetwork, cap: int):
+    """Check the antipodal-pair conclusion on f and its interaction graph G.
 
     Premises: G strong with exactly one negative cycle and at least one
     positive cycle, and f canalizes no arc of the negative cycle.  Under
     them the network must have two fixed points at Hamming distance n.
     Returns (verdict, witness_pair_or_None).
     """
-    if f.interaction_graph() != G:
-        raise ValueError("network's interaction graph differs from G")
-    return _antipodal_fixed_points(G, f, cap)
-
-
-def _antipodal_fixed_points(G: SignedDigraph, f: BooleanNetwork, cap: int):
-    """``verify_antipodal_fixed_points`` on f and its interaction graph G."""
     if not is_strong(G):
         return NOT_APPLICABLE, None
     cycles = enumerate_cycles(G, cap)
@@ -116,19 +108,15 @@ def _antipodal_fixed_points(G: SignedDigraph, f: BooleanNetwork, cap: int):
     return COUNTEREXAMPLE, None
 
 
-def disagreement_cycles(f: BooleanNetwork, special_arc_free: bool = False, cap=DEFAULT_CYCLE_CAP):
-    """Positive disagreement cycles for every pair of distinct fixed points.
+def _disagreement_cycles(G: SignedDigraph, f: BooleanNetwork, special_arc_free: bool, cap: int):
+    """Positive disagreement cycles of f, whose interaction graph is G, for
+    every pair of distinct fixed points.
 
     For each pair the witness is a positive cycle on whose vertices the two
     fixed points all differ; with ``special_arc_free`` the cycle must also
     have no special arc.  Returns (verdict, {(x, y): cycle}); the verdict is
     a counterexample when some pair has no witness.
     """
-    return _disagreement_cycles(f.interaction_graph(), f, special_arc_free, cap)
-
-
-def _disagreement_cycles(G: SignedDigraph, f: BooleanNetwork, special_arc_free: bool, cap: int):
-    """``disagreement_cycles`` on f and its interaction graph G."""
     cycles = [c for c in enumerate_cycles(G, cap) if c.sign == POSITIVE]
     fixed = f.fixed_points()
     if special_arc_free and len(fixed) >= 2:
@@ -484,9 +472,9 @@ def run_falsification(
 
     With ``exhaustive_n`` (up to MAX_EXHAUSTIVE_N, for a kind with a
     sweep: PAIR) the harness runs the kind's sweep instead of sampling.
-    Random trials take ``max_n`` up to ``prop.max_n``, or else up to the
-    kind's ``max_n``, and ``max_indegree`` up to DEFAULT_MAX_INDEGREE.
-    Every parameter is checked before any trial runs.
+    Random trials take ``max_n`` from 1, or from 2 for PAIR, up to
+    ``prop.max_n`` or else the kind's ``max_n``, and ``max_indegree`` up
+    to DEFAULT_MAX_INDEGREE.  Every parameter is checked before any trial runs.
     """
     if max_n < 1:
         raise ValueError(f"max_n must be at least 1, got {max_n}")
@@ -494,6 +482,10 @@ def run_falsification(
     limit = kind.max_n if prop.max_n is None else prop.max_n
     if max_n > limit:
         raise ValueError(f"max_n={max_n} exceeds the scan limit {limit} of theorem {prop.id!r}")
+    # At n = 1 a PAIR draw always holds both loops, which no one-input
+    # table realizes, so ``_draw_pair`` would redraw forever.
+    if kind is PAIR and exhaustive_n is None and max_n == 1:
+        raise ValueError(f"max_n must be at least 2 for theorem {prop.id!r}, got 1")
     if max_indegree < 0:
         raise ValueError(f"max_indegree must be at least 0, got {max_indegree}")
     if max_indegree > DEFAULT_MAX_INDEGREE:

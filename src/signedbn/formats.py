@@ -8,6 +8,8 @@ parse/serialize round-trips are bit exact modulo comments and whitespace.
 
 from __future__ import annotations
 
+from itertools import islice
+
 from .boolnet import BooleanNetwork, LocalFunction, _table_text
 from .graphs import Digraph, SignedDigraph, sign_char
 
@@ -122,11 +124,13 @@ def parse_boolean_network(text: str) -> BooleanNetwork:
                 f"(expected {1 << len(inputs)})",
             )
         locals_[v] = LocalFunction._from_bits(inputs, int(table_str[::-1], 2))
-    missing = [v for v in range(1, n + 1) if v not in locals_]
+    missing = n - len(locals_)
     if missing:
-        # Name at most five of them: the header alone may declare millions.
-        shown = ", ".join(map(str, missing[:5])) + (", ..." if len(missing) > 5 else "")
-        raise FormatError(header_no, f"no local function for {len(missing)} vertices: {shown}")
+        # Count them and name at most five: the header alone may declare
+        # millions, and the first five lie below len(locals_) + 6.
+        first = islice((v for v in range(1, n + 1) if v not in locals_), 5)
+        shown = ", ".join(map(str, first)) + (", ..." if missing > 5 else "")
+        raise FormatError(header_no, f"no local function for {missing} vertices: {shown}")
     return BooleanNetwork([locals_[v] for v in range(1, n + 1)])
 
 

@@ -124,11 +124,3 @@ def iter_simple_signed_digraphs(n: int) -> Iterator[SignedDigraph]:
     for combo in itertools.product((None, POSITIVE, NEGATIVE), repeat=len(pairs)):
         arcs = [Arc(u, v, s) for (u, v), s in zip(pairs, combo) if s is not None]
         yield SignedDigraph(n, arcs)
-
-
-def iter_digraphs(n: int) -> Iterator[Digraph]:
-    """Every digraph on 1..n, loops allowed."""
-    pairs = [(u, v) for u in range(1, n + 1) for v in range(1, n + 1)]
-    for mask in range(1 << len(pairs)):
-        arcs = [p for i, p in enumerate(pairs) if (mask >> i) & 1]
-        yield Digraph(n, arcs)

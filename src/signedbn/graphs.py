@@ -138,11 +138,6 @@ class SignedDigraph:
     def arc_set(self) -> frozenset[Arc]:
         return self._arcs
 
-    def has_arc(self, u: int, v: int, sign: int | None = None) -> bool:
-        if sign is None:
-            return Arc(u, v, POSITIVE) in self._arcs or Arc(u, v, NEGATIVE) in self._arcs
-        return Arc(u, v, sign) in self._arcs
-
     def in_arcs(self, v: int) -> tuple[Arc, ...]:
         self._check_vertex(v)
         return self._in[v]
@@ -151,17 +146,11 @@ class SignedDigraph:
         self._check_vertex(v)
         return self._out[v]
 
-    def indegree(self, v: int) -> int:
-        return len(self.in_arcs(v))
-
     def in_neighbors(self, v: int, sign: int | None = None) -> tuple[int, ...]:
         arcs = self.in_arcs(v)
         if sign is not None:
             arcs = [a for a in arcs if a.sign == sign]
         return tuple(sorted({a.source for a in arcs}))
-
-    def sources(self) -> tuple[int, ...]:
-        return tuple(v for v in self.vertices if not self._in[v])
 
     def _check_vertex(self, v: int):
         if v not in self._vertices:
@@ -274,9 +263,6 @@ class Digraph:
         if not 1 <= v <= self.n:
             raise ValueError(f"vertex {v} outside 1..{self.n}")
         return self._out[v]
-
-    def reverse(self) -> "Digraph":
-        return Digraph(self.n, ((v, u) for u, v in self._arcs))
 
     def __eq__(self, other):
         if not isinstance(other, Digraph):

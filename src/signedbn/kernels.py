@@ -30,11 +30,6 @@ KERNEL_SCAN_LIMIT = 24
 KERNEL_TABLE_ROW_LIMIT = 1 << 23
 
 
-def as_all_negative(D: Digraph) -> SignedDigraph:
-    """Signed copy of D with every arc negative; odd cycles become negative."""
-    return SignedDigraph(D.n, (Arc(u, v, NEGATIVE) for u, v in D.arc_set))
-
-
 def kernels(D: Digraph) -> list[frozenset[int]]:
     """All kernels of D by subset scan, in increasing bitmask order.
 

@@ -13,6 +13,9 @@ library's search replaced, on the library's state masks, and fixed points
 a scan oracle, the AND over all 2^n states that the library's scan over a
 feedback vertex set replaced.  The odd-cycle condition has the negative
 cycle search on the all-negative encoding that its mask test replaced.
+Network evaluation, the order <=_v behind the monotonicity lemmas, digraph
+reversal, the all-negative encoding and the digraph enumeration serve only
+the tests, so they live here and not in the library.
 """
 
 import itertools
@@ -25,13 +28,16 @@ import pytest
 
 from signedbn.boolnet import BooleanNetwork, _state_masks, _states_in, _value_mask
 from signedbn.graphs import (
+    NEGATIVE,
+    POSITIVE,
+    Arc,
+    Digraph,
     SignedCycle,
     SignedDigraph,
     _cycle_index,
     _set_bits,
     has_negative_cycle,
 )
-from signedbn.kernels import as_all_negative
 from signedbn.structure import _has_special_arc
 
 
@@ -120,6 +126,46 @@ def all_signed_digraphs(n):
             for s in signs
         ]
         yield SignedDigraph(n, arcs)
+
+
+def iter_digraphs(n):
+    """Every digraph on 1..n, loops allowed."""
+    pairs = [(u, v) for u in range(1, n + 1) for v in range(1, n + 1)]
+    for mask in range(1 << len(pairs)):
+        arcs = [p for i, p in enumerate(pairs) if (mask >> i) & 1]
+        yield Digraph(n, arcs)
+
+
+def reverse(D):
+    """D with every arc turned around."""
+    return Digraph(D.n, ((v, u) for u, v in D.arc_set))
+
+
+def as_all_negative(D):
+    """Signed copy of D with every arc negative; odd cycles become negative."""
+    return SignedDigraph(D.n, (Arc(u, v, NEGATIVE) for u, v in D.arc_set))
+
+
+def evaluate(f, x):
+    """f(x), one ``LocalFunction`` call per vertex."""
+    if len(x) != f.n:
+        raise ValueError(f"state length {len(x)} != {f.n}")
+    return tuple(lf(x) for lf in f.locals)
+
+
+def leq_v(G, v, x, y):
+    """x <= y on positive in-neighbors of v and >= on negative ones."""
+    if len(x) != len(y):
+        raise ValueError("states have different lengths")
+    G._check_vertex(v)
+    G._check_state(x)
+    for u in G.in_neighbors(v, POSITIVE):
+        if x[u - 1] > y[u - 1]:
+            return False
+    for u in G.in_neighbors(v, NEGATIVE):
+        if x[u - 1] < y[u - 1]:
+            return False
+    return True
 
 
 def _krawtchouk(N, k, i):

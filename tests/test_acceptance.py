@@ -15,11 +15,12 @@ from dataclasses import dataclass, field
 
 import pytest
 
+from conftest import iter_digraphs
 from signedbn.boolnet import (
     BooleanNetwork,
     LocalFunction,
+    count_consistent,
     enumerate_consistent,
-    is_realizable,
     max_fixed_points,
     sample_consistent,
 )
@@ -30,16 +31,12 @@ from signedbn.codes import (
     sphere_packing_upper,
 )
 from signedbn.falsify import make_existence_rule_property, run_falsification
-from signedbn.generators import (
-    figure1,
-    iter_digraphs,
-    iter_simple_signed_digraphs,
-    random_signed_digraph,
-)
+from signedbn.generators import figure1, iter_simple_signed_digraphs, random_signed_digraph
 from signedbn.graphs import (
     INF,
     NEGATIVE,
     POSITIVE,
+    Arc,
     SignedDigraph,
     enumerate_cycles,
     iter_cycles,
@@ -137,7 +134,7 @@ def sampled_instances():
             continue
         if len(enumerate_cycles(G, 10_000)) > 64:
             continue
-        if not is_realizable(G):
+        if not count_consistent(G):
             continue
         instances.append((G, sample_consistent(G, rng=rng)))
     return instances
@@ -221,7 +218,7 @@ def test_criterion_6_existence_arc_rule(sweep):
             continue
         if len(enumerate_cycles(G, 10_000)) > 64:
             continue
-        if not is_realizable(G) or not existence_arc_rule(G).holds:
+        if not count_consistent(G) or not existence_arc_rule(G).holds:
             continue
         accepted += 1
         f = sample_consistent(G, rng=rng)
@@ -350,8 +347,8 @@ def _antipodal_holds_for_all(G, negative):
     for v in G.vertices:
         inputs = G.in_neighbors(v)
         sig = tuple(
-            (1 if G.has_arc(u, v, POSITIVE) else 0)
-            | (2 if G.has_arc(u, v, NEGATIVE) else 0)
+            (1 if Arc(u, v, POSITIVE) in G.arc_set else 0)
+            | (2 if Arc(u, v, NEGATIVE) in G.arc_set else 0)
             for u in inputs
         )
         canal = None

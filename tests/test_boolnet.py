@@ -13,7 +13,9 @@ from conftest import (
     all_signed_digraphs,
     brute_attractors,
     brute_fixed_points,
+    evaluate,
     g,
+    leq_v,
     lowest_pivot_attractors,
     scan_fixed_points,
 )
@@ -24,15 +26,12 @@ from signedbn.boolnet import (
     UnrealizableGraphError,
     all_states,
     constant,
-    consistent_local_functions,
     count_consistent,
     enumerate_consistent,
-    is_realizable,
-    leq_v,
     max_fixed_points,
     sample_consistent,
 )
-from signedbn.falsify import disagreement_cycles, verify_antipodal_fixed_points
+from signedbn.falsify import FALSIFY_CYCLE_CAP, _antipodal_fixed_points, _disagreement_cycles
 from signedbn.generators import figure1, random_signed_digraph
 from signedbn.graphs import Digraph, SignedDigraph
 from signedbn.kernels import to_network
@@ -172,40 +171,19 @@ class TestLocalFunction:
 class TestEvaluation:
     def test_identity(self):
         for x in all_states(2):
-            assert IDENTITY2.evaluate(x) == x
+            assert evaluate(IDENTITY2, x) == x
 
     def test_constant_network(self):
         f = net(((), (1,)), ((), (0,)))
         for x in all_states(2):
-            assert f.evaluate(x) == (1, 0)
+            assert evaluate(f, x) == (1, 0)
 
     def test_swap(self):
-        assert SWAP2.evaluate((0, 1)) == (1, 0)
+        assert evaluate(SWAP2, (0, 1)) == (1, 0)
 
     def test_length_checked(self):
         with pytest.raises(ValueError):
-            SWAP2.evaluate((0,))
-
-
-class TestDerivative:
-    def test_positive_dependence(self):
-        f = net(((2,), (0, 1)), ((), (0,)))
-        for x in all_states(2):
-            assert f.derivative(1, 2, x) == 1
-
-    def test_negative_dependence(self):
-        f = net(((2,), (1, 0)), ((), (0,)))
-        for x in all_states(2):
-            assert f.derivative(1, 2, x) == -1
-
-    def test_xor_depends_on_context(self):
-        f = net(((1, 2), (0, 1, 1, 0)), ((), (0,)))
-        assert f.derivative(1, 2, (0, 0)) == 1
-        assert f.derivative(1, 2, (1, 0)) == -1
-
-    def test_non_input_derivative_is_zero(self):
-        f = net(((), (1,)), ((), (0,)))
-        assert f.derivative(1, 2, (0, 0)) == 0
+            evaluate(SWAP2, (0,))
 
 
 class TestInteractionGraph:
@@ -324,7 +302,7 @@ class TestScansAgainstOracles:
             G = random_signed_digraph(rng.choice((3, 4)), rng=rng)
             if any(len(G.in_neighbors(v)) > 3 for v in G.vertices):
                 continue
-            if not is_realizable(G, max_indegree=3) or count_consistent(G, 3) > 2000:
+            if not 0 < count_consistent(G, 3) <= 2000:
                 continue
             family = enumerate_consistent(G, max_indegree=3)
             expected = max(len(brute_fixed_points(f)) for f in family)
@@ -386,7 +364,7 @@ class TestScanEdgesAndCost:
         start = time.perf_counter()
         points = f.fixed_points()
         assert time.perf_counter() - start < 2.0
-        assert all(f.evaluate(x) == x for x in points)
+        assert all(evaluate(f, x) == x for x in points)
 
     def test_attractors_at_18_vertices_is_fast(self):
         rng = random.Random(18)
@@ -400,7 +378,7 @@ class TestScanEdgesAndCost:
         assert found
         for states in found:
             for x in states:
-                y = f.evaluate(x)
+                y = evaluate(f, x)
                 for v in range(18):
                     if y[v] != x[v]:
                         assert x[:v] + (y[v],) + x[v + 1:] in states
@@ -519,7 +497,7 @@ class TestWideTables:
         start = time.perf_counter()
         points = f.fixed_points()
         assert time.perf_counter() - start < 1.0
-        assert points == [x for x in ((0,) * 19, (1,) * 19) if f.evaluate(x) == x]
+        assert points == [x for x in ((0,) * 19, (1,) * 19) if evaluate(f, x) == x]
 
     def test_fold_keeps_few_state_sets_alive(self, monkeypatch):
         # Folding breadth-first kept 2^9 sets of 2^16 bits, about 4 MB.
@@ -611,7 +589,7 @@ class TestFeedbackScan:
         ])
         points = dense.fixed_points()
         assert points == sorted(points)
-        assert all(dense.evaluate(x) == x for x in points)
+        assert all(evaluate(dense, x) == x for x in points)
         # x_1 reads itself and each later vertex copies or negates the one
         # before it: F is {1}, and each value of x_1 fixes one state.
         tables = [rng.choice(((0, 1), (1, 0))) for _ in range(23)]
@@ -833,9 +811,9 @@ class TestConsistentNetworks:
     def test_unrealizable_patterns_are_empty(self):
         both = g(1, (1, 1, "+"), (1, 1, "-"))
         assert list(enumerate_consistent(both)) == []
-        assert not is_realizable(both)
+        assert count_consistent(both) == 0
         mixed = g(2, (1, 2, "+"), (1, 2, "-"), (2, 2, "+"))
-        assert consistent_local_functions(mixed, 2) == []
+        assert count_consistent(mixed, 2) == 0
 
     def test_sample_is_deterministic(self):
         G = figure1(5)
@@ -860,7 +838,7 @@ class TestConsistentNetworks:
         # _signature_index(5) would list 2^32 tables.
         G = g(5, *((u, 1, "+") for u in range(1, 6)))
         start = time.perf_counter()
-        for call in (is_realizable, count_consistent, sample_consistent):
+        for call in (count_consistent, sample_consistent):
             with pytest.raises(ValueError, match="vertex 1 has 5 inputs, cap is 4"):
                 call(G, max_indegree=5)
         assert time.perf_counter() - start < 1.0
@@ -868,7 +846,7 @@ class TestConsistentNetworks:
     def test_cap_is_checked_on_every_vertex_before_realizability(self):
         # Vertex 1 is unrealizable, vertex 2 has five inputs.
         G = g(6, (1, 1, "+"), (1, 1, "-"), *((u, 2, "+") for u in range(2, 7)))
-        calls = (is_realizable, count_consistent, sample_consistent, max_fixed_points,
+        calls = (count_consistent, sample_consistent, max_fixed_points,
                  lambda G: list(enumerate_consistent(G)))
         for call in calls:
             with pytest.raises(ValueError, match="vertex 2 has 5 inputs, cap is 4"):
@@ -902,7 +880,8 @@ class TestConsistentNetworks:
                     (u, k + 1, s) for u, s in zip(inputs, signs) if s is not None
                 ]
                 G = SignedDigraph(k + 1, arcs)
-                total += len(consistent_local_functions(G, k + 1))
+                # Vertices 1..k have no input: two constant tables each.
+                total += count_consistent(G, k + 1) >> k
             assert total == unate
 
     def test_max_fixed_points_examples(self):
@@ -921,15 +900,16 @@ class TestMonotonicityLemmas:
             for x in states:
                 for y in states:
                     if leq_v(G, v, x, y):
-                        assert f.evaluate(x)[v - 1] <= f.evaluate(y)[v - 1]
+                        assert evaluate(f, x)[v - 1] <= evaluate(f, y)[v - 1]
 
     @given(networks_strategy())
     @settings(max_examples=60, deadline=None)
     def test_consistent_sources_at_fixed_points(self, f):
         G = f.interaction_graph()
-        sources = set(G.sources())
+        sources = {v for v in G.vertices if not G.in_arcs(v)}
         for x in f.fixed_points():
-            assert set(G.consistent_subgraph(x).sources()) <= sources
+            H = G.consistent_subgraph(x)
+            assert {v for v in H.vertices if not H.in_arcs(v)} <= sources
 
     @given(networks_strategy())
     @settings(max_examples=60, deadline=None)
@@ -938,14 +918,15 @@ class TestMonotonicityLemmas:
         for x in all_states(f.n):
             H = G.consistent_subgraph(x)
             for v in range(1, f.n + 1):
-                if G.indegree(v) >= 1 and len(H.in_arcs(v)) == G.indegree(v):
-                    assert f.evaluate(x)[v - 1] == x[v - 1]
+                if G.in_arcs(v) and len(H.in_arcs(v)) == len(G.in_arcs(v)):
+                    assert evaluate(f, x)[v - 1] == x[v - 1]
 
 
 class TestTheoremVerdicts:
     def test_antipodal_not_applicable_without_negative_cycle(self):
-        G = g(2, (1, 2, "+"), (2, 1, "+"))
-        verdict, _ = verify_antipodal_fixed_points(G, SWAP2)
+        G = SWAP2.interaction_graph()
+        assert G == g(2, (1, 2, "+"), (2, 1, "+"))
+        verdict, _ = _antipodal_fixed_points(G, SWAP2, FALSIFY_CYCLE_CAP)
         assert verdict == "not-applicable"
 
     def test_antipodal_holds_on_a_meeting_instance(self):
@@ -960,7 +941,7 @@ class TestTheoremVerdicts:
         found = None
         applicable = 0
         for f in enumerate_consistent(G):
-            verdict, pair = verify_antipodal_fixed_points(G, f)
+            verdict, pair = _antipodal_fixed_points(f.interaction_graph(), f, FALSIFY_CYCLE_CAP)
             assert verdict != "counterexample"
             if verdict == "conclusion-holds":
                 applicable += 1
@@ -969,16 +950,16 @@ class TestTheoremVerdicts:
         x, y = found
         assert all(a != b for a, b in zip(x, y))
 
-    def test_antipodal_rejects_mismatched_graph(self):
-        with pytest.raises(ValueError):
-            verify_antipodal_fixed_points(g(2, (1, 2, "+")), SWAP2)
-
     def test_disagreement_cycles_vacuous(self):
-        verdict, witnesses = disagreement_cycles(NEGATION1)
+        verdict, witnesses = _disagreement_cycles(
+            NEGATION1.interaction_graph(), NEGATION1, False, FALSIFY_CYCLE_CAP
+        )
         assert verdict == "conclusion-holds" and witnesses == {}
 
     def test_disagreement_cycles_swap(self):
-        verdict, witnesses = disagreement_cycles(SWAP2, special_arc_free=True)
+        verdict, witnesses = _disagreement_cycles(
+            SWAP2.interaction_graph(), SWAP2, True, FALSIFY_CYCLE_CAP
+        )
         assert verdict == "conclusion-holds"
         cycle = witnesses[((0, 0), (1, 1))]
         assert cycle.vertices == (1, 2)

@@ -9,7 +9,7 @@ import pytest
 from signedbn import codes, falsify
 from signedbn.cli import main
 from signedbn.codes import fixed_point_bound
-from signedbn.falsify import DIGRAPH, GRAPH, REGISTRY
+from signedbn.falsify import DIGRAPH, GRAPH, PAIR, REGISTRY
 from signedbn.formats import format_boolean_network, format_signed_digraph, format_digraph
 from signedbn.boolnet import BooleanNetwork, LocalFunction, sample_consistent
 from signedbn.generators import figure1, random_signed_digraph
@@ -213,6 +213,16 @@ class TestCheckCommand:
         graph = tmp_path / "pos2.sd"
         graph.write_text("sdigraph 2\n1 2 +\n2 1 +\n")
         assert main(["check", "--theorem", "thm1", str(graph), swap_net]) == 0
+
+    def test_instance_check_on_another_graph_exits_2(self, tmp_path, swap_net, capsys):
+        # The swap network's interaction graph is the positive 2-cycle.
+        graph = tmp_path / "arc.sd"
+        graph.write_text("sdigraph 2\n1 2 +\n")
+        with pytest.raises(SystemExit) as err:
+            main(["check", "--theorem", "thm6", str(graph), swap_net])
+        assert err.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: network's interaction graph differs from the graph\n"
 
     def test_instance_check_needs_network(self, fig5):
         with pytest.raises(SystemExit) as err:
@@ -505,6 +515,14 @@ class TestFalsifyCommand:
              "error: max_n=21 exceeds the scan limit 20 of theorem 'lemma9'\n"),
             (["--theorem", "thm2", "--trials", "50", "--max-n", "10", "--max-indegree", "5"],
              "error: max_indegree=5 exceeds the in-degree limit 4\n"),
+        ]
+        # A one-vertex PAIR draw holds both loops, which no one-input table
+        # realizes, so random trials there would redraw forever.
+        + [
+            (["--theorem", theorem, "--trials", "3", "--max-n", "1"],
+             f"error: max_n must be at least 2 for theorem {theorem!r}, got 1\n")
+            for theorem, prop in sorted(REGISTRY.items())
+            if prop.kind is PAIR
         ],
     )
     def test_hopeless_sweep_exits_2_at_once(self, capsys, flags, message):

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from conftest import g
+from conftest import evaluate, g
 from signedbn.boolnet import BooleanNetwork, LocalFunction
 from signedbn.formats import (
     FormatError,
@@ -61,7 +61,7 @@ class TestSignedDigraph:
 class TestBooleanNetwork:
     def test_swap_network(self):
         f = parse_boolean_network("boolnet 2\n1 : 2 | 01\n2 : 1 | 01\n")
-        assert f.evaluate((0, 1)) == (1, 0)
+        assert evaluate(f, (0, 1)) == (1, 0)
 
     def test_constants(self):
         f = parse_boolean_network("boolnet 2\n1 : | 0\n2 : | 1\n")

@@ -1,5 +1,7 @@
-"""Every library module uses each name it imports, and every private
-name the library defines is read somewhere in it.
+"""Every library module uses each name it imports, every private name
+the library defines is read somewhere in it, and every public function,
+class and method is read by a module other than ``__init__`` or kept on
+a list that says why.
 
 No linter ships with the test dependencies, so this reads the modules
 with ``ast``.  ``__init__.py`` re-exports names it does not use, and
@@ -8,6 +10,7 @@ with ``ast``.  ``__init__.py`` re-exports names it does not use, and
 
 import ast
 import types
+from collections import Counter
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "signedbn"
@@ -74,6 +77,35 @@ def _is_private(name: str) -> bool:
     return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
 
 
+def _loads(tree: ast.AST) -> Counter:
+    """How often ``tree`` loads each name, as a name or as an attribute."""
+    return Counter(
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
+    )
+
+
+def _definitions(trees: dict[str, ast.Module]):
+    """(label, name, node) of each module-level name and each method that
+    the modules of ``trees`` define, labelled ``module.name`` or
+    ``module.Class.name``, in definition order."""
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                yield f"{module}.{node.name}", node.name, node
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                for target in targets:
+                    for name in ast.walk(target):
+                        if isinstance(name, ast.Name):
+                            yield f"{module}.{name.id}", name.id, node
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                        yield f"{module}.{node.name}.{item.name}", item.name, item
+
+
 def unread_private_names(sources: dict[str, str]) -> list[str]:
     """The private module-level names and private methods that the modules
     of ``sources`` (module name to text) define and none of them reads,
@@ -84,33 +116,29 @@ def unread_private_names(sources: dict[str, str]) -> list[str]:
     alone does not count, and the import check catches such an import.
     """
     trees = {module: ast.parse(text) for module, text in sources.items()}
-    read = set()
-    for tree in trees.values():
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                read.add(node.id)
-            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-                read.add(node.attr)
-    defined = []
-    for module, tree in trees.items():
-        for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                defined.append((f"{module}.{node.name}", node.name))
-            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-                defined += [
-                    (f"{module}.{name.id}", name.id)
-                    for target in targets
-                    for name in ast.walk(target)
-                    if isinstance(name, ast.Name)
-                ]
-            if isinstance(node, ast.ClassDef):
-                defined += [
-                    (f"{module}.{node.name}.{item.name}", item.name)
-                    for item in node.body
-                    if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
-                ]
-    return [label for label, name in defined if _is_private(name) and name not in read]
+    read = sum((_loads(tree) for tree in trees.values()), Counter())
+    return [label for label, name, _ in _definitions(trees) if _is_private(name) and not read[name]]
+
+
+def unread_public_names(sources: dict[str, str]) -> list[str]:
+    """The public module-level functions and classes, and public methods,
+    that the modules of ``sources`` define and none of them reads outside
+    the definition itself, labelled as ``unread_private_names`` labels
+    them, in definition order.
+
+    Public means no leading underscore.  Reads count as there: a load as a
+    name or as an attribute, so a method that shares its spelling with an
+    attribute read anywhere, such as ``list.reverse``, counts as read.
+    """
+    trees = {module: ast.parse(text) for module, text in sources.items()}
+    read = sum((_loads(tree) for tree in trees.values()), Counter())
+    return [
+        label
+        for label, name, node in _definitions(trees)
+        if not name.startswith("_")
+        and not isinstance(node, (ast.Assign, ast.AnnAssign))
+        and read[name] == _loads(node)[name]
+    ]
 
 
 def test_checker_flags_an_unread_private_name():
@@ -167,3 +195,55 @@ def test_kernels_names_the_module():
 
     assert isinstance(kernels_module, types.ModuleType)
     assert kernels_module.kernels(kernels_module.Digraph(1)) == [frozenset({1})]
+
+
+def test_checker_flags_an_unread_public_name():
+    sources = {
+        "a": (
+            "LIMIT = 3\n"
+            "def helper():\n"
+            "    return LIMIT\n"
+            "def recurse(n):\n"
+            "    return recurse(n - 1) if n else 0\n"
+            "class Index:\n"
+            "    def build(self):\n"
+            "        return Index()\n"
+            "    def stale(self):\n"
+            "        pass\n"
+            "    def _private(self):\n"
+            "        pass\n"
+        ),
+        "b": (
+            "from .a import helper, Index\n"
+            "def run():\n"
+            "    return helper(), Index().build()\n"
+        ),
+    }
+    assert unread_public_names(sources) == ["a.recurse", "a.Index.stale", "b.run"]
+
+
+# Public names that no library module but ``__init__`` reads, and why each
+# stays.  The bench tracer (``bench/spans.py``) patches several by name.
+KEPT_PUBLIC_NAMES = {
+    "boolnet.BooleanNetwork.pin": "ROADMAP item 10 shrinks counterexamples with it",
+    "boolnet.count_consistent": "bench/test_bench.py reads it",
+    "boolnet.sample_consistent": "the bench tracer patches it; README's tour calls it",
+    "boolnet.max_fixed_points": "bench/workloads.py reads it; README's tour calls it",
+    "codes.exact_max_code": "the bench tracer patches it; README documents it",
+    "graphs.SignedDigraph.induced": "the bench tracer patches it",
+    "graphs.SignedDigraph.remove_incoming": "the bench tracer patches it",
+    "graphs.SignedDigraph.delete": "the bench tracer patches it",
+    "graphs.SignedDigraph.consistent_subgraph": "README documents it, a definition of the paper",
+    "graphs.reachable": "the bench tracer patches it",
+    "structure.is_special_arc": "the bench tracer patches it",
+    "structure.find_unbalanced_cycle": "README documents it, a definition of the paper",
+}
+
+
+def test_library_reads_every_public_name_it_defines():
+    sources = {
+        p.stem: p.read_text(encoding="utf-8")
+        for p in sorted(PACKAGE.glob("*.py"))
+        if p.name != "__init__.py"
+    }
+    assert sorted(unread_public_names(sources)) == sorted(KEPT_PUBLIC_NAMES)

@@ -6,12 +6,17 @@ import time
 
 import pytest
 
-from conftest import brute_kernels, signed_richardson_condition
+from conftest import (
+    as_all_negative,
+    brute_kernels,
+    iter_digraphs,
+    reverse,
+    signed_richardson_condition,
+)
 
-from signedbn.generators import iter_digraphs, random_digraph
+from signedbn.generators import random_digraph
 from signedbn.kernels import (
     Digraph,
-    as_all_negative,
     generalized_condition,
     kernel_indicators,
     kernels,
@@ -37,7 +42,7 @@ class TestDigraph:
             d(2, (1, 3))
 
     def test_reverse(self):
-        assert d(3, (1, 2), (2, 3)).reverse() == d(3, (2, 1), (3, 2))
+        assert reverse(d(3, (1, 2), (2, 3))) == d(3, (2, 1), (3, 2))
 
     def test_all_negative_encoding(self):
         S = as_all_negative(d(2, (1, 2), (2, 1)))
@@ -158,7 +163,7 @@ class TestGeneralizedConditionGraph:
             for D in iter_digraphs(n):
                 seen.clear()
                 generalized_condition(D)
-                assert seen == [as_all_negative(D.reverse())]
+                assert seen == [as_all_negative(reverse(D))]
 
 
 class TestNetworkCorrespondence:
@@ -181,7 +186,7 @@ class TestNetworkCorrespondence:
     def test_interaction_graph_is_reversed_all_negative(self):
         D = d(3, (1, 2), (2, 3), (1, 3))
         G = to_network(D).interaction_graph()
-        assert G == as_all_negative(D.reverse())
+        assert G == as_all_negative(reverse(D))
 
     def test_exhaustive_correspondence_n3(self):
         for D in iter_digraphs(3):

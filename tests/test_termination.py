@@ -1,0 +1,116 @@
+"""Every entry point answers or refuses: exit 0 or 1 within a CPU budget,
+or exit 2 with one line on stderr and no traceback.
+
+Each call runs ``cli.main`` in this process under ``signal.setitimer`` on
+the process CPU clock, so a call that would hang is cut off and reported,
+and other load on the machine does not count against the budget.
+"""
+
+import contextlib
+import io
+import re
+import signal
+
+import pytest
+
+from signedbn import cli, structure
+from signedbn.boolnet import BooleanNetwork, constant
+from signedbn.falsify import MAX_EXHAUSTIVE_N, REGISTRY
+from signedbn.graphs import SignedDigraph
+from signedbn.kernels import Digraph, kernels
+
+# CPU seconds per falsify call.  The slowest calls of the grid, 3 trials
+# of a PAIR theorem at --max-n 24 and --max-indegree 0, redraw thousands
+# of times per trial and take about 0.4 s on a 2-core x86-64 VM.
+BUDGET = 10.0
+
+
+class OverBudget(BaseException):
+    """A call ran past its CPU budget.  Not an Exception, so that no
+    handler in the call can take it for a refusal."""
+
+
+@contextlib.contextmanager
+def cpu_budget(seconds):
+    def expire(signum, frame):
+        raise OverBudget
+
+    previous = signal.signal(signal.SIGPROF, expire)
+    signal.setitimer(signal.ITIMER_PROF, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_PROF, 0)
+        signal.signal(signal.SIGPROF, previous)
+
+
+def run(argv, seconds):
+    """(exit code, stdout, stderr) of ``cli.main(argv)``; the code is None
+    when the call ran past ``seconds`` of CPU."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            with cpu_budget(seconds):
+                code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        except OverBudget:
+            code = None
+    return code, out.getvalue(), err.getvalue()
+
+
+def answered(code, err) -> bool:
+    if code in (0, 1):
+        return err == ""
+    return code == 2 and err.count("\n") == 1 and err.endswith("\n") and "Traceback" not in err
+
+
+def _limit(prop) -> int:
+    return prop.kind.max_n if prop.max_n is None else prop.max_n
+
+
+@pytest.mark.parametrize("theorem", sorted(REGISTRY))
+def test_falsify_answers_or_refuses_at_every_boundary(theorem):
+    limit = _limit(REGISTRY[theorem])
+    grid = [
+        ["--max-n", str(max_n), "--max-indegree", str(max_indegree), "--trials", str(trials)]
+        for max_n in (0, 1, 2, limit, limit + 1)
+        for max_indegree in (-1, 0, 4, 5)
+        for trials in (-1, 0, 3)
+    ]
+    # The sweep ignores --max-n, so a PAIR theorem takes 1 there.
+    grid += [
+        ["--max-n", "1", "--exhaustive-n", str(size), "--trials", "3"]
+        for size in (0, 1, 2, MAX_EXHAUSTIVE_N + 1)
+    ]
+    failures = []
+    for flags in grid:
+        code, _, err = run(["falsify", "--theorem", theorem, "--seed", "0"] + flags, BUDGET)
+        if not answered(code, err):
+            failures.append((flags, code, err))
+    assert failures == []
+
+
+# Per command: its input's header word, and a library call one vertex
+# past the command's limit, which refuses in the words the command uses.
+OVERSIZED = {
+    "analyze": ("sdigraph", lambda: structure.analyze(SignedDigraph(16))),
+    "bounds": ("sdigraph", lambda: structure._bound_terms(SignedDigraph(16), 10)),
+    "kernels": ("digraph", lambda: kernels(Digraph(25))),
+    "fixed-points": ("boolnet", lambda: BooleanNetwork([constant(0)] * 25).fixed_points()),
+    "attractors": ("boolnet", lambda: BooleanNetwork([constant(0)] * 21).attractors()),
+}
+
+
+@pytest.mark.parametrize("command", sorted(OVERSIZED))
+def test_an_oversized_header_is_refused_before_anything_is_built(tmp_path, command):
+    header, refuse = OVERSIZED[command]
+    with pytest.raises(ValueError) as refusal:
+        refuse()
+    words = str(refusal.value)
+    assert re.fullmatch(r"n=\d+ exceeds the [a-z -]+ limit \d+", words)
+    path = tmp_path / "big"
+    path.write_text(f"{header} 100000000\n")
+    code, out, err = run([command, str(path)], 1.0)
+    assert (code, out) == (2, "")
+    assert err == "error: n=100000000 " + words.split(" ", 1)[1] + "\n"
