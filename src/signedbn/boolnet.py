@@ -29,6 +29,9 @@ from .graphs import (
 
 MAX_FIXED_POINT_SCAN = 24
 MAX_ATTRACTOR_SCAN = 20
+# Each scan's refusal, as ``_check_limit`` takes it after n.
+_FIXED_POINT_SCAN = ("fixed-point scan", MAX_FIXED_POINT_SCAN)
+_ATTRACTOR_SCAN = ("attractor scan", MAX_ATTRACTOR_SCAN)
 # Also the most inputs any vertex may have: ``_signature_index(k)`` lists
 # all 2^(2^k) tables, and k = 5 would list 2^32.
 DEFAULT_MAX_INDEGREE = 4
@@ -78,11 +81,6 @@ class LocalFunction:
     @property
     def arity(self) -> int:
         return len(self.inputs)
-
-    @property
-    def table(self) -> tuple[int, ...]:
-        """The rows as a 0/1 tuple, row 0 first."""
-        return tuple(map(int, _table_text(self.bits, self.arity)))
 
     def row(self, x: Sequence[int]) -> int:
         """Table row index for the state x (first input most significant)."""
@@ -205,7 +203,7 @@ class BooleanNetwork:
         table wider than ``_FOLD_MAX_INPUTS``, F is every vertex, which
         is the scan of all 2^n states.
         """
-        _check_limit(self.n, "fixed-point scan", MAX_FIXED_POINT_SCAN)
+        _check_limit(self.n, *_FIXED_POINT_SCAN)
         n = self.n
         if n <= _FULL_SCAN_MAX_N or any(lf.arity > _FOLD_MAX_INPUTS for lf in self.locals):
             free, order = range(1, n + 1), enumerate(self.locals, start=1)
@@ -283,7 +281,7 @@ class BooleanNetwork:
         predecessor of a decided state is decided too, so the undecided
         states are closed under moves and F lies among them.
         """
-        _check_limit(self.n, "attractor scan", MAX_ATTRACTOR_SCAN)
+        _check_limit(self.n, *_ATTRACTOR_SCAN)
         n = self.n
         masks = _state_masks(n)
         full = masks[0]
@@ -660,7 +658,7 @@ def max_fixed_points(G: SignedDigraph, max_indegree: int = DEFAULT_MAX_INDEGREE)
     family = _family(G, max_indegree)
     if not all(tables for _, tables in family):
         raise UnrealizableGraphError("no Boolean network has this interaction graph")
-    _check_limit(G.n, "fixed-point scan", MAX_FIXED_POINT_SCAN)
+    _check_limit(G.n, *_FIXED_POINT_SCAN)
     size = math.prod(len(tables) for _, tables in family)
     if size > MAX_FAMILY_SCAN:
         raise ValueError(f"{size} networks exceed the family scan limit {MAX_FAMILY_SCAN}")

@@ -14,8 +14,8 @@ import json
 import sys
 
 from . import boolnet, falsify, formats, generators, structure
-from .graphs import DEFAULT_CYCLE_CAP, CycleCapExceeded, _check_cap, _check_limit
-from .kernels import KERNEL_SCAN_LIMIT, kernels as all_kernels
+from .graphs import DEFAULT_CYCLE_CAP, CycleCapExceeded, _check_cap
+from .kernels import _SUBSET_SCAN, kernels as all_kernels
 
 SCHEMA_VERSION = 1
 
@@ -38,17 +38,14 @@ def _bits(state) -> str:
 
 
 def _load(parser, loader, path, limit=None):
-    """``loader(path)``; a file that cannot be read or parsed exits 2.
+    """``loader(path, limit)``; a file that cannot be read or parsed exits 2.
 
-    ``limit`` is the command's (header kind, what, L): a header that
-    declares more than L vertices is refused, in the command's own words,
-    before anything of that size is built.
+    ``limit`` is the command's refusal (what, L): a header that declares
+    more than L vertices is refused, in the command's own words, before
+    anything of that size is built.
     """
     try:
-        if limit is not None:
-            kind, what, most = limit
-            _check_limit(formats._read_header(formats._read_file(path), kind)[1], what, most)
-        return loader(path)
+        return loader(path, limit)
     except OSError as exc:
         parser.exit(EXIT_USAGE, f"error: {path}: {exc.strerror or exc}\n")
     except (UnicodeDecodeError, formats.FormatError) as exc:
@@ -57,21 +54,16 @@ def _load(parser, loader, path, limit=None):
 
 # -- subcommands ---------------------------------------------------------------
 
-_SEARCH_LIMIT = ("sdigraph", "search", structure.DEFAULT_SEARCH_LIMIT)
-
 
 def _cmd_analyze(parser, args) -> int:
-    G = _load(parser, formats.load_signed_digraph, args.graph, _SEARCH_LIMIT)
+    G = _load(parser, formats.load_signed_digraph, args.graph, structure._SEARCH)
     report = structure.analyze(G, cap=args.cycle_cap)
     _emit(args, report.to_dict(), report.to_text().splitlines())
     return EXIT_OK
 
 
 def _cmd_fixed_points(parser, args) -> int:
-    f = _load(
-        parser, formats.load_boolean_network, args.network,
-        ("boolnet", "fixed-point scan", boolnet.MAX_FIXED_POINT_SCAN),
-    )
+    f = _load(parser, formats.load_boolean_network, args.network, boolnet._FIXED_POINT_SCAN)
     points = f.fixed_points()
     _emit(
         args,
@@ -82,10 +74,7 @@ def _cmd_fixed_points(parser, args) -> int:
 
 
 def _cmd_attractors(parser, args) -> int:
-    f = _load(
-        parser, formats.load_boolean_network, args.network,
-        ("boolnet", "attractor scan", boolnet.MAX_ATTRACTOR_SCAN),
-    )
+    f = _load(parser, formats.load_boolean_network, args.network, boolnet._ATTRACTOR_SCAN)
     attractors = f.attractors()
     serialized = [sorted(_bits(x) for x in states) for states in attractors]
     lines = []
@@ -98,7 +87,7 @@ def _cmd_attractors(parser, args) -> int:
 
 
 def _cmd_bounds(parser, args) -> int:
-    G = _load(parser, formats.load_signed_digraph, args.graph, _SEARCH_LIMIT)
+    G = _load(parser, formats.load_signed_digraph, args.graph, structure._SEARCH)
     _, tau, girth, bound = structure._bound_terms(G, args.cycle_cap)
     girth_text = structure._length(girth)
     _emit(
@@ -120,9 +109,7 @@ def _cmd_bounds(parser, args) -> int:
 
 
 def _cmd_kernels(parser, args) -> int:
-    D = _load(
-        parser, formats.load_digraph, args.digraph, ("digraph", "subset scan", KERNEL_SCAN_LIMIT)
-    )
+    D = _load(parser, formats.load_digraph, args.digraph, _SUBSET_SCAN)
     found = all_kernels(D)
     serialized = [sorted(k) for k in found]
     lines = [("{" + ", ".join(str(v) for v in k) + "}") for k in serialized]
@@ -158,13 +145,18 @@ def _cmd_generate(parser, args) -> int:
 
 def _load_instance(parser, prop, args) -> tuple:
     """The input files, each read with its part's loader, as the parts
-    ``prop.check`` takes; a rule theorem's condition takes the graph alone."""
+    ``prop.check`` takes; a rule theorem's condition takes the graph alone.
+    The first file is refused by its header as ``prop.file_limit`` says."""
     parts = prop.kind.parts if prop.condition is None else prop.kind.parts[:1]
     paths = [path for path in (args.input, args.network) if path]
     if len(paths) != len(parts):
         wanted = " and ".join(f"a {name} file" for name, _, _ in parts)
         parser.exit(EXIT_USAGE, f"error: --theorem {prop.id} takes exactly {wanted}\n")
-    instance = tuple(_load(parser, load, path) for (_, _, load), path in zip(parts, paths))
+    limits = [prop.file_limit] + [None] * (len(parts) - 1)
+    instance = tuple(
+        _load(parser, load, path, limit)
+        for (_, _, load), path, limit in zip(parts, paths, limits)
+    )
     if len(instance) == 2 and instance[1].interaction_graph() != instance[0]:
         parser.exit(EXIT_USAGE, "error: network's interaction graph differs from the graph\n")
     return instance

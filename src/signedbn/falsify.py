@@ -23,14 +23,14 @@ from .boolnet import (
     DEFAULT_MAX_INDEGREE,
     MAX_FIXED_POINT_SCAN,
     BooleanNetwork,
-    _input_signs,
     _sample_family,
     _signature_index,
     enumerate_consistent,
 )
 from .generators import (
     _arc_prob,
-    _signed_arcs,
+    _draw_input_signs,
+    _signed_digraph,
     iter_simple_signed_digraphs,
     random_digraph,
     random_signed_digraph,
@@ -43,6 +43,7 @@ from .graphs import (
     _capped,
     _check_cap,
     _check_limit,
+    _most_cycles,
     enumerate_cycles,
     has_negative_cycle,
     is_strong,
@@ -50,6 +51,7 @@ from .graphs import (
 )
 from .kernels import (
     KERNEL_SCAN_LIMIT,
+    _SUBSET_SCAN,
     generalized_condition,
     kernel_indicators,
     kernels,
@@ -65,6 +67,10 @@ from .structure import (
 )
 
 FALSIFY_CYCLE_CAP = 10_000
+# The largest n whose complete signed digraph has at most FALSIFY_CYCLE_CAP
+# cycles (5, with 1,458; on 6 vertices it has 14,120), so that no graph on
+# n vertices or fewer can pass the cap.
+_UNCAPPED_N = next(n for n in itertools.count() if _most_cycles(n + 1) > FALSIFY_CYCLE_CAP)
 # The largest exhaustive sweep: every simple signed digraph on up to three
 # vertices with every consistent network, 1,125,064 networks.  Four
 # vertices alone give 3^16 graphs.
@@ -75,6 +81,7 @@ MAX_EXHAUSTIVE_N = 3
 # draw takes 15 s.  At 20, 1,000 harary trials took at most 13 s over
 # seeds 0 to 39.  The lemma9 and harary checks refuse larger graphs.
 MAX_GRAPH_N = 20
+_CYCLE_SEARCH = ("cycle search", MAX_GRAPH_N)
 
 
 # -- instance-level theorem verdicts -------------------------------------------
@@ -169,6 +176,10 @@ class FalsifyReport:
 
 
 def _within_cap(G: SignedDigraph) -> bool:
+    """Whether G has at most FALSIFY_CYCLE_CAP simple cycles.  On at most
+    _UNCAPPED_N vertices no graph has more, so none is enumerated here."""
+    if G.n <= _UNCAPPED_N:
+        return True
     try:
         enumerate_cycles(G, FALSIFY_CYCLE_CAP)
     except CycleCapExceeded:
@@ -180,10 +191,12 @@ def _draw_pair(rng: random.Random, max_n: int, max_indegree: int):
     """A random signed digraph, redrawn until it has a consistent network
     within the in-degree and cycle caps, and one such network.
 
-    The draws are ``random_signed_digraph``'s.  Each vertex's inputs and
-    tables come from its drawn in-arcs as ``_family`` would find them, so
-    a draw past the in-degree cap or with an unrealizable vertex is
-    redrawn before any graph is built.  ``max_indegree`` may not pass
+    The draws are ``random_signed_digraph``'s, made in one pass that gives
+    each vertex its sources and their sign codes.  Those are the inputs
+    and the ``_signature_index`` key that ``_family`` would find on the
+    built graph, so a draw past the in-degree cap or with an unrealizable
+    vertex is redrawn with no arc and no graph built; only the kept draw
+    becomes a SignedDigraph.  ``max_indegree`` may not pass
     DEFAULT_MAX_INDEGREE, the widest tables ``_signature_index`` lists.
     """
     if max_indegree > DEFAULT_MAX_INDEGREE:
@@ -192,13 +205,9 @@ def _draw_pair(rng: random.Random, max_n: int, max_indegree: int):
         )
     while True:
         n = rng.randint(1, max_n)
-        arcs = _signed_arcs(n, _arc_prob(n, None), 0.5, rng)
-        into: list[list] = [[] for _ in range(n + 1)]
-        for a in arcs:
-            into[a.target].append(a)
+        into = _draw_input_signs(n, _arc_prob(n, None), 0.5, rng)
         family = []
-        for in_arcs in into[1:]:
-            signs = _input_signs(in_arcs)
+        for signs in into:
             if len(signs) > max_indegree:
                 break
             tables = _signature_index(len(signs)).get(tuple(signs.values()))
@@ -206,7 +215,7 @@ def _draw_pair(rng: random.Random, max_n: int, max_indegree: int):
                 break
             family.append((tuple(signs), tables))
         else:
-            G = SignedDigraph(n, arcs)
+            G = _signed_digraph(into)
             if _within_cap(G):
                 return G, _sample_family(family, rng)
 
@@ -235,14 +244,17 @@ def _sweep_pairs(max_n: int, max_indegree: int):
 class InstanceKind:
     """How random trials draw an instance, or None for a vacuous trial; the
     largest max_n they take; the exhaustive sweep up to a vertex count, or
-    None; and per part, in the order ``check`` takes the parts, its
-    artifact name, serializer and file loader.
+    None; per part, in the order ``check`` takes the parts, its artifact
+    name, serializer and file loader; and ``refusal``, when every check of
+    the kind refuses a first part past L vertices, its (what, L) as
+    ``_check_limit`` takes it.
     """
 
     draw: Callable[[random.Random, int, int], Optional[tuple]]
     max_n: int
     sweep: Optional[Callable[[int, int], Iterator[tuple]]]
     parts: tuple[tuple[str, Callable, Callable], ...]
+    refusal: Optional[tuple[str, int]] = None
 
 
 _GRAPH_PART = ("graph", formats.format_signed_digraph, formats.load_signed_digraph)
@@ -252,12 +264,12 @@ PAIR = InstanceKind(
     _draw_pair, MAX_FIXED_POINT_SCAN, _sweep_pairs,
     (_GRAPH_PART, ("network", formats.format_boolean_network, formats.load_boolean_network)),
 )
-# A signed digraph alone.
-GRAPH = InstanceKind(_draw_graph, MAX_GRAPH_N, None, (_GRAPH_PART,))
+# A signed digraph alone: its checks search its cycles.
+GRAPH = InstanceKind(_draw_graph, MAX_GRAPH_N, None, (_GRAPH_PART,), _CYCLE_SEARCH)
 # An unsigned digraph: its checks scan 2^n vertex subsets.
 DIGRAPH = InstanceKind(
     _draw_digraph, KERNEL_SCAN_LIMIT, None,
-    (("digraph", formats.format_digraph, formats.load_digraph),),
+    (("digraph", formats.format_digraph, formats.load_digraph),), _SUBSET_SCAN,
 )
 
 
@@ -276,6 +288,8 @@ class TheoremProperty:
     rule theorems also carry their graph ``condition``, called as
     ``condition(G, cap)`` and returning a RuleVerdict.  ``max_n`` is the
     largest max_n random trials take, the kind's limit when None.
+    ``refusal`` is as the kind's, for a check that refuses where the
+    other checks of its kind do not.
     """
 
     id: str
@@ -284,6 +298,14 @@ class TheoremProperty:
     check: Callable[..., Optional[str]]
     condition: Optional[Callable[[SignedDigraph, int], RuleVerdict]] = None
     max_n: Optional[int] = None
+    refusal: Optional[tuple[str, int]] = None
+
+    @property
+    def file_limit(self) -> Optional[tuple[str, int]]:
+        """The refusal (what, L) ``check`` applies to a first part of more
+        than L vertices, so that a file can be refused by its header; None
+        when the check builds its instance first."""
+        return self.refusal or self.kind.refusal
 
     def counterexample(self, instance: tuple) -> Optional[Counterexample]:
         detail = self.check(*instance)
@@ -295,10 +317,12 @@ class TheoremProperty:
 
 
 def _rule_property(theorem_id, description, condition, conclusion, detail) -> TheoremProperty:
-    """A rule theorem: when ``condition`` holds on G, ``conclusion(f)`` must."""
+    """A rule theorem: when ``condition`` holds on G, ``conclusion(f)`` must.
+    The conclusion, read off f's fixed points, is checked first: on most
+    instances it holds and decides the verdict without the condition."""
 
     def check(G, f, cap=FALSIFY_CYCLE_CAP) -> Optional[str]:
-        if condition(G, cap).holds and not conclusion(f):
+        if not conclusion(f) and condition(G, cap).holds:
             return detail
         return None
 
@@ -359,7 +383,7 @@ def _check_cor8(G, f, cap=FALSIFY_CYCLE_CAP) -> Optional[str]:
 
 
 def _check_lemma9(G, cap=FALSIFY_CYCLE_CAP) -> Optional[str]:
-    _check_limit(G.n, "cycle search", MAX_GRAPH_N)
+    _check_limit(G.n, *_CYCLE_SEARCH)
     cycles = enumerate_cycles(G, cap)
     if sum(1 for c in cycles if c.sign == NEGATIVE) != 1:
         return None
@@ -369,7 +393,7 @@ def _check_lemma9(G, cap=FALSIFY_CYCLE_CAP) -> Optional[str]:
 
 
 def _check_harary(G, cap=FALSIFY_CYCLE_CAP) -> Optional[str]:
-    _check_limit(G.n, "cycle search", MAX_GRAPH_N)
+    _check_limit(G.n, *_CYCLE_SEARCH)
     _check_cap(cap)
     H = G.symmetrize()
     # Symmetrizing H returns H, so two_coloring builds no second graph.
@@ -387,14 +411,14 @@ def _check_harary(G, cap=FALSIFY_CYCLE_CAP) -> Optional[str]:
 
 
 def _check_richardson(D, cap=FALSIFY_CYCLE_CAP) -> Optional[str]:
-    _check_limit(D.n, "subset scan", KERNEL_SCAN_LIMIT)
+    _check_limit(D.n, *_SUBSET_SCAN)
     if richardson_condition(D) and not kernels(D):
         return "no odd cycle but no kernel"
     return None
 
 
 def _check_richardson_gen(D, cap=FALSIFY_CYCLE_CAP) -> Optional[str]:
-    _check_limit(D.n, "subset scan", KERNEL_SCAN_LIMIT)
+    _check_limit(D.n, *_SUBSET_SCAN)
     if generalized_condition(D, cap) and not kernels(D):
         return "cut condition holds but no kernel"
     return None
@@ -438,7 +462,7 @@ REGISTRY: dict[str, TheoremProperty] = {
         ),
         TheoremProperty(
             "cor8", "fixed points within min(2^tau~+, A(n, g~+))", PAIR, _check_cor8,
-            max_n=DEFAULT_SEARCH_LIMIT,
+            max_n=DEFAULT_SEARCH_LIMIT, refusal=structure._SEARCH,
         ),
         TheoremProperty(
             "lemma9", "unique negative cycle owns a positive-cycle-free arc", GRAPH, _check_lemma9

@@ -11,7 +11,7 @@ from __future__ import annotations
 from itertools import islice
 
 from .boolnet import BooleanNetwork, LocalFunction, _table_text
-from .graphs import Digraph, SignedDigraph, sign_char
+from .graphs import Digraph, SignedDigraph, _check_limit, sign_char
 
 
 class FormatError(Exception):
@@ -164,18 +164,24 @@ def format_digraph(D: Digraph) -> str:
 # -- file wrappers ------------------------------------------------------------
 
 
-def _read_file(path) -> str:
+def _read_file(path, kind: str, limit) -> str:
+    """The text of the file at path.  ``limit`` is None or a refusal
+    (what, L): a ``kind`` header that declares more than L vertices is
+    refused with ``_check_limit``'s ValueError before anything is parsed."""
     with open(path, encoding="utf-8") as handle:
-        return handle.read()
+        text = handle.read()
+    if limit is not None:
+        _check_limit(_read_header(text, kind)[1], *limit)
+    return text
 
 
-def load_signed_digraph(path) -> SignedDigraph:
-    return parse_signed_digraph(_read_file(path))
+def load_signed_digraph(path, limit=None) -> SignedDigraph:
+    return parse_signed_digraph(_read_file(path, "sdigraph", limit))
 
 
-def load_boolean_network(path) -> BooleanNetwork:
-    return parse_boolean_network(_read_file(path))
+def load_boolean_network(path, limit=None) -> BooleanNetwork:
+    return parse_boolean_network(_read_file(path, "boolnet", limit))
 
 
-def load_digraph(path) -> Digraph:
-    return parse_digraph(_read_file(path))
+def load_digraph(path, limit=None) -> Digraph:
+    return parse_digraph(_read_file(path, "digraph", limit))

@@ -6,6 +6,7 @@ import itertools
 import random
 from typing import Iterator
 
+from .boolnet import _NEG_ONLY, _POS_ONLY
 from .graphs import NEGATIVE, POSITIVE, Arc, Digraph, SignedDigraph
 
 
@@ -68,30 +69,57 @@ def random_signed_digraph(
     A positive arc appears with probability arc_prob * (1 - neg_prob) and a
     negative one with arc_prob * neg_prob, so arc_prob is the expected arc
     density per ordered vertex pair; it defaults to 2/n.  A probability
-    given outside [0, 1] raises ValueError.
+    given outside [0, 1], then a negative n, raises ValueError.
     """
     arc_prob = _arc_prob(n, arc_prob, neg_prob)
     if rng is None:
         rng = random.Random(seed)
-    return SignedDigraph(n, _signed_arcs(n, arc_prob, neg_prob, rng))
+    if n < 0:
+        raise ValueError("vertex count must be non-negative")
+    return _signed_digraph(_draw_input_signs(n, arc_prob, neg_prob, rng))
 
 
-def _signed_arcs(n: int, arc_prob: float, neg_prob: float, rng: random.Random) -> list[Arc]:
-    """The arcs ``random_signed_digraph`` draws, in draw order: per ordered
-    pair (u, v), u then v increasing, a positive arc with probability
-    arc_prob * (1 - neg_prob), then a negative one with arc_prob * neg_prob.
-    Each vertex's in-arcs come out sorted by source."""
+def _draw_input_signs(
+    n: int, arc_prob: float, neg_prob: float, rng: random.Random
+) -> list[dict[int, int]]:
+    """The arcs ``random_signed_digraph`` draws, per target 1..n: each
+    source of its in-arcs, in increasing order, and the signs it brings in
+    ``_input_signs``' codes, _POS_ONLY, _NEG_ONLY or both ORed.
+
+    Draw order: per ordered pair (u, v), u then v increasing, a positive
+    arc with probability arc_prob * (1 - neg_prob), then a negative one
+    with arc_prob * neg_prob.  The values of one target, in order, are its
+    ``_signature_index`` key.
+    """
     positive = arc_prob * (1.0 - neg_prob)
     negative = arc_prob * neg_prob
     draw = rng.random
-    arcs = []
+    into: list[dict[int, int]] = [{} for _ in range(n)]
     for u in range(1, n + 1):
-        for v in range(1, n + 1):
+        for signs in into:
             if draw() < positive:
-                arcs.append(Arc(u, v, POSITIVE))
-            if draw() < negative:
-                arcs.append(Arc(u, v, NEGATIVE))
-    return arcs
+                signs[u] = _POS_ONLY | (_NEG_ONLY if draw() < negative else 0)
+            elif draw() < negative:
+                signs[u] = _NEG_ONLY
+    return into
+
+
+# The signs of the arcs that one source's sign code stands for.
+_CODE_SIGNS = {
+    _POS_ONLY: (POSITIVE,), _NEG_ONLY: (NEGATIVE,), _POS_ONLY | _NEG_ONLY: (POSITIVE, NEGATIVE)
+}
+
+
+def _signed_digraph(into: list[dict[int, int]]) -> SignedDigraph:
+    """The signed digraph on 1..n whose in-arcs ``into`` lists per target,
+    as ``_draw_input_signs`` returns them: sources increasing, a positive
+    arc before a negative one, which is the order the graph keeps."""
+    return SignedDigraph._from_in_arcs(
+        [
+            tuple([Arc(u, v, sign) for u, code in signs.items() for sign in _CODE_SIGNS[code]])
+            for v, signs in enumerate(into, start=1)
+        ]
+    )
 
 
 def random_digraph(

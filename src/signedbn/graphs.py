@@ -16,6 +16,8 @@ ignored.
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -107,14 +109,44 @@ class SignedDigraph:
                         f"arc {a!r} has an endpoint outside the vertex set"
                     ) from None
             raise
+        self._fill(
+            vertex_set,
+            arc_set,
+            {v: tuple(lst) for v, lst in ins.items()},
+            {v: tuple(lst) for v, lst in outs.items()},
+        )
+
+    def _fill(self, vertex_set, arc_set, ins, outs):
+        """Fill every slot: the vertex and arc sets, each vertex's in- and
+        out-arc tuples in ``_arc_sort_key`` order, and empty caches."""
         self._vertices = vertex_set
         self._arcs = arc_set
-        self._in = {v: tuple(lst) for v, lst in ins.items()}
-        self._out = {v: tuple(lst) for v, lst in outs.items()}
+        self._in = ins
+        self._out = outs
         self._hash = None
         self._cycle_cache = None
         self._index_cache = None
         self._scc_cache = None
+
+    @classmethod
+    def _from_in_arcs(cls, in_arcs: Sequence[tuple[Arc, ...]]) -> "SignedDigraph":
+        """The graph on 1..n, n = len(in_arcs), whose in-arcs of vertex v
+        are in_arcs[v - 1].  A graph the library drew itself: the arcs are
+        distinct, their ends lie in 1..n and each tuple is in
+        ``_arc_sort_key`` order, so nothing is checked or sorted."""
+        G = object.__new__(cls)
+        vertices = range(1, len(in_arcs) + 1)
+        outs: dict[int, list[Arc]] = {v: [] for v in vertices}
+        for arcs in in_arcs:
+            for a in arcs:
+                outs[a.source].append(a)
+        G._fill(
+            frozenset(vertices),
+            frozenset(itertools.chain.from_iterable(in_arcs)),
+            dict(zip(vertices, in_arcs)),
+            {v: tuple(arcs) for v, arcs in outs.items()},
+        )
+        return G
 
     # -- basic views ----------------------------------------------------
 
@@ -544,6 +576,14 @@ def _cycles(G: SignedDigraph, cap: int) -> tuple[SignedCycle, ...]:
     elif len(cycles) > cap:
         raise CycleCapExceeded(f"more than {cap} cycles")
     return cycles
+
+
+def _most_cycles(n: int) -> int:
+    """The most simple cycles a signed digraph on n vertices can have: those
+    of the complete one, with a loop and both signs on every ordered pair,
+    the sum over k of C(n, k) (k - 1)! 2^k.  Every signed digraph on n
+    vertices is a subgraph of it, so each of its cycles is one of these."""
+    return sum(math.comb(n, k) * math.factorial(k - 1) << k for k in range(1, n + 1))
 
 
 def enumerate_cycles(G: SignedDigraph, cap: int = DEFAULT_CYCLE_CAP) -> list[SignedCycle]:

@@ -23,6 +23,8 @@ from .graphs import (
 from .structure import existence_arc_rule
 
 KERNEL_SCAN_LIMIT = 24
+# The refusal of every subset scan, as ``_check_limit`` takes it.
+_SUBSET_SCAN = ("subset scan", KERNEL_SCAN_LIMIT)
 # Most truth-table rows ``kernel_indicators`` reads, summed over the
 # vertices: 2^outdeg(v) each, or 2^n for a table wider than the fold limit,
 # which is read once per state.  The complete 18-vertex digraph with loops
@@ -37,7 +39,7 @@ def kernels(D: Digraph) -> list[frozenset[int]]:
     Y_v the set of subsets holding v, the kernels are the AND over v of
     Y_v XOR (OR of Y_w over the out-neighbors w of v).
     """
-    _check_limit(D.n, "subset scan", KERNEL_SCAN_LIMIT)
+    _check_limit(D.n, *_SUBSET_SCAN)
     n = D.n
     masks = _state_masks(n)
     # Subset bit v-1 is state bit n-v, which the mask of vertex n+1-v reads.
@@ -141,7 +143,7 @@ def kernel_indicators(D: Digraph) -> set[frozenset[int]]:
     a digraph with more than KERNEL_SCAN_LIMIT (24) vertices or more than
     KERNEL_TABLE_ROW_LIMIT (2^23) rows in all.
     """
-    _check_limit(D.n, "subset scan", KERNEL_SCAN_LIMIT)
+    _check_limit(D.n, *_SUBSET_SCAN)
     widths = (len(D.out_neighbors(v)) for v in range(1, D.n + 1))
     rows = sum(1 << (k if k <= _FOLD_MAX_INPUTS else D.n) for k in widths)
     if rows > KERNEL_TABLE_ROW_LIMIT:

@@ -36,6 +36,8 @@ from .graphs import (
 )
 
 DEFAULT_SEARCH_LIMIT = 15
+# The refusal of every search capped by it, as ``_check_limit`` takes it.
+_SEARCH = ("search", DEFAULT_SEARCH_LIMIT)
 
 
 # -- special arcs ------------------------------------------------------------
@@ -272,7 +274,7 @@ def uniqueness_vertex_rule(G: SignedDigraph, cap: int = DEFAULT_CYCLE_CAP) -> Ru
 
 def tau_plus(G: SignedDigraph, cap: int = DEFAULT_CYCLE_CAP) -> int:
     """Minimum number of vertex deletions leaving no positive cycle."""
-    _check_limit(G.n, "search", DEFAULT_SEARCH_LIMIT)
+    _check_limit(G.n, *_SEARCH)
     return _tau_plus(_positive_masks(_cycle_index(G, cap)))
 
 
@@ -340,7 +342,7 @@ def tau_tilde_plus(G: SignedDigraph, cap: int = DEFAULT_CYCLE_CAP) -> int:
     no positive cycle at all.  The positive cycles left are those of G
     through no vertex of I.
     """
-    _check_limit(G.n, "search", DEFAULT_SEARCH_LIMIT)
+    _check_limit(G.n, *_SEARCH)
     index = _cycle_index(G, cap)
     masks = _positive_masks(index)
     return _tau_tilde_plus(index, masks, _tau_plus(masks))
@@ -541,7 +543,7 @@ def _bound_terms(G: SignedDigraph, cap: int) -> tuple:
     ``codes.fixed_point_bound`` computes it.  A graph past the search limit
     is refused before its cycles are enumerated.
     """
-    _check_limit(G.n, "search", DEFAULT_SEARCH_LIMIT)
+    _check_limit(G.n, *_SEARCH)
     index = _cycle_index(G, cap)
     masks = _positive_masks(index)
     tp = _tau_plus(masks)

@@ -13,9 +13,13 @@ library's search replaced, on the library's state masks, and fixed points
 a scan oracle, the AND over all 2^n states that the library's scan over a
 feedback vertex set replaced.  The odd-cycle condition has the negative
 cycle search on the all-negative encoding that its mask test replaced.
-Network evaluation, the order <=_v behind the monotonicity lemmas, digraph
-reversal, the all-negative encoding and the digraph enumeration serve only
-the tests, so they live here and not in the library.
+The rule theorems' checks have the premise-first check that reading the
+conclusion first replaced, and the random signed digraph has the
+arc-list draw loop that its per-target draw replaced.
+Network evaluation, a table's rows as a tuple, the order <=_v behind the
+monotonicity lemmas, digraph reversal, the all-negative encoding and the
+digraph enumeration serve only the tests, so they live here and not in the
+library.
 """
 
 import itertools
@@ -26,7 +30,8 @@ from math import comb
 
 import pytest
 
-from signedbn.boolnet import BooleanNetwork, _state_masks, _states_in, _value_mask
+from signedbn.boolnet import BooleanNetwork, _state_masks, _states_in, _table_text, _value_mask
+from signedbn.falsify import FALSIFY_CYCLE_CAP
 from signedbn.graphs import (
     NEGATIVE,
     POSITIVE,
@@ -57,15 +62,22 @@ def interaction_graph_calls(monkeypatch):
 
 @pytest.fixture
 def signed_digraphs_built(monkeypatch):
-    """The SignedDigraphs constructed while the test runs."""
+    """The SignedDigraphs constructed while the test runs, by the
+    constructor or from drawn in-arcs."""
     built = []
     original = SignedDigraph.__init__
+    from_in_arcs = SignedDigraph._from_in_arcs
 
     def counting(self, *args, **kwargs):
         built.append(self)
         original(self, *args, **kwargs)
 
+    def counting_from_in_arcs(in_arcs):
+        built.append(from_in_arcs(in_arcs))
+        return built[-1]
+
     monkeypatch.setattr(SignedDigraph, "__init__", counting)
+    monkeypatch.setattr(SignedDigraph, "_from_in_arcs", counting_from_in_arcs)
     return built
 
 
@@ -151,6 +163,11 @@ def evaluate(f, x):
     if len(x) != f.n:
         raise ValueError(f"state length {len(x)} != {f.n}")
     return tuple(lf(x) for lf in f.locals)
+
+
+def table_rows(lf):
+    """A ``LocalFunction``'s rows as a 0/1 tuple, row 0 first."""
+    return tuple(map(int, _table_text(lf.bits, lf.arity)))
 
 
 def leq_v(G, v, x, y):
@@ -567,3 +584,33 @@ def scan_tau_tilde_plus(G):
             if all(_has_special_arc(index, gone, left, cleared, j) for j in _set_bits(left)):
                 return k
     raise AssertionError("removing all in-arcs leaves no cycle")
+
+
+def signed_arcs(n, arc_prob, neg_prob, rng):
+    """The arcs ``random_signed_digraph`` draws, in draw order, as its draw
+    loop listed them before it grouped them by target: per ordered pair
+    (u, v), u then v increasing, a positive arc with probability
+    arc_prob * (1 - neg_prob), then a negative one with arc_prob * neg_prob."""
+    positive = arc_prob * (1.0 - neg_prob)
+    negative = arc_prob * neg_prob
+    arcs = []
+    for u in range(1, n + 1):
+        for v in range(1, n + 1):
+            if rng.random() < positive:
+                arcs.append(Arc(u, v, POSITIVE))
+            if rng.random() < negative:
+                arcs.append(Arc(u, v, NEGATIVE))
+    return arcs
+
+
+def premise_first_check(condition, conclusion, detail):
+    """A rule theorem's check as it ran before it read the conclusion
+    first: the rule ``condition`` on G, then, when it holds, the
+    ``conclusion`` on f."""
+
+    def check(G, f, cap=FALSIFY_CYCLE_CAP):
+        if condition(G, cap).holds and not conclusion(f):
+            return detail
+        return None
+
+    return check

@@ -18,6 +18,7 @@ from conftest import (
     leq_v,
     lowest_pivot_attractors,
     scan_fixed_points,
+    table_rows,
 )
 from signedbn import boolnet
 from signedbn.boolnet import (
@@ -155,7 +156,7 @@ class TestLocalFunction:
     def test_table_is_a_view_of_bits(self):
         lf = LocalFunction((2, 1), [0, 1, 1, 0])
         assert lf.bits == 0b0110
-        assert lf.table == (0, 1, 1, 0)
+        assert table_rows(lf) == (0, 1, 1, 0)
         assert repr(lf) == "LocalFunction(inputs=(2, 1), table=0110)"
 
     def test_first_input_is_most_significant(self):

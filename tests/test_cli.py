@@ -224,6 +224,35 @@ class TestCheckCommand:
         captured = capsys.readouterr()
         assert captured.err == "error: network's interaction graph differs from the graph\n"
 
+    def test_each_input_file_is_read_once(self, tmp_path, swap_net, monkeypatch, capsys):
+        # A command whose file is refused by its header reads that header
+        # off the text it then parses, not off a second read.
+        from signedbn import formats
+
+        opened = []
+
+        def counting_open(path, *args, **kwargs):
+            opened.append(str(path))
+            return open(path, *args, **kwargs)
+
+        monkeypatch.setattr(formats, "open", counting_open, raising=False)
+        graph, digraph = tmp_path / "g.sd", tmp_path / "d.d"
+        graph.write_text("sdigraph 2\n1 2 +\n2 1 +\n")
+        digraph.write_text("digraph 3\n1 2\n2 3\n")
+        calls = [
+            ["kernels", str(digraph)],
+            ["analyze", str(graph)],
+            ["fixed-points", swap_net],
+            ["check", "--theorem", "richardson", str(digraph)],
+            ["check", "--theorem", "cor8", str(graph), swap_net],
+            ["check", "--theorem", "harary", str(graph)],
+        ]
+        for argv in calls:
+            opened.clear()
+            main(argv)
+            assert sorted(opened) == sorted(argv[-2:] if "cor8" in argv else argv[-1:])
+        capsys.readouterr()
+
     def test_instance_check_needs_network(self, fig5):
         with pytest.raises(SystemExit) as err:
             main(["check", "--theorem", "thm1", fig5])
@@ -470,6 +499,14 @@ class TestGenerate:
     def test_random_with_no_vertices(self, capsys):
         assert main(["generate", "random", "--n", "0"]) == 0
         assert capsys.readouterr().out.startswith("sdigraph 0")
+
+    def test_random_with_negative_vertices_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["generate", "random", "--n", "-1"])
+        assert err.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: vertex count must be non-negative\n"
 
     @pytest.mark.parametrize(
         "flags",

@@ -6,19 +6,23 @@ import time
 
 import pytest
 
-from conftest import g
+from conftest import g, premise_first_check
 from signedbn import structure
 from signedbn.boolnet import MAX_FIXED_POINT_SCAN, _family, _sample_family
 from signedbn.falsify import (
     DIGRAPH,
+    FALSIFY_CYCLE_CAP,
     GRAPH,
     MAX_EXHAUSTIVE_N,
     MAX_GRAPH_N,
     PAIR,
     REGISTRY,
+    _UNCAPPED_N,
     _check_harary,
     _draw_pair,
     _graph_fp_bound,
+    _rule_property,
+    _sweep_pairs,
     _within_cap,
     falsify,
     make_existence_rule_property,
@@ -26,8 +30,22 @@ from signedbn.falsify import (
 )
 from signedbn.formats import parse_boolean_network, parse_signed_digraph
 from signedbn.generators import iter_simple_signed_digraphs, random_signed_digraph
-from signedbn.graphs import NEGATIVE, Arc, SignedDigraph, iter_cycles
-from signedbn.structure import two_coloring, uniqueness_arc_rule
+from signedbn.graphs import (
+    NEGATIVE,
+    POSITIVE,
+    Arc,
+    CycleCapExceeded,
+    SignedDigraph,
+    _most_cycles,
+    enumerate_cycles,
+    iter_cycles,
+)
+from signedbn.structure import (
+    existence_arc_rule,
+    two_coloring,
+    uniqueness_arc_rule,
+    uniqueness_vertex_rule,
+)
 
 
 class TestRegistry:
@@ -193,6 +211,135 @@ class TestPairDraw:
     def test_refuses_tables_past_the_index(self):
         with pytest.raises(ValueError, match="max_indegree=5 exceeds the in-degree limit 4"):
             _draw_pair(random.Random(0), 5, 5)
+
+
+def _at_most_one_fixed_point(f):
+    return len(f.fixed_points()) <= 1
+
+
+def _some_fixed_point(f):
+    return bool(f.fixed_points())
+
+
+class TestRuleChecks:
+    """The rule theorems read the network's fixed points before the rule,
+    and ask for the rule only when the conclusion fails."""
+
+    # Per rule theorem: its condition, conclusion and violation detail.
+    RULES = {
+        "thm3": (
+            uniqueness_arc_rule, _at_most_one_fixed_point,
+            "uniqueness arc rule holds but the network has two fixed points",
+        ),
+        "thm4": (
+            uniqueness_vertex_rule, _at_most_one_fixed_point,
+            "uniqueness vertex rule holds but the network has two fixed points",
+        ),
+        "thm5": (
+            existence_arc_rule, _some_fixed_point,
+            "arc rule holds but the network has no fixed point",
+        ),
+    }
+
+    @staticmethod
+    def _instances():
+        """Every pair of the sweep to 2 vertices, then 5,000 drawn pairs at
+        max_n 2 to 8."""
+        yield from _sweep_pairs(2, 4)
+        for i in range(5000):
+            yield _draw_pair(random.Random(f"27:{i}"), 2 + i % 7, 4)
+
+    def test_verdicts_match_the_premise_first_check(self):
+        # The registered checks, and mutants that pair each rule with each
+        # conclusion, so that some verdicts are counterexamples.
+        checks = [(REGISTRY[t].check, premise_first_check(*self.RULES[t])) for t in self.RULES]
+        for condition, _, _ in self.RULES.values():
+            for conclusion in (_at_most_one_fixed_point, _some_fixed_point):
+                mutant = _rule_property("mutant", "", condition, conclusion, "violated")
+                checks.append(
+                    (mutant.check, premise_first_check(condition, conclusion, "violated"))
+                )
+        found = 0
+        for G, f in self._instances():
+            for check, oracle in checks:
+                verdict = check(G, f)
+                assert verdict == oracle(G, f)
+                found += verdict is not None
+        assert found > 100
+
+    def test_the_rule_runs_only_on_trials_whose_conclusion_fails(self):
+        asked = []
+
+        def counting(G, cap):
+            asked.append(G)
+            return existence_arc_rule(G, cap)
+
+        report = run_falsification(make_existence_rule_property(counting), 2000, 27, max_n=5)
+        assert report.trials == 2000 and not report.falsified
+        failing = [
+            G
+            for G, f in (_draw_pair(random.Random(f"27:{i}"), 5, 4) for i in range(2000))
+            if not f.fixed_points()
+        ]
+        assert asked == failing
+        assert 0 < len(asked) < 1000
+
+
+class TestCycleCap:
+    @staticmethod
+    def complete(n):
+        """The complete signed digraph: a loop and both signs on every pair."""
+        return SignedDigraph(
+            n, [(u, v, s) for u in range(1, n + 1) for v in range(1, n + 1) for s in "+-"]
+        )
+
+    def test_the_complete_signed_digraph_has_the_most_cycles(self):
+        counts = [len(enumerate_cycles(self.complete(n), 10 ** 6)) for n in range(7)]
+        assert counts == [_most_cycles(n) for n in range(7)]
+        assert counts[5:] == [1458, 14120]
+
+    def test_no_graph_on_five_vertices_can_pass_the_cap(self):
+        assert FALSIFY_CYCLE_CAP == 10_000
+        assert _UNCAPPED_N == 5
+        assert _most_cycles(_UNCAPPED_N) <= FALSIFY_CYCLE_CAP < _most_cycles(_UNCAPPED_N + 1)
+
+    def test_matches_the_enumeration_verdict(self):
+        rng = random.Random(27)
+        verdicts = set()
+        for i in range(2000):
+            # Loops and arcs of both signs, each sign at its own density,
+            # sparse more often than dense.
+            n = 1 + i % 8
+            densities = ((POSITIVE, rng.random() ** 3), (NEGATIVE, rng.random() ** 3))
+            arcs = [
+                (u, v, sign)
+                for u in range(1, n + 1)
+                for v in range(1, n + 1)
+                for sign, p in densities
+                if rng.random() < p
+            ]
+            G = SignedDigraph(n, arcs)
+            verdict = _within_cap(G)
+            try:
+                enumerate_cycles(G, FALSIFY_CYCLE_CAP)
+                within = True
+            except CycleCapExceeded:
+                within = False
+            assert verdict == within
+            verdicts.add((n > _UNCAPPED_N, within))
+        assert verdicts == {(False, True), (True, True), (True, False)}
+
+    def test_enumerates_no_cycle_up_to_five_vertices(self, monkeypatch):
+        enumerated = []
+
+        def counting(G, cap):
+            enumerated.append(G.n)
+            return enumerate_cycles(G, cap)
+
+        monkeypatch.setattr("signedbn.falsify.enumerate_cycles", counting)
+        assert _within_cap(self.complete(5))
+        assert not _within_cap(self.complete(6))
+        assert enumerated == [6]
 
 
 class TestInstanceKinds:

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from conftest import signed_arcs
 from signedbn.generators import (
     double_cycle,
     figure1,
@@ -115,6 +116,34 @@ class TestRandom:
                 ]
                 assert random_digraph(n, arc_prob, rng=rng) == Digraph(n, pairs)
                 assert rng.random() == twin.random()
+
+    def test_arcs_match_the_arc_list_draw(self):
+        # Over arc and sign probabilities, the extremes included: the graph
+        # that the constructor builds from the arcs the arc-list loop draws,
+        # arc for arc in each adjacency, and the rng left in the same state.
+        rng = random.Random(27)
+        for i in range(900):
+            n = i % 9
+            arc_prob = (None, 0.0, 1.0, rng.random())[i % 4]
+            neg_prob = (0.0, 1.0, 0.5, rng.random(), rng.random())[i % 5]
+            seed = rng.randrange(10 ** 6)
+            drawn, twin = random.Random(seed), random.Random(seed)
+            G = random_signed_digraph(n, arc_prob, neg_prob, rng=drawn)
+            p = (2.0 / n if n else 0.0) if arc_prob is None else arc_prob
+            H = SignedDigraph(n, signed_arcs(n, p, neg_prob, twin))
+            assert drawn.getstate() == twin.getstate()
+            assert G == H and hash(G) == hash(H) and G.vertices == H.vertices
+            assert [G.in_arcs(v) for v in H.vertices] == [H.in_arcs(v) for v in H.vertices]
+            assert [G.out_arcs(v) for v in H.vertices] == [H.out_arcs(v) for v in H.vertices]
+
+    def test_negative_vertex_count_raises_after_the_probabilities(self):
+        rng = random.Random(1)
+        state = rng.getstate()
+        with pytest.raises(ValueError, match="^vertex count must be non-negative$"):
+            random_signed_digraph(-1, rng=rng)
+        assert rng.getstate() == state
+        with pytest.raises(ValueError, match="^arc_prob=2.0 is outside"):
+            random_signed_digraph(-1, 2.0)
 
     def test_no_vertices(self):
         assert random_signed_digraph(0, seed=1).n == 0

@@ -120,25 +120,48 @@ def unread_private_names(sources: dict[str, str]) -> list[str]:
     return [label for label, name, _ in _definitions(trees) if _is_private(name) and not read[name]]
 
 
+def _public_reads(tree: ast.AST, modules) -> tuple[Counter, Counter]:
+    """How often ``tree`` reads each name as a module-level name, by a name
+    load or by a load of ``module.name`` for a module in ``modules``, and
+    as a method, by any attribute load."""
+    names, attributes = Counter(), Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names[node.id] += 1
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            attributes[node.attr] += 1
+            if isinstance(node.value, ast.Name) and node.value.id in modules:
+                names[node.attr] += 1
+    return names, attributes
+
+
 def unread_public_names(sources: dict[str, str]) -> list[str]:
     """The public module-level functions and classes, and public methods,
     that the modules of ``sources`` define and none of them reads outside
     the definition itself, labelled as ``unread_private_names`` labels
     them, in definition order.
 
-    Public means no leading underscore.  Reads count as there: a load as a
-    name or as an attribute, so a method that shares its spelling with an
-    attribute read anywhere, such as ``list.reverse``, counts as read.
+    Public means no leading underscore.  A module-level name is read by a
+    name load or by a load of ``module.name``, where ``module`` is one of
+    ``sources``; a method only by an attribute load.  So a local variable
+    or argument does not read the method it shares a name with, and an
+    attribute such as a dataclass field does not read the function.  A
+    method that shares its spelling with an attribute read anywhere, such
+    as ``list.reverse``, still counts as read.
     """
     trees = {module: ast.parse(text) for module, text in sources.items()}
-    read = sum((_loads(tree) for tree in trees.values()), Counter())
-    return [
-        label
-        for label, name, node in _definitions(trees)
-        if not name.startswith("_")
-        and not isinstance(node, (ast.Assign, ast.AnnAssign))
-        and read[name] == _loads(node)[name]
-    ]
+    reads = [_public_reads(tree, trees) for tree in trees.values()]
+    names = sum((r[0] for r in reads), Counter())
+    attributes = sum((r[1] for r in reads), Counter())
+    unread = []
+    for label, name, node in _definitions(trees):
+        if name.startswith("_") or isinstance(node, (ast.Assign, ast.AnnAssign)):
+            continue
+        method = label.count(".") == 2
+        read = attributes if method else names
+        if read[name] == _public_reads(node, trees)[method][name]:
+            unread.append(label)
+    return unread
 
 
 def test_checker_flags_an_unread_private_name():
@@ -222,6 +245,29 @@ def test_checker_flags_an_unread_public_name():
     assert unread_public_names(sources) == ["a.recurse", "a.Index.stale", "b.run"]
 
 
+def test_checker_takes_no_local_or_field_for_a_public_name():
+    sources = {
+        "a": (
+            "def tau(x):\n"
+            "    return x\n"
+            "def size(x):\n"
+            "    return x\n"
+            "class Table:\n"
+            "    def table(self):\n"
+            "        pass\n"
+            "    def rows(self):\n"
+            "        pass\n"
+        ),
+        "b": (
+            "from . import a\n"
+            "def run(report, table):\n"
+            "    total = table + report.tau\n"
+            "    return a.size(total), a.Table().rows(), a.Table\n"
+        ),
+    }
+    assert unread_public_names(sources) == ["a.tau", "a.Table.table", "b.run"]
+
+
 # Public names that no library module but ``__init__`` reads, and why each
 # stays.  The bench tracer (``bench/spans.py``) patches several by name.
 KEPT_PUBLIC_NAMES = {
@@ -236,6 +282,8 @@ KEPT_PUBLIC_NAMES = {
     "graphs.SignedDigraph.consistent_subgraph": "README documents it, a definition of the paper",
     "graphs.reachable": "the bench tracer patches it",
     "structure.is_special_arc": "the bench tracer patches it",
+    "structure.tau_plus": "the bench tracer patches it; README documents it",
+    "structure.tau_tilde_plus": "the bench tracer patches it; README documents it",
     "structure.find_unbalanced_cycle": "README documents it, a definition of the paper",
 }
 

@@ -114,3 +114,34 @@ def test_an_oversized_header_is_refused_before_anything_is_built(tmp_path, comma
     code, out, err = run([command, str(path)], 1.0)
     assert (code, out) == (2, "")
     assert err == "error: n=100000000 " + words.split(" ", 1)[1] + "\n"
+
+
+# The theorems whose check refuses an instance by the size of its first
+# part.  The checks of thm1 to thm7 build their instance first.
+REFUSED_BY_HEADER = {"cor8", "harary", "kernel-corr", "lemma9", "richardson", "richardson-gen"}
+
+
+def test_the_registry_names_each_check_that_refuses_by_size():
+    assert {t for t, prop in REGISTRY.items() if prop.file_limit} == REFUSED_BY_HEADER
+
+
+@pytest.mark.parametrize("theorem", sorted(REFUSED_BY_HEADER))
+def test_check_refuses_an_oversized_header_before_anything_is_built(tmp_path, theorem):
+    prop = REGISTRY[theorem]
+    what, most = prop.file_limit
+    header, build = {"graph": ("sdigraph", SignedDigraph), "digraph": ("digraph", Digraph)}[
+        prop.kind.parts[0][0]
+    ]
+    graph = build(most + 1)
+    network = BooleanNetwork([constant(0)] * (most + 1))
+    parts = len(prop.kind.parts)
+    with pytest.raises(ValueError) as refusal:
+        prop.check(*(graph, network)[:parts])
+    words = str(refusal.value)
+    assert words == f"n={most + 1} exceeds the {what} limit {most}"
+    big, one = tmp_path / "big", tmp_path / "one"
+    big.write_text(f"{header} 1000000\n")
+    one.write_text("boolnet 1\n1 : | 0\n")
+    code, out, err = run(["check", "--theorem", theorem] + [str(big), str(one)][:parts], 1.0)
+    assert (code, out) == (2, "")
+    assert err == "error: n=1000000 " + words.split(" ", 1)[1] + "\n"
