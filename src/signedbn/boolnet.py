@@ -266,8 +266,16 @@ class BooleanNetwork:
         cyclic attractors.  Ordered by their smallest state.
 
         The search runs on 2^n-bit state sets (Xie and Beerel, IEEE TCAD
-        19, 2000).  The fixed points are the states where no vertex moves,
-        and each is an attractor.  A state that reaches one lies in no
+        19, 2000), inside the trap subspace S left by percolating constant
+        vertices (Naldi, Remy, Thieffry and Chaouiya, Theor. Comput. Sci.
+        412, 2011).  S starts as all states; while some vertex v not yet
+        fixed has f_v equal to c on all of S, S shrinks to S ∩ {x_v = c}.
+        No move leaves S, and every state of S reaches S ∩ {x_v = c} by at
+        most one move of v, so every attractor lies in the final S, and
+        only its states and its free vertices' moves are searched.
+
+        The fixed points are the states of S where no vertex moves, and
+        each is an attractor.  A state that reaches one lies in no
         cyclic attractor, so one backward closure from all of them decides
         those states at once.  Then, while states are undecided, take a
         pivot s, its forward closure F, and the set B of undecided states
@@ -284,14 +292,15 @@ class BooleanNetwork:
         _check_limit(self.n, *_ATTRACTOR_SCAN)
         n = self.n
         masks = _state_masks(n)
-        full = masks[0]
-        # Per moving vertex v: the states where x_v falls from 1 to 0, the
-        # states where it rises, and the distance 2^(n-v) between the two
-        # ends of a move.
+        values = [_value_mask(lf.inputs, lf.bits, masks) for lf in self.locals]
+        space, free = _trap_subspace(values, masks)
+        # Per moving vertex v: the states of S where x_v falls from 1 to
+        # 0, those where it rises, and the distance 2^(n-v) between the
+        # two ends of a move.
         moves = []
         unstable = 0
-        for v, lf in enumerate(self.locals, start=1):
-            moving = masks[v] ^ _value_mask(lf.inputs, lf.bits, masks)
+        for v in free:
+            moving = (masks[v] ^ values[v - 1]) & space
             if moving:
                 moves.append((moving & masks[v], moving & ~masks[v], 1 << (n - v)))
                 unstable |= moving
@@ -318,8 +327,8 @@ class BooleanNetwork:
                 if states == before:
                     return states
 
-        fixed = full & ~unstable
-        left = full & ~backward(fixed, full) if fixed else full
+        fixed = space & ~unstable
+        left = space & ~backward(fixed, space) if fixed else space
         cyclic = []
         region = 0
         while left:
@@ -531,6 +540,31 @@ def _value_mask(inputs: Sequence[int], bits: int, masks) -> int:
             height += 1
         blocks.append(hi)
     return blocks[0]
+
+
+def _trap_subspace(values: Sequence[int], masks) -> tuple[int, Sequence[int]]:
+    """The trap subspace S left by percolating constant vertices, as a set
+    of states, and the vertices it leaves free, in increasing order.
+
+    ``values[v - 1]`` is the set where f_v = 1, on ``_state_masks(n)``.
+    Passes over the free vertices run until one fixes nothing: a chain of
+    copies listed against the vertex order fixes one link per pass.
+    """
+    space = masks[0]
+    free = range(1, len(values) + 1)
+    while True:
+        still_free = []
+        for v in free:
+            value = values[v - 1] & space
+            if not value:
+                space &= ~masks[v]
+            elif value == space:
+                space &= masks[v]
+            else:
+                still_free.append(v)
+        if len(still_free) == len(free):
+            return space, free
+        free = still_free
 
 
 # -- networks consistent with a prescribed interaction graph -----------------

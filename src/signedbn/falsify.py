@@ -23,6 +23,7 @@ from .boolnet import (
     DEFAULT_MAX_INDEGREE,
     MAX_FIXED_POINT_SCAN,
     BooleanNetwork,
+    _FIXED_POINT_SCAN,
     _sample_family,
     _signature_index,
     enumerate_consistent,
@@ -124,8 +125,8 @@ def _disagreement_cycles(G: SignedDigraph, f: BooleanNetwork, special_arc_free: 
     have no special arc.  Returns (verdict, {(x, y): cycle}); the verdict is
     a counterexample when some pair has no witness.
     """
-    cycles = [c for c in enumerate_cycles(G, cap) if c.sign == POSITIVE]
     fixed = f.fixed_points()
+    cycles = [c for c in enumerate_cycles(G, cap) if c.sign == POSITIVE]
     if special_arc_free and len(fixed) >= 2:
         cycles = [c for c in cycles if find_special_arc(G, c, cap) is None]
     witnesses = {}
@@ -440,6 +441,7 @@ REGISTRY: dict[str, TheoremProperty] = {
         TheoremProperty(
             "thm1", "distinct fixed points disagree on a positive cycle", PAIR,
             _disagreement_check(False, "positive disagreement cycle"),
+            refusal=_FIXED_POINT_SCAN,
         ),
         TheoremProperty("thm2", "no negative cycle implies a fixed point", PAIR, _check_thm2),
         _rule_property(
@@ -459,6 +461,7 @@ REGISTRY: dict[str, TheoremProperty] = {
         TheoremProperty(
             "thm7", "disagreement cycle without special arc", PAIR,
             _disagreement_check(True, "special-arc-free positive cycle"),
+            refusal=_FIXED_POINT_SCAN,
         ),
         TheoremProperty(
             "cor8", "fixed points within min(2^tau~+, A(n, g~+))", PAIR, _check_cor8,

@@ -119,6 +119,67 @@ def bench_shaped_network(rng, n):
     return BooleanNetwork(locals_)
 
 
+def constant_rich_network(rng, n):
+    """Vertex v reads 1 + (v - 1) % 4 random vertices, itself allowed.  Each
+    network draws the share of its tables that are constant and the share
+    that are canalizing (one row differs from all others), so that many of
+    its vertices percolate to a constant, some only after others do."""
+    constant_share, canalizing_share = rng.choice(((0, 0), (0.2, 0.3), (0.3, 0.5), (0.6, 0.3)))
+    locals_ = []
+    for v in range(1, n + 1):
+        k = min(1 + (v - 1) % 4, n)
+        rows = 1 << k
+        draw = rng.random()
+        if draw < constant_share:
+            table = [rng.randrange(2)] * rows
+        elif draw < constant_share + canalizing_share:
+            c = rng.randrange(2)
+            table = [c] * rows
+            table[rng.randrange(rows)] = 1 - c
+        else:
+            table = [rng.randrange(2) for _ in range(rows)]
+        locals_.append(LocalFunction(rng.sample(range(1, n + 1), k), table))
+    return BooleanNetwork(locals_)
+
+
+def percolated_constants(f):
+    """{v: c} for the vertices that percolation fixes, found on table rows:
+    a vertex is fixed once its table is c on every row that agrees with
+    the values fixed so far, and passes repeat until one fixes nothing."""
+    fixed = {}
+    while True:
+        before = len(fixed)
+        for v, lf in enumerate(f.locals, start=1):
+            if v in fixed:
+                continue
+            outputs = {
+                value
+                for x, value in zip(itertools.product((0, 1), repeat=lf.arity), table_rows(lf))
+                if all(fixed.get(u, b) == b for u, b in zip(lf.inputs, x))
+            }
+            if len(outputs) == 1:
+                fixed[v] = outputs.pop()
+        if len(fixed) == before:
+            return fixed
+
+
+def trap_subspace(f):
+    """``boolnet._trap_subspace`` of f, its free vertices as a list."""
+    masks = boolnet._state_masks(f.n)
+    values = [boolnet._value_mask(lf.inputs, lf.bits, masks) for lf in f.locals]
+    space, free = boolnet._trap_subspace(values, masks)
+    return space, list(free)
+
+
+def subcube(n, fixed):
+    """The states that hold the values ``fixed``, as a 2^n-bit set."""
+    space = 0
+    for code, x in enumerate(all_states(n)):
+        if all(x[v - 1] == c for v, c in fixed.items()):
+            space |= 1 << code
+    return space
+
+
 def networks_strategy(max_n=3):
     @st.composite
     def build(draw):
@@ -753,6 +814,66 @@ class TestAttractors:
                 for _ in range(n)
             ])
             assert f.attractors() == lowest_pivot_attractors(f)
+
+    def test_matches_brute_force_on_constant_rich_networks(self):
+        # The search runs inside the trap subspace that percolating
+        # constants leaves; the oracle searches every state.
+        # The oracle's cost grows about fourfold per vertex, so 50 networks
+        # each have 8 and 9 vertices and the rest cycle through 1..7.
+        rng = random.Random(28)
+        percolating = deep = 0
+        for i in range(2000):
+            n = {0: 9, 20: 8}.get(i % 40, 1 + i % 7)
+            f = constant_rich_network(rng, n)
+            fixed = percolated_constants(f)
+            assert trap_subspace(f) == (
+                subcube(n, fixed), [v for v in range(1, n + 1) if v not in fixed]
+            )
+            found = f.attractors()
+            assert found == brute_attractors(f)
+            assert all(x[v - 1] == c for states in found for x in states for v, c in fixed.items())
+            percolating += bool(fixed)
+            deep += any(
+                v in fixed and len(set(table_rows(lf))) == 2 for v, lf in enumerate(f.locals, start=1)
+            )
+        # Most networks percolate, and many fix a vertex whose table is
+        # not constant.
+        assert percolating > 1200 and deep > 600
+
+    def test_matches_the_lowest_pivot_search_on_constant_rich_networks(self):
+        rng = random.Random(29)
+        for i in range(300):
+            f = constant_rich_network(rng, 10 + i % 7)
+            assert f.attractors() == lowest_pivot_attractors(f)
+
+    def test_a_chain_against_the_vertex_order_percolates_in_many_passes(self):
+        # x_6 is constant and each earlier vertex copies the next, so each
+        # pass over 1..6 fixes one more link: all six, in six passes.
+        f = net(*[((v + 1,), (0, 1)) for v in range(1, 6)], ((), (1,)))
+        assert trap_subspace(f) == (1 << 63, [])
+        assert f.attractors() == brute_attractors(f) == [frozenset({(1,) * 6})]
+
+    def test_a_vertex_fixed_only_after_two_others(self):
+        # f_1 = x_2 xor x_3 is constant only once both are; x_4 stays free.
+        f = net(((2, 3), (0, 1, 1, 0)), ((), (1,)), ((), (1,)), ((4,), (0, 1)))
+        assert trap_subspace(f) == (subcube(4, {1: 0, 2: 1, 3: 1}), [4])
+        assert f.attractors() == brute_attractors(f) == [
+            frozenset({(0, 1, 1, 0)}), frozenset({(0, 1, 1, 1)})
+        ]
+
+    def test_all_constant_and_empty_networks(self):
+        f = net(((), (1,)), ((), (0,)), ((), (1,)))
+        assert trap_subspace(f) == (1 << 0b101, [])
+        assert f.attractors() == brute_attractors(f) == [frozenset({(1, 0, 1)})]
+        empty = BooleanNetwork([])
+        assert trap_subspace(empty) == (1, [])
+        assert empty.attractors() == brute_attractors(empty) == [frozenset({()})]
+
+    def test_no_constant_vertex_keeps_every_state(self):
+        ring = net(((3,), (1, 0)), ((1,), (0, 1)), ((2,), (0, 1)))
+        for f in (SWAP2, IDENTITY2, NEGATION1, ring):
+            assert trap_subspace(f) == (boolnet._state_masks(f.n)[0], list(range(1, f.n + 1)))
+            assert f.attractors() == brute_attractors(f)
 
     def test_fixed_points_beside_a_cyclic_attractor(self):
         # x_1 gates an odd negation ring on 2, 3, 4 and falls when the ring

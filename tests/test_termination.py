@@ -12,6 +12,8 @@ import re
 import signal
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from signedbn import cli, structure
 from signedbn.boolnet import BooleanNetwork, constant
@@ -117,8 +119,11 @@ def test_an_oversized_header_is_refused_before_anything_is_built(tmp_path, comma
 
 
 # The theorems whose check refuses an instance by the size of its first
-# part.  The checks of thm1 to thm7 build their instance first.
-REFUSED_BY_HEADER = {"cor8", "harary", "kernel-corr", "lemma9", "richardson", "richardson-gen"}
+# part.  The checks of thm2 to thm6 can answer without a scan of the
+# fixed points, so they build their instance first.
+REFUSED_BY_HEADER = {
+    "cor8", "harary", "kernel-corr", "lemma9", "richardson", "richardson-gen", "thm1", "thm7"
+}
 
 
 def test_the_registry_names_each_check_that_refuses_by_size():
@@ -145,3 +150,73 @@ def test_check_refuses_an_oversized_header_before_anything_is_built(tmp_path, th
     code, out, err = run(["check", "--theorem", theorem] + [str(big), str(one)][:parts], 1.0)
     assert (code, out) == (2, "")
     assert err == "error: n=1000000 " + words.split(" ", 1)[1] + "\n"
+
+
+@pytest.mark.parametrize("theorem", ["thm1", "thm7"])
+def test_a_disagreement_check_refuses_the_scan_before_it_counts_cycles(theorem):
+    # The complete positive graph on 25 vertices is far over the cycle
+    # cap; the check refuses its fixed-point scan first, as ``check``
+    # refuses the file's header.
+    arcs = [(u, v, "+") for u in range(1, 26) for v in range(1, 26) if u != v]
+    with pytest.raises(ValueError, match=r"^n=25 exceeds the fixed-point scan limit 24$"):
+        REGISTRY[theorem].check(SignedDigraph(25, arcs), BooleanNetwork([constant(0)] * 25))
+
+
+# Ways a hand-edited ``.bn`` file can be broken, each on a well-formed
+# network's lines.
+FLAWS = (
+    None, "truncated", "empty", "header only", "header too large", "duplicate vertex",
+    "input out of range", "table length", "table character",
+)
+
+
+@st.composite
+def network_files(draw):
+    """(flaw, text): a well-formed network on 0 to 8 vertices, then the flaw."""
+    n = draw(st.integers(0, 8))
+    body = []
+    for v in range(1, n + 1):
+        inputs = draw(st.lists(st.integers(1, n), unique=True, max_size=min(n, 4)))
+        table = "".join(draw(st.sampled_from("01")) for _ in range(1 << len(inputs)))
+        body.append([v, " ".join(map(str, inputs)), table])
+    header = f"boolnet {n}"
+    flaw = draw(st.sampled_from(FLAWS))
+    if body and flaw in ("input out of range", "table length", "table character"):
+        line = draw(st.sampled_from(body))
+        if flaw == "input out of range":
+            line[1] += f" {draw(st.sampled_from((0, -1, n + 1, 10 ** 30)))}"
+        elif flaw == "table length":
+            line[2] = draw(st.sampled_from((line[2][:-1], line[2] + "0", line[2] * 2)))
+        else:
+            at = draw(st.integers(0, len(line[2]) - 1))
+            line[2] = line[2][:at] + draw(st.sampled_from("2x-. \u0661")) + line[2][at + 1:]
+    lines = [header] + [f"{v} : {inputs} | {table}" for v, inputs, table in body]
+    if flaw == "header only":
+        lines = [header]
+    elif flaw == "header too large":
+        lines[0] = f"boolnet {n + draw(st.integers(1, 3))}"
+    elif flaw == "duplicate vertex" and body:
+        lines.insert(draw(st.integers(1, len(lines))), draw(st.sampled_from(lines[1:])))
+    text = "\n".join(lines) + "\n"
+    if flaw == "truncated":
+        text = text[: draw(st.integers(0, len(text)))]
+    elif flaw == "empty":
+        text = ""
+    return flaw, text
+
+
+@pytest.fixture(scope="module")
+def network_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("bn") / "f.bn"
+
+
+@given(network_files(), st.sampled_from(("human", "structured")))
+@settings(max_examples=400, deadline=None)
+def test_dynamics_commands_answer_or_refuse_any_network_file(network_path, drawn, style):
+    flaw, text = drawn
+    network_path.write_text(text, encoding="utf-8")
+    for command in ("fixed-points", "attractors"):
+        code, _, err = run(["--format", style, command, str(network_path)], 1.0)
+        assert answered(code, err), (command, text, code, err)
+        if flaw is None:
+            assert code == 0
