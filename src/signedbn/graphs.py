@@ -237,10 +237,10 @@ class SignedDigraph:
     def symmetrize(self) -> "SignedDigraph":
         """Close the arc set under sign-preserving reversal; a graph already
         closed is returned itself."""
-        reversed_arcs = {Arc(a.target, a.source, a.sign) for a in self._arcs}
-        if reversed_arcs <= self._arcs:
+        missing = {(t, s, sign) for s, t, sign in self._arcs} - self._arcs
+        if not missing:
             return self
-        return SignedDigraph(self._vertices, self._arcs | reversed_arcs)
+        return SignedDigraph(self._vertices, self._arcs.union(map(Arc._make, missing)))
 
     def consistent_subgraph(self, x: Sequence[int]) -> "SignedDigraph":
         """Spanning subgraph of arcs consistent with the state x.
@@ -696,75 +696,65 @@ class _CycleIndex:
         return cycles
 
 
-# -- breadth-first search trees ---------------------------------------------
-
-
-def _search_tree(
-    G: SignedDigraph, roots: Iterable[int], inside
-) -> tuple[dict[int, int], dict[int, Arc]]:
-    """Breadth-first search trees along G's out-arcs, inside ``inside``.
-
-    A search starts from each root (a vertex of ``inside``) not reached
-    yet and follows out-arcs in ``out_arcs`` order to unreached vertices
-    of ``inside``.  Returns (parity, parent): ``parity[v]`` is the sign
-    product of v's tree path, POSITIVE at each root, and ``parent[v]`` the
-    tree arc that first reached v; the keys of ``parity`` are the reached
-    vertices and roots have no parent.
-    """
-    parity: dict[int, int] = {}
-    parent: dict[int, Arc] = {}
-    out = G._out
-    for root in roots:
-        if root in parity:
-            continue
-        parity[root] = POSITIVE
-        queue = [root]
-        for v in queue:  # the queue grows while it is read
-            sign = parity[v]
-            for a in out[v]:
-                t = a.target
-                if t in inside and t not in parity:
-                    parity[t] = sign * a.sign
-                    parent[t] = a
-                    queue.append(t)
-    return parity, parent
-
-
-def tree_path_arcs(parent: dict[int, Arc], v: int) -> list[Arc]:
-    """Arcs from the root of a search tree down to v, given each reached
-    vertex's tree arc in ``parent``."""
-    arcs = []
-    while v in parent:
-        a = parent[v]
-        arcs.append(a)
-        v = a.source
-    arcs.reverse()
-    return arcs
-
-
 # -- negative-cycle detection (polynomial) ---------------------------------
 
 
-def _component_bad_arc(G: SignedDigraph, comp: frozenset[int], parity) -> Arc | None:
-    """An arc inside ``comp`` whose sign disagrees with the parity labels."""
-    for v in sorted(comp):
-        for a in G.out_arcs(v):
-            if a.target in comp and parity[a.target] != parity[v] * a.sign:
-                return a
-    return None
+def _sign_cover(G: SignedDigraph) -> tuple[dict[int, int], list[int]]:
+    """G's vertex positions (the p-th of ``G.vertices`` is p) and the step
+    masks of G's sign cover, built in one pass over the out-arcs.
+
+    Cover position p is vertex p reached by a walk of sign +, and p + n
+    the same vertex reached by a walk of sign -: a positive arc keeps the
+    copy and a negative arc switches it.  So a cover walk from p to p + n
+    is a negative closed walk of G through p.
+    """
+    position = {v: p for p, v in enumerate(G.vertices)}
+    n = len(position)
+    plus, minus = [], []
+    for v in position:
+        keep = switch = 0
+        for _, t, sign in G._out[v]:
+            if sign == POSITIVE:
+                keep |= 1 << position[t]
+            else:
+                switch |= 1 << position[t]
+        plus.append(keep | switch << n)
+        minus.append(switch | keep << n)
+    return position, plus + minus
+
+
+def _negative_walk(step: Sequence[int], comp: int, n: int) -> bool:
+    """Whether the strong component on the position mask ``comp`` holds a
+    negative cycle, given the ``step`` masks of a sign cover on n vertices.
+
+    A negative closed walk splits into simple cycles, one of them
+    negative, and the vertices of a strong component all reach each
+    other, so the component has a negative cycle iff a cover walk inside
+    it leads from its lowest position to that position's - copy.
+    """
+    low = comp & -comp
+    return bool(_closure(low, step, comp | comp << n) & low << n)
+
+
+def _negative_components(G: SignedDigraph):
+    """G's positions and sign cover with the position mask of each strong
+    component that holds a negative cycle, in topological order, by one
+    ``_negative_walk`` per non-trivial component; the cover is built only
+    when there is one."""
+    decomposition = _components(G)
+    cyclic = [c for c, nt in zip(decomposition.components, decomposition.nontrivial) if nt]
+    if not cyclic:
+        return
+    position, step = _sign_cover(G)
+    for comp in cyclic:
+        mask = sum(1 << position[v] for v in comp)
+        if _negative_walk(step, mask, len(position)):
+            yield position, step, mask
 
 
 def has_negative_cycle(G: SignedDigraph) -> bool:
-    """True iff some directed simple cycle of G is negative.
-
-    Polynomial: inside each strong component a negative cycle exists iff
-    the component admits no assignment x with all arcs consistent (the
-    sign-parity labelling from any spanning tree already decides this).
-    """
-    return any(
-        _component_bad_arc(G, comp, _search_tree(G, [min(comp)], comp)[0]) is not None
-        for comp in _components(G).components
-    )
+    """True iff some directed simple cycle of G is negative; polynomial."""
+    return next(_negative_components(G), None) is not None
 
 
 def extract_negative_cycle(walk: Sequence[Arc]) -> SignedCycle:
@@ -792,20 +782,33 @@ def extract_negative_cycle(walk: Sequence[Arc]) -> SignedCycle:
 
 
 def find_negative_cycle(G: SignedDigraph) -> SignedCycle | None:
-    """A negative simple cycle of G, or None when all cycles are positive."""
-    for comp in _components(G).components:
-        root = min(comp)
-        parity, parent = _search_tree(G, [root], comp)
-        bad = _component_bad_arc(G, comp, parity)
-        if bad is None:
-            continue
-        back = tree_path_arcs(_search_tree(G, [bad.target], comp)[1], root)
-        # One of the two closed walks below is negative: their signs
-        # multiply to the parity defect of the bad arc.
-        walk = tree_path_arcs(parent, bad.source) + [bad] + back
-        if _sign_product(walk) != NEGATIVE:
-            walk = tree_path_arcs(parent, bad.target) + back
-        return extract_negative_cycle(walk)
+    """A negative simple cycle of G, or None when all cycles are positive.
+
+    In the first component with a negative cycle, a shortest cover walk
+    from the lowest position to its - copy, found layer by layer and
+    traced back through the layers, is a negative closed walk of G;
+    ``extract_negative_cycle`` splits it.
+    """
+    for position, step, comp in _negative_components(G):
+        vertices = list(position)
+        n = len(vertices)
+        low = comp & -comp
+        layers = [low]
+        seen = low
+        while layers[-1] and not seen >> n & low:
+            reached = 0
+            for q in _set_bits(layers[-1]):
+                reached |= step[q]
+            layers.append(reached & (comp | comp << n) & ~seen)
+            seen |= layers[-1]
+        walk = []
+        at = low.bit_length() - 1 + n
+        for layer in reversed(layers[:-1]):
+            q = next(q for q in _set_bits(layer) if step[q] >> at & 1)
+            sign = POSITIVE if (q < n) == (at < n) else NEGATIVE
+            walk.append(Arc(vertices[q % n], vertices[at % n], sign))
+            at = q
+        return extract_negative_cycle(walk[::-1])
     return None
 
 
@@ -828,5 +831,8 @@ def reachable(
     G._check_vertex(target)
     if target in blocked:
         raise ValueError("target must not be forbidden")
-    starts = [v for v in G._check_subset(sources) if v not in blocked]
-    return target in _search_tree(G, starts, G.vertex_set - blocked)[0]
+    starts = G._check_subset(sources)
+    position, out, _ = _neighbor_masks(G)
+    seed = sum(1 << position[v] for v in starts)
+    allowed = ~sum(1 << position[v] for v in blocked)
+    return bool(_closure(seed, out, allowed) >> position[target] & 1)

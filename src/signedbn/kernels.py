@@ -2,9 +2,10 @@
 
 A kernel is an independent vertex set K such that every vertex outside K
 has an arc into K.  Encoding every arc as negative turns odd cycles into
-negative cycles, so the refinement of the no-odd-cycle existence theorem
-reuses the signed-graph machinery; the theorem's own condition is decided
-on D's vertex masks.
+negative cycles, so the no-odd-cycle existence theorem and its refinement
+reuse the signed-graph machinery: the theorem's own condition is the
+negative-walk test on the sign cover of D's vertex masks, and the
+refinement is the existence arc rule.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from .graphs import (
     SignedDigraph,
     _check_limit,
     _component_masks,
+    _negative_walk,
     _set_bits,
 )
 from .structure import existence_arc_rule
@@ -62,49 +64,25 @@ def richardson_condition(D: Digraph) -> bool:
     """No odd cycle (cycle parity = length parity); guarantees a kernel.
 
     Decided on D's neighbour masks, position v-1 for vertex v, with no
-    graph built.  A loop is an odd cycle.  Arcs between strong components
-    lie on no cycle, and a strong digraph has an odd cycle iff its
-    underlying undirected graph is not bipartite (Bang-Jensen and Gutin,
-    *Digraphs*), so each component of ``_component_masks`` is 2-coloured.
+    graph built.  A loop is an odd cycle.  Read with every arc negative,
+    an odd cycle is a negative cycle, so the sign cover of that reading
+    switches copies on every arc, and each strong component of
+    ``_component_masks`` is asked ``_negative_walk``.
     """
-    out = [0] * D.n
-    into = [0] * D.n
+    n = D.n
+    out = [0] * n
+    into = [0] * n
     for u, v in D.arc_set:
         if u == v:
             return False
         out[u - 1] |= 1 << v - 1
         into[v - 1] |= 1 << u - 1
-    return all(
-        _two_colourable(comp, out, into)
+    step = [o << n for o in out] + out
+    return not any(
+        _negative_walk(step, comp, n)
         for comp in _component_masks(out, into)
-        if comp & comp - 1  # one vertex without a loop has no edge
+        if comp & comp - 1  # one vertex without a loop has no cycle
     )
-
-
-def _two_colourable(comp: int, out: list[int], into: list[int]) -> bool:
-    """Whether the arcs inside the position mask ``comp``, read as
-    undirected edges, form a bipartite graph, given that they connect it.
-
-    A breadth-first search by layers: ``side`` holds the layers of the
-    frontier's parity.  An edge joins layers at most one apart, so one
-    from the frontier into ``side`` lies inside a layer and closes an
-    odd cycle.
-    """
-    frontier = seen = side = comp & -comp
-    while frontier:
-        near = 0
-        while frontier:
-            low = frontier & -frontier
-            q = low.bit_length() - 1
-            near |= out[q] | into[q]
-            frontier ^= low
-        near &= comp
-        if near & side:
-            return False
-        frontier = near & ~seen
-        seen |= frontier
-        side = seen & ~side
-    return True
 
 
 def generalized_condition(D: Digraph, cap: int = DEFAULT_CYCLE_CAP) -> bool:

@@ -23,12 +23,11 @@ from .graphs import (
     SignedDigraph,
     _check_limit,
     _closure,
-    _component_bad_arc,
     _components,
     _cycle_index,
     _CycleIndex,
     _cycles,
-    _search_tree,
+    _sign_cover,
     _set_bits,
     as_arc,
     find_negative_cycle,
@@ -135,20 +134,15 @@ def _stuck(index: _CycleIndex, j: int) -> bool:
     positions, the ``reach`` of ``_special_failure``, holds a source or a
     positive cycle avoiding those positions and k.  Such a cycle lies in
     ``reach``: if I misses it, it fails (ii) or (iii), and if I meets it,
-    a position of I is a start in ``reach``.
+    a position of I is a start in ``reach``.  So the arc stays failed iff
+    ``_special_failure`` fails it with no arc gone, G's sources cleared
+    and, left, the positive cycles that avoid those positions.
     """
     on = index.cycle_vertices[j]
     for a in index.cycles[j].arcs:
         k = index.arc_number[a]
-        v = index.heads[k]
-        if not index.in_arcs[v] & ~(1 << k):
-            continue
-        blocked = on & ~(1 << v)
-        reach = _closure(1 << v, index.in_neighbors, ~blocked)
-        if reach & index.sources:
-            continue
-        beside = index.positives & ~index.arc_cycles[k] & ~index.cycles_meeting(blocked)
-        if not index.cycles_meeting(reach) & beside:
+        left = index.positives & ~index.cycles_meeting(on & ~(1 << index.heads[k]))
+        if _special_failure(index, 0, left, index.sources, on, k) is None:
             return False
     return True
 
@@ -425,15 +419,26 @@ def two_coloring(G: SignedDigraph):
     Positive arcs force equal colors, negative arcs distinct ones; the
     lowest-indexed vertex of each connected component of the symmetrized
     graph gets color 0.  The complement of a two-coloring is one as well.
+    Decided on the sign cover of the symmetrized graph: one closure from
+    the lowest position of each connected part with an arc, which fails
+    when it holds both copies of a vertex and otherwise colors 1 the
+    vertices it reaches with sign -.
     """
-    H = G.symmetrize()
-    parity, _ = _search_tree(H, H.vertices, H.vertex_set)
-    if _component_bad_arc(H, H.vertex_set, parity) is not None:
-        return None
-    colors = [0] * (max(H.vertex_set) if H.vertex_set else 0)
-    for v, sign in parity.items():
-        if sign == NEGATIVE:
-            colors[v - 1] = 1
+    position, step = _sign_cover(G.symmetrize())
+    vertices = list(position)
+    n = len(vertices)
+    seen = minus = 0
+    for p in range(n):
+        if step[p] and not seen >> p & 1:
+            reached = _closure(1 << p, step)
+            part = reached >> n
+            if reached & part:
+                return None
+            minus |= part
+            seen |= reached | part
+    colors = [0] * (vertices[-1] if vertices else 0)
+    for p in _set_bits(minus):
+        colors[vertices[p] - 1] = 1
     return tuple(colors)
 
 

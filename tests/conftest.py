@@ -12,7 +12,9 @@ Attractors also have a set-search oracle, the lowest-pivot loop that the
 library's search replaced, on the library's state masks, and fixed points
 a scan oracle, the AND over all 2^n states that the library's scan over a
 feedback vertex set replaced.  The odd-cycle condition has the negative
-cycle search on the all-negative encoding that its mask test replaced.
+cycle search on the all-negative encoding that its mask test replaced,
+and negative cycles and two-colorings have the breadth-first search
+trees that the sign-cover closure replaced.
 The rule theorems' checks have the premise-first check that reading the
 conclusion first replaced, and the random signed digraph has the
 arc-list draw loop that its per-target draw replaced.
@@ -41,7 +43,7 @@ from signedbn.graphs import (
     SignedDigraph,
     _cycle_index,
     _set_bits,
-    has_negative_cycle,
+    scc,
 )
 from signedbn.structure import _has_special_arc
 
@@ -283,8 +285,75 @@ def _row(lf, x):
 
 def signed_richardson_condition(D):
     """``kernels.richardson_condition`` as it decided before it read D's
-    masks: D with every arc negative has no negative cycle."""
-    return not has_negative_cycle(as_all_negative(D))
+    masks: D with every arc negative has no negative cycle, by the
+    breadth-first search trees of ``tree_has_negative_cycle``."""
+    return not tree_has_negative_cycle(as_all_negative(D))
+
+
+# -- breadth-first search trees -------------------------------------------------
+#
+# Negative-cycle detection and two-colorings as the library decided them
+# before it walked G's sign cover: a search tree labels each reached vertex
+# with the sign of its tree path, and an arc that disagrees with the labels
+# closes a negative walk.
+
+
+def _search_tree(G, roots, inside):
+    """Breadth-first search trees along G's out-arcs, inside ``inside``.
+
+    A search starts from each root (a vertex of ``inside``) not reached
+    yet and follows out-arcs in ``out_arcs`` order to unreached vertices
+    of ``inside``.  Returns the parity of each reached vertex: the sign
+    product of its tree path, POSITIVE at each root.
+    """
+    parity = {}
+    for root in roots:
+        if root in parity:
+            continue
+        parity[root] = POSITIVE
+        queue = [root]
+        for v in queue:  # the queue grows while it is read
+            sign = parity[v]
+            for a in G.out_arcs(v):
+                t = a.target
+                if t in inside and t not in parity:
+                    parity[t] = sign * a.sign
+                    queue.append(t)
+    return parity
+
+
+def _component_bad_arc(G, comp, parity):
+    """An arc inside ``comp`` whose sign disagrees with the parity labels."""
+    for v in sorted(comp):
+        for a in G.out_arcs(v):
+            if a.target in comp and parity[a.target] != parity[v] * a.sign:
+                return a
+    return None
+
+
+def tree_has_negative_cycle(G):
+    """Whether G has a negative cycle: some strong component has an arc
+    that disagrees with the parities of a search tree from its lowest
+    vertex."""
+    return any(
+        _component_bad_arc(G, comp, _search_tree(G, [min(comp)], comp)) is not None
+        for comp in scc(G).components
+    )
+
+
+def tree_two_coloring(G):
+    """``structure.two_coloring`` by search trees on the symmetrized graph,
+    one from the lowest vertex of each connected component not yet
+    reached; None when an arc disagrees with the parities."""
+    H = G.symmetrize()
+    parity = _search_tree(H, H.vertices, H.vertex_set)
+    if _component_bad_arc(H, H.vertex_set, parity) is not None:
+        return None
+    colors = [0] * (max(H.vertex_set) if H.vertex_set else 0)
+    for v, sign in parity.items():
+        if sign == NEGATIVE:
+            colors[v - 1] = 1
+    return tuple(colors)
 
 
 def brute_kernels(D):

@@ -12,7 +12,15 @@ from hypothesis import strategies as st
 
 import signedbn
 from signedbn import falsify, structure
-from conftest import all_signed_digraphs, all_simple_signed_digraphs, brute_cycles, g
+from conftest import (
+    _bfs_reaches,
+    all_signed_digraphs,
+    all_simple_signed_digraphs,
+    brute_cycles,
+    g,
+    tree_has_negative_cycle,
+    tree_two_coloring,
+)
 from signedbn.generators import figure1, random_signed_digraph
 from signedbn.graphs import (
     NEGATIVE,
@@ -468,6 +476,60 @@ class TestNegativeCycleDetection:
     def test_strong_graph_matches_symmetrization(self, G):
         if is_strong(G):
             assert has_negative_cycle(G) == has_negative_cycle(G.symmetrize())
+
+
+def _matches_search_trees(G, rng):
+    """The sign-cover answers on G against the search-tree oracles, and
+    ``reachable`` from random sources avoiding random vertices against a
+    plain search."""
+    negative = tree_has_negative_cycle(G)
+    assert has_negative_cycle(G) == negative, G.arcs
+    assert structure.two_coloring(G) == tree_two_coloring(G), G.arcs
+    w = find_negative_cycle(G)
+    if negative:
+        # A SignedCycle checks that its arcs chain, close and repeat no vertex.
+        assert isinstance(w, SignedCycle) and w.sign == NEGATIVE, G.arcs
+        assert set(w.arcs) <= G.arc_set, G.arcs
+    else:
+        assert w is None, G.arcs
+    if G.vertices:
+        target = rng.choice(G.vertices)
+        sources = [v for v in G.vertices if rng.random() < 0.4]
+        forbidden = [v for v in G.vertices if v != target and rng.random() < 0.3]
+        expected = _bfs_reaches(G, sources, set(forbidden), target)
+        assert reachable(G, sources, forbidden, target) == expected, G.arcs
+
+
+class TestSignCover:
+    def test_matches_search_trees_exhaustively(self):
+        rng = random.Random(11)
+        graphs = itertools.chain(
+            *(all_signed_digraphs(n) for n in range(3)), all_simple_signed_digraphs(3)
+        )
+        for G in graphs:
+            _matches_search_trees(G, rng)
+
+    def test_matches_search_trees_random(self):
+        # Loops and parallel arcs of both signs are drawn; a deleted vertex
+        # leaves ids that are not contiguous.
+        rng = random.Random(12)
+        gapped = 0
+        for _ in range(5000):
+            n = rng.randint(1, 9)
+            density = rng.random() / 2
+            arcs = [
+                (u, v, s)
+                for u in range(1, n + 1)
+                for v in range(1, n + 1)
+                for s in "+-"
+                if rng.random() < density
+            ]
+            G = SignedDigraph(n, arcs)
+            if rng.random() < 0.2:
+                G = G.delete(rng.randint(1, n))
+                gapped += G.vertices != tuple(range(1, G.n + 1))
+            _matches_search_trees(G, rng)
+        assert gapped > 500
 
 
 class TestReachable:

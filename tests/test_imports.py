@@ -9,11 +9,15 @@ with ``ast``.  ``__init__.py`` re-exports names it does not use, and
 """
 
 import ast
+import importlib
 import types
 from collections import Counter
 from pathlib import Path
 
+import signedbn
+
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "signedbn"
+BENCH = PACKAGE.parent.parent / "bench"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -295,3 +299,21 @@ def test_library_reads_every_public_name_it_defines():
         if p.name != "__init__.py"
     }
     assert sorted(unread_public_names(sources)) == sorted(KEPT_PUBLIC_NAMES)
+
+
+def test_the_bench_tracer_finds_and_restores_every_name_it_patches(monkeypatch):
+    # The tracer patches library names by their spelling, so deleting or
+    # renaming one of them breaks ``install``.  It is read from ``bench/``
+    # as the benchmark reads it; nothing there is edited.
+    monkeypatch.syspath_prepend(str(BENCH))
+    spans = importlib.import_module("spans")
+    tracer = spans.Tracer()
+    try:
+        tracer.install()
+        patched = list(tracer._patches)
+    finally:
+        tracer.uninstall()
+    assert patched
+    assert any(owner is signedbn.graphs and attr == "reachable" for owner, attr, _ in patched)
+    restored = [vars(owner)[attr] is original for owner, attr, original in patched]
+    assert all(restored), [patch[:2] for patch, ok in zip(patched, restored) if not ok]

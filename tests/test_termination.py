@@ -15,8 +15,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from signedbn import cli, structure
-from signedbn.boolnet import BooleanNetwork, constant
+from signedbn import cli, formats, structure
+from signedbn.boolnet import BooleanNetwork, UnrealizableGraphError, constant, sample_consistent
 from signedbn.falsify import MAX_EXHAUSTIVE_N, REGISTRY
 from signedbn.graphs import SignedDigraph
 from signedbn.kernels import Digraph, kernels
@@ -220,3 +220,128 @@ def test_dynamics_commands_answer_or_refuse_any_network_file(network_path, drawn
         assert answered(code, err), (command, text, code, err)
         if flaw is None:
             assert code == 0
+
+
+# Ways a hand-edited ``.sd`` or ``.dg`` file can be broken, each on a
+# well-formed graph's lines.  Well-formed graphs already hold loops and,
+# in ``.sd`` files, arcs of both signs between the same vertices.
+GRAPH_FLAWS = (
+    None, "truncated", "empty", "no vertices", "header word", "duplicate arc", "vertex out of range",
+)
+
+
+@st.composite
+def graph_files(draw, header):
+    """(flaw, text): a well-formed ``header`` file (``sdigraph`` or
+    ``digraph``) on 0 to 6 vertices, then the flaw."""
+    n = draw(st.integers(0, 6))
+    fields = [st.integers(1, n), st.integers(1, n)]
+    if header == "sdigraph":
+        fields.append(st.sampled_from("+-"))
+    arcs = draw(st.lists(st.tuples(*fields), unique=True, max_size=3 * n)) if n else []
+    lines = [f"{header} {n}"] + [" ".join(map(str, arc)) for arc in arcs]
+    flaw = draw(st.sampled_from(GRAPH_FLAWS))
+    if flaw == "no vertices":
+        lines[0] = f"{header} 0"
+    elif flaw == "header word":
+        lines[0] = draw(st.sampled_from(("sdigraph", "digraph", "boolnet", "graph"))) + f" {n}"
+    elif flaw == "duplicate arc" and arcs:
+        lines.insert(draw(st.integers(1, len(lines))), draw(st.sampled_from(lines[1:])))
+    elif flaw == "vertex out of range":
+        bad = draw(st.sampled_from(("0", "-1", str(n + 1), str(10 ** 30), "x")))
+        arc = [bad, "1"] if draw(st.booleans()) else ["1", bad]
+        lines.append(" ".join(arc + ["+"] * (header == "sdigraph")))
+    text = "\n".join(lines) + "\n"
+    if flaw == "truncated":
+        text = text[: draw(st.integers(0, len(text)))]
+    elif flaw == "empty":
+        text = ""
+    return flaw, text
+
+
+def network_for(text):
+    """A ``.bn`` text for the second file of ``check``: a network consistent
+    with the graph ``text``, when it parses and one exists, so that the
+    pair checks run; otherwise a one-vertex network."""
+    try:
+        G = formats.parse_signed_digraph(text)
+        return formats.format_boolean_network(sample_consistent(G, seed=0))
+    except (formats.FormatError, UnrealizableGraphError, ValueError):
+        return "boolnet 1\n1 : | 0\n"
+
+
+def check_answers(tmp, text, commands, style, cap):
+    """Run ``commands`` on the file ``text``, then ``check`` with every
+    theorem, alone and with a network, and return the calls that
+    neither answered nor refused."""
+    graph, network = tmp / "graph", tmp / "network"
+    graph.write_text(text, encoding="utf-8")
+    network.write_text(network_for(text), encoding="utf-8")
+    calls = [[command, str(graph)] for command in commands]
+    for theorem in sorted(REGISTRY):
+        for files in ([graph], [graph, network]):
+            calls.append(["check", "--theorem", theorem, "--cycle-cap", cap] + list(map(str, files)))
+    failures = []
+    for argv in calls:
+        code, _, err = run(["--format", style] + argv, 1.0)
+        if not answered(code, err):
+            failures.append((argv, code, err))
+    return failures
+
+
+STYLES = st.sampled_from(("human", "structured"))
+CAPS = st.sampled_from(("0", "1", "3"))
+
+
+@given(graph_files("sdigraph"), STYLES, CAPS)
+@settings(max_examples=60, deadline=None)
+def test_graph_commands_answer_or_refuse_any_graph_file(tmp_path_factory, drawn, style, cap):
+    flaw, text = drawn
+    tmp = tmp_path_factory.mktemp("sd")
+    assert check_answers(tmp, text, ("analyze", "bounds"), style, cap) == [], text
+    if flaw is None:
+        code, _, _ = run(["analyze", str(tmp / "graph")], 1.0)
+        assert code == 0, text
+
+
+@given(graph_files("digraph"), STYLES, CAPS)
+@settings(max_examples=60, deadline=None)
+def test_digraph_commands_answer_or_refuse_any_digraph_file(tmp_path_factory, drawn, style, cap):
+    flaw, text = drawn
+    tmp = tmp_path_factory.mktemp("dg")
+    assert check_answers(tmp, text, ("kernels",), style, cap) == [], text
+    if flaw is None:
+        code, _, _ = run(["kernels", str(tmp / "graph")], 1.0)
+        assert code in (0, 1), text
+
+
+# Arguments of ``generate`` at and past the edges of what each family takes.
+GENERATE = (
+    [["figure1", "--n", n] for n in ("-1", "0", "1", "2", "3", "4")]
+    + [
+        ["double_cycle", "--lengths", a, b, "--signs", s, t]
+        for a, b in (("0", "1"), ("1", "0"), ("-1", "2"), ("1", "1"), ("3", "2"))
+        for s, t in (("+", "-"), ("-", "-"))
+    ]
+    + [
+        ["random", "--n", n, "--arc-prob", p, "--neg-prob", q, "--seed", seed]
+        for n in ("-1", "0", "1", "2")
+        for p in ("-0.5", "0", "1", "1.5")
+        for q in ("-0.5", "0", "1", "1.5")
+        for seed in ("-1", "0")
+    ]
+    + [["random", "--n", "0"], ["random", "--n", "2"]]
+)
+
+
+def test_generate_answers_or_refuses_at_every_boundary(tmp_path):
+    failures = []
+    for argv in GENERATE + [["figure1", "-o", str(tmp_path)]]:
+        code, out, err = run(["generate"] + argv, 1.0)
+        if not answered(code, err) or code == 1:
+            failures.append((argv, code, err))
+        elif code == 0:
+            # What ``generate`` writes, ``analyze`` reads back.
+            G = formats.parse_signed_digraph(out)
+            assert formats.format_signed_digraph(G) == out
+    assert failures == []
