@@ -59,7 +59,6 @@ from .kernels import (
     richardson_condition,
 )
 from .structure import (
-    DEFAULT_SEARCH_LIMIT,
     RuleVerdict,
     existence_arc_rule,
     find_special_arc,
@@ -287,10 +286,10 @@ class TheoremProperty:
     it).  It returns None when the instance satisfies the statement
     (vacuously or not) and a one-line violation detail otherwise.  The
     rule theorems also carry their graph ``condition``, called as
-    ``condition(G, cap)`` and returning a RuleVerdict.  ``max_n`` is the
-    largest max_n random trials take, the kind's limit when None.
-    ``refusal`` is as the kind's, for a check that refuses where the
-    other checks of its kind do not.
+    ``condition(G, cap)`` and returning a RuleVerdict.  ``refusal`` is as
+    the kind's, for a check that refuses where the other checks of its
+    kind do not; its limit is then the largest max_n random trials take,
+    and the kind's ``max_n`` otherwise.
     """
 
     id: str
@@ -298,7 +297,6 @@ class TheoremProperty:
     kind: InstanceKind
     check: Callable[..., Optional[str]]
     condition: Optional[Callable[[SignedDigraph, int], RuleVerdict]] = None
-    max_n: Optional[int] = None
     refusal: Optional[tuple[str, int]] = None
 
     @property
@@ -465,7 +463,7 @@ REGISTRY: dict[str, TheoremProperty] = {
         ),
         TheoremProperty(
             "cor8", "fixed points within min(2^tau~+, A(n, g~+))", PAIR, _check_cor8,
-            max_n=DEFAULT_SEARCH_LIMIT, refusal=structure._SEARCH,
+            refusal=structure._SEARCH,
         ),
         TheoremProperty(
             "lemma9", "unique negative cycle owns a positive-cycle-free arc", GRAPH, _check_lemma9
@@ -499,14 +497,15 @@ def run_falsification(
 
     With ``exhaustive_n`` (up to MAX_EXHAUSTIVE_N, for a kind with a
     sweep: PAIR) the harness runs the kind's sweep instead of sampling.
-    Random trials take ``max_n`` from 1, or from 2 for PAIR, up to
-    ``prop.max_n`` or else the kind's ``max_n``, and ``max_indegree`` up
-    to DEFAULT_MAX_INDEGREE.  Every parameter is checked before any trial runs.
+    Random trials take ``max_n`` from 1, or from 2 for PAIR, up to the
+    limit of ``prop.refusal`` or else the kind's ``max_n``, and
+    ``max_indegree`` up to DEFAULT_MAX_INDEGREE.  Every parameter is
+    checked before any trial runs.
     """
     if max_n < 1:
         raise ValueError(f"max_n must be at least 1, got {max_n}")
     kind = prop.kind
-    limit = kind.max_n if prop.max_n is None else prop.max_n
+    limit = prop.refusal[1] if prop.refusal else kind.max_n
     if max_n > limit:
         raise ValueError(f"max_n={max_n} exceeds the scan limit {limit} of theorem {prop.id!r}")
     # At n = 1 a PAIR draw always holds both loops, which no one-input

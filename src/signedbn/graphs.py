@@ -483,33 +483,33 @@ def _component_masks(out: Sequence[int], into: Sequence[int]) -> list[int]:
     return components
 
 
+def _components(G: SignedDigraph) -> tuple[tuple[int, bool, bool, bool], ...]:
+    """G's strong components as rows (mask, initial, terminal, nontrivial),
+    topologically ordered (arcs go forward), each mask over the positions
+    of ``G.vertices``, from ``_component_masks`` on first use; cached on
+    the graph.  The flags are those of ``ComponentDecomposition``."""
+    rows = G._scc_cache
+    if rows is None:
+        _, out, into = _neighbor_masks(G)
+        rows = []
+        for comp in _component_masks(out, into):
+            ins = outs = 0
+            for q in _set_bits(comp):
+                ins |= into[q]
+                outs |= out[q]
+            rows.append((comp, not ins & ~comp, not outs & ~comp, bool(outs & comp)))
+        rows = G._scc_cache = tuple(rows)
+    return rows
+
+
 def scc(G: SignedDigraph) -> ComponentDecomposition:
-    """Strong components of G, topologically ordered (arcs go forward),
-    by ``_component_masks`` on G's neighbour masks."""
-    position, out, into = _neighbor_masks(G)
-    vertices = list(position)
-    components, initial, terminal, nontrivial = [], [], [], []
-    for comp in _component_masks(out, into):
-        members = list(_set_bits(comp))
-        ins = outs = 0
-        for q in members:
-            ins |= into[q]
-            outs |= out[q]
-        components.append(frozenset(vertices[q] for q in members))
-        initial.append(not ins & ~comp)
-        terminal.append(not outs & ~comp)
-        nontrivial.append(bool(outs & comp))
-    return ComponentDecomposition(
-        tuple(components), tuple(initial), tuple(terminal), tuple(nontrivial)
-    )
-
-
-def _components(G: SignedDigraph) -> ComponentDecomposition:
-    """G's strong components, from ``scc`` on first use; cached on the graph."""
-    decomposition = G._scc_cache
-    if decomposition is None:
-        decomposition = G._scc_cache = scc(G)
-    return decomposition
+    """Strong components of G, topologically ordered (arcs go forward): the
+    vertex-set view of ``_components``, built on each call."""
+    vertices = G.vertices
+    # The empty graph has no rows to transpose.
+    masks, initial, terminal, nontrivial = tuple(zip(*_components(G))) or ((),) * 4
+    components = tuple(frozenset(vertices[q] for q in _set_bits(comp)) for comp in masks)
+    return ComponentDecomposition(components, initial, terminal, nontrivial)
 
 
 def is_strong(G: SignedDigraph) -> bool:
@@ -741,15 +741,13 @@ def _negative_components(G: SignedDigraph):
     component that holds a negative cycle, in topological order, by one
     ``_negative_walk`` per non-trivial component; the cover is built only
     when there is one."""
-    decomposition = _components(G)
-    cyclic = [c for c, nt in zip(decomposition.components, decomposition.nontrivial) if nt]
+    cyclic = [comp for comp, _, _, nontrivial in _components(G) if nontrivial]
     if not cyclic:
         return
     position, step = _sign_cover(G)
     for comp in cyclic:
-        mask = sum(1 << position[v] for v in comp)
-        if _negative_walk(step, mask, len(position)):
-            yield position, step, mask
+        if _negative_walk(step, comp, len(position)):
+            yield position, step, comp
 
 
 def has_negative_cycle(G: SignedDigraph) -> bool:

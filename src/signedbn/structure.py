@@ -267,14 +267,10 @@ def uniqueness_vertex_rule(G: SignedDigraph, cap: int = DEFAULT_CYCLE_CAP) -> Ru
 
 
 def tau_plus(G: SignedDigraph, cap: int = DEFAULT_CYCLE_CAP) -> int:
-    """Minimum number of vertex deletions leaving no positive cycle."""
+    """Minimum number of vertex deletions leaving no positive cycle: the
+    hitting number of the positive cycles' position masks."""
     _check_limit(G.n, *_SEARCH)
-    return _tau_plus(_positive_masks(_cycle_index(G, cap)))
-
-
-def _tau_plus(masks: set[int]) -> int:
-    """tau+ given the positive cycles' position masks: their hitting number."""
-    return _hitting_number(masks)
+    return _hitting_number(_positive_masks(_cycle_index(G, cap)))
 
 
 def _positive_masks(index: _CycleIndex) -> set[int]:
@@ -339,7 +335,7 @@ def tau_tilde_plus(G: SignedDigraph, cap: int = DEFAULT_CYCLE_CAP) -> int:
     _check_limit(G.n, *_SEARCH)
     index = _cycle_index(G, cap)
     masks = _positive_masks(index)
-    return _tau_tilde_plus(index, masks, _tau_plus(masks))
+    return _tau_tilde_plus(index, masks, _hitting_number(masks))
 
 
 def _tau_tilde_plus(index: _CycleIndex, masks: set[int], upper: int) -> int:
@@ -458,23 +454,20 @@ def no_fixed_point_condition(G: SignedDigraph, cap: int = DEFAULT_CYCLE_CAP) -> 
     so ``cap`` bounds the cycles of G, as elsewhere in this module.
     """
     index = _cycle_index(G, cap)
-    decomposition = _components(G)
-    flags = zip(decomposition.components, decomposition.initial, decomposition.nontrivial)
     everything = (1 << len(index.vertices)) - 1
     return any(
-        ini
-        and nt
-        and not index.positives & ~index.cycles_meeting(everything & ~index.vertex_mask(comp))
-        for comp, ini, nt in flags
+        initial
+        and nontrivial
+        and not index.positives & ~index.cycles_meeting(everything & ~comp)
+        for comp, initial, _, nontrivial in _components(G)
     )
 
 
 def two_fixed_points_condition(G: SignedDigraph) -> bool:
     """No negative cycle plus a non-trivial initial component; every
     consistent network then has at least two fixed points."""
-    decomposition = _components(G)
     return not has_negative_cycle(G) and any(
-        ini and nt for ini, nt in zip(decomposition.initial, decomposition.nontrivial)
+        initial and nontrivial for _, initial, _, nontrivial in _components(G)
     )
 
 
@@ -551,7 +544,7 @@ def _bound_terms(G: SignedDigraph, cap: int) -> tuple:
     _check_limit(G.n, *_SEARCH)
     index = _cycle_index(G, cap)
     masks = _positive_masks(index)
-    tp = _tau_plus(masks)
+    tp = _hitting_number(masks)
     tt = _tau_tilde_plus(index, masks, tp)
     gt = g_tilde_plus(G, cap)
     return tp, tt, gt, codes.fixed_point_bound(G.n, tt, gt)

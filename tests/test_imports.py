@@ -198,12 +198,12 @@ def test_library_reads_every_private_name_it_defines():
     assert unread_private_names(sources) == []
 
 
-def test_only_structure_reads_the_fixed_point_bound():
-    # ``structure`` composes the bound from tau~+ and g~+ for every caller;
-    # ``codes`` defines it and ``__init__`` re-exports it.
+def modules_naming(names: set[str], exempt: tuple[str, ...]) -> set[str]:
+    """The library modules, those named in ``exempt`` aside, that name one
+    of ``names``: in an import, as a name or as an attribute."""
     readers = set()
     for path in PACKAGE.glob("*.py"):
-        if path.stem in ("__init__", "codes", "structure"):
+        if path.stem in exempt:
             continue
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.alias):
@@ -212,9 +212,23 @@ def test_only_structure_reads_the_fixed_point_bound():
                 named = node.id
             else:
                 named = getattr(node, "attr", None)
-            if named == "fixed_point_bound":
+            if named in names:
                 readers.add(path.stem)
-    assert readers == set()
+    return readers
+
+
+def test_only_structure_reads_the_fixed_point_bound():
+    # ``structure`` composes the bound from tau~+ and g~+ for every caller;
+    # ``codes`` defines it and ``__init__`` re-exports it.
+    assert modules_naming({"fixed_point_bound"}, ("__init__", "codes", "structure")) == set()
+
+
+def test_only_graphs_names_the_vertex_set_components():
+    # The library reads strong components as the position masks that
+    # ``graphs._components`` caches; ``graphs.scc`` builds the vertex-set
+    # ``ComponentDecomposition`` for outside callers, and ``__init__``
+    # re-exports both.
+    assert modules_naming({"scc", "ComponentDecomposition"}, ("__init__", "graphs")) == set()
 
 
 def test_kernels_names_the_module():
@@ -285,6 +299,7 @@ KEPT_PUBLIC_NAMES = {
     "graphs.SignedDigraph.delete": "the bench tracer patches it",
     "graphs.SignedDigraph.consistent_subgraph": "README documents it, a definition of the paper",
     "graphs.reachable": "the bench tracer patches it",
+    "graphs.scc": "the bench tracer patches it; conftest's negative-cycle oracle reads it",
     "structure.is_special_arc": "the bench tracer patches it",
     "structure.tau_plus": "the bench tracer patches it; README documents it",
     "structure.tau_tilde_plus": "the bench tracer patches it; README documents it",

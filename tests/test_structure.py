@@ -415,12 +415,14 @@ class TestBoundedSearches:
         assert len({cleared for _, _, _, cleared, _ in calls}) == 1
 
     def test_analyze_searches_hitting_sets_once_per_graph(self, monkeypatch):
-        calls = count_calls(monkeypatch, "_tau_plus")
+        # tau+ is the one hitting number taken with no floor; the tau~+
+        # scan passes its size as the floor.
+        calls = count_calls(monkeypatch, "_hitting_number")
         collected = count_calls(monkeypatch, "_positive_masks")
         inputs = [figure1(7), random_signed_digraph(8, seed=3), two_cycles(7)]
         for G in inputs:
             analyze(G)
-        assert len(calls) == len(inputs)
+        assert len([args for args in calls if len(args) == 1]) == len(inputs)
         assert len(collected) == len(inputs)
 
 
@@ -662,37 +664,68 @@ class TestAnalyzeDecomposesOnce:
                 self.assert_flags_match(random_signed_digraph(n, seed=seed))
 
     @staticmethod
-    def count_scc_calls(monkeypatch) -> list:
+    def count_decompositions(monkeypatch) -> list:
+        """The calls to ``graphs._component_masks`` made while the test runs."""
         import signedbn.graphs as graphs
 
         calls = []
-        original = graphs.scc
+        original = graphs._component_masks
 
-        def counting(G):
-            calls.append(G)
-            return original(G)
+        def counting(out, into):
+            calls.append(len(out))
+            return original(out, into)
 
-        monkeypatch.setattr(graphs, "scc", counting)
+        monkeypatch.setattr(graphs, "_component_masks", counting)
         return calls
 
+    @staticmethod
+    def inputs() -> list:
+        return [figure1(7), random_signed_digraph(8, seed=3), g(2, (1, 2, "+"), (2, 1, "+"))]
+
+    # Every library reader of G's strong components.
+    READERS = (
+        is_strong,
+        has_negative_cycle,
+        find_negative_cycle,
+        no_fixed_point_condition,
+        two_fixed_points_condition,
+        analyze,
+    )
+
     def test_one_scc_call_per_graph(self, monkeypatch):
-        calls = self.count_scc_calls(monkeypatch)
-        inputs = [figure1(7), random_signed_digraph(8, seed=3), g(2, (1, 2, "+"), (2, 1, "+"))]
+        calls = self.count_decompositions(monkeypatch)
+        inputs = self.inputs()
         for G in inputs:
             analyze(G)
-        assert calls == inputs
+        assert calls == [G.n for G in inputs]
 
     def test_graph_only_conditions_share_the_decomposition(self, monkeypatch):
-        calls = self.count_scc_calls(monkeypatch)
-        inputs = [figure1(7), random_signed_digraph(8, seed=3), g(2, (1, 2, "+"), (2, 1, "+"))]
+        calls = self.count_decompositions(monkeypatch)
+        inputs = self.inputs()
         for G in inputs:
-            is_strong(G)
-            has_negative_cycle(G)
-            find_negative_cycle(G)
-            no_fixed_point_condition(G)
-            two_fixed_points_condition(G)
-            analyze(G)
-        assert calls == inputs
+            for read in self.READERS:
+                read(G)
+        assert calls == [G.n for G in inputs]
+
+    def test_no_vertex_set_view_is_built(self, monkeypatch):
+        # The library reads the component masks; only ``scc`` turns them
+        # into a ``ComponentDecomposition`` of vertex sets.
+        import signedbn.graphs as graphs
+
+        built = []
+        original = graphs.ComponentDecomposition.__init__
+
+        def counting(self, *args):
+            built.append(args)
+            original(self, *args)
+
+        monkeypatch.setattr(graphs.ComponentDecomposition, "__init__", counting)
+        for read in self.READERS:  # each on graphs with nothing cached
+            for G in self.inputs():
+                read(G)
+        assert built == []
+        graphs.scc(figure1(7))
+        assert len(built) == 1
 
 
 class TestUniqueNegativeCycleArc:

@@ -68,7 +68,7 @@ def answered(code, err) -> bool:
 
 
 def _limit(prop) -> int:
-    return prop.kind.max_n if prop.max_n is None else prop.max_n
+    return prop.refusal[1] if prop.refusal else prop.kind.max_n
 
 
 @pytest.mark.parametrize("theorem", sorted(REGISTRY))
