@@ -60,7 +60,6 @@ from .kernels import (
 )
 from .structure import (
     RuleVerdict,
-    existence_arc_rule,
     find_special_arc,
     uniqueness_arc_rule,
     uniqueness_vertex_rule,
@@ -328,12 +327,13 @@ def _rule_property(theorem_id, description, condition, conclusion, detail) -> Th
     return TheoremProperty(theorem_id, description, PAIR, check, condition)
 
 
-def make_existence_rule_property(checker=existence_arc_rule) -> TheoremProperty:
+def make_existence_rule_property(checker=structure._existence_verdict) -> TheoremProperty:
     """The at-least-one-fixed-point arc rule, with an injectable checker.
 
     The checker is called as ``checker(G, cap)`` and returns a
-    RuleVerdict.  Tests inject a broken checker here to confirm the
-    harness actually catches false statements.
+    RuleVerdict; the default decides the rule on G's sign cover and reads
+    ``cap`` only to refuse one below 0.  Tests inject a broken checker
+    here to confirm the harness actually catches false statements.
     """
     return _rule_property(
         "thm5",
@@ -355,12 +355,14 @@ def _disagreement_check(special_arc_free: bool, cycle: str):
 
 
 def _check_thm2(G, f, cap=FALSIFY_CYCLE_CAP) -> Optional[str]:
+    _check_limit(G.n, *_FIXED_POINT_SCAN)
     if not has_negative_cycle(G) and not f.fixed_points():
         return "negative-cycle-free graph with a fixed-point-free network"
     return None
 
 
 def _check_thm6(G, f, cap=FALSIFY_CYCLE_CAP) -> Optional[str]:
+    _check_limit(G.n, *_FIXED_POINT_SCAN)
     verdict, _ = _antipodal_fixed_points(G, f, cap)
     if verdict == COUNTEREXAMPLE:
         return "premises hold but no antipodal fixed-point pair"
@@ -441,7 +443,10 @@ REGISTRY: dict[str, TheoremProperty] = {
             _disagreement_check(False, "positive disagreement cycle"),
             refusal=_FIXED_POINT_SCAN,
         ),
-        TheoremProperty("thm2", "no negative cycle implies a fixed point", PAIR, _check_thm2),
+        TheoremProperty(
+            "thm2", "no negative cycle implies a fixed point", PAIR, _check_thm2,
+            refusal=_FIXED_POINT_SCAN,
+        ),
         _rule_property(
             "thm3", "uniqueness arc rule bounds fixed points by one",
             uniqueness_arc_rule, _at_most_one_fixed_point,
@@ -454,7 +459,8 @@ REGISTRY: dict[str, TheoremProperty] = {
         ),
         make_existence_rule_property(),
         TheoremProperty(
-            "thm6", "antipodal pair under the unique-negative-cycle premises", PAIR, _check_thm6
+            "thm6", "antipodal pair under the unique-negative-cycle premises", PAIR, _check_thm6,
+            refusal=_FIXED_POINT_SCAN,
         ),
         TheoremProperty(
             "thm7", "disagreement cycle without special arc", PAIR,

@@ -128,13 +128,19 @@ def random_digraph(
     seed=None,
     rng: random.Random | None = None,
 ) -> Digraph:
-    """Unsigned random digraph; each of the n^2 arcs drawn independently."""
+    """Unsigned random digraph; each of the n^2 arcs drawn independently,
+    per source u increasing, its targets v increasing.  A probability
+    given outside [0, 1], then a negative n, raises ValueError."""
     arc_prob = _arc_prob(n, arc_prob)
     if rng is None:
         rng = random.Random(seed)
+    if n < 0:
+        raise ValueError("vertex count must be non-negative")
     draw = rng.random
-    arcs = [(u, v) for u in range(1, n + 1) for v in range(1, n + 1) if draw() < arc_prob]
-    return Digraph(n, arcs)
+    targets = range(1, n + 1)
+    return Digraph._from_out_lists(
+        [tuple([v for v in targets if draw() < arc_prob]) for _ in targets]
+    )
 
 
 def _arc_prob(n: int, arc_prob: float | None, neg_prob: float = 0.0) -> float:

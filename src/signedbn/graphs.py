@@ -95,12 +95,8 @@ class SignedDigraph:
             if any(v < 1 for v in vertex_set):
                 raise ValueError("vertex ids must be positive integers")
         arc_set = frozenset(map(as_arc, arcs))
-        ins: dict[int, list[Arc]] = {v: [] for v in vertex_set}
-        outs: dict[int, list[Arc]] = {v: [] for v in vertex_set}
         try:
-            for a in sorted(arc_set, key=_arc_sort_key):
-                outs[a.source].append(a)
-                ins[a.target].append(a)
+            self._fill_sorted(vertex_set, arc_set)
         except KeyError:
             # Name the first bad arc in set order, not in sorted order.
             for a in arc_set:
@@ -109,6 +105,16 @@ class SignedDigraph:
                         f"arc {a!r} has an endpoint outside the vertex set"
                     ) from None
             raise
+
+    def _fill_sorted(self, vertex_set, arc_set):
+        """Sort ``arc_set`` into each vertex's in- and out-arc tuples, in
+        ``_arc_sort_key`` order, and fill every slot.  An arc with an end
+        outside ``vertex_set`` raises KeyError."""
+        ins: dict[int, list[Arc]] = {v: [] for v in vertex_set}
+        outs: dict[int, list[Arc]] = {v: [] for v in vertex_set}
+        for a in sorted(arc_set, key=_arc_sort_key):
+            outs[a.source].append(a)
+            ins[a.target].append(a)
         self._fill(
             vertex_set,
             arc_set,
@@ -240,7 +246,10 @@ class SignedDigraph:
         missing = {(t, s, sign) for s, t, sign in self._arcs} - self._arcs
         if not missing:
             return self
-        return SignedDigraph(self._vertices, self._arcs.union(map(Arc._make, missing)))
+        # The reversed arcs are valid arcs between G's own vertices.
+        H = object.__new__(SignedDigraph)
+        H._fill_sorted(self._vertices, self._arcs.union(map(Arc._make, missing)))
+        return H
 
     def consistent_subgraph(self, x: Sequence[int]) -> "SignedDigraph":
         """Spanning subgraph of arcs consistent with the state x.
@@ -282,6 +291,17 @@ class Digraph:
         for u, v in arc_set:
             outs[u].add(v)
         self._out = {v: tuple(sorted(ts)) for v, ts in outs.items()}
+
+    @classmethod
+    def _from_out_lists(cls, out_lists: Sequence[tuple[int, ...]]) -> "Digraph":
+        """The digraph on 1..n, n = len(out_lists), whose out-neighbours of
+        vertex v are out_lists[v - 1].  A digraph the library drew itself:
+        each tuple increases inside 1..n, so nothing is checked or sorted."""
+        D = object.__new__(cls)
+        D.n = len(out_lists)
+        D._out = dict(zip(range(1, D.n + 1), out_lists))
+        D._arcs = frozenset((u, v) for u, targets in D._out.items() for v in targets)
+        return D
 
     @property
     def arcs(self) -> tuple[tuple[int, int], ...]:

@@ -5,7 +5,8 @@ has an arc into K.  Encoding every arc as negative turns odd cycles into
 negative cycles, so the no-odd-cycle existence theorem and its refinement
 reuse the signed-graph machinery: the theorem's own condition is the
 negative-walk test on the sign cover of D's vertex masks, and the
-refinement is the existence arc rule.
+refinement is the existence arc rule's mask decision on the reversed
+encoding's cover.
 """
 
 from __future__ import annotations
@@ -13,16 +14,14 @@ from __future__ import annotations
 from .boolnet import _FOLD_MAX_INPUTS, BooleanNetwork, LocalFunction, _state_masks
 from .graphs import (
     DEFAULT_CYCLE_CAP,
-    NEGATIVE,
-    Arc,
     Digraph,
-    SignedDigraph,
+    _check_cap,
     _check_limit,
     _component_masks,
     _negative_walk,
     _set_bits,
 )
-from .structure import existence_arc_rule
+from .structure import _existence_rule_holds
 
 KERNEL_SCAN_LIMIT = 24
 # The refusal of every subset scan, as ``_check_limit`` takes it.
@@ -93,10 +92,17 @@ def generalized_condition(D: Digraph, cap: int = DEFAULT_CYCLE_CAP) -> bool:
     only even cycles.  Through the fixed-point correspondence (kernels are
     fixed points of a network wired along REVERSED arcs) this is exactly
     the at-least-one-fixed-point arc rule on the reversed, all-negative
-    encoding, and it guarantees a kernel.  ``cap`` bounds D's cycles.
+    encoding, and it guarantees a kernel.  Decided by
+    ``_existence_rule_holds`` on that encoding's sign cover, built from
+    D's in-neighbour masks with no graph built: every arc switches the
+    copy.  No cycle is enumerated, so ``cap`` is only refused below 0.
     """
-    reversed_negative = SignedDigraph(D.n, (Arc(v, u, NEGATIVE) for u, v in D.arc_set))
-    return existence_arc_rule(reversed_negative, cap).holds
+    _check_cap(cap)
+    n = D.n
+    into = [0] * n
+    for u, v in D.arc_set:
+        into[v - 1] |= 1 << u - 1
+    return _existence_rule_holds([i << n for i in into] + into, n)
 
 
 def to_network(D: Digraph):

@@ -21,12 +21,15 @@ from .graphs import (
     Arc,
     SignedCycle,
     SignedDigraph,
+    _check_cap,
     _check_limit,
     _closure,
+    _component_masks,
     _components,
     _cycle_index,
     _CycleIndex,
     _cycles,
+    _negative_walk,
     _sign_cover,
     _set_bits,
     as_arc,
@@ -200,29 +203,38 @@ def _isolation_rule(G: SignedDigraph, cycle_sign: int, cap: int) -> RuleVerdict:
 
 def _isolates(index: _CycleIndex, signed: int, k: int) -> bool:
     """Whether the strong component of the head of arc k in G minus arc k
-    is initial, non-trivial and holds none of the cycles ``signed``.
-
-    That component is the head's forward closure meet its backward
-    closure, on G's masks: arc k enters the head, so forward it adds
-    nothing, and backward it only drops its tail from the head's
-    in-neighbours, unless a parallel arc of the other sign stays.  The
-    component is initial iff nothing outside it reaches the head, and its
-    cycles are those of G that avoid arc k and every vertex outside it.
-    """
+    is initial, non-trivial and holds none of the cycles ``signed``: its
+    cycles are those of G that avoid arc k and every vertex outside it."""
     a = index.arcs[k]
-    v = index.heads[k]
-    head = 1 << v
-    into = index.in_neighbors[v]
-    if Arc(a.source, a.target, -a.sign) not in index.arc_number:
-        into &= ~(1 << index.position[a.source])
-    backward = head | _closure(into, index.in_neighbors, ~head)
-    component = _closure(head, index.out_neighbors) & backward
-    if backward != component:
-        return False
-    if component == head and not into & head:
+    component = _head_component(
+        index.out_neighbors, index.in_neighbors, index.position[a.source], index.heads[k],
+        Arc(a.source, a.target, -a.sign) in index.arc_number,
+    )
+    if not component:
         return False
     outside = ((1 << len(index.vertices)) - 1) & ~component
     return not signed & ~index.arc_cycles[k] & ~index.cycles_meeting(outside)
+
+
+def _head_component(out: list[int], into: list[int], u: int, v: int, parallel) -> int:
+    """The strong component of position v in G minus an arc u -> v when it
+    is initial and non-trivial, else 0, on G's out- and in-neighbour
+    position masks; ``parallel`` is true when a parallel arc of the other
+    sign stays.
+
+    That component is the head's forward closure meet its backward
+    closure: the arc enters the head, so forward it adds nothing, and
+    backward it only drops u from the head's in-neighbours, unless the
+    parallel arc stays.  The component is initial iff nothing outside it
+    reaches the head.
+    """
+    head = 1 << v
+    ins = into[v] if parallel else into[v] & ~(1 << u)
+    backward = head | _closure(ins, into, ~head)
+    component = _closure(head, out, backward)
+    if backward != component or (component == head and not ins & head):
+        return 0
+    return component
 
 
 def uniqueness_arc_rule(G: SignedDigraph, cap: int = DEFAULT_CYCLE_CAP) -> RuleVerdict:
@@ -236,6 +248,74 @@ def existence_arc_rule(G: SignedDigraph, cap: int = DEFAULT_CYCLE_CAP) -> RuleVe
     isolating its head in a positive-only initial component; forces at
     least one fixed point."""
     return _isolation_rule(G, NEGATIVE, cap)
+
+
+def _existence_verdict(G: SignedDigraph, cap: int = DEFAULT_CYCLE_CAP) -> RuleVerdict:
+    """The verdict of ``existence_arc_rule(G, cap)``, without witnesses, by
+    ``_existence_rule_holds`` on G's sign cover.  No cycle is enumerated,
+    so ``cap`` is only refused below 0."""
+    _check_cap(cap)
+    position, step = _sign_cover(G)
+    return RuleVerdict(_existence_rule_holds(step, len(position)))
+
+
+def _existence_rule_holds(step: list[int], n: int) -> bool:
+    """Whether the existence arc rule holds on the signed digraph G whose
+    sign cover on n vertices has the ``step`` masks, as ``_sign_cover``
+    lays them out; no cycle is enumerated.
+
+    Whether an arc qualifies, its head's strong component in G minus the
+    arc being initial, non-trivial and free of negative cycles, does not
+    depend on the cycle.  So with Q the qualifying arcs, the rule holds
+    iff every negative cycle has an arc of Q, that is iff G - Q has no
+    negative cycle.  A negative cycle lies inside a strong component that
+    holds one, so only the arcs inside such components are tested:
+    ``_head_component``, then ``_negative_walk`` on the cover without the
+    arc.  A component with no qualifying arc fails the rule.
+    """
+    step = list(step)
+    out, into = _projection(step, n)
+    cut = []  # per arc of Q: its tail u and its bits in step[u] and step[u + n]
+    for comp in _component_masks(out, into):
+        if not _negative_walk(step, comp, n):
+            continue
+        qualifying = len(cut)
+        for u in _set_bits(comp):
+            for v in _set_bits(out[u] & comp):
+                head = 1 << v
+                # A positive arc, then a negative one; bit b of step[u] is
+                # the parallel arc of the other sign.
+                for a, b in ((head, head << n), (head << n, head)):
+                    if not step[u] & a:
+                        continue
+                    component = _head_component(out, into, u, v, step[u] & b)
+                    if not component:
+                        continue
+                    step[u] ^= a
+                    step[u + n] ^= b
+                    if not _negative_walk(step, component, n):
+                        cut.append((u, a, b))
+                    step[u] ^= a
+                    step[u + n] ^= b
+        if len(cut) == qualifying:
+            return False
+    for u, a, b in cut:
+        step[u] ^= a
+        step[u + n] ^= b
+    out, into = _projection(step, n)
+    return not any(_negative_walk(step, comp, n) for comp in _component_masks(out, into))
+
+
+def _projection(step: list[int], n: int) -> tuple[list[int], list[int]]:
+    """The out- and in-neighbour position masks of the digraph whose sign
+    cover on n vertices has the ``step`` masks."""
+    full = (1 << n) - 1
+    out = [(s | s >> n) & full for s in step[:n]]
+    into = [0] * n
+    for p, targets in enumerate(out):
+        for q in _set_bits(targets):
+            into[q] |= 1 << p
+    return out, into
 
 
 def uniqueness_vertex_rule(G: SignedDigraph, cap: int = DEFAULT_CYCLE_CAP) -> RuleVerdict:

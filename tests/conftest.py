@@ -64,21 +64,22 @@ def interaction_graph_calls(monkeypatch):
 
 @pytest.fixture
 def signed_digraphs_built(monkeypatch):
-    """The SignedDigraphs constructed while the test runs, by the
-    constructor or from drawn in-arcs."""
+    """The SignedDigraphs constructed while the test runs, from drawn
+    in-arcs or by the sort-and-fill that the constructor calls after its
+    checks and ``symmetrize`` calls alone."""
     built = []
-    original = SignedDigraph.__init__
+    fill_sorted = SignedDigraph._fill_sorted
     from_in_arcs = SignedDigraph._from_in_arcs
 
-    def counting(self, *args, **kwargs):
+    def counting(self, *args):
+        fill_sorted(self, *args)
         built.append(self)
-        original(self, *args, **kwargs)
 
     def counting_from_in_arcs(in_arcs):
         built.append(from_in_arcs(in_arcs))
         return built[-1]
 
-    monkeypatch.setattr(SignedDigraph, "__init__", counting)
+    monkeypatch.setattr(SignedDigraph, "_fill_sorted", counting)
     monkeypatch.setattr(SignedDigraph, "_from_in_arcs", counting_from_in_arcs)
     return built
 

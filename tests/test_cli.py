@@ -338,17 +338,31 @@ class TestCheckCommand:
         assert capsys.readouterr().err == "error: more than 100 cycles\n"
 
     def test_richardson_gen_honours_cycle_cap(self, tmp_path, capsys):
-        # The complete 8-vertex digraph has 16,064 cycles.
+        # The complete 8-vertex digraph has 16,064 cycles, but the cut
+        # condition enumerates none: a cap below them does not refuse, and
+        # only a cap below 0 does.
         path = tmp_path / "k8.dg"
         arcs = "".join(f"{u} {v}\n" for u in range(1, 9) for v in range(1, 9) if u != v)
         path.write_text(f"digraph 8\n{arcs}")
         argv = ["check", "--theorem", "richardson-gen", str(path)]
-        assert main(argv + ["--cycle-cap", "100"]) == 2
+        start = time.perf_counter()
+        assert main(argv + ["--cycle-cap", "100"]) == 0
+        assert time.perf_counter() - start < 1.0
+        assert capsys.readouterr().out == "richardson-gen: holds\n"
+        assert main(argv + ["--cycle-cap", "-1"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "error: more than 100 cycles\n"
-        assert main(argv + ["--cycle-cap", "20000"]) == 0
-        assert capsys.readouterr().out == "richardson-gen: holds\n"
+        assert captured.err == "error: cycle cap -1 is below 0\n"
+
+    def test_thm5_decides_a_graph_past_the_cycle_cap(self, tmp_path, capsys):
+        # This graph has more than 10^6 cycles, so enumerating them hits
+        # the default cap after seconds; the rule is decided on masks.
+        path = tmp_path / "dense.sd"
+        path.write_text(format_signed_digraph(random_signed_digraph(15, 0.45, seed=1)))
+        start = time.perf_counter()
+        assert main(["check", "--theorem", "thm5", str(path)]) == 1
+        assert time.perf_counter() - start < 1.0
+        assert capsys.readouterr().out == "thm5: violated\n"
 
     @pytest.mark.parametrize("theorem", ["richardson", "richardson-gen", "kernel-corr"])
     def test_digraph_checks_past_the_limit_exit_2_at_once(self, tmp_path, capsys, theorem):

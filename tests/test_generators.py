@@ -145,6 +145,33 @@ class TestRandom:
         with pytest.raises(ValueError, match="^arc_prob=2.0 is outside"):
             random_signed_digraph(-1, 2.0)
 
+    def test_random_digraph_matches_the_validating_constructor(self):
+        # The digraph built from the drawn out-lists, against the
+        # constructor on the arcs of the same draws, at each arc_prob.
+        rng = random.Random(31)
+        for i in range(1300):
+            n, arc_prob = i % 13, (None, 0.0, 0.3, 1.0)[i % 4]
+            seed = rng.randrange(10 ** 6)
+            drawn, twin = random.Random(seed), random.Random(seed)
+            D = random_digraph(n, arc_prob, rng=drawn)
+            p = (2.0 / n if n else 0.0) if arc_prob is None else arc_prob
+            E = Digraph(n, [(u, v) for u in range(1, n + 1) for v in range(1, n + 1)
+                            if twin.random() < p])
+            assert drawn.getstate() == twin.getstate()
+            assert D == E and hash(D) == hash(E) and D.n == E.n and D.arcs == E.arcs
+            assert [D.out_neighbors(v) for v in range(1, n + 1)] == [
+                E.out_neighbors(v) for v in range(1, n + 1)
+            ]
+
+    def test_random_digraph_refuses_a_negative_vertex_count_after_the_probability(self):
+        rng = random.Random(1)
+        state = rng.getstate()
+        with pytest.raises(ValueError, match="^vertex count must be non-negative$"):
+            random_digraph(-1, rng=rng)
+        assert rng.getstate() == state
+        with pytest.raises(ValueError, match="^arc_prob=2.0 is outside"):
+            random_digraph(-1, 2.0)
+
     def test_no_vertices(self):
         assert random_signed_digraph(0, seed=1).n == 0
         assert random_digraph(0, seed=1).n == 0

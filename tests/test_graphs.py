@@ -197,6 +197,32 @@ class TestSubgraphCalculus:
             reversal_closed = all(Arc(a.target, a.source, a.sign) in G.arc_set for a in G.arc_set)
             assert (H is G) == reversal_closed
 
+    @staticmethod
+    def assert_symmetrize_matches_the_constructor(G):
+        H = G.symmetrize()
+        rebuilt = SignedDigraph(
+            G.vertex_set, G.arc_set | {Arc(a.target, a.source, a.sign) for a in G.arc_set}
+        )
+        assert H == rebuilt and hash(H) == hash(rebuilt)
+        assert H.vertices == rebuilt.vertices and H.arcs == rebuilt.arcs
+        for v in rebuilt.vertices:
+            assert H.in_arcs(v) == rebuilt.in_arcs(v)
+            assert H.out_arcs(v) == rebuilt.out_arcs(v)
+
+    def test_symmetrize_matches_the_constructor_exhaustively(self):
+        for n in (0, 1, 2):
+            for G in all_signed_digraphs(n):
+                self.assert_symmetrize_matches_the_constructor(G)
+
+    def test_symmetrize_matches_the_constructor_on_induced_subgraphs(self):
+        # ``induced`` keeps the original ids, so the vertices need not be
+        # contiguous or start at 1.
+        rng = random.Random(31)
+        for _ in range(300):
+            G = random_signed_digraph(rng.randint(1, 9), rng.uniform(0.1, 0.6), rng=rng)
+            kept = [v for v in G.vertices if rng.random() < 0.6]
+            self.assert_symmetrize_matches_the_constructor(G.induced(kept))
+
     def test_consistent_subgraph_examples(self):
         G = g(2, (1, 2, "+"))
         assert G.consistent_subgraph((0, 0)) == G

@@ -23,6 +23,7 @@ from signedbn.kernels import (
     richardson_condition,
     to_network,
 )
+from signedbn.structure import existence_arc_rule
 
 kernels_module = importlib.import_module("signedbn.kernels")
 
@@ -148,22 +149,45 @@ class TestOddCycleMasks:
 
 
 class TestGeneralizedConditionGraph:
-    def test_one_step_reversal_equals_the_two_step_one(self, monkeypatch):
-        # generalized_condition hands the arc rule the reversed all-negative
-        # encoding, built without the intermediate reversed Digraph.
-        seen = []
-        original = kernels_module.existence_arc_rule
+    """``generalized_condition`` decides the existence arc rule on the sign
+    cover of D's reversed all-negative encoding, built from D's masks; the
+    oracle builds that encoding and enumerates its cycles."""
 
-        def recording(G, cap):
-            seen.append(G)
-            return original(G, cap)
+    @staticmethod
+    def _oracle(D):
+        return existence_arc_rule(as_all_negative(reverse(D))).holds
 
-        monkeypatch.setattr(kernels_module, "existence_arc_rule", recording)
-        for n in range(4):
+    def test_every_digraph_up_to_four_vertices(self):
+        held = 0
+        for n in range(5):
             for D in iter_digraphs(n):
-                seen.clear()
-                generalized_condition(D)
-                assert seen == [as_all_negative(reverse(D))]
+                holds = generalized_condition(D)
+                assert holds == self._oracle(D), D.arcs
+                held += holds
+        assert 0 < held < sum(1 << n * n for n in range(5))
+
+    def test_random_digraphs(self):
+        rng = random.Random(31)
+        held = 0
+        for _ in range(5000):
+            D = random_digraph(rng.randint(1, 9), arc_prob=rng.uniform(0.1, 0.5), rng=rng)
+            holds = generalized_condition(D)
+            assert holds == self._oracle(D), D.arcs
+            held += holds
+        assert 500 < held < 4500
+
+    def test_builds_no_signed_digraph(self, signed_digraphs_built):
+        for D in iter_digraphs(3):
+            generalized_condition(D)
+        assert signed_digraphs_built == []
+
+    def test_reads_the_cycle_cap_only_to_refuse_a_negative_one(self):
+        # The complete 8-vertex digraph has 16,064 cycles; cutting any arc
+        # leaves its odd triangles in one strong component.
+        D = Digraph(8, [(u, v) for u in range(1, 9) for v in range(1, 9) if u != v])
+        assert not generalized_condition(D, 0)
+        with pytest.raises(ValueError, match="^cycle cap -1 is below 0$"):
+            generalized_condition(D, -1)
 
 
 class TestNetworkCorrespondence:

@@ -42,6 +42,7 @@ from signedbn.graphs import (
     is_strong,
 )
 from signedbn.structure import (
+    _existence_verdict,
     _special_failure,
     _stuck,
     analyze,
@@ -169,6 +170,62 @@ class TestArcRules:
             for c in enumerate_cycles(G):
                 if c.sign == POSITIVE:
                     assert find_special_arc(G, c) is not None
+
+
+class TestExistenceRuleMasks:
+    """``_existence_verdict`` decides the existence arc rule on the sign
+    cover, as the graph minus its qualifying arcs having no negative cycle;
+    ``existence_arc_rule`` quantifies over the enumerated negative cycles,
+    and the rule oracle rebuilds each subgraph and searches it anew."""
+
+    @staticmethod
+    def assert_matches(G, rebuilt=True) -> bool:
+        holds = _existence_verdict(G).holds
+        assert holds == existence_arc_rule(G).holds, G.arcs
+        if rebuilt:
+            assert holds == rebuilt_isolation_rule(G, enumerate_cycles(G), NEGATIVE)[0], G.arcs
+        return holds
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_every_graph_with_parallel_arcs(self, n):
+        verdicts = [self.assert_matches(G) for G in all_signed_digraphs(n)]
+        assert 0 < sum(verdicts) < len(verdicts)
+
+    def test_every_simple_graph_n3(self):
+        verdicts = [self.assert_matches(G) for G in all_simple_signed_digraphs(3)]
+        assert 0 < sum(verdicts) < len(verdicts)
+
+    def test_random_graphs(self):
+        # A third drawn over all 2n^2 signed arcs, so with loops and
+        # parallel arcs of both signs; the rest simple, with no loop.  The
+        # rebuilt oracle searches every vertex permutation, about 1.6 s per
+        # 9-vertex graph, so it is asked up to 7 vertices.
+        rng = random.Random(31)
+        held = 0
+        for i in range(5000):
+            n, density = rng.randint(1, 9), rng.uniform(0.15, 0.6)
+            if i % 3 == 0:
+                G = random_signed_digraph(n, density, rng=rng)
+            else:
+                G = SignedDigraph(n, [
+                    (u, v, rng.choice("+-"))
+                    for u, v in itertools.permutations(range(1, n + 1), 2)
+                    if rng.random() < density
+                ])
+            held += self.assert_matches(G, rebuilt=n <= 7)
+        assert 500 < held < 4500
+
+    def test_decides_past_the_cycle_cap(self):
+        # 475,833 cycles for seed 2; seed 1 has more than 10^6.  Neither
+        # graph is enumerated, and the cap is only refused below 0.
+        for seed in (1, 2):
+            G = random_signed_digraph(15, 0.45, seed=seed)
+            start = time.perf_counter()
+            assert not _existence_verdict(G, 0).holds
+            assert time.perf_counter() - start < 1.0
+            assert G._cycle_cache is None
+        with pytest.raises(ValueError, match="^cycle cap -1 is below 0$"):
+            _existence_verdict(G, -1)
 
 
 class TestParameters:

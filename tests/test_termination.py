@@ -119,10 +119,11 @@ def test_an_oversized_header_is_refused_before_anything_is_built(tmp_path, comma
 
 
 # The theorems whose check refuses an instance by the size of its first
-# part.  The checks of thm2 to thm6 can answer without a scan of the
+# part.  The checks of thm3 to thm5 can answer without a scan of the
 # fixed points, so they build their instance first.
 REFUSED_BY_HEADER = {
-    "cor8", "harary", "kernel-corr", "lemma9", "richardson", "richardson-gen", "thm1", "thm7"
+    "cor8", "harary", "kernel-corr", "lemma9", "richardson", "richardson-gen",
+    "thm1", "thm2", "thm6", "thm7",
 }
 
 
