@@ -265,14 +265,16 @@ class BooleanNetwork:
         Singletons are exactly the fixed points; larger components are the
         cyclic attractors.  Ordered by their smallest state.
 
-        The search runs on 2^n-bit state sets (Xie and Beerel, IEEE TCAD
-        19, 2000), inside the trap subspace S left by percolating constant
-        vertices (Naldi, Remy, Thieffry and Chaouiya, Theor. Comput. Sci.
-        412, 2011).  S starts as all states; while some vertex v not yet
-        fixed has f_v equal to c on all of S, S shrinks to S ∩ {x_v = c}.
-        No move leaves S, and every state of S reaches S ∩ {x_v = c} by at
-        most one move of v, so every attractor lies in the final S, and
-        only its states and its free vertices' moves are searched.
+        Constant vertices are percolated first (Naldi, Remy, Thieffry and
+        Chaouiya, Theor. Comput. Sci. 412, 2011), on the truth tables
+        (``_percolate``): they leave a trap subspace S, the subcube of the
+        states that hold their values.  No move leaves S, and every state
+        reaches S by at most one move of each constant vertex, taken in the
+        order percolation fixed them, so every attractor lies in S.  The search runs on 2^m-bit sets of the
+        assignments of S's m free vertices (Xie and Beerel, IEEE TCAD 19,
+        2000): each constant enters the table folds as the empty or the
+        full set.  The assignments of a subcube are in the order of their
+        states, so the search is the same on either.
 
         The fixed points are the states of S where no vertex moves, and
         each is an attractor.  A state that reaches one lies in no
@@ -291,18 +293,24 @@ class BooleanNetwork:
         """
         _check_limit(self.n, *_ATTRACTOR_SCAN)
         n = self.n
-        masks = _state_masks(n)
-        values = [_value_mask(lf.inputs, lf.bits, masks) for lf in self.locals]
-        space, free = _trap_subspace(values, masks)
-        # Per moving vertex v: the states of S where x_v falls from 1 to
-        # 0, those where it rises, and the distance 2^(n-v) between the
-        # two ends of a move.
+        constants, free = _percolate(self.locals)
+        m = len(free)
+        base = _state_masks(m)
+        space = base[0]
+        # masks[v]: the assignments where x_v = 1.
+        masks = [space] + [space if c else 0 for c in constants]
+        for v, mask in zip(free, base[1:]):
+            masks[v] = mask
+        # Per moving vertex v, the i-th free one: the assignments where x_v
+        # falls from 1 to 0, those where it rises, and the distance 2^(m-i)
+        # between the two ends of a move.
         moves = []
         unstable = 0
-        for v in free:
-            moving = (masks[v] ^ values[v - 1]) & space
+        for i, v in enumerate(free, start=1):
+            lf = self.locals[v - 1]
+            moving = masks[v] ^ _value_mask(lf.inputs, lf.bits, masks, free)
             if moving:
-                moves.append((moving & masks[v], moving & ~masks[v], 1 << (n - v)))
+                moves.append((moving & masks[v], moving & ~masks[v], 1 << (m - i)))
                 unstable |= moving
 
         # A closure sweep applies the vertices' moves in turn to the growing
@@ -342,11 +350,57 @@ class BooleanNetwork:
             else:
                 cyclic.append(reach)
             left &= ~basin
-        # Each attractor keyed by the bit index of its lowest state.
-        found = [(s, (x,)) for s, x in zip(_set_bits(fixed), _states_in(fixed, n))]
-        found += [((states & -states).bit_length() - 1, _states_in(states, n)) for states in cyclic]
+        # Each state's binary value: the assignment's bits spread onto the
+        # free vertices, ORed with the constants' bits.  With no constant,
+        # the assignments are the states.
+        if m < n:
+            always = sum(1 << (n - v) for v, c in enumerate(constants, start=1) if c)
+            low, high_codes, low_codes = _subcube_codes(free, n, always)
+            low_bits = (1 << low) - 1
+
+        def states_of(assignments: int) -> list[tuple[int, ...]]:
+            codes = _set_bits(assignments)
+            if m < n:
+                codes = [high_codes[a >> low] | low_codes[a & low_bits] for a in codes]
+            return _state_tuples(codes, n)
+
+        # Each attractor keyed by the bit index of its lowest assignment.
+        found = [(a, (x,)) for a, x in zip(_set_bits(fixed), states_of(fixed))]
+        found += [((states & -states).bit_length() - 1, states_of(states)) for states in cyclic]
         found.sort(key=operator.itemgetter(0))
         return [frozenset(states) for _, states in found]
+
+
+def _percolate(locals_: Sequence[LocalFunction]) -> tuple[list[int | None], tuple[int, ...]]:
+    """Per vertex 1..n, the constant that percolation fixes it to, or None;
+    and the vertices left free, in increasing order.
+
+    Each vertex keeps the rows of its table that agree with the constants
+    fixed so far, as a mask of rows.  It is fixed to c once its table is c
+    on all of them, and the vertices that read it then drop their rows that
+    disagree.  A worklist, started from the constant tables, revisits only
+    those readers; the limit of percolation does not depend on the order
+    in which vertices are fixed.
+    """
+    n = len(locals_)
+    rows = [(1 << (1 << len(lf.inputs))) - 1 for lf in locals_]
+    constants: list[int | None] = [None] * n
+    pending = [v for v, lf, agree in zip(range(1, n + 1), locals_, rows) if lf.bits in (0, agree)]
+    while pending:
+        v = pending.pop()
+        if constants[v - 1] is not None:
+            continue
+        agree = rows[v - 1]
+        ones = locals_[v - 1].bits & agree
+        if ones and ones != agree:
+            continue
+        c = constants[v - 1] = int(bool(ones))
+        for w, lf in enumerate(locals_, start=1):
+            if v in lf.inputs and constants[w - 1] is None:
+                step, low = _input_rows(len(lf.inputs))[lf.inputs.index(v)]
+                rows[w - 1] &= low << step if c else low
+                pending.append(w)
+    return constants, tuple(v for v, c in enumerate(constants, start=1) if c is None)
 
 
 # -- state enumeration -------------------------------------------------------
@@ -357,23 +411,24 @@ def all_states(n: int) -> Iterator[tuple[int, ...]]:
 
 
 @lru_cache(maxsize=None)
-def _half_states(n: int) -> tuple[int, tuple, tuple]:
-    low = n // 2
-    return low, tuple(all_states(n - low)), tuple(all_states(low))
+def _half_tuples(width: int) -> tuple[tuple[int, ...], ...]:
+    """Every state of ``width`` bits as a tuple, in increasing binary order."""
+    return tuple(all_states(width))
 
 
 def _states_in(states: int, n: int) -> list[tuple[int, ...]]:
-    """The members of a set of states as tuples, in increasing binary order.
-
-    Each tuple joins the tuples of its high and low halves, listed once
-    per n.
-    """
+    """The members of a set of states as tuples, in increasing binary order."""
     return _state_tuples(_set_bits(states), n)
 
 
 def _state_tuples(codes, n: int) -> list[tuple[int, ...]]:
-    """The states with these binary values, as tuples, in the given order."""
-    low, high_halves, low_halves = _half_states(n)
+    """The states with these binary values, as tuples, in the given order.
+
+    Each tuple joins the tuples of its high and low halves, read from the
+    tables of the two half widths, which n and n + 1 share.
+    """
+    low = n // 2
+    high_halves, low_halves = _half_tuples(n - low), _half_tuples(low)
     low_bits = (1 << low) - 1
     return [high_halves[s >> low] + low_halves[s & low_bits] for s in codes]
 
@@ -420,14 +475,24 @@ def _feedback_order(
     return tuple(sorted(free)), order
 
 
-def _spread(vertices: Sequence[int], n: int) -> list[int]:
+def _spread(vertices: Sequence[int], n: int, always: int = 0) -> list[int]:
     """Per value j of len(vertices) bits, the first vertex most
     significant: the binary value of the n-vertex state that holds j's bits
-    on those vertices and 0 elsewhere."""
-    codes = [0]
-    for v in vertices:
-        codes = [c | b for c in codes for b in (0, 1 << (n - v))]
+    on those vertices and those of ``always`` elsewhere."""
+    codes = [always]
+    for v in reversed(vertices):
+        bit = 1 << (n - v)
+        codes += [c | bit for c in codes]
     return codes
+
+
+def _subcube_codes(free: tuple[int, ...], n: int, always: int) -> tuple[int, list[int], list[int]]:
+    """Decode tables for assignments of ``free``, the first vertex most
+    significant: (low, high, low_codes) such that assignment a is the state
+    with binary value high[a >> low] | low_codes[a & (2^low - 1)], which
+    holds a's bits on ``free`` and those of ``always`` elsewhere."""
+    low = len(free) // 2
+    return low, _spread(free[: len(free) - low], n, always), _spread(free[len(free) - low:], n)
 
 
 def _full_states(fixed: int, free: tuple[int, ...], masks, n: int) -> list[tuple[int, ...]]:
@@ -443,9 +508,6 @@ def _full_states(fixed: int, free: tuple[int, ...], masks, n: int) -> list[tuple
     if not fixed:
         return []
     width = len(free)
-    low = width // 2
-    low_bits = (1 << low) - 1
-    high_codes, low_codes = _spread(free[: width - low], n), _spread(free[width - low:], n)
     always = 0
     varying = []
     for v in set(range(1, n + 1)).difference(free):
@@ -454,8 +516,10 @@ def _full_states(fixed: int, free: tuple[int, ...], masks, n: int) -> list[tuple
             always |= 1 << (n - v)
         elif hit:
             varying.append((v, hit))
+    low, high_codes, low_codes = _subcube_codes(free, n, always)
+    low_bits = (1 << low) - 1
     points = list(_set_bits(fixed))
-    codes = [high_codes[a >> low] | low_codes[a & low_bits] | always for a in points]
+    codes = [high_codes[a >> low] | low_codes[a & low_bits] for a in points]
     for i in range(0, len(varying), 8):
         batch = varying[i : i + 8]
         # Row a of a set's table text is the character '0' or '1', whose
@@ -508,7 +572,7 @@ def _state_masks(n: int) -> tuple[int, ...]:
     return _build_state_masks(n)
 
 
-def _value_mask(inputs: Sequence[int], bits: int, masks) -> int:
+def _value_mask(inputs: Sequence[int], bits: int, masks, free: Sequence[int] | None = None) -> int:
     """The set where the table's function is 1, given ``masks``: the
     whole set, then per vertex u the subset where x_u = 1.
 
@@ -516,17 +580,22 @@ def _value_mask(inputs: Sequence[int], bits: int, masks) -> int:
     block per trailing 1 of j, each merging two blocks that differ only in
     x_u into one multiplexer on X_u, so at most k + 1 sets are alive.  The
     fold works on any sets, such as assignments of a feedback vertex set.
-    A wider table is looked up once per state, at the sum of its halves'
-    rows, so for it ``masks`` must be ``_state_masks(n)``.
+    A wider table is looked up once per assignment of ``free`` (by default
+    every vertex, so ``masks`` are ``_state_masks(n)``), the first vertex
+    most significant, at the sum of its halves' rows; its other inputs
+    must be constants, whose masks are empty or whole, and add their rows
+    as one offset.
     """
     k = len(inputs)
     rows = _table_text(bits, k)
     if k > _FOLD_MAX_INPUTS:
-        n = len(masks) - 1
+        free = range(1, len(masks)) if free is None else free
         weight = {u: 1 << (k - 1 - i) for i, u in enumerate(inputs)}
-        high, low = [0], [0]
-        for u in range(1, n + 1):
-            half = high if u <= n - n // 2 else low
+        offset = sum(w for u, w in weight.items() if u not in free and masks[u])
+        cut = len(free) - len(free) // 2
+        high, low = [offset], [0]
+        for i, u in enumerate(free):
+            half = high if i < cut else low
             half[:] = [r + b for r in half for b in (0, weight.get(u, 0))]
         return int("".join([rows[h + l] for h in high for l in low])[::-1], 2)
     full = masks[0]
@@ -540,31 +609,6 @@ def _value_mask(inputs: Sequence[int], bits: int, masks) -> int:
             height += 1
         blocks.append(hi)
     return blocks[0]
-
-
-def _trap_subspace(values: Sequence[int], masks) -> tuple[int, Sequence[int]]:
-    """The trap subspace S left by percolating constant vertices, as a set
-    of states, and the vertices it leaves free, in increasing order.
-
-    ``values[v - 1]`` is the set where f_v = 1, on ``_state_masks(n)``.
-    Passes over the free vertices run until one fixes nothing: a chain of
-    copies listed against the vertex order fixes one link per pass.
-    """
-    space = masks[0]
-    free = range(1, len(values) + 1)
-    while True:
-        still_free = []
-        for v in free:
-            value = values[v - 1] & space
-            if not value:
-                space &= ~masks[v]
-            elif value == space:
-                space &= masks[v]
-            else:
-                still_free.append(v)
-        if len(still_free) == len(free):
-            return space, free
-        free = still_free
 
 
 # -- networks consistent with a prescribed interaction graph -----------------

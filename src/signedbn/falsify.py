@@ -258,10 +258,13 @@ class InstanceKind:
 
 _GRAPH_PART = ("graph", formats.format_signed_digraph, formats.load_signed_digraph)
 
-# A signed digraph with a consistent network: its checks scan 2^n states.
+# A signed digraph with a consistent network: its checks scan the network's
+# fixed points.  ``check`` of a rule theorem reads the graph alone and
+# refuses it by the same limit.
 PAIR = InstanceKind(
     _draw_pair, MAX_FIXED_POINT_SCAN, _sweep_pairs,
     (_GRAPH_PART, ("network", formats.format_boolean_network, formats.load_boolean_network)),
+    _FIXED_POINT_SCAN,
 )
 # A signed digraph alone: its checks search its cycles.
 GRAPH = InstanceKind(_draw_graph, MAX_GRAPH_N, None, (_GRAPH_PART,), _CYCLE_SEARCH)
@@ -441,12 +444,8 @@ REGISTRY: dict[str, TheoremProperty] = {
         TheoremProperty(
             "thm1", "distinct fixed points disagree on a positive cycle", PAIR,
             _disagreement_check(False, "positive disagreement cycle"),
-            refusal=_FIXED_POINT_SCAN,
         ),
-        TheoremProperty(
-            "thm2", "no negative cycle implies a fixed point", PAIR, _check_thm2,
-            refusal=_FIXED_POINT_SCAN,
-        ),
+        TheoremProperty("thm2", "no negative cycle implies a fixed point", PAIR, _check_thm2),
         _rule_property(
             "thm3", "uniqueness arc rule bounds fixed points by one",
             uniqueness_arc_rule, _at_most_one_fixed_point,
@@ -459,13 +458,11 @@ REGISTRY: dict[str, TheoremProperty] = {
         ),
         make_existence_rule_property(),
         TheoremProperty(
-            "thm6", "antipodal pair under the unique-negative-cycle premises", PAIR, _check_thm6,
-            refusal=_FIXED_POINT_SCAN,
+            "thm6", "antipodal pair under the unique-negative-cycle premises", PAIR, _check_thm6
         ),
         TheoremProperty(
             "thm7", "disagreement cycle without special arc", PAIR,
             _disagreement_check(True, "special-arc-free positive cycle"),
-            refusal=_FIXED_POINT_SCAN,
         ),
         TheoremProperty(
             "cor8", "fixed points within min(2^tau~+, A(n, g~+))", PAIR, _check_cor8,
@@ -488,6 +485,16 @@ REGISTRY: dict[str, TheoremProperty] = {
 
 
 # -- the harness ---------------------------------------------------------------------
+
+
+def _trial_rngs(seed: int, trials: int) -> Iterator[random.Random]:
+    """One generator, seeded with f"{seed}:{i}" before trial i.  Seeding
+    resets all of its state, so trial i draws what a fresh
+    ``random.Random(f"{seed}:{i}")`` would, without building one."""
+    rng = random.Random()
+    for i in range(trials):
+        rng.seed(f"{seed}:{i}")
+        yield rng
 
 
 def run_falsification(
@@ -535,9 +542,7 @@ def run_falsification(
     if stop_after is not None and stop_after < 1:
         raise ValueError(f"stop_after must be at least 1, got {stop_after}")
     if exhaustive_n is None:
-        instances = (
-            kind.draw(random.Random(f"{seed}:{i}"), max_n, max_indegree) for i in range(trials)
-        )
+        instances = (kind.draw(rng, max_n, max_indegree) for rng in _trial_rngs(seed, trials))
     elif kind.sweep is None:
         raise ValueError(f"theorem {prop.id!r} has no exhaustive mode")
     else:

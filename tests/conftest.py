@@ -9,10 +9,12 @@ each subgraph and searching its cycles anew, and strong components by
 mutual reachability.  tau+ and tau~+ also have scan oracles that try every
 vertex subset by size and ask the library's cycle index about each.
 Attractors also have a set-search oracle, the lowest-pivot loop that the
-library's search replaced, on the library's state masks, and fixed points
-a scan oracle, the AND over all 2^n states that the library's scan over a
-feedback vertex set replaced.  The odd-cycle condition has the negative
-cycle search on the all-negative encoding that its mask test replaced,
+library's search replaced, on the library's state masks; percolation the
+set-level passes over all 2^n states that percolating on the truth
+tables replaced; and fixed points a scan oracle, the AND over all 2^n
+states that the library's scan over a feedback vertex set replaced.
+The odd-cycle condition has the negative cycle search on the
+all-negative encoding that its mask test replaced,
 and negative cycles and two-colorings have the breadth-first search
 trees that the sign-cover closure replaced.
 The rule theorems' checks have the premise-first check that reading the
@@ -454,6 +456,36 @@ def lowest_pivot_attractors(f):
         left &= ~basin
     found.sort(key=lambda states: states & -states)
     return [frozenset(_states_in(states, n)) for states in found]
+
+
+def trap_subspace(f):
+    """The trap subspace S left by percolating constant vertices, as
+    ``BooleanNetwork.attractors`` found it before it percolated on the
+    truth tables: a 2^n-bit set of states, and the vertices it leaves
+    free as a list, in increasing order.
+
+    S starts as all states; a vertex whose f_v is c on all of S shrinks S
+    to S ∩ {x_v = c}.  Passes over the free vertices run until one fixes
+    nothing: a chain of copies listed against the vertex order fixes one
+    link per pass.
+    """
+    masks = _state_masks(f.n)
+    values = [_value_mask(lf.inputs, lf.bits, masks) for lf in f.locals]
+    space = masks[0]
+    free = list(range(1, f.n + 1))
+    while True:
+        still_free = []
+        for v in free:
+            value = values[v - 1] & space
+            if not value:
+                space &= ~masks[v]
+            elif value == space:
+                space &= masks[v]
+            else:
+                still_free.append(v)
+        if len(still_free) == len(free):
+            return space, free
+        free = still_free
 
 
 # -- subgraph-rebuilding structure oracles ------------------------------------

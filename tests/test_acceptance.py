@@ -155,6 +155,7 @@ def test_criterion_1_figure1_family():
     assert report("1 figure-1 family", ok, f"{elapsed:.2f}s")
 
 
+@pytest.mark.slow
 def test_criterion_2_uniqueness_disagreement_cycles(sweep):
     ok = not sweep.thm1_violations and sweep.graphs == 3 + 81 + 19683
     assert report(
@@ -164,11 +165,13 @@ def test_criterion_2_uniqueness_disagreement_cycles(sweep):
     )
 
 
+@pytest.mark.slow
 def test_criterion_3_existence_without_negative_cycles(sweep):
     ok = not sweep.thm2_violations
     assert report("3 fixed point without negative cycles", ok)
 
 
+@pytest.mark.slow
 def test_criterion_4_special_arc_free_cycles(sweep, sampled_instances):
     violations = list(sweep.thm7_violations)
     for G, f in sampled_instances:
@@ -192,6 +195,7 @@ def test_criterion_4_special_arc_free_cycles(sweep, sampled_instances):
     )
 
 
+@pytest.mark.slow
 def test_criterion_5_fixed_point_bound(sweep, sampled_instances):
     violations = list(sweep.cor8_violations)
     for G, f in sampled_instances:
@@ -205,6 +209,7 @@ def test_criterion_5_fixed_point_bound(sweep, sampled_instances):
     assert report("5 min(2^tau~+, A(n, g~+)) bound", ok)
 
 
+@pytest.mark.slow
 def test_criterion_6_existence_arc_rule(sweep):
     violations = list(sweep.thm5_violations)
     accepted = 0
@@ -386,6 +391,7 @@ def _antipodal_holds_for_all(G, negative):
     return True, count
 
 
+@pytest.mark.slow
 def test_criterion_7_antipodal_pairs_and_cut_arcs():
     lemma_failures = 0
     antipodal_failures = 0
@@ -438,6 +444,7 @@ def _enumerated_antipodal_check(G):
     return True
 
 
+@pytest.mark.slow
 def test_criterion_8_balance_equivalence():
     violations = 0
     checked = 0
@@ -476,6 +483,7 @@ def test_criterion_8_balance_equivalence():
     assert report("8 balance iff two-colorable", ok, f"{checked} graphs")
 
 
+@pytest.mark.slow
 def test_criterion_9_code_bounds():
     ok = True
     for n in range(1, 9):

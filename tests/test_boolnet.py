@@ -19,6 +19,7 @@ from conftest import (
     lowest_pivot_attractors,
     scan_fixed_points,
     table_rows,
+    trap_subspace,
 )
 from signedbn import boolnet
 from signedbn.boolnet import (
@@ -163,12 +164,19 @@ def percolated_constants(f):
             return fixed
 
 
-def trap_subspace(f):
-    """``boolnet._trap_subspace`` of f, its free vertices as a list."""
-    masks = boolnet._state_masks(f.n)
-    values = [boolnet._value_mask(lf.inputs, lf.bits, masks) for lf in f.locals]
-    space, free = boolnet._trap_subspace(values, masks)
-    return space, list(free)
+def percolation(f):
+    """``boolnet._percolate`` of f: {v: c} for its constants, and its free
+    vertices as a list."""
+    constants, free = boolnet._percolate(f.locals)
+    return {v: c for v, c in enumerate(constants, start=1) if c is not None}, list(free)
+
+
+def assert_percolates(f, fixed):
+    """Percolation on the tables fixes exactly ``fixed``, and the
+    set-level oracle leaves the subcube of those values."""
+    free = [v for v in range(1, f.n + 1) if v not in fixed]
+    assert percolation(f) == (fixed, free)
+    assert trap_subspace(f) == (subcube(f.n, fixed), free)
 
 
 def subcube(n, fixed):
@@ -372,6 +380,27 @@ class TestScansAgainstOracles:
             checked += 1
 
 
+class TestDecoding:
+    """``scan_fixed_points`` and ``lowest_pivot_attractors`` decode through
+    the library's ``_states_in``, so it is checked here on its own, against
+    each state's binary text."""
+
+    def test_states_in_matches_the_binary_text(self):
+        rng = random.Random(17)
+        for n in range(19):
+            size = 1 << n
+            # Full and dense on the lowest 2^14 codes, sparse on all of them.
+            window = min(size, 1 << 14)
+            sparse = 0
+            for _ in range(200):
+                sparse |= 1 << rng.randrange(size)
+            for states in (0, (1 << window) - 1, rng.getrandbits(window), sparse):
+                codes = [c for c, bit in enumerate(format(states, f"0{size}b")[::-1]) if bit == "1"]
+                # The bit above the state's own n bits keeps its leading 0s.
+                expected = [tuple(map(int, format(size | c, "b")[1:])) for c in codes]
+                assert boolnet._states_in(states, n) == expected
+
+
 @pytest.fixture
 def mask_widths(monkeypatch):
     """The widths ``boolnet._state_masks`` is asked for while the test runs."""
@@ -477,6 +506,29 @@ def wide_network(table, k=18):
     return BooleanNetwork(
         [LocalFunction(inputs, table)] + [LocalFunction((1,), (0, 1))] * k
     )
+
+
+def wide_free_network(rng, n, k):
+    """Vertex n reads k inputs, itself among them, through a random table.
+    Three or four vertices are constant, one more copies or negates one of
+    them, and vertex n reads all of these, so at least four constants
+    percolate into it.  Up to three vertices read two others at random,
+    and the rest copy themselves, which keeps every state's reach small."""
+    constants = rng.randint(3, 4)
+    locals_ = [LocalFunction((), (rng.randrange(2),)) for _ in range(constants)]
+    locals_.append(LocalFunction((rng.randint(1, constants),), rng.choice(((0, 1), (1, 0)))))
+    first = constants + 2
+    moving = first + rng.randint(1, 3)
+    for v in range(first, n):
+        if v < moving:
+            inputs = rng.sample(range(first, n + 1), 2)
+            locals_.append(LocalFunction(inputs, [rng.randrange(2) for _ in range(4)]))
+        else:
+            locals_.append(LocalFunction((v,), (0, 1)))
+    inputs = list(range(1, first)) + rng.sample(range(first, n + 1), k - first + 1)
+    rng.shuffle(inputs)
+    locals_.append(LocalFunction(inputs, [rng.randrange(2) for _ in range(1 << k)]))
+    return BooleanNetwork(locals_)
 
 
 class TestWideTables:
@@ -591,6 +643,20 @@ class TestWideTables:
         monkeypatch.setattr(boolnet, "_FOLD_MAX_INPUTS", n)
         assert (f.fixed_points(), f.attractors()) == looked_up
         assert looked_up[0] == brute_fixed_points(f)
+
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_a_wide_free_table_is_looked_up_on_the_subcube(self, seed):
+        # The wide table is read once per assignment of the free vertices,
+        # and its constant inputs add one row offset.
+        rng = random.Random(seed)
+        for n in (11, 12, 13):
+            f = wide_free_network(rng, n, min(n, 11 + rng.randrange(2)))
+            fixed, free = percolation(f)
+            wide = f.locals[-1]
+            assert wide.arity > boolnet._FOLD_MAX_INPUTS and n in free
+            assert sum(u in fixed for u in wide.inputs) >= 3
+            assert f.attractors() == brute_attractors(f)
 
 
 class TestFeedbackScan:
@@ -816,8 +882,8 @@ class TestAttractors:
             assert f.attractors() == lowest_pivot_attractors(f)
 
     def test_matches_brute_force_on_constant_rich_networks(self):
-        # The search runs inside the trap subspace that percolating
-        # constants leaves; the oracle searches every state.
+        # The search runs on the subcube that percolating constants
+        # leaves; the oracle searches every state.
         # The oracle's cost grows about fourfold per vertex, so 50 networks
         # each have 8 and 9 vertices and the rest cycle through 1..7.
         rng = random.Random(28)
@@ -826,9 +892,7 @@ class TestAttractors:
             n = {0: 9, 20: 8}.get(i % 40, 1 + i % 7)
             f = constant_rich_network(rng, n)
             fixed = percolated_constants(f)
-            assert trap_subspace(f) == (
-                subcube(n, fixed), [v for v in range(1, n + 1) if v not in fixed]
-            )
+            assert_percolates(f, fixed)
             found = f.attractors()
             assert found == brute_attractors(f)
             assert all(x[v - 1] == c for states in found for x in states for v, c in fixed.items())
@@ -850,29 +914,31 @@ class TestAttractors:
         # x_6 is constant and each earlier vertex copies the next, so each
         # pass over 1..6 fixes one more link: all six, in six passes.
         f = net(*[((v + 1,), (0, 1)) for v in range(1, 6)], ((), (1,)))
+        assert_percolates(f, dict.fromkeys(range(1, 7), 1))
         assert trap_subspace(f) == (1 << 63, [])
         assert f.attractors() == brute_attractors(f) == [frozenset({(1,) * 6})]
 
     def test_a_vertex_fixed_only_after_two_others(self):
         # f_1 = x_2 xor x_3 is constant only once both are; x_4 stays free.
         f = net(((2, 3), (0, 1, 1, 0)), ((), (1,)), ((), (1,)), ((4,), (0, 1)))
-        assert trap_subspace(f) == (subcube(4, {1: 0, 2: 1, 3: 1}), [4])
+        assert_percolates(f, {1: 0, 2: 1, 3: 1})
         assert f.attractors() == brute_attractors(f) == [
             frozenset({(0, 1, 1, 0)}), frozenset({(0, 1, 1, 1)})
         ]
 
     def test_all_constant_and_empty_networks(self):
         f = net(((), (1,)), ((), (0,)), ((), (1,)))
+        assert_percolates(f, {1: 1, 2: 0, 3: 1})
         assert trap_subspace(f) == (1 << 0b101, [])
         assert f.attractors() == brute_attractors(f) == [frozenset({(1, 0, 1)})]
         empty = BooleanNetwork([])
-        assert trap_subspace(empty) == (1, [])
+        assert_percolates(empty, {})
         assert empty.attractors() == brute_attractors(empty) == [frozenset({()})]
 
     def test_no_constant_vertex_keeps_every_state(self):
         ring = net(((3,), (1, 0)), ((1,), (0, 1)), ((2,), (0, 1)))
         for f in (SWAP2, IDENTITY2, NEGATION1, ring):
-            assert trap_subspace(f) == (boolnet._state_masks(f.n)[0], list(range(1, f.n + 1)))
+            assert_percolates(f, {})
             assert f.attractors() == brute_attractors(f)
 
     def test_fixed_points_beside_a_cyclic_attractor(self):

@@ -23,6 +23,7 @@ from signedbn.falsify import (
     _graph_fp_bound,
     _rule_property,
     _sweep_pairs,
+    _trial_rngs,
     _within_cap,
     falsify,
     make_existence_rule_property,
@@ -425,6 +426,15 @@ class TestDeterminism:
     def test_wall_time_not_in_structured_output(self):
         report = falsify("thm2", trials=5, seed=0)
         assert "seconds" not in report.to_dict()
+
+    def test_one_reseeded_generator_draws_what_fresh_ones_draw(self):
+        # Random trials reseed one generator per trial instead of building
+        # ``random.Random(f"{seed}:{i}")``; the instances are the same.
+        for kind in (PAIR, GRAPH, DIGRAPH):
+            fresh = [kind.draw(random.Random(f"7:{i}"), 5, 4) for i in range(200)]
+            reseeded = [kind.draw(rng, 5, 4) for rng in _trial_rngs(7, 200)]
+            assert reseeded == fresh
+            assert sum(instance is not None for instance in fresh) > 100
 
 
 class TestSensitivity:

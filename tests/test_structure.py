@@ -315,6 +315,7 @@ class TestFilteredSubgraphCycles:
         for G in all_signed_digraphs(n):
             assert_matches_rebuilt_subgraphs(G)
 
+    @pytest.mark.slow
     def test_every_simple_graph_n3(self):
         for G in all_simple_signed_digraphs(3):
             assert_matches_rebuilt_subgraphs(G)
