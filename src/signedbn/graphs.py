@@ -82,7 +82,8 @@ class SignedDigraph:
     """
 
     __slots__ = (
-        "_vertices", "_arcs", "_in", "_out", "_hash", "_cycle_cache", "_index_cache", "_scc_cache"
+        "_vertices", "_arcs", "_in", "_out", "_hash", "_cycle_cache", "_index_cache", "_scc_cache",
+        "_mask_cache",
     )
 
     def __init__(self, vertices, arcs: Iterable = ()):
@@ -133,6 +134,7 @@ class SignedDigraph:
         self._cycle_cache = None
         self._index_cache = None
         self._scc_cache = None
+        self._mask_cache = None
 
     @classmethod
     def _from_in_arcs(cls, in_arcs: Sequence[tuple[Arc, ...]]) -> "SignedDigraph":
@@ -431,18 +433,37 @@ def _closure(seed: int, step: Sequence[int], allowed: int = -1) -> int:
     return seen
 
 
-def _neighbor_masks(G: SignedDigraph) -> tuple[dict[int, int], list[int], list[int]]:
-    """G's vertex positions (the p-th of ``G.vertices`` is p) and, per
-    position, the masks of its out- and in-neighbour positions."""
-    position = {v: p for p, v in enumerate(G.vertices)}
-    out = [0] * len(position)
-    into = [0] * len(position)
-    for v, s in position.items():
-        for a in G._out[v]:
-            t = position[a.target]
-            out[s] |= 1 << t
-            into[t] |= 1 << s
-    return position, out, into
+def _masks(G: SignedDigraph) -> tuple[dict[int, int], list[int], list[int], list[int]]:
+    """G's mask layout, built in one pass over the out-arcs on first use
+    and cached on the graph: the vertex positions (the p-th of
+    ``G.vertices`` is p), per position the masks of its out- and
+    in-neighbour positions, and the 2n step masks of G's sign cover.
+    Callers read the lists and never change them.
+
+    Cover position p is vertex p reached by a walk of sign +, and p + n
+    the same vertex reached by a walk of sign -: a positive arc keeps the
+    copy and a negative arc switches it.  So a cover walk from p to p + n
+    is a negative closed walk of G through p.
+    """
+    layout = G._mask_cache
+    if layout is None:
+        position = {v: p for p, v in enumerate(G.vertices)}
+        n = len(position)
+        out, into, plus, minus = [], [0] * n, [], []
+        for v, p in position.items():
+            keep = switch = 0
+            for _, t, sign in G._out[v]:
+                q = position[t]
+                into[q] |= 1 << p
+                if sign == POSITIVE:
+                    keep |= 1 << q
+                else:
+                    switch |= 1 << q
+            out.append(keep | switch)
+            plus.append(keep | switch << n)
+            minus.append(switch | keep << n)
+        layout = G._mask_cache = (position, out, into, plus + minus)
+    return layout
 
 
 # -- strongly connected components ----------------------------------------
@@ -510,7 +531,7 @@ def _components(G: SignedDigraph) -> tuple[tuple[int, bool, bool, bool], ...]:
     the graph.  The flags are those of ``ComponentDecomposition``."""
     rows = G._scc_cache
     if rows is None:
-        _, out, into = _neighbor_masks(G)
+        _, out, into, _ = _masks(G)
         rows = []
         for comp in _component_masks(out, into):
             ins = outs = 0
@@ -648,6 +669,8 @@ class _CycleIndex:
     positions with no in-arc.  ``position`` and ``arc_number`` number
     vertices and arcs; ``vertex_mask`` turns vertices into a position mask
     and ``cycles_meeting`` a position mask into the cycles through it.
+    ``position``, ``out_neighbors`` and ``in_neighbors`` are the graph's
+    cached ``_masks`` layout itself, not copies, so they are only read.
     """
 
     __slots__ = (
@@ -658,7 +681,7 @@ class _CycleIndex:
 
     def __init__(self, G: SignedDigraph, cycles: tuple[SignedCycle, ...]):
         self.cycles = cycles
-        position, self.out_neighbors, self.in_neighbors = _neighbor_masks(G)
+        position, self.out_neighbors, self.in_neighbors, _ = _masks(G)
         self.position = position
         vertices = self.vertices = tuple(position)
         arcs = self.arcs = G.arcs
@@ -719,30 +742,6 @@ class _CycleIndex:
 # -- negative-cycle detection (polynomial) ---------------------------------
 
 
-def _sign_cover(G: SignedDigraph) -> tuple[dict[int, int], list[int]]:
-    """G's vertex positions (the p-th of ``G.vertices`` is p) and the step
-    masks of G's sign cover, built in one pass over the out-arcs.
-
-    Cover position p is vertex p reached by a walk of sign +, and p + n
-    the same vertex reached by a walk of sign -: a positive arc keeps the
-    copy and a negative arc switches it.  So a cover walk from p to p + n
-    is a negative closed walk of G through p.
-    """
-    position = {v: p for p, v in enumerate(G.vertices)}
-    n = len(position)
-    plus, minus = [], []
-    for v in position:
-        keep = switch = 0
-        for _, t, sign in G._out[v]:
-            if sign == POSITIVE:
-                keep |= 1 << position[t]
-            else:
-                switch |= 1 << position[t]
-        plus.append(keep | switch << n)
-        minus.append(switch | keep << n)
-    return position, plus + minus
-
-
 def _negative_walk(step: Sequence[int], comp: int, n: int) -> bool:
     """Whether the strong component on the position mask ``comp`` holds a
     negative cycle, given the ``step`` masks of a sign cover on n vertices.
@@ -759,14 +758,10 @@ def _negative_walk(step: Sequence[int], comp: int, n: int) -> bool:
 def _negative_components(G: SignedDigraph):
     """G's positions and sign cover with the position mask of each strong
     component that holds a negative cycle, in topological order, by one
-    ``_negative_walk`` per non-trivial component; the cover is built only
-    when there is one."""
-    cyclic = [comp for comp, _, _, nontrivial in _components(G) if nontrivial]
-    if not cyclic:
-        return
-    position, step = _sign_cover(G)
-    for comp in cyclic:
-        if _negative_walk(step, comp, len(position)):
+    ``_negative_walk`` per non-trivial component."""
+    position, _, _, step = _masks(G)
+    for comp, _, _, nontrivial in _components(G):
+        if nontrivial and _negative_walk(step, comp, len(position)):
             yield position, step, comp
 
 
@@ -850,7 +845,7 @@ def reachable(
     if target in blocked:
         raise ValueError("target must not be forbidden")
     starts = G._check_subset(sources)
-    position, out, _ = _neighbor_masks(G)
+    position, out, _, _ = _masks(G)
     seed = sum(1 << position[v] for v in starts)
     allowed = ~sum(1 << position[v] for v in blocked)
     return bool(_closure(seed, out, allowed) >> position[target] & 1)

@@ -59,6 +59,16 @@ def kernels(D: Digraph) -> list[frozenset[int]]:
     ]
 
 
+def _digraph_masks(D: Digraph) -> tuple[list[int], list[int]]:
+    """D's out- and in-neighbour masks, position v-1 for vertex v."""
+    out = [0] * D.n
+    into = [0] * D.n
+    for u, v in D.arc_set:
+        out[u - 1] |= 1 << v - 1
+        into[v - 1] |= 1 << u - 1
+    return out, into
+
+
 def richardson_condition(D: Digraph) -> bool:
     """No odd cycle (cycle parity = length parity); guarantees a kernel.
 
@@ -68,20 +78,12 @@ def richardson_condition(D: Digraph) -> bool:
     switches copies on every arc, and each strong component of
     ``_component_masks`` is asked ``_negative_walk``.
     """
+    if any(u == v for u, v in D.arc_set):
+        return False
     n = D.n
-    out = [0] * n
-    into = [0] * n
-    for u, v in D.arc_set:
-        if u == v:
-            return False
-        out[u - 1] |= 1 << v - 1
-        into[v - 1] |= 1 << u - 1
+    out, into = _digraph_masks(D)
     step = [o << n for o in out] + out
-    return not any(
-        _negative_walk(step, comp, n)
-        for comp in _component_masks(out, into)
-        if comp & comp - 1  # one vertex without a loop has no cycle
-    )
+    return not any(_negative_walk(step, comp, n) for comp in _component_masks(out, into))
 
 
 def generalized_condition(D: Digraph, cap: int = DEFAULT_CYCLE_CAP) -> bool:
@@ -93,16 +95,15 @@ def generalized_condition(D: Digraph, cap: int = DEFAULT_CYCLE_CAP) -> bool:
     fixed points of a network wired along REVERSED arcs) this is exactly
     the at-least-one-fixed-point arc rule on the reversed, all-negative
     encoding, and it guarantees a kernel.  Decided by
-    ``_existence_rule_holds`` on that encoding's sign cover, built from
-    D's in-neighbour masks with no graph built: every arc switches the
-    copy.  No cycle is enumerated, so ``cap`` is only refused below 0.
+    ``_existence_rule_holds`` on that encoding's masks, read off D's with
+    no graph built: D's in-neighbour masks are its out-neighbour masks,
+    and in its sign cover every arc switches the copy.  No cycle is
+    enumerated, so ``cap`` is only refused below 0.
     """
     _check_cap(cap)
     n = D.n
-    into = [0] * n
-    for u, v in D.arc_set:
-        into[v - 1] |= 1 << u - 1
-    return _existence_rule_holds([i << n for i in into] + into, n)
+    out, into = _digraph_masks(D)
+    return _existence_rule_holds(into, out, [i << n for i in into] + into, n)
 
 
 def to_network(D: Digraph):

@@ -29,8 +29,8 @@ from .graphs import (
     _cycle_index,
     _CycleIndex,
     _cycles,
+    _masks,
     _negative_walk,
-    _sign_cover,
     _set_bits,
     as_arc,
     find_negative_cycle,
@@ -252,17 +252,18 @@ def existence_arc_rule(G: SignedDigraph, cap: int = DEFAULT_CYCLE_CAP) -> RuleVe
 
 def _existence_verdict(G: SignedDigraph, cap: int = DEFAULT_CYCLE_CAP) -> RuleVerdict:
     """The verdict of ``existence_arc_rule(G, cap)``, without witnesses, by
-    ``_existence_rule_holds`` on G's sign cover.  No cycle is enumerated,
+    ``_existence_rule_holds`` on G's mask layout.  No cycle is enumerated,
     so ``cap`` is only refused below 0."""
     _check_cap(cap)
-    position, step = _sign_cover(G)
-    return RuleVerdict(_existence_rule_holds(step, len(position)))
+    _, out, into, step = _masks(G)
+    return RuleVerdict(_existence_rule_holds(out, into, step, len(out)))
 
 
-def _existence_rule_holds(step: list[int], n: int) -> bool:
-    """Whether the existence arc rule holds on the signed digraph G whose
-    sign cover on n vertices has the ``step`` masks, as ``_sign_cover``
-    lays them out; no cycle is enumerated.
+def _existence_rule_holds(out: list[int], into: list[int], step: list[int], n: int) -> bool:
+    """Whether the existence arc rule holds on the signed digraph G on n
+    vertices with the out- and in-neighbour masks ``out`` and ``into`` and
+    the sign-cover ``step`` masks, as ``graphs._masks`` lays them out; no
+    cycle is enumerated, and the three lists are left as they are.
 
     Whether an arc qualifies, its head's strong component in G minus the
     arc being initial, non-trivial and free of negative cycles, does not
@@ -274,8 +275,7 @@ def _existence_rule_holds(step: list[int], n: int) -> bool:
     arc.  A component with no qualifying arc fails the rule.
     """
     step = list(step)
-    out, into = _projection(step, n)
-    cut = []  # per arc of Q: its tail u and its bits in step[u] and step[u + n]
+    cut = []  # per arc of Q: its ends u, v and its bits in step[u] and step[u + n]
     for comp in _component_masks(out, into):
         if not _negative_walk(step, comp, n):
             continue
@@ -294,28 +294,19 @@ def _existence_rule_holds(step: list[int], n: int) -> bool:
                     step[u] ^= a
                     step[u + n] ^= b
                     if not _negative_walk(step, component, n):
-                        cut.append((u, a, b))
+                        cut.append((u, v, a, b))
                     step[u] ^= a
                     step[u + n] ^= b
         if len(cut) == qualifying:
             return False
-    for u, a, b in cut:
+    out, into = list(out), list(into)
+    for u, v, a, b in cut:
         step[u] ^= a
         step[u + n] ^= b
-    out, into = _projection(step, n)
+        if not step[u] & (1 << v | 1 << v + n):  # no arc u -> v is left
+            out[u] &= ~(1 << v)
+            into[v] &= ~(1 << u)
     return not any(_negative_walk(step, comp, n) for comp in _component_masks(out, into))
-
-
-def _projection(step: list[int], n: int) -> tuple[list[int], list[int]]:
-    """The out- and in-neighbour position masks of the digraph whose sign
-    cover on n vertices has the ``step`` masks."""
-    full = (1 << n) - 1
-    out = [(s | s >> n) & full for s in step[:n]]
-    into = [0] * n
-    for p, targets in enumerate(out):
-        for q in _set_bits(targets):
-            into[q] |= 1 << p
-    return out, into
 
 
 def uniqueness_vertex_rule(G: SignedDigraph, cap: int = DEFAULT_CYCLE_CAP) -> RuleVerdict:
@@ -500,7 +491,7 @@ def two_coloring(G: SignedDigraph):
     when it holds both copies of a vertex and otherwise colors 1 the
     vertices it reaches with sign -.
     """
-    position, step = _sign_cover(G.symmetrize())
+    position, _, _, step = _masks(G.symmetrize())
     vertices = list(position)
     n = len(vertices)
     seen = minus = 0

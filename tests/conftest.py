@@ -13,6 +13,8 @@ library's search replaced, on the library's state masks; percolation the
 set-level passes over all 2^n states that percolating on the truth
 tables replaced; and fixed points a scan oracle, the AND over all 2^n
 states that the library's scan over a feedback vertex set replaced.
+The graph's cached mask layout has the two builders it replaced, one for
+the neighbour masks and one for the sign cover.
 The odd-cycle condition has the negative cycle search on the
 all-negative encoding that its mask test replaced,
 and negative cycles and two-colorings have the breadth-first search
@@ -291,6 +293,43 @@ def signed_richardson_condition(D):
     masks: D with every arc negative has no negative cycle, by the
     breadth-first search trees of ``tree_has_negative_cycle``."""
     return not tree_has_negative_cycle(as_all_negative(D))
+
+
+# -- mask layout ------------------------------------------------------------------
+
+
+def neighbor_masks(G):
+    """G's vertex positions (the p-th of ``G.vertices`` is p) and, per
+    position, the masks of its out- and in-neighbour positions, as the
+    library built them before one cached layout held them."""
+    position = {v: p for p, v in enumerate(G.vertices)}
+    out = [0] * len(position)
+    into = [0] * len(position)
+    for v, s in position.items():
+        for a in G.out_arcs(v):
+            t = position[a.target]
+            out[s] |= 1 << t
+            into[t] |= 1 << s
+    return position, out, into
+
+
+def sign_cover(G):
+    """G's vertex positions and the step masks of its sign cover, as the
+    library built them before one cached layout held them: position p is
+    vertex p reached with sign +, p + n the same vertex with sign -."""
+    position = {v: p for p, v in enumerate(G.vertices)}
+    n = len(position)
+    plus, minus = [], []
+    for v in position:
+        keep = switch = 0
+        for _, t, sign in G.out_arcs(v):
+            if sign == POSITIVE:
+                keep |= 1 << position[t]
+            else:
+                switch |= 1 << position[t]
+        plus.append(keep | switch << n)
+        minus.append(switch | keep << n)
+    return position, plus + minus
 
 
 # -- breadth-first search trees -------------------------------------------------

@@ -18,6 +18,8 @@ from conftest import (
     all_simple_signed_digraphs,
     brute_cycles,
     g,
+    neighbor_masks,
+    sign_cover,
     tree_has_negative_cycle,
     tree_two_coloring,
 )
@@ -37,7 +39,7 @@ from signedbn.graphs import (
     reachable,
     scc,
 )
-from signedbn.graphs import _cycle_index
+from signedbn.graphs import _cycle_index, _masks
 
 
 def graphs_strategy(max_n=5, simple=False):
@@ -526,6 +528,26 @@ def _matches_search_trees(G, rng):
         assert reachable(G, sources, forbidden, target) == expected, G.arcs
 
 
+def _drawn_graphs(rng, count):
+    """``count`` random graphs on 1 to 9 vertices, drawn from ``rng``, with
+    loops and parallel arcs of both signs; after a fifth of the draws a
+    vertex is deleted, which leaves ids that are not contiguous."""
+    for _ in range(count):
+        n = rng.randint(1, 9)
+        density = rng.random() / 2
+        arcs = [
+            (u, v, s)
+            for u in range(1, n + 1)
+            for v in range(1, n + 1)
+            for s in "+-"
+            if rng.random() < density
+        ]
+        G = SignedDigraph(n, arcs)
+        if rng.random() < 0.2:
+            G = G.delete(rng.randint(1, n))
+        yield G
+
+
 class TestSignCover:
     def test_matches_search_trees_exhaustively(self):
         rng = random.Random(11)
@@ -536,26 +558,65 @@ class TestSignCover:
             _matches_search_trees(G, rng)
 
     def test_matches_search_trees_random(self):
-        # Loops and parallel arcs of both signs are drawn; a deleted vertex
-        # leaves ids that are not contiguous.
         rng = random.Random(12)
         gapped = 0
-        for _ in range(5000):
-            n = rng.randint(1, 9)
-            density = rng.random() / 2
-            arcs = [
-                (u, v, s)
-                for u in range(1, n + 1)
-                for v in range(1, n + 1)
-                for s in "+-"
-                if rng.random() < density
-            ]
-            G = SignedDigraph(n, arcs)
-            if rng.random() < 0.2:
-                G = G.delete(rng.randint(1, n))
-                gapped += G.vertices != tuple(range(1, G.n + 1))
+        for G in _drawn_graphs(rng, 5000):
+            gapped += G.vertices != tuple(range(1, G.n + 1))
             _matches_search_trees(G, rng)
         assert gapped > 500
+
+
+class TestMaskLayout:
+    """``_masks`` lays out each graph once, as the two builders it replaced
+    did between them, and no reader changes the cached layout."""
+
+    @staticmethod
+    def assert_matches_the_builders(G):
+        position, out, into = neighbor_masks(G)
+        assert _masks(G) == (position, out, into, sign_cover(G)[1]), G.arcs
+        assert _masks(G) is G._mask_cache  # cached, not rebuilt
+
+    def test_every_small_graph(self):
+        graphs = itertools.chain(
+            *(all_signed_digraphs(n) for n in range(3)), all_simple_signed_digraphs(3)
+        )
+        for G in graphs:
+            self.assert_matches_the_builders(G)
+
+    def test_random_graphs(self):
+        gapped = 0
+        for G in _drawn_graphs(random.Random(33), 5000):
+            gapped += G.vertices != tuple(range(1, G.n + 1))
+            self.assert_matches_the_builders(G)
+        assert gapped > 500
+
+    # Every library reader of the layout, on one graph.
+    READERS = (
+        structure._existence_verdict,
+        has_negative_cycle,
+        find_negative_cycle,
+        structure.two_coloring,
+        lambda G: reachable(G, G.vertices[:1], (), G.vertices[-1]),
+        is_strong,
+        structure.no_fixed_point_condition,
+        structure.analyze,
+    )
+
+    @pytest.mark.parametrize("G", [
+        # The existence rule holds by cutting the two negative arcs, so
+        # its mask decision clears bits of its copy of the layout.
+        g(5, (1, 2, "+"), (2, 3, "-"), (3, 1, "+"), (2, 4, "+"), (4, 5, "-"), (5, 2, "+"),
+          (3, 3, "+"), (5, 5, "+")),
+        figure1(7),
+        random_signed_digraph(8, seed=3),
+        # Closed under reversal, so ``two_coloring`` reads G's own layout.
+        g(3, (1, 2, "+"), (2, 1, "+"), (2, 3, "-"), (3, 2, "-"), (2, 3, "+"), (3, 2, "+")),
+    ])
+    def test_no_reader_changes_the_cached_layout(self, G):
+        fresh = _masks(SignedDigraph(G.vertices, G.arcs))
+        for read in self.READERS:
+            read(G)
+            assert G._mask_cache == fresh, read
 
 
 class TestReachable:

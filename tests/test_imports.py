@@ -231,6 +231,14 @@ def test_only_graphs_names_the_vertex_set_components():
     assert modules_naming({"scc", "ComponentDecomposition"}, ("__init__", "graphs")) == set()
 
 
+def test_only_graphs_reads_a_graphs_arc_tuples():
+    # ``graphs._masks`` lays out a graph's positions, neighbour masks and
+    # sign cover once, for every component, reachability and sign-cover
+    # question; a module that read the per-vertex arc tuples could lay
+    # out a second copy.
+    assert modules_naming({"_out", "_in"}, ("graphs",)) == set()
+
+
 def test_kernels_names_the_module():
     import signedbn.kernels as kernels_module
 

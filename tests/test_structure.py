@@ -737,6 +737,25 @@ class TestAnalyzeDecomposesOnce:
         return calls
 
     @staticmethod
+    def count_layouts(monkeypatch) -> list:
+        """The graphs whose mask layout ``graphs._masks`` builds while the
+        test runs, in every module that reads it."""
+        import signedbn.graphs as graphs
+        import signedbn.structure as structure
+
+        built = []
+        original = graphs._masks
+
+        def counting(G):
+            if G._mask_cache is None:
+                built.append(G)
+            return original(G)
+
+        for module in (graphs, structure):
+            monkeypatch.setattr(module, "_masks", counting)
+        return built
+
+    @staticmethod
     def inputs() -> list:
         return [figure1(7), random_signed_digraph(8, seed=3), g(2, (1, 2, "+"), (2, 1, "+"))]
 
@@ -764,6 +783,21 @@ class TestAnalyzeDecomposesOnce:
             for read in self.READERS:
                 read(G)
         assert calls == [G.n for G in inputs]
+
+    def test_analyze_lays_out_each_graph_once(self, monkeypatch):
+        built = self.count_layouts(monkeypatch)
+        inputs = self.inputs()
+        for G in inputs:
+            analyze(G)
+        assert [id(G) for G in built] == [id(G) for G in inputs]
+
+    def test_each_reader_lays_out_at_most_one_graph(self, monkeypatch):
+        built = self.count_layouts(monkeypatch)
+        for read in self.READERS:
+            for G in self.inputs():  # nothing cached
+                built.clear()
+                read(G)
+                assert [id(H) for H in built] in ([], [id(G)]), read
 
     def test_no_vertex_set_view_is_built(self, monkeypatch):
         # The library reads the component masks; only ``scc`` turns them
