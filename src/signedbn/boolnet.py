@@ -210,9 +210,8 @@ class BooleanNetwork:
         else:
             free, order = _feedback_order(self.locals)
         base = _state_masks(len(free))
-        if len(free) == n:
-            masks = base  # F is every vertex: its assignments are the states.
-        else:
+        masks = base  # with F every vertex, the assignments are the states
+        if len(free) < n:
             # masks[v]: the assignments where x_v = 1, None until v is folded.
             masks = [base[0]] + [None] * n
             for v, m in zip(free, base[1:]):
@@ -226,8 +225,6 @@ class BooleanNetwork:
                 fixed &= ~(masks[v] ^ value)
                 if not fixed:
                     break
-        if len(free) == n:
-            return _states_in(fixed, n)
         return _full_states(fixed, free, masks, n)
 
     def is_canalized(self, arc) -> bool:
@@ -270,11 +267,13 @@ class BooleanNetwork:
         (``_percolate``): they leave a trap subspace S, the subcube of the
         states that hold their values.  No move leaves S, and every state
         reaches S by at most one move of each constant vertex, taken in the
-        order percolation fixed them, so every attractor lies in S.  The search runs on 2^m-bit sets of the
-        assignments of S's m free vertices (Xie and Beerel, IEEE TCAD 19,
-        2000): each constant enters the table folds as the empty or the
-        full set.  The assignments of a subcube are in the order of their
-        states, so the search is the same on either.
+        order percolation fixed them, so every attractor lies in S.  The
+        search runs on 2^m-bit sets of the assignments of S's m free
+        vertices (Xie and Beerel, IEEE TCAD 19, 2000): each constant is the
+        empty or the whole set, in the table folds and in the one decode,
+        ``_full_states``.  The assignments of a subcube are in the order of
+        its states, so the search is the same on either, and the fixed
+        points zip with their decoded states.
 
         The fixed points are the states of S where no vertex moves, and
         each is an attractor.  A state that reaches one lies in no
@@ -350,23 +349,10 @@ class BooleanNetwork:
             else:
                 cyclic.append(reach)
             left &= ~basin
-        # Each state's binary value: the assignment's bits spread onto the
-        # free vertices, ORed with the constants' bits.  With no constant,
-        # the assignments are the states.
-        if m < n:
-            always = sum(1 << (n - v) for v, c in enumerate(constants, start=1) if c)
-            low, high_codes, low_codes = _subcube_codes(free, n, always)
-            low_bits = (1 << low) - 1
-
-        def states_of(assignments: int) -> list[tuple[int, ...]]:
-            codes = _set_bits(assignments)
-            if m < n:
-                codes = [high_codes[a >> low] | low_codes[a & low_bits] for a in codes]
-            return _state_tuples(codes, n)
-
         # Each attractor keyed by the bit index of its lowest assignment.
-        found = [(a, (x,)) for a, x in zip(_set_bits(fixed), states_of(fixed))]
-        found += [((states & -states).bit_length() - 1, states_of(states)) for states in cyclic]
+        found = [(a, (x,)) for a, x in zip(_set_bits(fixed), _full_states(fixed, free, masks, n))]
+        for states in cyclic:
+            found.append(((states & -states).bit_length() - 1, _full_states(states, free, masks, n)))
         found.sort(key=operator.itemgetter(0))
         return [frozenset(states) for _, states in found]
 
@@ -486,39 +472,36 @@ def _spread(vertices: Sequence[int], n: int, always: int = 0) -> list[int]:
     return codes
 
 
-def _subcube_codes(free: tuple[int, ...], n: int, always: int) -> tuple[int, list[int], list[int]]:
-    """Decode tables for assignments of ``free``, the first vertex most
-    significant: (low, high, low_codes) such that assignment a is the state
-    with binary value high[a >> low] | low_codes[a & (2^low - 1)], which
-    holds a's bits on ``free`` and those of ``always`` elsewhere."""
-    low = len(free) // 2
-    return low, _spread(free[: len(free) - low], n, always), _spread(free[len(free) - low:], n)
+def _full_states(assignments: int, free: Sequence[int], masks, n: int) -> list[tuple[int, ...]]:
+    """The states of the set ``assignments`` of the vertices ``free``, in
+    increasing binary order; ``masks[v]`` is the set where x_v = 1.
 
-
-def _full_states(fixed: int, free: tuple[int, ...], masks, n: int) -> list[tuple[int, ...]]:
-    """The states of the assignments of F (``free``) in ``fixed``, in
-    increasing binary order of the state.
-
-    F's values are read through half tables, as ``_states_in`` reads a
-    state.  A vertex outside F set at every fixed point or at none costs
+    With every vertex free these are ``_states_in``'s states.  Otherwise
+    the free vertices' bits are read through two half tables, as
+    ``_states_in`` reads a state.  Another vertex whose set holds all the
+    assignments or none, as a constant's whole or empty set does, costs
     nothing per point; the others are read eight at a time, through one
     byte per assignment that packs their values and a table from that
-    byte to their part of the state.
+    byte to their part of the state.  The assignments of a subcube are in
+    the order of its states.
     """
-    if not fixed:
-        return []
     width = len(free)
+    if width == n:
+        return _states_in(assignments, n)
+    if not assignments:
+        return []
     always = 0
     varying = []
     for v in set(range(1, n + 1)).difference(free):
-        hit = masks[v] & fixed
-        if hit == fixed:
+        hit = masks[v] & assignments
+        if hit == assignments:
             always |= 1 << (n - v)
         elif hit:
             varying.append((v, hit))
-    low, high_codes, low_codes = _subcube_codes(free, n, always)
+    low = width // 2
+    high_codes, low_codes = _spread(free[: width - low], n, always), _spread(free[width - low :], n)
     low_bits = (1 << low) - 1
-    points = list(_set_bits(fixed))
+    points = list(_set_bits(assignments))
     codes = [high_codes[a >> low] | low_codes[a & low_bits] for a in points]
     for i in range(0, len(varying), 8):
         batch = varying[i : i + 8]

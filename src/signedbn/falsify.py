@@ -21,7 +21,6 @@ from typing import Callable, Iterator, Optional
 from . import formats, structure
 from .boolnet import (
     DEFAULT_MAX_INDEGREE,
-    MAX_FIXED_POINT_SCAN,
     BooleanNetwork,
     _FIXED_POINT_SCAN,
     _sample_family,
@@ -51,7 +50,6 @@ from .graphs import (
     iter_cycles,
 )
 from .kernels import (
-    KERNEL_SCAN_LIMIT,
     _SUBSET_SCAN,
     generalized_condition,
     kernel_indicators,
@@ -242,18 +240,17 @@ def _sweep_pairs(max_n: int, max_indegree: int):
 @dataclass(frozen=True)
 class InstanceKind:
     """How random trials draw an instance, or None for a vacuous trial; the
-    largest max_n they take; the exhaustive sweep up to a vertex count, or
-    None; per part, in the order ``check`` takes the parts, its artifact
-    name, serializer and file loader; and ``refusal``, when every check of
-    the kind refuses a first part past L vertices, its (what, L) as
-    ``_check_limit`` takes it.
+    exhaustive sweep up to a vertex count, or None; per part, in the order
+    ``check`` takes the parts, its artifact name, serializer and file
+    loader; and ``refusal``, the (what, L), as ``_check_limit`` takes it,
+    by which every check of the kind refuses a first part past L vertices.
+    L is also the largest max_n random trials take.
     """
 
     draw: Callable[[random.Random, int, int], Optional[tuple]]
-    max_n: int
     sweep: Optional[Callable[[int, int], Iterator[tuple]]]
     parts: tuple[tuple[str, Callable, Callable], ...]
-    refusal: Optional[tuple[str, int]] = None
+    refusal: tuple[str, int]
 
 
 _GRAPH_PART = ("graph", formats.format_signed_digraph, formats.load_signed_digraph)
@@ -262,15 +259,15 @@ _GRAPH_PART = ("graph", formats.format_signed_digraph, formats.load_signed_digra
 # fixed points.  ``check`` of a rule theorem reads the graph alone and
 # refuses it by the same limit.
 PAIR = InstanceKind(
-    _draw_pair, MAX_FIXED_POINT_SCAN, _sweep_pairs,
+    _draw_pair, _sweep_pairs,
     (_GRAPH_PART, ("network", formats.format_boolean_network, formats.load_boolean_network)),
     _FIXED_POINT_SCAN,
 )
 # A signed digraph alone: its checks search its cycles.
-GRAPH = InstanceKind(_draw_graph, MAX_GRAPH_N, None, (_GRAPH_PART,), _CYCLE_SEARCH)
+GRAPH = InstanceKind(_draw_graph, None, (_GRAPH_PART,), _CYCLE_SEARCH)
 # An unsigned digraph: its checks scan 2^n vertex subsets.
 DIGRAPH = InstanceKind(
-    _draw_digraph, KERNEL_SCAN_LIMIT, None,
+    _draw_digraph, None,
     (("digraph", formats.format_digraph, formats.load_digraph),), _SUBSET_SCAN,
 )
 
@@ -290,8 +287,7 @@ class TheoremProperty:
     rule theorems also carry their graph ``condition``, called as
     ``condition(G, cap)`` and returning a RuleVerdict.  ``refusal`` is as
     the kind's, for a check that refuses where the other checks of its
-    kind do not; its limit is then the largest max_n random trials take,
-    and the kind's ``max_n`` otherwise.
+    kind do not.
     """
 
     id: str
@@ -302,10 +298,10 @@ class TheoremProperty:
     refusal: Optional[tuple[str, int]] = None
 
     @property
-    def file_limit(self) -> Optional[tuple[str, int]]:
+    def file_limit(self) -> tuple[str, int]:
         """The refusal (what, L) ``check`` applies to a first part of more
-        than L vertices, so that a file can be refused by its header; None
-        when the check builds its instance first."""
+        than L vertices, so that a file can be refused by its header.  L is
+        also the largest max_n random trials take."""
         return self.refusal or self.kind.refusal
 
     def counterexample(self, instance: tuple) -> Optional[Counterexample]:
@@ -511,14 +507,14 @@ def run_falsification(
     With ``exhaustive_n`` (up to MAX_EXHAUSTIVE_N, for a kind with a
     sweep: PAIR) the harness runs the kind's sweep instead of sampling.
     Random trials take ``max_n`` from 1, or from 2 for PAIR, up to the
-    limit of ``prop.refusal`` or else the kind's ``max_n``, and
-    ``max_indegree`` up to DEFAULT_MAX_INDEGREE.  Every parameter is
-    checked before any trial runs.
+    limit of ``prop.file_limit``, and ``max_indegree`` up to
+    DEFAULT_MAX_INDEGREE.  Every parameter is checked before any trial
+    runs.
     """
     if max_n < 1:
         raise ValueError(f"max_n must be at least 1, got {max_n}")
     kind = prop.kind
-    limit = prop.refusal[1] if prop.refusal else kind.max_n
+    limit = prop.file_limit[1]
     if max_n > limit:
         raise ValueError(f"max_n={max_n} exceeds the scan limit {limit} of theorem {prop.id!r}")
     # At n = 1 a PAIR draw always holds both loops, which no one-input

@@ -383,7 +383,8 @@ class TestScansAgainstOracles:
 class TestDecoding:
     """``scan_fixed_points`` and ``lowest_pivot_attractors`` decode through
     the library's ``_states_in``, so it is checked here on its own, against
-    each state's binary text."""
+    each state's binary text; ``_full_states``, the library's one decode
+    of a set of assignments, against a decode of each assignment."""
 
     def test_states_in_matches_the_binary_text(self):
         rng = random.Random(17)
@@ -399,6 +400,39 @@ class TestDecoding:
                 # The bit above the state's own n bits keeps its leading 0s.
                 expected = [tuple(map(int, format(size | c, "b")[1:])) for c in codes]
                 assert boolnet._states_in(states, n) == expected
+
+    def test_full_states_matches_a_per_assignment_decode(self):
+        # Each assignment decoded on its own: its bits spread onto the free
+        # vertices, the first most significant, and each other vertex's bit
+        # read from its set.  The other vertices' sets are empty, whole or
+        # varying, as constants and folded vertices give them; more than
+        # eight vary at times, so the decode reads them in two batches.
+        rng = random.Random(34)
+        for trial in range(400):
+            n = rng.randint(0, 12)
+            free = [range(1, n + 1), (), sorted(rng.sample(range(1, n + 1), rng.randint(0, n)))]
+            free = tuple(free[trial % 3])
+            width = len(free)
+            whole = (1 << (1 << width)) - 1
+            varying = rng.random()
+            masks = [whole] + [
+                rng.getrandbits(1 << width) if rng.random() < varying else rng.choice((0, whole))
+                for _ in range(n)
+            ]
+            for v, mask in zip(free, boolnet._state_masks(width)[1:]):
+                masks[v] = mask
+            sparse = sum({1 << rng.randrange(1 << width) for _ in range(3)})
+            for assignments in (0, whole, rng.getrandbits(1 << width), sparse):
+                expected = []
+                for a in range(1 << width):
+                    if assignments >> a & 1:
+                        bits = dict(zip(free, format((1 << width) | a, "b")[1:]))
+                        expected.append(tuple(
+                            int(bits[v]) if v in bits else masks[v] >> a & 1
+                            for v in range(1, n + 1)
+                        ))
+                expected.sort()
+                assert boolnet._full_states(assignments, free, masks, n) == expected
 
 
 @pytest.fixture

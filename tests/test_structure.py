@@ -24,6 +24,8 @@ from conftest import (
     scan_tau_plus,
     scan_tau_tilde_plus,
 )
+from signedbn.boolnet import DEFAULT_MAX_INDEGREE
+from signedbn.falsify import _draw_pair, _sweep_pairs
 from signedbn.generators import double_cycle, figure1, random_signed_digraph
 from signedbn.graphs import (
     DEFAULT_CYCLE_CAP,
@@ -700,6 +702,36 @@ class TestFixedPointConditions:
         assert two_fixed_points_condition(g(2, (1, 2, "+"), (2, 1, "+")))
         assert not two_fixed_points_condition(g(1, (1, 1, "-")))
         assert not two_fixed_points_condition(g(2, (1, 2, "+")))
+
+    def test_the_analyze_verdicts_agree_with_fixed_points(self):
+        """``analyze`` prints these conditions as ``nofp_condition`` and
+        ``twofp_condition``.  After Aracena (Bull. Math. Biol. 70, 2008), a
+        non-trivial initial strong component with no positive cycle leaves
+        a consistent network no fixed point, and no negative cycle with a
+        non-trivial initial component leaves it at least two.  Checked on
+        every simple signed digraph with n <= 2 with each consistent
+        network, and on 2,000 falsifier draws at each max_n, where both
+        premises must hold often enough to be tested."""
+
+        def premises_held(pairs):
+            held = [0, 0]
+            for G, f in pairs:
+                points = len(f.fixed_points())
+                if no_fixed_point_condition(G):
+                    held[0] += 1
+                    assert points == 0, (G, f.locals)
+                if two_fixed_points_condition(G):
+                    held[1] += 1
+                    assert points >= 2, (G, f.locals)
+            return held
+
+        premises_held(_sweep_pairs(2, DEFAULT_MAX_INDEGREE))
+        for max_n in (5, 8):
+            nofp, twofp = premises_held(
+                _draw_pair(random.Random(f"{max_n}:{i}"), max_n, DEFAULT_MAX_INDEGREE)
+                for i in range(2000)
+            )
+            assert nofp >= 300 and twofp >= 100, (max_n, nofp, twofp)
 
 
 class TestAnalyzeDecomposesOnce:

@@ -68,7 +68,7 @@ def answered(code, err) -> bool:
 
 
 def _limit(prop) -> int:
-    return prop.refusal[1] if prop.refusal else prop.kind.max_n
+    return prop.file_limit[1]
 
 
 @pytest.mark.parametrize("theorem", sorted(REGISTRY))
