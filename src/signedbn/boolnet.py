@@ -14,7 +14,7 @@ import itertools
 import math
 import operator
 import random
-from functools import lru_cache, reduce
+from functools import lru_cache
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .graphs import (
@@ -32,12 +32,16 @@ MAX_ATTRACTOR_SCAN = 20
 # Each scan's refusal, as ``_check_limit`` takes it after n.
 _FIXED_POINT_SCAN = ("fixed-point scan", MAX_FIXED_POINT_SCAN)
 _ATTRACTOR_SCAN = ("attractor scan", MAX_ATTRACTOR_SCAN)
-# Also the most inputs any vertex may have: ``_signature_index(k)`` lists
-# all 2^(2^k) tables, and k = 5 would list 2^32.
+# Also the most inputs any vertex may have: ``_sign_codes(k)`` builds
+# sign planes of 2^(2^k) bits, 2^16 at k = 4 and 2^32 at k = 5.
 DEFAULT_MAX_INDEGREE = 4
-# Largest family ``max_fixed_points`` scans: about 6 s at the 1.58M
-# networks/s measured on a 2-core x86-64 VM.
+# Most work ``max_fixed_points`` may do, in operations on its 2^n-bit
+# sets: 2^k per k-input table folded, one per inclusion test and one per
+# search node, an operation on sets wider than 2^11 bits counted once per
+# 2^11 bits.  One costs 0.1-0.5 us on a 2-core x86-64 VM, so a call ends
+# within a few seconds.
 MAX_FAMILY_SCAN = 10 ** 7
+_FAMILY_OP_LOG_BITS = 11
 
 
 class UnrealizableGraphError(Exception):
@@ -461,6 +465,25 @@ def _feedback_order(
     return tuple(sorted(free)), order
 
 
+def _byte_rows(sets: Sequence[int], width: int) -> bytes:
+    """Per member a of 0..2^width - 1, byte a: bit j is whether a is in
+    ``sets[j]``, for at most 8 sets."""
+    size = 1 << width
+    packed = 0
+    for j, members in enumerate(sets):
+        # A set's binary text, member 0 last, has one '0' or '1' per
+        # member; each becomes a byte holding bit j, read big-endian.
+        # No name holds the text, so it is freed as soon as it is read.
+        packed |= int.from_bytes(
+            format(members, f"0{size}b").encode().translate(_ROW_BITS[j]), "big"
+        )
+    return packed.to_bytes(size, "little")
+
+
+# _ROW_BITS[j] maps the characters '0' and '1' to the bytes 0 and 2^j.
+_ROW_BITS = [bytes.maketrans(b"01", bytes((0, 1 << j))) for j in range(8)]
+
+
 def _spread(vertices: Sequence[int], n: int, always: int = 0) -> list[int]:
     """Per value j of len(vertices) bits, the first vertex most
     significant: the binary value of the n-vertex state that holds j's bits
@@ -505,13 +528,7 @@ def _full_states(assignments: int, free: Sequence[int], masks, n: int) -> list[t
     codes = [high_codes[a >> low] | low_codes[a & low_bits] for a in points]
     for i in range(0, len(varying), 8):
         batch = varying[i : i + 8]
-        # Row a of a set's table text is the character '0' or '1', whose
-        # low bit is the value; byte a of ``packed`` gets it at bit j.
-        ones = int.from_bytes(b"\1" * (1 << width), "little")
-        packed = 0
-        for j, (_, hit) in enumerate(batch):
-            packed |= (int.from_bytes(_table_text(hit, width).encode(), "little") & ones) << j
-        row = packed.to_bytes(1 << width, "little")
+        row = _byte_rows([hit for _, hit in batch], width)
         parts = _spread([v for v, _ in reversed(batch)], n)
         codes = [c | parts[row[a]] for c, a in zip(codes, points)]
     codes.sort()
@@ -597,47 +614,55 @@ def _value_mask(inputs: Sequence[int], bits: int, masks, free: Sequence[int] | N
 # -- networks consistent with a prescribed interaction graph -----------------
 
 
-def _wider_sign_codes(codes: Sequence[int], j: int) -> Iterator[int]:
-    """Every (j+1)-input table's sign code, in increasing table order, from
-    ``codes``, the j-input tables' codes in the same order.
+@lru_cache(maxsize=None)
+def _sign_codes(k: int) -> bytes:
+    """Per k-input table t, byte t: its sign code, which packs
+    ``_table_signs`` two bits per input, the first input highest.
 
-    A code packs ``_table_signs`` two bits per input, the first input
-    highest.  Table ``hi << 2^j | lo`` has the first input off on the rows
-    of ``lo`` and on on those of ``hi``: that input rises where ``hi & ~lo``
-    and falls where ``lo & ~hi``, and each other input has the OR of its
-    signs in the two halves.
+    All 2^(2^k) tables are read at once, as the states of 2^k "vertices",
+    where table t's row j is bit j of t: the set of tables whose row j is 1
+    is the state mask of the (2^k - j)-th of them.  Input i rises in the
+    tables of the union, over its low rows j, of row j + step set and row
+    j clear, and falls in the mirror union; those 2k sets, the sign
+    planes, are packed into one byte per table (``_byte_rows``).  No table
+    is read row by row, and at k = 4 the codes take 64 KB.
     """
-    shift = 2 * j
-    for hi, hi_code in enumerate(codes):
-        for lo, lo_code in enumerate(codes):
-            first = (_POS_ONLY if hi & ~lo else 0) | (_NEG_ONLY if lo & ~hi else 0)
-            yield first << shift | hi_code | lo_code
+    width = 1 << k
+    masks = _state_masks(width)
+    planes = []  # code bit 2(k-1-i): input i rises; the bit above: it falls
+    for step, low in reversed(_input_rows(k)):
+        rises = falls = 0
+        for j in _set_bits(low):
+            lo, hi = masks[width - j], masks[width - j - step]
+            rises |= hi & ~lo
+            falls |= lo & ~hi
+        planes += (rises, falls)
+    return _byte_rows(planes, width)
 
 
 @lru_cache(maxsize=None)
-def _signature_index(k: int) -> dict[tuple[int, ...], tuple[int, ...]]:
-    """All k-input tables, as ints, grouped by their per-input signs
-    (``_table_signs``), each group and the keys in increasing table order.
+def _tables_with_signs(key: tuple[int, ...]) -> tuple[int, ...]:
+    """The len(key)-input tables, as ints in increasing order, whose
+    per-input signs (``_table_signs``) are ``key``; () when there are none.
 
-    Built from the (k-1)-input tables' sign codes, so no table is scanned
-    row by row.
+    Read off the positions of the key's code byte in ``_sign_codes``, the
+    first time the key is asked for.
     """
-    codes: Sequence[int] = [0, 0]  # both 0-input tables have no input
-    for j in range(k - 1):
-        codes = list(_wider_sign_codes(codes, j))
-    groups: dict[int, list[int]] = {}
-    for bits, code in enumerate(_wider_sign_codes(codes, k - 1) if k else codes):
-        groups.setdefault(code, []).append(bits)
-    return {
-        tuple(code >> 2 * (k - 1 - i) & 3 for i in range(k)): tuple(tables)
-        for code, tables in groups.items()
-    }
+    k = len(key)
+    code = sum(signs << 2 * (k - 1 - i) for i, signs in enumerate(key))
+    codes = _sign_codes(k)
+    tables = []
+    at = codes.find(code)
+    while at >= 0:
+        tables.append(at)
+        at = codes.find(code, at + 1)
+    return tuple(tables)
 
 
 def _input_signs(in_arcs: Iterable[Arc]) -> dict[int, int]:
     """Per source of one vertex's ``in_arcs``, in order of appearance: the
     signs it brings, _POS_ONLY, _NEG_ONLY or both ORed.  With the arcs
-    sorted by source, the values in order are a ``_signature_index`` key."""
+    sorted by source, the values in order are a ``_tables_with_signs`` key."""
     signs: dict[int, int] = {}
     for a in in_arcs:
         signs[a.source] = signs.get(a.source, 0) | (_POS_ONLY if a.sign == POSITIVE else _NEG_ONLY)
@@ -656,7 +681,7 @@ def _consistent_tables(
     cap = min(max_indegree, DEFAULT_MAX_INDEGREE)
     if k > cap:
         raise ValueError(f"vertex {v} has {k} inputs, cap is {cap}")
-    return tuple(signs), _signature_index(k).get(tuple(signs.values()), ())
+    return tuple(signs), _tables_with_signs(tuple(signs.values()))
 
 
 def _family(G: SignedDigraph, max_indegree: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
@@ -709,27 +734,113 @@ def _sample_family(family, rng: random.Random) -> BooleanNetwork:
 
 
 def max_fixed_points(G: SignedDigraph, max_indegree: int = DEFAULT_MAX_INDEGREE) -> int:
-    """Largest fixed-point count over all networks consistent with G.
+    """Largest fixed-point count over all networks consistent with G, the
+    quantity that Aracena, Richard and Salinas bound (SIAM J. Discrete
+    Math. 31, 2017).
 
-    Each candidate table's agreement set (the states where f_v(x) = x_v)
-    is built once; a network's fixed points are the AND of its tables'
-    sets, one per vertex.  A family of more than MAX_FAMILY_SCAN networks
-    raises ValueError before any set is built.
+    A network's fixed points are the AND of its tables' agreement sets,
+    the states where f_v(x) = x_v, one set per vertex.  A set inside
+    another of the same vertex never gives a larger AND, so each vertex
+    keeps its distinct inclusion-maximal sets (``_maximal_sets``).  A
+    branch and bound then picks one set per vertex, the vertices with the
+    fewest sets first and each vertex's largest sets first, and cuts a
+    branch once its running AND holds no more states than the best count
+    found.
+
+    The work is counted in operations on 2^n-bit sets (``_family_work``)
+    and refused past MAX_FAMILY_SCAN with a ValueError before each step
+    that would pass it: before any set is built, the table folds and the
+    part of the search that no pruning can drop; then each vertex's
+    inclusion tests; then the whole search tree of the pruned product.
+    A vertex that does not read itself keeps all its sets, since distinct
+    tables give distinct sets of 2^(n-1) states each, so its levels of
+    the search are known before any set is built.
     """
     family = _family(G, max_indegree)
     if not all(tables for _, tables in family):
         raise UnrealizableGraphError("no Boolean network has this interaction graph")
-    _check_limit(G.n, *_FIXED_POINT_SCAN)
-    size = math.prod(len(tables) for _, tables in family)
-    if size > MAX_FAMILY_SCAN:
-        raise ValueError(f"{size} networks exceed the family scan limit {MAX_FAMILY_SCAN}")
-    masks = _state_masks(G.n)
-    full = masks[0]
-    agreements = [
-        [full ^ masks[v] ^ _value_mask(inputs, bits, masks) for bits in tables]
+    n = G.n
+    _check_limit(n, *_FIXED_POINT_SCAN)
+    spend = _family_work(n)
+    least = _search_nodes(
+        len(tables)
         for v, (inputs, tables) in enumerate(family, start=1)
-    ]
-    return max(
-        reduce(operator.and_, combo, full).bit_count()
-        for combo in itertools.product(*agreements)
+        if v not in inputs and len(tables) > 1
     )
+    spend(sum(len(tables) << len(inputs) for inputs, tables in family) + least, "folds")
+    masks = _state_masks(n)
+    full = states = masks[0]
+    levels = []
+    for v, (inputs, tables) in enumerate(family, start=1):
+        agree = {full ^ masks[v] ^ _value_mask(inputs, bits, masks) for bits in tables}
+        sets = _maximal_sets(agree, spend)
+        if len(sets) == 1:
+            states &= sets[0]
+        else:
+            levels.append(sets)
+    levels.sort(key=len)
+    spend(_search_nodes(map(len, levels)) - least, "search")
+    best = 0
+
+    def search(depth: int, states: int):
+        nonlocal best
+        if depth == len(levels):
+            best = states.bit_count()
+            return
+        for agree in levels[depth]:
+            kept = states & agree
+            if kept.bit_count() > best:
+                search(depth + 1, kept)
+
+    search(0, states)
+    return best
+
+
+def _family_work(n: int):
+    """A counter of ``max_fixed_points``' work on 2^n-bit sets, which
+    raises ValueError once the total passes MAX_FAMILY_SCAN."""
+    weight = 1 << max(0, n - _FAMILY_OP_LOG_BITS)
+    work = 0
+
+    def spend(ops: int, before: str):
+        nonlocal work
+        work += ops * weight
+        if work > MAX_FAMILY_SCAN:
+            raise ValueError(
+                f"{work} set operations, counted before the {before}, exceed the family "
+                f"scan limit {MAX_FAMILY_SCAN}"
+            )
+
+    return spend
+
+
+def _search_nodes(counts: Iterable[int]) -> int:
+    """The nodes of a search tree that picks one of counts[i] sets per
+    level, fewest first: one AND and one popcount each.  No order has
+    fewer, and more or larger counts never give fewer."""
+    return sum(itertools.accumulate(sorted(counts), operator.mul))
+
+
+def _maximal_sets(sets: set[int], spend) -> list[int]:
+    """The inclusion-maximal members of ``sets``, largest first.
+
+    Only a strictly larger set can hold another, so each set is tested
+    against the maximal sets of larger sizes alone: a set under a
+    non-maximal one is under a maximal one too.  The most tests that
+    takes, each set against every larger one, are passed to ``spend``
+    first.
+    """
+    sizes: dict[int, list[int]] = {}
+    for s in sets:
+        sizes.setdefault(s.bit_count(), []).append(s)
+    groups = [group for _, group in sorted(sizes.items(), reverse=True)]
+    larger = tests = 0
+    for group in groups:
+        tests += len(group) * larger
+        larger += len(group)
+    spend(tests, "inclusion tests")
+    kept: list[int] = []
+    for group in groups:
+        larger = len(kept)
+        kept += [s for s in group if not any(s & t == s for t in itertools.islice(kept, larger))]
+    return kept

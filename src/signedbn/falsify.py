@@ -24,7 +24,7 @@ from .boolnet import (
     BooleanNetwork,
     _FIXED_POINT_SCAN,
     _sample_family,
-    _signature_index,
+    _tables_with_signs,
     enumerate_consistent,
 )
 from .generators import (
@@ -190,11 +190,11 @@ def _draw_pair(rng: random.Random, max_n: int, max_indegree: int):
 
     The draws are ``random_signed_digraph``'s, made in one pass that gives
     each vertex its sources and their sign codes.  Those are the inputs
-    and the ``_signature_index`` key that ``_family`` would find on the
+    and the ``_tables_with_signs`` key that ``_family`` would find on the
     built graph, so a draw past the in-degree cap or with an unrealizable
     vertex is redrawn with no arc and no graph built; only the kept draw
     becomes a SignedDigraph.  ``max_indegree`` may not pass
-    DEFAULT_MAX_INDEGREE, the widest tables ``_signature_index`` lists.
+    DEFAULT_MAX_INDEGREE, the widest tables ``_tables_with_signs`` reads.
     """
     if max_indegree > DEFAULT_MAX_INDEGREE:
         raise ValueError(
@@ -207,8 +207,8 @@ def _draw_pair(rng: random.Random, max_n: int, max_indegree: int):
         for signs in into:
             if len(signs) > max_indegree:
                 break
-            tables = _signature_index(len(signs)).get(tuple(signs.values()))
-            if tables is None:
+            tables = _tables_with_signs(tuple(signs.values()))
+            if not tables:
                 break
             family.append((tuple(signs), tables))
         else:

@@ -89,7 +89,7 @@ def _draw_input_signs(
     Draw order: per ordered pair (u, v), u then v increasing, a positive
     arc with probability arc_prob * (1 - neg_prob), then a negative one
     with arc_prob * neg_prob.  The values of one target, in order, are its
-    ``_signature_index`` key.
+    ``_tables_with_signs`` key.
     """
     positive = arc_prob * (1.0 - neg_prob)
     negative = arc_prob * neg_prob

@@ -83,7 +83,7 @@ class SignedDigraph:
 
     __slots__ = (
         "_vertices", "_arcs", "_in", "_out", "_hash", "_cycle_cache", "_index_cache", "_scc_cache",
-        "_mask_cache",
+        "_mask_cache", "_symmetrized",
     )
 
     def __init__(self, vertices, arcs: Iterable = ()):
@@ -135,6 +135,7 @@ class SignedDigraph:
         self._index_cache = None
         self._scc_cache = None
         self._mask_cache = None
+        self._symmetrized = None
 
     @classmethod
     def _from_in_arcs(cls, in_arcs: Sequence[tuple[Arc, ...]]) -> "SignedDigraph":
@@ -244,14 +245,19 @@ class SignedDigraph:
 
     def symmetrize(self) -> "SignedDigraph":
         """Close the arc set under sign-preserving reversal; a graph already
-        closed is returned itself."""
-        missing = {(t, s, sign) for s, t, sign in self._arcs} - self._arcs
-        if not missing:
-            return self
-        # The reversed arcs are valid arcs between G's own vertices.
-        H = object.__new__(SignedDigraph)
-        H._fill_sorted(self._vertices, self._arcs.union(map(Arc._make, missing)))
-        return H
+        closed is returned itself.  Built once and cached on the graph."""
+        H = self._symmetrized
+        if H is None:
+            missing = {(t, s, sign) for s, t, sign in self._arcs} - self._arcs
+            if missing:
+                # The reversed arcs are valid arcs between G's own vertices.
+                H = object.__new__(SignedDigraph)
+                H._fill_sorted(self._vertices, self._arcs.union(map(Arc._make, missing)))
+                H._symmetrized = False
+            else:
+                H = False  # the graph is closed: no reference to itself
+            self._symmetrized = H
+        return self if H is False else H
 
     def consistent_subgraph(self, x: Sequence[int]) -> "SignedDigraph":
         """Spanning subgraph of arcs consistent with the state x.

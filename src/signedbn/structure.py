@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterator, Optional
 
 from . import codes
 from .graphs import (
@@ -422,22 +422,27 @@ def _tau_tilde_plus(index: _CycleIndex, masks: set[int], upper: int) -> int:
     scanned set: testing every positive cycle upfront costs more than the
     scan saves on graphs with many cycles.  Each stuck cycle learned
     raises the bound if it can; the scan jumps to the new size, or stops
-    at ``upper``, and skips the sets that miss a stuck cycle.  Validity
-    is not monotone in I, so no superset of a failed set is pruned.  The
-    cycle that sank the previous set is checked first.
+    at ``upper``.  Each size visits only the sets that meet every stuck
+    cycle known when it starts (``_meeting_sets``), and skips those that
+    miss one learned since.  Validity is not monotone in I, so no
+    superset of a failed set is pruned.  The cycle that sank the previous
+    set is checked first.
     """
     single = sum(1 << p for p, arcs in enumerate(index.in_arcs) if arcs.bit_count() == 1)
     stuck = [mask for mask in masks if not mask & ~single]
     tested = set()  # the cycles tested by ``_stuck``
     failed = len(index.cycles)  # the cycle that sank the previous set; none yet
+    everywhere = (1 << len(index.vertices)) - 1
     k = len(stuck)
     while k < upper:
-        for combo in itertools.combinations(range(len(index.vertices)), k):
+        learned = []  # the stuck cycles learned during this size's scan
+        meeting = sorted(stuck, key=lambda mask: (mask.bit_count(), mask))
+        for combo in _meeting_sets(meeting, k, everywhere):
             gone = cut = 0
             for p in combo:
                 gone |= index.in_arcs[p]
                 cut |= 1 << p
-            if not all(cut & mask for mask in stuck):
+            if learned and not all(cut & mask for mask in learned):
                 continue
             left = index.positives & ~index.cycles_meeting(cut)
             cleared = index.sources | cut
@@ -452,7 +457,8 @@ def _tau_tilde_plus(index: _CycleIndex, masks: set[int], upper: int) -> int:
             if failed not in tested:
                 tested.add(failed)
                 if _stuck(index, failed):
-                    stuck.append(index.cycle_vertices[failed])
+                    learned.append(index.cycle_vertices[failed])
+                    stuck.append(learned[-1])
                     bound = _hitting_number(stuck, k)
                     if bound > k:
                         k = bound
@@ -460,6 +466,34 @@ def _tau_tilde_plus(index: _CycleIndex, masks: set[int], upper: int) -> int:
         else:
             k += 1
     return upper
+
+
+def _meeting_sets(
+    masks: list[int], k: int, allowed: int, chosen: tuple[int, ...] = (), met: int = 0
+) -> Iterator[tuple[int, ...]]:
+    """Each set of k positions of the mask ``allowed``, added to the
+    positions ``chosen`` (whose mask is ``met``), that meets every one of
+    ``masks`` left unmet, once, as a tuple of positions.
+
+    As ``_hits`` does, the search branches on the positions of the first
+    mask not met yet, and each branch leaves out the positions of the
+    branches before it: a set is found only in the branch of its lowest
+    position in that mask.  Once every mask is met, any k positions of
+    ``allowed`` complete the set.
+    """
+    for i, mask in enumerate(masks):
+        if not mask & met:
+            break
+    else:
+        if k:
+            yield from map(chosen.__add__, itertools.combinations(_set_bits(allowed), k))
+        else:  # the set is complete: ``allowed`` need not be read
+            yield chosen
+        return
+    if k:
+        for p in _set_bits(mask & allowed):
+            allowed ^= 1 << p
+            yield from _meeting_sets(masks[i + 1 :], k - 1, allowed, chosen + (p,), met | 1 << p)
 
 
 def g_tilde_plus(G: SignedDigraph, cap: int = DEFAULT_CYCLE_CAP):

@@ -11,8 +11,10 @@ vertex subset by size and ask the library's cycle index about each.
 Attractors also have a set-search oracle, the lowest-pivot loop that the
 library's search replaced, on the library's state masks; percolation the
 set-level passes over all 2^n states that percolating on the truth
-tables replaced; and fixed points a scan oracle, the AND over all 2^n
-states that the library's scan over a feedback vertex set replaced.
+tables replaced; fixed points a scan oracle, the AND over all 2^n
+states that the library's scan over a feedback vertex set replaced; and
+the family maximum the product scan over every consistent network that
+the library's pruned search replaced.
 The graph's cached mask layout has the two builders it replaced, one for
 the neighbour masks and one for the sign cover.
 The odd-cycle condition has the negative cycle search on the
@@ -36,7 +38,14 @@ from math import comb
 
 import pytest
 
-from signedbn.boolnet import BooleanNetwork, _state_masks, _states_in, _table_text, _value_mask
+from signedbn.boolnet import (
+    BooleanNetwork,
+    _family,
+    _state_masks,
+    _states_in,
+    _table_text,
+    _value_mask,
+)
 from signedbn.falsify import FALSIFY_CYCLE_CAP
 from signedbn.graphs import (
     NEGATIVE,
@@ -279,6 +288,22 @@ def scan_fixed_points(f):
     for v, lf in enumerate(f.locals, start=1):
         fixed &= ~(masks[v] ^ _value_mask(lf.inputs, lf.bits, masks))
     return _states_in(fixed, f.n)
+
+
+def scan_max_fixed_points(G, max_indegree=4):
+    """The largest fixed-point count over every consistent network: per
+    network, the AND of its tables' agreement sets (the states where
+    f_v(x) = x_v), over the whole product of the per-vertex tables."""
+    masks = _state_masks(G.n)
+    full = masks[0]
+    agreements = [
+        [full ^ masks[v] ^ _value_mask(inputs, bits, masks) for bits in tables]
+        for v, (inputs, tables) in enumerate(_family(G, max_indegree), start=1)
+    ]
+    return max(
+        reduce(operator.and_, combo, full).bit_count()
+        for combo in itertools.product(*agreements)
+    )
 
 
 def _row(lf, x):

@@ -320,11 +320,11 @@ def _premise_rules(sig, canal):
     key = (sig, canal)
     if key in _PREMISE_CACHE:
         return _PREMISE_CACHE[key]
-    from signedbn.boolnet import _signature_index
+    from signedbn.boolnet import _tables_with_signs
 
     k = len(sig)
     rows = range(1 << k)
-    tables = [tuple(t >> j & 1 for j in rows) for t in _signature_index(k).get(sig, ())]
+    tables = [tuple(t >> j & 1 for j in rows) for t in _tables_with_signs(sig)]
     if canal is not None:
         position, sign = canal
         tables = [t for t in tables if not _table_canalizes(t, k, position, sign)]

@@ -18,6 +18,7 @@ from conftest import (
     leq_v,
     lowest_pivot_attractors,
     scan_fixed_points,
+    scan_max_fixed_points,
     table_rows,
     trap_subspace,
 )
@@ -361,9 +362,9 @@ class TestScansAgainstOracles:
                     with pytest.raises(UnrealizableGraphError):
                         max_fixed_points(G)
                     continue
-                assert max_fixed_points(G) == max(
-                    len(brute_fixed_points(f)) for f in family
-                )
+                most = max_fixed_points(G)
+                assert most == scan_max_fixed_points(G)
+                assert most == max(len(brute_fixed_points(f)) for f in family)
 
     def test_max_fixed_points_random_graphs(self):
         rng = random.Random(13)
@@ -586,24 +587,26 @@ class TestWideTables:
                 bits = bits << 1 | b
             assert LocalFunction(range(1, k + 1), table).bits == bits
 
+    # The signature index: the sign-code bytes of every k-input table and
+    # the lookup of one key's tables in them.
     @pytest.mark.parametrize("k", range(5))
     def test_signature_index_matches_a_per_table_unpacking(self, k):
         expected = {}
         for t in range(1 << (1 << k)):
             expected.setdefault(boolnet._table_signs(t, k), []).append(t)
-        index = boolnet._signature_index(k)
-        assert list(index) == list(expected)
-        assert index == {sig: tuple(tables) for sig, tables in expected.items()}
+        for key in itertools.product(range(4), repeat=k):
+            assert boolnet._tables_with_signs(key) == tuple(expected.get(key, ())), key
 
     def test_signature_index_of_four_inputs_is_small(self):
+        # The whole-table index of every four-input table peaked at 2.8 MB.
         tracemalloc.start()
         try:
-            index = boolnet._signature_index.__wrapped__(4)
+            codes = boolnet._sign_codes.__wrapped__(4)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert sum(map(len, index.values())) == 1 << 16
-        assert peak < 4 << 20
+        assert len(codes) == 1 << 16
+        assert peak < 1 << 19
 
     def test_signature_index_reads_no_table_row_by_row(self, monkeypatch):
         calls = []
@@ -614,7 +617,8 @@ class TestWideTables:
             return table_signs(bits, k)
 
         monkeypatch.setattr(boolnet, "_table_signs", counted)
-        boolnet._signature_index.__wrapped__(4)
+        for k in range(5):
+            boolnet._sign_codes.__wrapped__(k)
         assert calls == []
 
     def test_interaction_graph_of_an_18_input_table_is_fast(self):
@@ -1057,7 +1061,7 @@ class TestConsistentNetworks:
             list(enumerate_consistent(G))
 
     def test_five_inputs_refused_whatever_the_cap(self):
-        # _signature_index(5) would list 2^32 tables.
+        # Five-input sign planes would take 2^32 bits each.
         G = g(5, *((u, 1, "+") for u in range(1, 6)))
         start = time.perf_counter()
         for call in (count_consistent, sample_consistent):
@@ -1110,6 +1114,81 @@ class TestConsistentNetworks:
         assert max_fixed_points(g(2, (1, 2, "+"), (2, 1, "+"))) == 2
         assert max_fixed_points(g(1, (1, 1, "-"))) == 0
         assert max_fixed_points(figure1(5)) == 1
+
+
+def two_signed_chain(n):
+    """Vertex 1 reads vertices 2-5 with both signs, and every other vertex
+    copies the one before it: 34,226 consistent networks."""
+    arcs = [(u, 1, sign) for u in range(2, 6) for sign in ("+", "-")]
+    return g(n, *arcs, *((v - 1, v, "+") for v in range(2, n + 1)))
+
+
+class TestFamilyMaximum:
+    """The pruned search for the largest fixed-point count in a family,
+    against the scan over every network of the product, and its limits."""
+
+    def test_random_graphs_with_loops_and_two_signed_pairs(self):
+        rng = random.Random(17)
+        checked = loops = two_signed = 0
+        while checked < 2000:
+            G = random_signed_digraph(rng.randint(1, 4), rng.choice((None, 0.5, 0.8)), rng=rng)
+            if any(len(G.in_neighbors(v)) > 4 for v in G.vertices):
+                continue
+            if not 0 < count_consistent(G) <= 3000:
+                continue
+            assert max_fixed_points(G) == scan_max_fixed_points(G), G
+            checked += 1
+            loops += any(a.source == a.target for a in G.arcs)
+            pairs = [(a.source, a.target) for a in G.arcs]
+            two_signed += len(set(pairs)) < len(pairs)
+        assert loops > 300 and two_signed > 300
+
+    def test_complete_graph_with_loops_answers(self):
+        # 168,896,016 consistent networks, which a scan of the product
+        # would take hours over.
+        G = g(4, *((u, v, "+") for u in range(1, 5) for v in range(1, 5)))
+        start = time.perf_counter()
+        assert max_fixed_points(G) == 12
+        assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize(
+        "G",
+        [
+            # 34,226 networks on 2^20 states: folding their tables alone
+            # would take tens of seconds and gigabytes.
+            two_signed_chain(20),
+            # No vertex reads itself, so none of its 114 sets per vertex
+            # can be pruned: 114^5 networks to search.
+            g(5, *((u, v, "+") for u in range(1, 6) for v in range(1, 6) if u != v)),
+        ],
+        ids=["two-signed-chain-n20", "complete-n5"],
+    )
+    def test_refuses_before_any_set_is_built(self, G, monkeypatch):
+        folds = []
+        value_mask = boolnet._value_mask
+
+        def counted(*args):
+            folds.append(args)
+            return value_mask(*args)
+
+        monkeypatch.setattr(boolnet, "_value_mask", counted)
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="before the folds, exceed the family scan limit"):
+            max_fixed_points(G)
+        assert time.perf_counter() - start < 1.0
+        assert folds == []
+
+    def test_two_signed_chain_answers_on_few_states(self):
+        assert max_fixed_points(two_signed_chain(6)) == 2
+
+    def test_search_keeps_only_maximal_sets(self):
+        sets = {0b0011, 0b0111, 0b1000, 0b1100, 0b0001}
+        spent = []
+        kept = boolnet._maximal_sets(sets, lambda ops, what: spent.append(ops))
+        assert kept == [0b0111, 0b1100]
+        # One distinct set of 3 bits, two of 2 bits and two of 1 bit: each
+        # is tested against every larger one at most.
+        assert spent == [2 * 1 + 2 * 3]
 
 
 class TestMonotonicityLemmas:

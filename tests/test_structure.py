@@ -418,6 +418,21 @@ class TestBoundedSearches:
         for G in all_simple_signed_digraphs(3):
             assert_matches_scans(G)
 
+    @pytest.mark.slow
+    def test_every_graph_with_parallel_arcs_n3(self):
+        # All 4^9 graphs against the scan; against the rebuilt subgraphs on
+        # one graph per relabelling class, since tau~+ ignores labels.
+        relabellings = list(itertools.permutations((1, 2, 3)))
+        for G in all_signed_digraphs(3):
+            value = tau_tilde_plus(G)
+            assert value == scan_tau_tilde_plus(G)
+            arcs = sorted(G.arc_set)
+            if all(
+                arcs <= sorted(Arc(p[a.source - 1], p[a.target - 1], a.sign) for a in arcs)
+                for p in relabellings
+            ):
+                assert value == rebuilt_tau_tilde_plus(G), G
+
     # Past 10 vertices a density of 0.3 gives tens of thousands of cycles,
     # which test_dense_graphs covers on fewer graphs.
     @pytest.mark.parametrize(
@@ -678,6 +693,18 @@ class TestTwoColoring:
                 witness = find_unbalanced_cycle(G)
                 assert witness.sign == NEGATIVE
                 assert set(witness.arcs) <= G.symmetrize().arc_set
+
+    def test_repeated_calls_build_no_graph(self, signed_digraphs_built):
+        # Not closed under reversal: the first call builds the symmetrization.
+        G = g(3, (1, 2, "+"), (2, 3, "-"))
+        signed_digraphs_built.clear()
+        assert two_coloring(G) == (0, 0, 1)
+        assert len(signed_digraphs_built) == 1
+        signed_digraphs_built.clear()
+        assert two_coloring(G) == (0, 0, 1)
+        assert find_unbalanced_cycle(G) is None
+        assert G.symmetrize().symmetrize() is G.symmetrize()
+        assert signed_digraphs_built == []
 
     @given(small_graphs(max_n=5))
     @settings(max_examples=60, deadline=None)
