@@ -815,9 +815,10 @@ def _family_work(n: int):
 
 
 def _search_nodes(counts: Iterable[int]) -> int:
-    """The nodes of a search tree that picks one of counts[i] sets per
-    level, fewest first: one AND and one popcount each.  No order has
-    fewer, and more or larger counts never give fewer."""
+    """The nodes of a search tree with one level per count, that picks
+    one of that many sets at each level, the smallest counts first: one
+    AND and one popcount each.  No order of the levels has fewer nodes,
+    and more or larger counts never give fewer."""
     return sum(itertools.accumulate(sorted(counts), operator.mul))
 
 
