@@ -38,7 +38,7 @@ DEFAULT_MAX_INDEGREE = 4
 # Most work ``max_fixed_points`` may do, in operations on its 2^n-bit
 # sets: 2^k per k-input table folded, one per inclusion test and one per
 # search node, an operation on sets wider than 2^11 bits counted once per
-# 2^11 bits.  One costs 0.1-0.5 us on a 2-core x86-64 VM, so a call ends
+# 2^11 bits.  One costs 0.05-0.4 us on a 2-core x86-64 VM, so a call ends
 # within a few seconds.
 MAX_FAMILY_SCAN = 10 ** 7
 _FAMILY_OP_LOG_BITS = 11
@@ -426,9 +426,9 @@ def _state_tuples(codes, n: int) -> list[tuple[int, ...]]:
 # -- fixed points over a feedback vertex set ---------------------------------
 
 # Up to here ``fixed_points`` scans all states.  A fold costs about one
-# interpreter step per table row while its sets stay below about 2^12 bits,
-# so a smaller F saves less than the depth-first pass and the decode cost:
-# README's per-size table has the crossover between n = 12 and 13.
+# interpreter step per byte of table rows while its sets stay below about
+# 2^12 bits, so a smaller F saves less than the depth-first pass and the
+# decode cost: in README's per-size table the two paths tie at n = 12.
 _FULL_SCAN_MAX_N = 12
 
 
@@ -495,15 +495,22 @@ def _spread(vertices: Sequence[int], n: int, always: int = 0) -> list[int]:
     return codes
 
 
+# Up to here ``_full_states`` reads each point's bits one at a time: the
+# half tables and byte rows cost more than that for so few points.
+_DIRECT_DECODE_MAX_POINTS = 3
+
+
 def _full_states(assignments: int, free: Sequence[int], masks, n: int) -> list[tuple[int, ...]]:
     """The states of the set ``assignments`` of the vertices ``free``, in
     increasing binary order; ``masks[v]`` is the set where x_v = 1.
 
-    With every vertex free these are ``_states_in``'s states.  Otherwise
-    the free vertices' bits are read through two half tables, as
-    ``_states_in`` reads a state.  Another vertex whose set holds all the
-    assignments or none, as a constant's whole or empty set does, costs
-    nothing per point; the others are read eight at a time, through one
+    With every vertex free these are ``_states_in``'s states.  Another
+    vertex whose set holds all the assignments or none, as a constant's
+    whole or empty set does, costs nothing per point.  Up to
+    ``_DIRECT_DECODE_MAX_POINTS`` points, each point's bits on the free
+    vertices and on the others are read one at a time.  More points read
+    the free vertices' bits through two half tables, as ``_states_in``
+    reads a state, and the other vertices' eight at a time, through one
     byte per assignment that packs their values and a table from that
     byte to their part of the state.  The assignments of a subcube are in
     the order of its states.
@@ -521,10 +528,25 @@ def _full_states(assignments: int, free: Sequence[int], masks, n: int) -> list[t
             always |= 1 << (n - v)
         elif hit:
             varying.append((v, hit))
+    points = list(_set_bits(assignments))
+    if len(points) <= _DIRECT_DECODE_MAX_POINTS:
+        # places[i]: the state bit of the free vertex that bit i of an
+        # assignment holds, the last free vertex in bit 0.
+        places = [1 << (n - v) for v in reversed(free)]
+        codes = []
+        for a in points:
+            code = always
+            for i in _set_bits(a):
+                code |= places[i]
+            for v, hit in varying:
+                if hit >> a & 1:
+                    code |= 1 << (n - v)
+            codes.append(code)
+        codes.sort()
+        return _state_tuples(codes, n)
     low = width // 2
     high_codes, low_codes = _spread(free[: width - low], n, always), _spread(free[width - low :], n)
     low_bits = (1 << low) - 1
-    points = list(_set_bits(assignments))
     codes = [high_codes[a >> low] | low_codes[a & low_bits] for a in points]
     for i in range(0, len(varying), 8):
         batch = varying[i : i + 8]
@@ -576,19 +598,25 @@ def _value_mask(inputs: Sequence[int], bits: int, masks, free: Sequence[int] | N
     """The set where the table's function is 1, given ``masks``: the
     whole set, then per vertex u the subset where x_u = 1.
 
-    Folds the table depth-first, like a binary counter: row j closes one
-    block per trailing 1 of j, each merging two blocks that differ only in
-    x_u into one multiplexer on X_u, so at most k + 1 sets are alive.  The
-    fold works on any sets, such as assignments of a feedback vertex set.
-    A wider table is looked up once per assignment of ``free`` (by default
-    every vertex, so ``masks`` are ``_state_masks(n)``), the first vertex
-    most significant, at the sum of its halves' rows; its other inputs
-    must be constants, whose masks are empty or whole, and add their rows
-    as one offset.
+    The fold reads the table a byte at a time: byte j holds the 8 rows
+    that differ only in the last three inputs.  Each pair of rows that
+    differ in the last input x is one of four sets, none, not-X, X or
+    all; two multiplexers on the second-to-last input and one on the
+    third-to-last join a byte's four pairs into its block, and a
+    multiplexer whose two halves are equal is skipped.  The blocks merge
+    depth-first, like a binary counter: block j closes one merge per
+    trailing 1 of j, each a multiplexer on the next higher input, so at
+    most k + 1 sets are alive.  The fold works on any sets, such as
+    assignments of a feedback vertex set.  A wider table is looked up
+    once per assignment of ``free`` (by default every vertex, so
+    ``masks`` are ``_state_masks(n)``), the first vertex most
+    significant, at the sum of its halves' rows; its other inputs must
+    be constants, whose masks are empty or whole, and add their rows as
+    one offset.
     """
     k = len(inputs)
-    rows = _table_text(bits, k)
     if k > _FOLD_MAX_INPUTS:
+        rows = _table_text(bits, k)
         free = range(1, len(masks)) if free is None else free
         weight = {u: 1 << (k - 1 - i) for i, u in enumerate(inputs)}
         offset = sum(w for u, w in weight.items() if u not in free and masks[u])
@@ -599,14 +627,31 @@ def _value_mask(inputs: Sequence[int], bits: int, masks, free: Sequence[int] | N
             half[:] = [r + b for r in half for b in (0, weight.get(u, 0))]
         return int("".join([rows[h + l] for h in high for l in low])[::-1], 2)
     full = masks[0]
+    if not k:
+        return full if bits else 0
+    x = masks[inputs[-1]]
+    pairs = (0, full ^ x, x, full)
+    if k == 1:
+        return pairs[bits]
+    y = masks[inputs[-2]]
+    if k == 2:
+        lo, hi = pairs[bits & 3], pairs[bits >> 2]
+        return lo if lo == hi else lo ^ ((lo ^ hi) & y)
+    z = masks[inputs[-3]]
     blocks = []
-    for j, b in enumerate(rows):
-        hi = full if b == "1" else 0
-        height = 0
-        while j >> height & 1:
+    for j in range(1 << (k - 3)):
+        byte = bits >> (j << 3) & 255
+        lo, hi = pairs[byte & 3], pairs[byte >> 2 & 3]
+        low = lo if lo == hi else lo ^ ((lo ^ hi) & y)
+        lo, hi = pairs[byte >> 4 & 3], pairs[byte >> 6]
+        hi = lo if lo == hi else lo ^ ((lo ^ hi) & y)
+        hi = low if low == hi else low ^ ((low ^ hi) & z)
+        height = 4
+        while j & 1:
             lo = blocks.pop()
-            hi = lo if lo == hi else lo ^ ((lo ^ hi) & masks[inputs[~height]])
+            hi = lo if lo == hi else lo ^ ((lo ^ hi) & masks[inputs[-height]])
             height += 1
+            j >>= 1
         blocks.append(hi)
     return blocks[0]
 

@@ -14,7 +14,10 @@ set-level passes over all 2^n states that percolating on the truth
 tables replaced; fixed points a scan oracle, the AND over all 2^n
 states that the library's scan over a feedback vertex set replaced; and
 the family maximum the product scan over every consistent network that
-the library's pruned search replaced.
+the library's pruned search replaced.  Every oracle that folds a truth
+table into a set folds it through ``row_fold``, the row-by-row fold that
+the library's byte-at-a-time fold replaced, so no oracle shares the fold
+it checks.
 The graph's cached mask layout has the two builders it replaced, one for
 the neighbour masks and one for the sign cover.
 The odd-cycle condition has the negative cycle search on the
@@ -44,7 +47,6 @@ from signedbn.boolnet import (
     _state_masks,
     _states_in,
     _table_text,
-    _value_mask,
 )
 from signedbn.falsify import FALSIFY_CYCLE_CAP
 from signedbn.graphs import (
@@ -279,6 +281,27 @@ def brute_fixed_points(f):
     return out
 
 
+def row_fold(inputs, bits, masks):
+    """The set where a table's function is 1, given ``masks``: the whole
+    set, then per vertex u the subset where x_u = 1.  This is
+    ``boolnet._value_mask`` as it folded before it read a byte of rows at
+    a time: one step per row, depth-first like a binary counter, row j
+    closing one multiplexer on X_u per trailing 1 of j.  It folds a table
+    of any width."""
+    rows = _table_text(bits, len(inputs))
+    full = masks[0]
+    blocks = []
+    for j, b in enumerate(rows):
+        hi = full if b == "1" else 0
+        height = 0
+        while j >> height & 1:
+            lo = blocks.pop()
+            hi = lo if lo == hi else lo ^ ((lo ^ hi) & masks[inputs[~height]])
+            height += 1
+        blocks.append(hi)
+    return blocks[0]
+
+
 def scan_fixed_points(f):
     """``BooleanNetwork.fixed_points`` as it scanned before it narrowed to a
     feedback vertex set: one agreement set per vertex over all 2^n states,
@@ -286,7 +309,7 @@ def scan_fixed_points(f):
     masks = _state_masks(f.n)
     fixed = masks[0]
     for v, lf in enumerate(f.locals, start=1):
-        fixed &= ~(masks[v] ^ _value_mask(lf.inputs, lf.bits, masks))
+        fixed &= ~(masks[v] ^ row_fold(lf.inputs, lf.bits, masks))
     return _states_in(fixed, f.n)
 
 
@@ -297,7 +320,7 @@ def scan_max_fixed_points(G, max_indegree=4):
     masks = _state_masks(G.n)
     full = masks[0]
     agreements = [
-        [full ^ masks[v] ^ _value_mask(inputs, bits, masks) for bits in tables]
+        [full ^ masks[v] ^ row_fold(inputs, bits, masks) for bits in tables]
         for v, (inputs, tables) in enumerate(_family(G, max_indegree), start=1)
     ]
     return max(
@@ -484,7 +507,7 @@ def lowest_pivot_attractors(f):
     masks = _state_masks(n)
     moves = []
     for v, lf in enumerate(f.locals, start=1):
-        moving = masks[v] ^ _value_mask(lf.inputs, lf.bits, masks)
+        moving = masks[v] ^ row_fold(lf.inputs, lf.bits, masks)
         if moving:
             moves.append((moving & masks[v], moving & ~masks[v], 1 << (n - v)))
 
@@ -534,7 +557,7 @@ def trap_subspace(f):
     link per pass.
     """
     masks = _state_masks(f.n)
-    values = [_value_mask(lf.inputs, lf.bits, masks) for lf in f.locals]
+    values = [row_fold(lf.inputs, lf.bits, masks) for lf in f.locals]
     space = masks[0]
     free = list(range(1, f.n + 1))
     while True:

@@ -17,6 +17,7 @@ from conftest import (
     g,
     leq_v,
     lowest_pivot_attractors,
+    row_fold,
     scan_fixed_points,
     scan_max_fixed_points,
     table_rows,
@@ -422,8 +423,9 @@ class TestDecoding:
             ]
             for v, mask in zip(free, boolnet._state_masks(width)[1:]):
                 masks[v] = mask
-            sparse = sum({1 << rng.randrange(1 << width) for _ in range(3)})
-            for assignments in (0, whole, rng.getrandbits(1 << width), sparse):
+            # One, two and three points at most, read per point.
+            sparse = [sum({1 << rng.randrange(1 << width) for _ in range(c)}) for c in (1, 2, 3)]
+            for assignments in (0, whole, rng.getrandbits(1 << width), *sparse):
                 expected = []
                 for a in range(1 << width):
                     if assignments >> a & 1:
@@ -434,6 +436,59 @@ class TestDecoding:
                         ))
                 expected.sort()
                 assert boolnet._full_states(assignments, free, masks, n) == expected
+
+
+class TestFold:
+    """``_value_mask`` folds a table a byte of rows at a time; the
+    row-by-row fold it replaced, ``row_fold``, is the oracle."""
+
+    def test_every_table_of_up_to_four_inputs(self):
+        rng = random.Random(36)
+        masks = boolnet._state_masks(6)
+        for k in range(5):
+            for bits in range(1 << (1 << k)):
+                inputs = rng.sample(range(1, 7), k)
+                assert boolnet._value_mask(inputs, bits, masks) == row_fold(inputs, bits, masks), (
+                    inputs, bits
+                )
+
+    def test_random_tables_over_arbitrary_sets(self):
+        # Each vertex's set is random, empty or whole (a constant, which
+        # ``attractors`` passes along with its free vertices), or the set
+        # of a vertex before it, so two inputs can share one set.
+        rng = random.Random(360)
+        for _ in range(2000):
+            k = rng.randint(0, boolnet._FOLD_MAX_INPUTS)
+            size = rng.choice((1, 5, 64, 1 << 10, 3000))
+            full = (1 << size) - 1
+            masks = [full]
+            for _ in range(k + rng.randint(0, 3)):
+                draw = rng.random()
+                if draw < 0.5:
+                    masks.append(rng.getrandbits(size))
+                elif draw < 0.75:
+                    masks.append(rng.choice((0, full)))
+                else:
+                    masks.append(rng.choice(masks))
+            inputs = rng.sample(range(1, len(masks)), k)
+            bits = rng.getrandbits(1 << k)
+            free = tuple(v for v in range(1, len(masks)) if masks[v] not in (0, full))
+            expected = row_fold(inputs, bits, masks)
+            assert boolnet._value_mask(inputs, bits, masks) == expected, (inputs, bits)
+            assert boolnet._value_mask(inputs, bits, masks, free) == expected, (inputs, bits)
+
+    def test_one_row_tables(self):
+        # ``kernels.to_network``'s tables are 1 on row 0 alone.
+        rng = random.Random(3600)
+        masks = boolnet._state_masks(10)
+        for k in range(boolnet._FOLD_MAX_INPUTS + 1):
+            inputs = rng.sample(range(1, 11), k)
+            whole = (1 << (1 << k)) - 1
+            for row in range(1 << k):
+                for bits in (1 << row, whole ^ (1 << row)):
+                    assert boolnet._value_mask(inputs, bits, masks) == row_fold(
+                        inputs, bits, masks
+                    ), (inputs, bits)
 
 
 @pytest.fixture

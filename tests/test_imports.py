@@ -198,23 +198,28 @@ def test_library_reads_every_private_name_it_defines():
     assert unread_private_names(sources) == []
 
 
+def names_in(source: str) -> set[str]:
+    """Every name ``source`` names: in an import, as a name or as an
+    attribute."""
+    named = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.alias):
+            named.add(node.name)
+        elif isinstance(node, ast.Name):
+            named.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            named.add(node.attr)
+    return named
+
+
 def modules_naming(names: set[str], exempt: tuple[str, ...]) -> set[str]:
     """The library modules, those named in ``exempt`` aside, that name one
     of ``names``: in an import, as a name or as an attribute."""
-    readers = set()
-    for path in PACKAGE.glob("*.py"):
-        if path.stem in exempt:
-            continue
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.alias):
-                named = node.name
-            elif isinstance(node, ast.Name):
-                named = node.id
-            else:
-                named = getattr(node, "attr", None)
-            if named in names:
-                readers.add(path.stem)
-    return readers
+    return {
+        path.stem
+        for path in PACKAGE.glob("*.py")
+        if path.stem not in exempt and names & names_in(path.read_text(encoding="utf-8"))
+    }
 
 
 def test_only_structure_reads_the_fixed_point_bound():
@@ -237,6 +242,15 @@ def test_only_graphs_reads_a_graphs_arc_tuples():
     # question; a module that read the per-vertex arc tuples could lay
     # out a second copy.
     assert modules_naming({"_out", "_in"}, ("graphs",)) == set()
+
+
+def test_the_oracles_do_not_fold_through_the_library():
+    # The scan oracles fold each table row by row (``row_fold``), so a
+    # wrong fold in ``boolnet._value_mask`` cannot hide in its own oracle.
+    conftest = Path(__file__).resolve().parent / "conftest.py"
+    names = names_in(conftest.read_text(encoding="utf-8"))
+    assert "row_fold" in names
+    assert "_value_mask" not in names
 
 
 def test_kernels_names_the_module():
