@@ -21,7 +21,6 @@ from typing import Callable, Iterator, Optional
 from . import formats, structure
 from .boolnet import (
     DEFAULT_MAX_INDEGREE,
-    BooleanNetwork,
     _FIXED_POINT_SCAN,
     _sample_family,
     _tables_with_signs,
@@ -79,62 +78,6 @@ MAX_EXHAUSTIVE_N = 3
 # seeds 0 to 39.  The lemma9 and harary checks refuse larger graphs.
 MAX_GRAPH_N = 20
 _CYCLE_SEARCH = ("cycle search", MAX_GRAPH_N)
-
-
-# -- instance-level theorem verdicts -------------------------------------------
-
-NOT_APPLICABLE = "not-applicable"
-HOLDS = "conclusion-holds"
-COUNTEREXAMPLE = "counterexample"
-
-
-def _antipodal_fixed_points(G: SignedDigraph, f: BooleanNetwork, cap: int):
-    """Check the antipodal-pair conclusion on f and its interaction graph G.
-
-    Premises: G strong with exactly one negative cycle and at least one
-    positive cycle, and f canalizes no arc of the negative cycle.  Under
-    them the network must have two fixed points at Hamming distance n.
-    Returns (verdict, witness_pair_or_None).
-    """
-    if not is_strong(G):
-        return NOT_APPLICABLE, None
-    cycles = enumerate_cycles(G, cap)
-    negatives = [c for c in cycles if c.sign == NEGATIVE]
-    if len(negatives) != 1 or not any(c.sign == POSITIVE for c in cycles):
-        return NOT_APPLICABLE, None
-    if any(f.is_canalized(a) for a in negatives[0].arcs):
-        return NOT_APPLICABLE, None
-    fixed = set(f.fixed_points())
-    for x in sorted(fixed):
-        y = tuple(1 - b for b in x)
-        if y in fixed:
-            return HOLDS, (x, y)
-    return COUNTEREXAMPLE, None
-
-
-def _disagreement_cycles(G: SignedDigraph, f: BooleanNetwork, special_arc_free: bool, cap: int):
-    """Positive disagreement cycles of f, whose interaction graph is G, for
-    every pair of distinct fixed points.
-
-    For each pair the witness is a positive cycle on whose vertices the two
-    fixed points all differ; with ``special_arc_free`` the cycle must also
-    have no special arc.  Returns (verdict, {(x, y): cycle}); the verdict is
-    a counterexample when some pair has no witness.
-    """
-    fixed = f.fixed_points()
-    cycles = [c for c in enumerate_cycles(G, cap) if c.sign == POSITIVE]
-    if special_arc_free and len(fixed) >= 2:
-        cycles = [c for c in cycles if find_special_arc(G, c, cap) is None]
-    witnesses = {}
-    for x, y in itertools.combinations(fixed, 2):
-        disagree = {v + 1 for v in range(f.n) if x[v] != y[v]}
-        for c in cycles:
-            if disagree.issuperset(c.vertices):
-                witnesses[(x, y)] = c
-                break
-        else:
-            return COUNTEREXAMPLE, {"pair": (x, y)}
-    return HOLDS, witnesses
 
 
 # -- reports --------------------------------------------------------------------
@@ -344,10 +287,21 @@ def make_existence_rule_property(checker=structure._existence_verdict) -> Theore
 
 
 def _disagreement_check(special_arc_free: bool, cycle: str):
+    """Any two distinct fixed points of f differ on every vertex of some
+    positive cycle of G; with ``special_arc_free``, of one with no special
+    arc.  With fewer than two fixed points no cycle is enumerated."""
+
     def check(G, f, cap=FALSIFY_CYCLE_CAP) -> Optional[str]:
-        verdict, info = _disagreement_cycles(G, f, special_arc_free, cap)
-        if verdict == COUNTEREXAMPLE:
-            return f"fixed points {info['pair']} share no {cycle}"
+        fixed = f.fixed_points()
+        if len(fixed) < 2:
+            return None
+        cycles = [c for c in enumerate_cycles(G, cap) if c.sign == POSITIVE]
+        if special_arc_free:
+            cycles = [c for c in cycles if find_special_arc(G, c, cap) is None]
+        for x, y in itertools.combinations(fixed, 2):
+            disagree = {v + 1 for v in range(f.n) if x[v] != y[v]}
+            if not any(disagree.issuperset(c.vertices) for c in cycles):
+                return f"fixed points {(x, y)} share no {cycle}"
         return None
 
     return check
@@ -361,11 +315,22 @@ def _check_thm2(G, f, cap=FALSIFY_CYCLE_CAP) -> Optional[str]:
 
 
 def _check_thm6(G, f, cap=FALSIFY_CYCLE_CAP) -> Optional[str]:
+    """When G is strong with exactly one negative cycle and some positive
+    cycle, and f canalizes no arc of that negative cycle, f has two fixed
+    points at Hamming distance n."""
     _check_limit(G.n, *_FIXED_POINT_SCAN)
-    verdict, _ = _antipodal_fixed_points(G, f, cap)
-    if verdict == COUNTEREXAMPLE:
-        return "premises hold but no antipodal fixed-point pair"
-    return None
+    if not is_strong(G):
+        return None
+    cycles = enumerate_cycles(G, cap)
+    negatives = [c for c in cycles if c.sign == NEGATIVE]
+    if len(negatives) != 1 or not any(c.sign == POSITIVE for c in cycles):
+        return None
+    if any(f.is_canalized(a) for a in negatives[0].arcs):
+        return None
+    fixed = set(f.fixed_points())
+    if any(tuple(1 - b for b in x) in fixed for x in fixed):
+        return None
+    return "premises hold but no antipodal fixed-point pair"
 
 
 @lru_cache(maxsize=1)

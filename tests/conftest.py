@@ -25,8 +25,11 @@ all-negative encoding that its mask test replaced,
 and negative cycles and two-colorings have the breadth-first search
 trees that the sign-cover closure replaced.
 The rule theorems' checks have the premise-first check that reading the
-conclusion first replaced, and the random signed digraph has the
-arc-list draw loop that its per-target draw replaced.
+conclusion first replaced; the thm1, thm6 and thm7 checks the
+verdict-and-witness helpers that they replaced, which return a verdict
+string with the antipodal pair or, per pair of fixed points, the
+disagreement cycle; and the random signed digraph has the arc-list draw
+loop that its per-target draw replaced.
 Network evaluation, a table's rows as a tuple, the order <=_v behind the
 monotonicity lemmas, digraph reversal, the all-negative encoding and the
 digraph enumeration serve only the tests, so they live here and not in the
@@ -58,9 +61,11 @@ from signedbn.graphs import (
     SignedDigraph,
     _cycle_index,
     _set_bits,
+    enumerate_cycles,
+    is_strong,
     scc,
 )
-from signedbn.structure import _has_special_arc
+from signedbn.structure import _has_special_arc, find_special_arc
 
 
 @pytest.fixture
@@ -803,3 +808,57 @@ def premise_first_check(condition, conclusion, detail):
         return None
 
     return check
+
+
+NOT_APPLICABLE = "not-applicable"
+HOLDS = "conclusion-holds"
+COUNTEREXAMPLE = "counterexample"
+
+
+def antipodal_fixed_points(G: SignedDigraph, f: BooleanNetwork, cap: int):
+    """Check the antipodal-pair conclusion on f and its interaction graph G.
+
+    Premises: G strong with exactly one negative cycle and at least one
+    positive cycle, and f canalizes no arc of the negative cycle.  Under
+    them the network must have two fixed points at Hamming distance n.
+    Returns (verdict, witness_pair_or_None).
+    """
+    if not is_strong(G):
+        return NOT_APPLICABLE, None
+    cycles = enumerate_cycles(G, cap)
+    negatives = [c for c in cycles if c.sign == NEGATIVE]
+    if len(negatives) != 1 or not any(c.sign == POSITIVE for c in cycles):
+        return NOT_APPLICABLE, None
+    if any(f.is_canalized(a) for a in negatives[0].arcs):
+        return NOT_APPLICABLE, None
+    fixed = set(f.fixed_points())
+    for x in sorted(fixed):
+        y = tuple(1 - b for b in x)
+        if y in fixed:
+            return HOLDS, (x, y)
+    return COUNTEREXAMPLE, None
+
+
+def disagreement_cycles(G: SignedDigraph, f: BooleanNetwork, special_arc_free: bool, cap: int):
+    """Positive disagreement cycles of f, whose interaction graph is G, for
+    every pair of distinct fixed points.
+
+    For each pair the witness is a positive cycle on whose vertices the two
+    fixed points all differ; with ``special_arc_free`` the cycle must also
+    have no special arc.  Returns (verdict, {(x, y): cycle}); the verdict is
+    a counterexample when some pair has no witness.
+    """
+    fixed = f.fixed_points()
+    cycles = [c for c in enumerate_cycles(G, cap) if c.sign == POSITIVE]
+    if special_arc_free and len(fixed) >= 2:
+        cycles = [c for c in cycles if find_special_arc(G, c, cap) is None]
+    witnesses = {}
+    for x, y in itertools.combinations(fixed, 2):
+        disagree = {v + 1 for v in range(f.n) if x[v] != y[v]}
+        for c in cycles:
+            if disagree.issuperset(c.vertices):
+                witnesses[(x, y)] = c
+                break
+        else:
+            return COUNTEREXAMPLE, {"pair": (x, y)}
+    return HOLDS, witnesses

@@ -35,7 +35,6 @@ from signedbn.boolnet import (
     max_fixed_points,
     sample_consistent,
 )
-from signedbn.falsify import FALSIFY_CYCLE_CAP, _antipodal_fixed_points, _disagreement_cycles
 from signedbn.generators import figure1, random_signed_digraph
 from signedbn.graphs import Digraph, SignedDigraph
 from signedbn.kernels import to_network
@@ -1277,45 +1276,3 @@ class TestMonotonicityLemmas:
                 if G.in_arcs(v) and len(H.in_arcs(v)) == len(G.in_arcs(v)):
                     assert evaluate(f, x)[v - 1] == x[v - 1]
 
-
-class TestTheoremVerdicts:
-    def test_antipodal_not_applicable_without_negative_cycle(self):
-        G = SWAP2.interaction_graph()
-        assert G == g(2, (1, 2, "+"), (2, 1, "+"))
-        verdict, _ = _antipodal_fixed_points(G, SWAP2, FALSIFY_CYCLE_CAP)
-        assert verdict == "not-applicable"
-
-    def test_antipodal_holds_on_a_meeting_instance(self):
-        # Strong, one negative loop at 1 and positive cycles through it; the
-        # loop head has in-degree 3 so non-canalizing local rules exist
-        # (with fewer inputs every unate rule canalizes its arcs).
-        G = g(
-            3,
-            (1, 1, "-"), (2, 1, "+"), (3, 1, "+"),
-            (1, 2, "+"), (2, 3, "+"),
-        )
-        found = None
-        applicable = 0
-        for f in enumerate_consistent(G):
-            verdict, pair = _antipodal_fixed_points(f.interaction_graph(), f, FALSIFY_CYCLE_CAP)
-            assert verdict != "counterexample"
-            if verdict == "conclusion-holds":
-                applicable += 1
-                found = pair
-        assert found is not None and applicable >= 1
-        x, y = found
-        assert all(a != b for a, b in zip(x, y))
-
-    def test_disagreement_cycles_vacuous(self):
-        verdict, witnesses = _disagreement_cycles(
-            NEGATION1.interaction_graph(), NEGATION1, False, FALSIFY_CYCLE_CAP
-        )
-        assert verdict == "conclusion-holds" and witnesses == {}
-
-    def test_disagreement_cycles_swap(self):
-        verdict, witnesses = _disagreement_cycles(
-            SWAP2.interaction_graph(), SWAP2, True, FALSIFY_CYCLE_CAP
-        )
-        assert verdict == "conclusion-holds"
-        cycle = witnesses[((0, 0), (1, 1))]
-        assert cycle.vertices == (1, 2)

@@ -300,6 +300,38 @@ class TestCheckCommand:
         assert main(argv + ["--cycle-cap", "16000"]) == 2
         assert capsys.readouterr().err == "error: more than 16000 cycles\n"
 
+    @pytest.mark.parametrize("theorem", ["thm1", "thm7"])
+    def test_disagreement_checks_enumerate_cycles_only_for_two_fixed_points(
+        self, tmp_path, capsys, theorem
+    ):
+        # A negative loop whose network has no fixed point holds at cap 0;
+        # three fixed points (00, 01, 11) need the cycles, and cap 0
+        # refuses them.
+        pairs = {
+            "none": ("sdigraph 1\n1 1 -\n", "boolnet 1\n1 : 1 | 10\n"),
+            "three": (
+                "sdigraph 2\n1 1 +\n1 2 +\n2 2 +\n",
+                "boolnet 2\n1 : 1 | 01\n2 : 1 2 | 0111\n",
+            ),
+        }
+        files = {}
+        for name, texts in pairs.items():
+            paths = [tmp_path / f"{name}.{ext}" for ext in ("sd", "bn")]
+            for path, text in zip(paths, texts):
+                path.write_text(text)
+            files[name] = [str(path) for path in paths]
+        argv = ["check", "--theorem", theorem, "--cycle-cap", "0"]
+        assert main(argv + files["none"]) == 0
+        assert capsys.readouterr().out == f"{theorem}: holds\n"
+        assert main(argv + files["three"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: more than 0 cycles\n"
+        # thm6 asks for a strong graph first, and the three-point graph
+        # is not strong, so it enumerates no cycle either.
+        assert main(["check", "--theorem", "thm6", "--cycle-cap", "0"] + files["three"]) == 0
+        assert capsys.readouterr().out == "thm6: holds\n"
+
     def test_cor8_computes_the_bound_on_13_vertices(self, tmp_path, capsys, monkeypatch):
         calls = []
 

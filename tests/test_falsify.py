@@ -6,9 +6,26 @@ import time
 
 import pytest
 
-from conftest import g, premise_first_check
+import conftest
+from conftest import (
+    COUNTEREXAMPLE,
+    HOLDS,
+    NOT_APPLICABLE,
+    antipodal_fixed_points,
+    disagreement_cycles,
+    g,
+    premise_first_check,
+)
+from signedbn import falsify as falsify_module
 from signedbn import structure
-from signedbn.boolnet import MAX_FIXED_POINT_SCAN, _family, _sample_family
+from signedbn.boolnet import (
+    MAX_FIXED_POINT_SCAN,
+    BooleanNetwork,
+    LocalFunction,
+    _family,
+    _sample_family,
+    enumerate_consistent,
+)
 from signedbn.falsify import (
     DIGRAPH,
     FALSIFY_CYCLE_CAP,
@@ -288,6 +305,123 @@ class TestRuleChecks:
         ]
         assert asked == failing
         assert 0 < len(asked) < 1000
+
+
+SWAP2 = BooleanNetwork([LocalFunction((2,), (0, 1)), LocalFunction((1,), (0, 1))])  # f1=x2, f2=x1
+NEGATION1 = BooleanNetwork([LocalFunction((1,), (1, 0))])
+
+# thm1 and thm7: whether the cycle must be free of special arcs, and the
+# cycle their violation detail names.
+DISAGREEMENT = {
+    "thm1": (False, "positive disagreement cycle"),
+    "thm7": (True, "special-arc-free positive cycle"),
+}
+
+
+class Unpaired:
+    """The network f, except that of each antipodal pair of its fixed
+    points only the lower one is fixed."""
+
+    def __init__(self, f):
+        self.f, self.n = f, f.n
+
+    def fixed_points(self):
+        fixed = self.f.fixed_points()
+        return [x for x in fixed if (y := tuple(1 - b for b in x)) not in fixed or x < y]
+
+    def is_canalized(self, arc):
+        return self.f.is_canalized(arc)
+
+
+def answer(call):
+    """What ``call()`` returns, or the cycle-cap refusal it raises."""
+    try:
+        return call()
+    except CycleCapExceeded as refusal:
+        return ("refused", str(refusal))
+
+
+class TestTheoremVerdicts:
+    """The thm1, thm6 and thm7 checks decide their statements directly,
+    and each returns the detail that its verdict-and-witness oracle
+    implies."""
+
+    @staticmethod
+    def _expected(theorem, G, f, cap):
+        """The oracle's verdict as the check's detail.  thm1 and thm7 read
+        the fixed points first and, with fewer than two, answer None at
+        any cap, where the oracle enumerates the cycles regardless."""
+        if theorem == "thm6":
+            verdict, _ = antipodal_fixed_points(G, f, cap)
+            if verdict == COUNTEREXAMPLE:
+                return "premises hold but no antipodal fixed-point pair"
+            return None
+        if len(f.fixed_points()) < 2:
+            return None
+        special_arc_free, cycle = DISAGREEMENT[theorem]
+        verdict, info = disagreement_cycles(G, f, special_arc_free, cap)
+        if verdict == COUNTEREXAMPLE:
+            return f"fixed points {info['pair']} share no {cycle}"
+        return None
+
+    def test_checks_match_their_oracles(self, monkeypatch):
+        # The rule checks' instances, then the same with each network's
+        # antipodal fixed-point partners taken away, then with the positive
+        # cycles taken out of every cycle list both sides read, so that
+        # some verdicts are counterexamples; each at the falsifier's cap
+        # and at cap 0, where any cycle enumeration is refused.
+        def without_positive_cycles(G, cap):
+            return tuple(c for c in enumerate_cycles(G, cap) if c.sign == NEGATIVE)
+
+        instances = list(TestRuleChecks._instances())
+        found = 0
+        for mutant in ("none", "unpaired", "no positive cycles"):
+            with monkeypatch.context() as patch:
+                if mutant == "no positive cycles":
+                    patch.setattr(falsify_module, "enumerate_cycles", without_positive_cycles)
+                    patch.setattr(conftest, "enumerate_cycles", without_positive_cycles)
+                for G, f in instances:
+                    if mutant == "unpaired":
+                        f = Unpaired(f)
+                    for theorem in ("thm1", "thm6", "thm7"):
+                        check = REGISTRY[theorem].check
+                        for cap in (FALSIFY_CYCLE_CAP, 0):
+                            verdict = answer(lambda: check(G, f, cap))
+                            assert verdict == answer(lambda: self._expected(theorem, G, f, cap))
+                            found += isinstance(verdict, str)
+        assert found > 100
+
+    def test_antipodal_not_applicable_without_negative_cycle(self):
+        G = SWAP2.interaction_graph()
+        assert G == g(2, (1, 2, "+"), (2, 1, "+"))
+        assert antipodal_fixed_points(G, SWAP2, FALSIFY_CYCLE_CAP)[0] == NOT_APPLICABLE
+        assert REGISTRY["thm6"].check(G, SWAP2) is None
+
+    def test_antipodal_holds_on_a_meeting_instance(self):
+        # Strong, one negative loop at 1 and positive cycles through it; the
+        # loop head has in-degree 3 so non-canalizing local rules exist
+        # (with fewer inputs every unate rule canalizes its arcs).
+        G = g(
+            3,
+            (1, 1, "-"), (2, 1, "+"), (3, 1, "+"),
+            (1, 2, "+"), (2, 3, "+"),
+        )
+        applicable = 0
+        for f in enumerate_consistent(G):
+            H = f.interaction_graph()
+            assert REGISTRY["thm6"].check(H, f) is None
+            applicable += antipodal_fixed_points(H, f, FALSIFY_CYCLE_CAP)[0] == HOLDS
+        assert applicable >= 1
+
+    def test_disagreement_cycles_vacuous(self):
+        G = NEGATION1.interaction_graph()
+        for theorem in DISAGREEMENT:
+            assert REGISTRY[theorem].check(G, NEGATION1) is None
+
+    def test_disagreement_cycles_swap(self):
+        G = SWAP2.interaction_graph()
+        for theorem in DISAGREEMENT:
+            assert REGISTRY[theorem].check(G, SWAP2) is None
 
 
 class TestCycleCap:

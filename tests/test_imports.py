@@ -1,7 +1,8 @@
 """Every library module uses each name it imports, every private name
 the library defines is read somewhere in it, and every public function,
 class and method is read by a module other than ``__init__`` or kept on
-a list that says why.
+a list that says why.  Each library module imports only from modules of
+a lower layer.
 
 No linter ships with the test dependencies, so this reads the modules
 with ``ast``.  ``__init__.py`` re-exports names it does not use, and
@@ -75,6 +76,56 @@ def test_library_modules_use_their_imports():
         if (names := unused_imports(p.read_text(encoding="utf-8")))
     }
     assert unused == {}
+
+
+# The layer order of ROADMAP aim 2, lowest first: graphs, then structure
+# and codes, dynamics, the theorems and the CLI.  ``codes`` needs nothing
+# of ``structure``, and ``structure``'s fixed-point bound composes
+# ``codes``; ``kernels`` reads ``structure``'s existence rule.
+LAYERS = (
+    {"graphs", "codes"},
+    {"boolnet", "structure"},
+    {"kernels", "generators", "formats"},
+    {"falsify"},
+    {"cli"},
+)
+
+
+def relative_imports(source: str) -> set[str]:
+    """The package modules that ``source`` imports relatively: m in
+    ``from .m import x`` and in ``from . import m``."""
+    named = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            if node.module:
+                named.add(node.module.split(".")[0])
+            else:
+                named |= {alias.name for alias in node.names}
+    return named
+
+
+def test_checker_reads_both_forms_of_relative_import():
+    source = (
+        "import os\n"
+        "from signedbn import cli\n"
+        "from . import codes, formats\n"
+        "def f():\n"
+        "    from .graphs import scc\n"
+    )
+    assert relative_imports(source) == {"codes", "formats", "graphs"}
+
+
+def test_library_modules_import_only_lower_layers():
+    layer = {module: i for i, modules in enumerate(LAYERS) for module in modules}
+    modules = {p.stem for p in PACKAGE.glob("*.py")} - {"__init__"}
+    assert set(layer) == modules
+    upward = {
+        (module, imported)
+        for module in modules
+        for imported in relative_imports((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+        if layer[imported] >= layer[module]
+    }
+    assert upward == set()
 
 
 def _is_private(name: str) -> bool:
