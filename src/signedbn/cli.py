@@ -14,7 +14,7 @@ import json
 import sys
 
 from . import boolnet, falsify, formats, generators, structure
-from .graphs import DEFAULT_CYCLE_CAP, CycleCapExceeded, _check_cap
+from .graphs import DEFAULT_CYCLE_CAP, CycleCapExceeded, _check_cap, _check_limit
 from .kernels import _SUBSET_SCAN, kernels as all_kernels
 
 SCHEMA_VERSION = 1
@@ -119,7 +119,10 @@ def _cmd_kernels(parser, args) -> int:
 
 
 def _cmd_generate(parser, args) -> int:
+    # No command reads a graph past the fixed-point scan, so none is built.
+    n = sum(args.lengths) - 1 if args.kind == "double_cycle" else args.n
     try:
+        _check_limit(n, *boolnet._FIXED_POINT_SCAN)
         if args.kind == "figure1":
             G = generators.figure1(args.n)
         elif args.kind == "double_cycle":

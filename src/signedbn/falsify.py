@@ -384,7 +384,7 @@ def _check_richardson(D, cap=FALSIFY_CYCLE_CAP) -> Optional[str]:
 
 def _check_richardson_gen(D, cap=FALSIFY_CYCLE_CAP) -> Optional[str]:
     _check_limit(D.n, *_SUBSET_SCAN)
-    if generalized_condition(D, cap) and not kernels(D):
+    if generalized_condition(D) and not kernels(D):
         return "cut condition holds but no kernel"
     return None
 

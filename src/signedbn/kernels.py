@@ -13,9 +13,7 @@ from __future__ import annotations
 
 from .boolnet import _FOLD_MAX_INPUTS, BooleanNetwork, LocalFunction, _state_masks
 from .graphs import (
-    DEFAULT_CYCLE_CAP,
     Digraph,
-    _check_cap,
     _check_limit,
     _component_masks,
     _negative_walk,
@@ -86,7 +84,7 @@ def richardson_condition(D: Digraph) -> bool:
     return not any(_negative_walk(step, comp, n) for comp in _component_masks(out, into))
 
 
-def generalized_condition(D: Digraph, cap: int = DEFAULT_CYCLE_CAP) -> bool:
+def generalized_condition(D: Digraph) -> bool:
     """Every odd cycle can be cut so its tail keeps only even company.
 
     Precisely: every odd cycle of D has an arc (s -> t) such that D minus
@@ -98,9 +96,8 @@ def generalized_condition(D: Digraph, cap: int = DEFAULT_CYCLE_CAP) -> bool:
     ``_existence_rule_holds`` on that encoding's masks, read off D's with
     no graph built: D's in-neighbour masks are its out-neighbour masks,
     and in its sign cover every arc switches the copy.  No cycle is
-    enumerated, so ``cap`` is only refused below 0.
+    enumerated.
     """
-    _check_cap(cap)
     n = D.n
     out, into = _digraph_masks(D)
     return _existence_rule_holds(into, out, [i << n for i in into] + into, n)

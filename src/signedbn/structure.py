@@ -8,7 +8,9 @@ fixed-point upper bound.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
@@ -354,11 +356,13 @@ def _hitting_number(masks, floor: int = 0) -> int:
     given that it is at least ``floor``.
 
     k deepens from the larger of ``floor`` and a greedy packing of
-    disjoint masks, shortest first, which no smaller set hits.
+    disjoint masks, shortest first, which no smaller set hits, and stops
+    at the size of the masks' union, which meets them all.
     """
     masks = sorted(masks, key=lambda mask: (mask.bit_count(), mask))
+    union = functools.reduce(operator.or_, masks, 0)
     k = max(floor, _packing(masks))
-    while not _hits(masks, k):
+    while k < union.bit_count() and next(_meeting_sets(masks, k, union), None) is None:
         k += 1
     return k
 
@@ -372,22 +376,6 @@ def _packing(masks: list[int]) -> int:
             used |= mask
             count += 1
     return count
-
-
-def _hits(masks: list[int], k: int) -> bool:
-    """Whether k positions meet every one of ``masks``, shortest first.
-
-    Every hitting set holds some position of the shortest mask, so the
-    search branches on those and drops the masks each one meets.
-    """
-    if not masks:
-        return True
-    if k == 0 or _packing(masks) > k:
-        return False
-    return any(
-        _hits([mask for mask in masks if not mask >> p & 1], k - 1)
-        for p in _set_bits(masks[0])
-    )
 
 
 def g_plus(G: SignedDigraph, cap: int = DEFAULT_CYCLE_CAP):
@@ -469,31 +457,29 @@ def _tau_tilde_plus(index: _CycleIndex, masks: set[int], upper: int) -> int:
 
 
 def _meeting_sets(
-    masks: list[int], k: int, allowed: int, chosen: tuple[int, ...] = (), met: int = 0
+    masks: list[int], k: int, allowed: int, chosen: tuple[int, ...] = ()
 ) -> Iterator[tuple[int, ...]]:
     """Each set of k positions of the mask ``allowed``, added to the
-    positions ``chosen`` (whose mask is ``met``), that meets every one of
-    ``masks`` left unmet, once, as a tuple of positions.
+    positions ``chosen``, that meets every one of ``masks``, once, as a
+    tuple of positions; ``masks`` go shortest first.
 
-    As ``_hits`` does, the search branches on the positions of the first
-    mask not met yet, and each branch leaves out the positions of the
-    branches before it: a set is found only in the branch of its lowest
-    position in that mask.  Once every mask is met, any k positions of
-    ``allowed`` complete the set.
+    Every such set holds some position of the first mask, so the search
+    branches on those, passes down only the masks each one leaves unmet,
+    and leaves out the positions of the branches before it: a set is found
+    only in the branch of its lowest position in that mask.  A branch ends
+    once the unmet masks pack more than k disjoint ones; once every mask
+    is met, any k positions of ``allowed`` complete the set.
     """
-    for i, mask in enumerate(masks):
-        if not mask & met:
-            break
-    else:
+    if not masks:
         if k:
             yield from map(chosen.__add__, itertools.combinations(_set_bits(allowed), k))
         else:  # the set is complete: ``allowed`` need not be read
             yield chosen
-        return
-    if k:
-        for p in _set_bits(mask & allowed):
+    elif _packing(masks) <= k:
+        for p in _set_bits(masks[0] & allowed):
             allowed ^= 1 << p
-            yield from _meeting_sets(masks[i + 1 :], k - 1, allowed, chosen + (p,), met | 1 << p)
+            unmet = [mask for mask in masks[1:] if not mask >> p & 1]
+            yield from _meeting_sets(unmet, k - 1, allowed, chosen + (p,))
 
 
 def g_tilde_plus(G: SignedDigraph, cap: int = DEFAULT_CYCLE_CAP):

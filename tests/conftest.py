@@ -8,6 +8,8 @@ special arcs, tau+, tau~+, g~+ and the arc and vertex rules by building
 each subgraph and searching its cycles anew, and strong components by
 mutual reachability.  tau+ and tau~+ also have scan oracles that try every
 vertex subset by size and ask the library's cycle index about each.
+The hitting-set search has the two searches it replaced: the yes/no
+search that tau+ deepened and the set listing of the tau~+ scan.
 Attractors also have a set-search oracle, the lowest-pivot loop that the
 library's search replaced, on the library's state masks; percolation the
 set-level passes over all 2^n states that percolating on the truth
@@ -41,6 +43,7 @@ import operator
 from fractions import Fraction
 from functools import lru_cache, reduce
 from math import comb
+from typing import Iterator
 
 import pytest
 
@@ -778,6 +781,82 @@ def scan_tau_tilde_plus(G):
             if all(_has_special_arc(index, gone, left, cleared, j) for j in _set_bits(left)):
                 return k
     raise AssertionError("removing all in-arcs leaves no cycle")
+
+
+# -- the hitting-set searches that one search replaced --------------------------
+#
+# tau+ deepened a yes/no search that pruned by disjoint packing, and the
+# tau~+ scan listed its sets with a second search that tracked the met
+# masks and had no prune.  Verbatim, the leading underscores dropped.
+
+
+def hitting_number(masks, floor: int = 0) -> int:
+    """Size of a smallest position set meeting every one of ``masks``,
+    given that it is at least ``floor``.
+
+    k deepens from the larger of ``floor`` and a greedy packing of
+    disjoint masks, shortest first, which no smaller set hits.
+    """
+    masks = sorted(masks, key=lambda mask: (mask.bit_count(), mask))
+    k = max(floor, packing(masks))
+    while not hits(masks, k):
+        k += 1
+    return k
+
+
+def packing(masks: list[int]) -> int:
+    """Size of the greedy packing of pairwise disjoint ``masks``, taken in
+    their order; a hitting set needs one position per packed mask."""
+    used = count = 0
+    for mask in masks:
+        if not mask & used:
+            used |= mask
+            count += 1
+    return count
+
+
+def hits(masks: list[int], k: int) -> bool:
+    """Whether k positions meet every one of ``masks``, shortest first.
+
+    Every hitting set holds some position of the shortest mask, so the
+    search branches on those and drops the masks each one meets.
+    """
+    if not masks:
+        return True
+    if k == 0 or packing(masks) > k:
+        return False
+    return any(
+        hits([mask for mask in masks if not mask >> p & 1], k - 1)
+        for p in _set_bits(masks[0])
+    )
+
+
+def meeting_sets(
+    masks: list[int], k: int, allowed: int, chosen: tuple[int, ...] = (), met: int = 0
+) -> Iterator[tuple[int, ...]]:
+    """Each set of k positions of the mask ``allowed``, added to the
+    positions ``chosen`` (whose mask is ``met``), that meets every one of
+    ``masks`` left unmet, once, as a tuple of positions.
+
+    As ``hits`` does, the search branches on the positions of the first
+    mask not met yet, and each branch leaves out the positions of the
+    branches before it: a set is found only in the branch of its lowest
+    position in that mask.  Once every mask is met, any k positions of
+    ``allowed`` complete the set.
+    """
+    for i, mask in enumerate(masks):
+        if not mask & met:
+            break
+    else:
+        if k:
+            yield from map(chosen.__add__, itertools.combinations(_set_bits(allowed), k))
+        else:  # the set is complete: ``allowed`` need not be read
+            yield chosen
+        return
+    if k:
+        for p in _set_bits(mask & allowed):
+            allowed ^= 1 << p
+            yield from meeting_sets(masks[i + 1 :], k - 1, allowed, chosen + (p,), met | 1 << p)
 
 
 def signed_arcs(n, arc_prob, neg_prob, rng):

@@ -304,6 +304,16 @@ def test_the_oracles_do_not_fold_through_the_library():
     assert "_value_mask" not in names
 
 
+def test_the_oracles_do_not_search_through_the_library():
+    # The hitting-set oracles are the two searches that the library's one
+    # search replaced, so a wrong ``structure._meeting_sets`` cannot hide
+    # in its own oracle.
+    source = (Path(__file__).resolve().parent / "conftest.py").read_text(encoding="utf-8")
+    defined = {node.name for node in ast.walk(ast.parse(source)) if isinstance(node, ast.FunctionDef)}
+    assert {"hits", "meeting_sets", "hitting_number"} <= defined
+    assert not {"_meeting_sets", "_hitting_number"} & names_in(source)
+
+
 def test_kernels_names_the_module():
     import signedbn.kernels as kernels_module
 

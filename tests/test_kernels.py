@@ -179,15 +179,12 @@ class TestGeneralizedConditionGraph:
     def test_builds_no_signed_digraph(self, signed_digraphs_built):
         for D in iter_digraphs(3):
             generalized_condition(D)
-        assert signed_digraphs_built == []
-
-    def test_reads_the_cycle_cap_only_to_refuse_a_negative_one(self):
         # The complete 8-vertex digraph has 16,064 cycles; cutting any arc
         # leaves its odd triangles in one strong component.
-        D = Digraph(8, [(u, v) for u in range(1, 9) for v in range(1, 9) if u != v])
-        assert not generalized_condition(D, 0)
-        with pytest.raises(ValueError, match="^cycle cap -1 is below 0$"):
-            generalized_condition(D, -1)
+        assert not generalized_condition(
+            Digraph(8, [(u, v) for u in range(1, 9) for v in range(1, 9) if u != v])
+        )
+        assert signed_digraphs_built == []
 
 
 class TestNetworkCorrespondence:

@@ -12,6 +12,8 @@ from conftest import (
     all_signed_digraphs,
     all_simple_signed_digraphs,
     g,
+    hitting_number,
+    meeting_sets,
     rebuilt_find_special_arc,
     rebuilt_g_tilde_plus,
     rebuilt_isolation_rule,
@@ -45,6 +47,8 @@ from signedbn.graphs import (
 )
 from signedbn.structure import (
     _existence_verdict,
+    _hitting_number,
+    _meeting_sets,
     _special_failure,
     _stuck,
     analyze,
@@ -499,6 +503,56 @@ class TestBoundedSearches:
             analyze(G)
         assert len([args for args in calls if len(args) == 1]) == len(inputs)
         assert len(collected) == len(inputs)
+
+
+def mask_lists(count):
+    """``count`` random lists of nonzero position masks on at most 9
+    positions, as (width, masks): empty lists included, duplicates
+    possible, half of them shortest first as the library's callers pass
+    them and half in draw order."""
+    rng = random.Random(0)
+    for _ in range(count):
+        width = rng.randint(1, 9)
+        masks = [rng.randrange(1, 1 << width) for _ in range(rng.randint(0, 6))]
+        if rng.random() < 0.5:
+            masks.sort(key=lambda mask: (mask.bit_count(), mask))
+        yield width, masks
+
+
+class TestHittingSetSearch:
+    """The one hitting-set search against the two it replaced, kept in
+    conftest as oracles, and against a brute filter of every k-set."""
+
+    def test_meeting_sets_match_the_oracle_and_the_brute_filter(self):
+        rng = random.Random(1)
+        for width, masks in mask_lists(3000):
+            union = 0
+            for mask in masks:
+                union |= mask
+            for allowed in {(1 << width) - 1, union, rng.randrange(1 << width)}:
+                for k in range(allowed.bit_count() + 2):
+                    found = list(_meeting_sets(masks, k, allowed))
+                    assert found == list(meeting_sets(masks, k, allowed)), (masks, k, allowed)
+                    brute = [
+                        combo
+                        for combo in itertools.combinations(_set_bits(allowed), k)
+                        if all(any(mask >> p & 1 for p in combo) for mask in masks)
+                    ]
+                    assert sorted(tuple(sorted(combo)) for combo in found) == brute
+
+    def test_hitting_number_matches_the_oracle_at_every_floor(self):
+        for _, masks in mask_lists(3000):
+            union = 0
+            for mask in masks:
+                union |= mask
+            for floor in range(union.bit_count() + 3):
+                assert _hitting_number(masks, floor) == hitting_number(masks, floor), (masks, floor)
+
+    def test_a_floor_past_the_union_is_the_answer(self):
+        # No 3-set lies inside the union 0b11, so only the stop at the
+        # union's size ends the search.
+        assert _hitting_number([0b11], 3) == 3
+        assert _hitting_number([], 2) == 2
 
 
 def assert_stuck_cycles_keep_no_special_arc(G) -> int:

@@ -335,6 +335,10 @@ GENERATE = (
         for seed in ("-1", "0")
     ]
     + [["random", "--n", "0"], ["random", "--n", "2"]]
+    # The largest graph a command reads has 24 vertices; past it nothing is built.
+    + [["figure1", "--n", n] for n in ("23", "24", "25", "9999999")]
+    + [["double_cycle", "--lengths", a, b] for a, b in (("12", "13"), ("13", "13"), ("20000000", "1"))]
+    + [["random", "--n", n] for n in ("24", "25", "100000")]
 )
 
 
