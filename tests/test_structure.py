@@ -507,16 +507,19 @@ class TestBoundedSearches:
 
 def mask_lists(count):
     """``count`` random lists of nonzero position masks on at most 9
-    positions, as (width, masks): empty lists included, duplicates
-    possible, half of them shortest first as the library's callers pass
-    them and half in draw order."""
+    positions, as (width, masks, their union): empty lists included,
+    duplicates possible, half of them shortest first as the library's
+    callers pass them and half in draw order."""
     rng = random.Random(0)
     for _ in range(count):
         width = rng.randint(1, 9)
         masks = [rng.randrange(1, 1 << width) for _ in range(rng.randint(0, 6))]
         if rng.random() < 0.5:
             masks.sort(key=lambda mask: (mask.bit_count(), mask))
-        yield width, masks
+        union = 0
+        for mask in masks:
+            union |= mask
+        yield width, masks, union
 
 
 class TestHittingSetSearch:
@@ -525,10 +528,7 @@ class TestHittingSetSearch:
 
     def test_meeting_sets_match_the_oracle_and_the_brute_filter(self):
         rng = random.Random(1)
-        for width, masks in mask_lists(3000):
-            union = 0
-            for mask in masks:
-                union |= mask
+        for width, masks, union in mask_lists(3000):
             for allowed in {(1 << width) - 1, union, rng.randrange(1 << width)}:
                 for k in range(allowed.bit_count() + 2):
                     found = list(_meeting_sets(masks, k, allowed))
@@ -541,10 +541,7 @@ class TestHittingSetSearch:
                     assert sorted(tuple(sorted(combo)) for combo in found) == brute
 
     def test_hitting_number_matches_the_oracle_at_every_floor(self):
-        for _, masks in mask_lists(3000):
-            union = 0
-            for mask in masks:
-                union |= mask
+        for _, masks, union in mask_lists(3000):
             for floor in range(union.bit_count() + 3):
                 assert _hitting_number(masks, floor) == hitting_number(masks, floor), (masks, floor)
 
