@@ -112,13 +112,17 @@ _CODE_SIGNS = {
 
 def _signed_digraph(into: list[dict[int, int]]) -> SignedDigraph:
     """The signed digraph on 1..n whose in-arcs ``into`` lists per target,
-    as ``_draw_input_signs`` returns them: sources increasing, a positive
-    arc before a negative one, which is the order the graph keeps."""
-    return SignedDigraph._from_in_arcs(
-        [
-            tuple([Arc(u, v, sign) for u, code in signs.items() for sign in _CODE_SIGNS[code]])
-            for v, signs in enumerate(into, start=1)
-        ]
+    as ``_draw_input_signs`` returns them."""
+    return SignedDigraph._from_sets(
+        frozenset(range(1, len(into) + 1)),
+        frozenset(
+            [
+                Arc(u, v, sign)
+                for v, signs in enumerate(into, start=1)
+                for u, code in signs.items()
+                for sign in _CODE_SIGNS[code]
+            ]
+        ),
     )
 
 

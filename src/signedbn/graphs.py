@@ -16,7 +16,6 @@ ignored.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple, Sequence
@@ -82,7 +81,7 @@ class SignedDigraph:
     """
 
     __slots__ = (
-        "_vertices", "_arcs", "_in", "_out", "_hash", "_cycle_cache", "_index_cache", "_scc_cache",
+        "_vertices", "_arcs", "_hash", "_arc_lists", "_cycle_cache", "_index_cache", "_scc_cache",
         "_mask_cache", "_symmetrized",
     )
 
@@ -96,66 +95,31 @@ class SignedDigraph:
             if any(v < 1 for v in vertex_set):
                 raise ValueError("vertex ids must be positive integers")
         arc_set = frozenset(map(as_arc, arcs))
-        try:
-            self._fill_sorted(vertex_set, arc_set)
-        except KeyError:
-            # Name the first bad arc in set order, not in sorted order.
-            for a in arc_set:
-                if a.source not in vertex_set or a.target not in vertex_set:
-                    raise ValueError(
-                        f"arc {a!r} has an endpoint outside the vertex set"
-                    ) from None
-            raise
+        for a in arc_set:
+            if a.source not in vertex_set or a.target not in vertex_set:
+                raise ValueError(f"arc {a!r} has an endpoint outside the vertex set")
+        self._set_fields(vertex_set, arc_set)
 
-    def _fill_sorted(self, vertex_set, arc_set):
-        """Sort ``arc_set`` into each vertex's in- and out-arc tuples, in
-        ``_arc_sort_key`` order, and fill every slot.  An arc with an end
-        outside ``vertex_set`` raises KeyError."""
-        ins: dict[int, list[Arc]] = {v: [] for v in vertex_set}
-        outs: dict[int, list[Arc]] = {v: [] for v in vertex_set}
-        for a in sorted(arc_set, key=_arc_sort_key):
-            outs[a.source].append(a)
-            ins[a.target].append(a)
-        self._fill(
-            vertex_set,
-            arc_set,
-            {v: tuple(lst) for v, lst in ins.items()},
-            {v: tuple(lst) for v, lst in outs.items()},
-        )
+    @classmethod
+    def _from_sets(cls, vertex_set: frozenset[int], arc_set: frozenset[Arc]) -> "SignedDigraph":
+        """The graph with these vertex and arc sets, built unchecked: the
+        caller vouches that the vertices are positive ints and that every
+        arc is an Arc with both ends among them."""
+        G = object.__new__(cls)
+        G._set_fields(vertex_set, arc_set)
+        return G
 
-    def _fill(self, vertex_set, arc_set, ins, outs):
-        """Fill every slot: the vertex and arc sets, each vertex's in- and
-        out-arc tuples in ``_arc_sort_key`` order, and empty caches."""
+    def _set_fields(self, vertex_set, arc_set):
+        """Fill every slot: the vertex and arc sets, and empty caches."""
         self._vertices = vertex_set
         self._arcs = arc_set
-        self._in = ins
-        self._out = outs
         self._hash = None
+        self._arc_lists = None
         self._cycle_cache = None
         self._index_cache = None
         self._scc_cache = None
         self._mask_cache = None
         self._symmetrized = None
-
-    @classmethod
-    def _from_in_arcs(cls, in_arcs: Sequence[tuple[Arc, ...]]) -> "SignedDigraph":
-        """The graph on 1..n, n = len(in_arcs), whose in-arcs of vertex v
-        are in_arcs[v - 1].  A graph the library drew itself: the arcs are
-        distinct, their ends lie in 1..n and each tuple is in
-        ``_arc_sort_key`` order, so nothing is checked or sorted."""
-        G = object.__new__(cls)
-        vertices = range(1, len(in_arcs) + 1)
-        outs: dict[int, list[Arc]] = {v: [] for v in vertices}
-        for arcs in in_arcs:
-            for a in arcs:
-                outs[a.source].append(a)
-        G._fill(
-            frozenset(vertices),
-            frozenset(itertools.chain.from_iterable(in_arcs)),
-            dict(zip(vertices, in_arcs)),
-            {v: tuple(arcs) for v, arcs in outs.items()},
-        )
-        return G
 
     # -- basic views ----------------------------------------------------
 
@@ -181,11 +145,27 @@ class SignedDigraph:
 
     def in_arcs(self, v: int) -> tuple[Arc, ...]:
         self._check_vertex(v)
-        return self._in[v]
+        return self._sorted_arc_lists()[0][v]
 
     def out_arcs(self, v: int) -> tuple[Arc, ...]:
         self._check_vertex(v)
-        return self._out[v]
+        return self._sorted_arc_lists()[1][v]
+
+    def _sorted_arc_lists(self) -> tuple[dict[int, tuple[Arc, ...]], dict[int, tuple[Arc, ...]]]:
+        """Each vertex's in- and out-arc tuples, in ``_arc_sort_key`` order,
+        sorted on first use and cached on the graph."""
+        lists = self._arc_lists
+        if lists is None:
+            ins: dict[int, list[Arc]] = {v: [] for v in self._vertices}
+            outs: dict[int, list[Arc]] = {v: [] for v in self._vertices}
+            for a in sorted(self._arcs, key=_arc_sort_key):
+                outs[a.source].append(a)
+                ins[a.target].append(a)
+            lists = self._arc_lists = (
+                {v: tuple(arcs) for v, arcs in ins.items()},
+                {v: tuple(arcs) for v, arcs in outs.items()},
+            )
+        return lists
 
     def in_neighbors(self, v: int, sign: int | None = None) -> tuple[int, ...]:
         arcs = self.in_arcs(v)
@@ -251,8 +231,7 @@ class SignedDigraph:
             missing = {(t, s, sign) for s, t, sign in self._arcs} - self._arcs
             if missing:
                 # The reversed arcs are valid arcs between G's own vertices.
-                H = object.__new__(SignedDigraph)
-                H._fill_sorted(self._vertices, self._arcs.union(map(Arc._make, missing)))
+                H = self._from_sets(self._vertices, self._arcs.union(map(Arc._make, missing)))
                 H._symmetrized = False
             else:
                 H = False  # the graph is closed: no reference to itself
@@ -440,7 +419,7 @@ def _closure(seed: int, step: Sequence[int], allowed: int = -1) -> int:
 
 
 def _masks(G: SignedDigraph) -> tuple[dict[int, int], list[int], list[int], list[int]]:
-    """G's mask layout, built in one pass over the out-arcs on first use
+    """G's mask layout, built in one pass over the arc set on first use
     and cached on the graph: the vertex positions (the p-th of
     ``G.vertices`` is p), per position the masks of its out- and
     in-neighbour positions, and the 2n step masks of G's sign cover.
@@ -455,19 +434,17 @@ def _masks(G: SignedDigraph) -> tuple[dict[int, int], list[int], list[int], list
     if layout is None:
         position = {v: p for p, v in enumerate(G.vertices)}
         n = len(position)
-        out, into, plus, minus = [], [0] * n, [], []
-        for v, p in position.items():
-            keep = switch = 0
-            for _, t, sign in G._out[v]:
-                q = position[t]
-                into[q] |= 1 << p
-                if sign == POSITIVE:
-                    keep |= 1 << q
-                else:
-                    switch |= 1 << q
-            out.append(keep | switch)
-            plus.append(keep | switch << n)
-            minus.append(switch | keep << n)
+        into, keep, switch = [0] * n, [0] * n, [0] * n
+        for s, t, sign in G._arcs:
+            p, q = position[s], position[t]
+            into[q] |= 1 << p
+            if sign == POSITIVE:
+                keep[p] |= 1 << q
+            else:
+                switch[p] |= 1 << q
+        out = [k | w for k, w in zip(keep, switch)]
+        plus = [k | w << n for k, w in zip(keep, switch)]
+        minus = [w | k << n for k, w in zip(keep, switch)]
         layout = G._mask_cache = (position, out, into, plus + minus)
     return layout
 
@@ -574,10 +551,11 @@ def iter_cycles(G: SignedDigraph) -> Iterator[SignedCycle]:
     positive arcs tried before negative ones.  Parallel arcs of opposite
     signs give distinct cycles.
     """
-    for s in G.vertices:
+    out = {v: G.out_arcs(v) for v in G.vertices}
+    for s in out:
         path: list[Arc] = []
         on_path = {s}
-        iters = [iter(G.out_arcs(s))]
+        iters = [iter(out[s])]
         while iters:
             advanced = False
             for arc in iters[-1]:
@@ -587,7 +565,7 @@ def iter_cycles(G: SignedDigraph) -> Iterator[SignedCycle]:
                 elif t > s and t not in on_path:
                     path.append(arc)
                     on_path.add(t)
-                    iters.append(iter(G.out_arcs(t)))
+                    iters.append(iter(out[t]))
                     advanced = True
                     break
             if not advanced:

@@ -348,7 +348,7 @@ def tau_plus(G: SignedDigraph, cap: int = DEFAULT_CYCLE_CAP) -> int:
 
 def _positive_masks(index: _CycleIndex) -> set[int]:
     """The distinct position masks of the positive cycles."""
-    return {index.cycle_vertices[j] for j in _set_bits(index.positives)}
+    return {mask for mask, c in zip(index.cycle_vertices, index.cycles) if c.sign == POSITIVE}
 
 
 def _hitting_number(masks, floor: int = 0) -> int:

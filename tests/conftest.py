@@ -87,23 +87,16 @@ def interaction_graph_calls(monkeypatch):
 
 @pytest.fixture
 def signed_digraphs_built(monkeypatch):
-    """The SignedDigraphs constructed while the test runs, from drawn
-    in-arcs or by the sort-and-fill that the constructor calls after its
-    checks and ``symmetrize`` calls alone."""
+    """The SignedDigraphs constructed while the test runs, by the field
+    setter that the checked constructor and ``_from_sets`` both call."""
     built = []
-    fill_sorted = SignedDigraph._fill_sorted
-    from_in_arcs = SignedDigraph._from_in_arcs
+    set_fields = SignedDigraph._set_fields
 
     def counting(self, *args):
-        fill_sorted(self, *args)
+        set_fields(self, *args)
         built.append(self)
 
-    def counting_from_in_arcs(in_arcs):
-        built.append(from_in_arcs(in_arcs))
-        return built[-1]
-
-    monkeypatch.setattr(SignedDigraph, "_fill_sorted", counting)
-    monkeypatch.setattr(SignedDigraph, "_from_in_arcs", counting_from_in_arcs)
+    monkeypatch.setattr(SignedDigraph, "_set_fields", counting)
     return built
 
 

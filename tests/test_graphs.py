@@ -134,6 +134,34 @@ class TestModel:
         assert a != g(3, (1, 2, "+"))
 
 
+class TestLazyArcTuples:
+    """A graph sorts its per-vertex arc tuples when one is first read; the
+    questions answered on its masks never read them."""
+
+    def test_mask_readers_leave_them_unsorted(self):
+        # Closed under reversal, so ``two_coloring`` reads G's own layout.
+        G = g(3, (1, 2, "+"), (2, 1, "+"), (2, 3, "-"), (3, 2, "-"), (3, 3, "+"))
+        assert not has_negative_cycle(G)
+        assert is_strong(G)
+        assert structure._existence_verdict(G).holds
+        assert reachable(G, (1,), (), 3)
+        assert structure.two_coloring(G) == (0, 0, 1)
+        assert G._arc_lists is None
+        assert G.out_arcs(2) == (Arc(2, 1, POSITIVE), Arc(2, 3, NEGATIVE))
+        assert G._arc_lists is not None
+
+    def test_a_pair_draw_and_its_thm2_and_thm5_checks_leave_them_unsorted(self):
+        rng = random.Random(40)
+        arcs = 0
+        for _ in range(300):
+            G, f = falsify._draw_pair(rng, falsify._UNCAPPED_N, 4)
+            for theorem in ("thm2", "thm5"):
+                falsify.REGISTRY[theorem].check(G, f)
+            assert G._arc_lists is None
+            arcs += len(G.arc_set)
+        assert arcs > 300
+
+
 class TestSubgraphCalculus:
     def test_induced_keeps_original_ids(self):
         G = figure1(5)

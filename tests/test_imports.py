@@ -292,7 +292,14 @@ def test_only_graphs_reads_a_graphs_arc_tuples():
     # sign cover once, for every component, reachability and sign-cover
     # question; a module that read the per-vertex arc tuples could lay
     # out a second copy.
-    assert modules_naming({"_out", "_in"}, ("graphs",)) == set()
+    assert modules_naming({"_arc_lists", "_sorted_arc_lists"}, ("graphs",)) == set()
+
+
+def test_only_graphs_and_generators_build_unchecked_graphs():
+    # ``SignedDigraph._from_sets`` checks nothing: ``graphs`` calls it on
+    # arcs reversed from a graph's own, and ``generators`` on arcs it drew
+    # inside 1..n.  Every other module goes through the checked constructor.
+    assert modules_naming({"_from_sets"}, ("graphs", "generators")) == set()
 
 
 def test_the_oracles_do_not_fold_through_the_library():
