@@ -551,8 +551,8 @@ def iter_cycles(G: SignedDigraph) -> Iterator[SignedCycle]:
     positive arcs tried before negative ones.  Parallel arcs of opposite
     signs give distinct cycles.
     """
-    out = {v: G.out_arcs(v) for v in G.vertices}
-    for s in out:
+    out = G._sorted_arc_lists()[1]
+    for s in G.vertices:
         path: list[Arc] = []
         on_path = {s}
         iters = [iter(out[s])]

@@ -290,9 +290,10 @@ def test_only_graphs_names_the_vertex_set_components():
 def test_only_graphs_reads_a_graphs_arc_tuples():
     # ``graphs._masks`` lays out a graph's positions, neighbour masks and
     # sign cover once, for every component, reachability and sign-cover
-    # question; a module that read the per-vertex arc tuples could lay
-    # out a second copy.
-    assert modules_naming({"_arc_lists", "_sorted_arc_lists"}, ("graphs",)) == set()
+    # question; a module that read the per-vertex arc tuples of a
+    # ``SignedDigraph`` (``_arc_lists``) or a ``Digraph`` (``_out``) could
+    # lay out a second copy.
+    assert modules_naming({"_out", "_arc_lists", "_sorted_arc_lists"}, ("graphs",)) == set()
 
 
 def test_only_graphs_and_generators_build_unchecked_graphs():
@@ -388,6 +389,7 @@ KEPT_PUBLIC_NAMES = {
     "graphs.SignedDigraph.remove_incoming": "the bench tracer patches it",
     "graphs.SignedDigraph.delete": "the bench tracer patches it",
     "graphs.SignedDigraph.consistent_subgraph": "README documents it, a definition of the paper",
+    "graphs.SignedDigraph.out_arcs": "README documents it, a public view of the graph beside in_arcs",
     "graphs.reachable": "the bench tracer patches it",
     "graphs.scc": "the bench tracer patches it; conftest's negative-cycle oracle reads it",
     "structure.is_special_arc": "the bench tracer patches it",
